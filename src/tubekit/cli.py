@@ -8,10 +8,13 @@ give byte-identical artifacts.
 """
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -43,22 +46,34 @@ def _jsonify(obj):
     return obj
 
 
-def _atomic_bytes(path: str, payload: bytes):
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
+def _atomic_write(path: str, write):
+    """Run ``write(tmp)`` on a unique temp file beside ``path``, fsync it,
+    then rename it over ``path``.  On any failure the temp file is
+    removed and ``path`` is left as it was."""
+    fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".",
+                               suffix=".tmp", dir=os.path.dirname(path) or ".")
+    os.close(fd)
+    try:
+        write(tmp)
+        with open(tmp, "rb") as fh:
+            os.fsync(fh.fileno())
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates the file as 0600
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def _write_json(path: str, obj):
     text = json.dumps(_jsonify(obj), sort_keys=True, indent=2) + "\n"
-    _atomic_bytes(path, text.encode())
+    _atomic_write(path, lambda tmp: Path(tmp).write_bytes(text.encode()))
 
 
 def _save_tvol_atomic(obj, path: str, spacing=None):
-    tmp = f"{path}.tmp"
-    save_tvol(obj, tmp, spacing=spacing)
-    os.replace(tmp, path)
+    _atomic_write(path, lambda tmp: save_tvol(obj, tmp, spacing=spacing))
 
 
 def _parse_triple(text: str, cast, name: str):
@@ -83,17 +98,6 @@ def _load_mask(path) -> Mask3:
     if not isinstance(obj, Mask3):
         raise ParameterError(f"{path} holds a volume, expected a mask")
     return obj
-
-
-def _threads_env():
-    raw = os.environ.get("TUBEKIT_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ParameterError(f"TUBEKIT_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise ParameterError("TUBEKIT_THREADS must be >= 0")
-    return n  # computation is sequential; any cap >= 0 is honoured
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +229,7 @@ def _cmd_fusion_demo(args):
     fv4 = fusion.feature_map_from_seed(c, dims, seed * 64 + 2)
     p_deep = fusion.AttentionParams.init(c, seed=seed * 64 + 3)
     dq_v2c, dq_c2v = fusion.deep_mutual_query(fc4, fv4, p_deep)
+    dq_self = fusion.deep_mutual_query(fc4, fc4, p_deep)
 
     rows = fusion.attention_rows(fv4, fc4, p_deep)
     row_sum_dev = float(np.abs(rows.sum(axis=1) - 1.0).max())
@@ -262,8 +267,7 @@ def _cmd_fusion_demo(args):
             "flex_conv_identity_exact": identity_exact,
             "d2sd_range_ok": bool(fused.data.min() >= 0.0 and fused.data.max() <= 1.0),
             "dmq_symmetric_on_equal_inputs": bool(np.array_equal(
-                fusion.deep_mutual_query(fc4, fc4, p_deep)[0].data,
-                fusion.deep_mutual_query(fc4, fc4, p_deep)[1].data)),
+                dq_self[0].data, dq_self[1].data)),
         },
     }
     if args.json:
@@ -493,7 +497,6 @@ def main(argv=None) -> int:
         code = exc.code
         return int(code) if code else 0
     try:
-        _threads_env()
         return int(args.func(args) or 0)
     except ParameterError as exc:
         _emit_error(exc)

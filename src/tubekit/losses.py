@@ -110,6 +110,18 @@ def resolve_beta(y: np.ndarray, cfg: RelaxedSupConfig) -> float:
     return 1.0 / math.log(s_neg / s_pos)
 
 
+def _relaxed_inputs(y: Mask3, yhat: Volume3, cfg: RelaxedSupConfig):
+    """Validated float64 (label, prediction) and the resolved beta."""
+    if y.dims != yhat.dims:
+        raise ParameterError("label and prediction shapes differ")
+    pred = _as64(yhat)
+    _check_unit_range(pred, "prediction")
+    lab = _as64(y)
+    if lab.sum() < 1:
+        raise NumericDomainError("relaxed supervision needs at least one positive voxel")
+    return lab, pred, resolve_beta(lab, cfg)
+
+
 def uncertain_prediction_array(y, yhat, roi_mask, beta):
     """Returns (yhat', w) where yhat' = w * yhat and
     w = y + beta*y^c*R + y^c*R^c routes the three certainty regimes."""
@@ -121,14 +133,7 @@ def uncertain_prediction_array(y, yhat, roi_mask, beta):
 
 def uncertain_prediction(y: Mask3, yhat: Volume3, roi: RoiBox,
                          cfg: RelaxedSupConfig = RelaxedSupConfig()) -> Volume3:
-    if y.dims != yhat.dims:
-        raise ParameterError("label and prediction shapes differ")
-    pred = _as64(yhat)
-    _check_unit_range(pred, "prediction")
-    lab = _as64(y)
-    if lab.sum() < 1:
-        raise NumericDomainError("relaxed supervision needs at least one positive voxel")
-    beta = resolve_beta(lab, cfg)
+    lab, pred, beta = _relaxed_inputs(y, yhat, cfg)
     yp, _ = uncertain_prediction_array(lab, pred, roi.indicator(y.dims), beta)
     return Volume3(yhat.dims, yhat.spacing, yp.astype(np.float32))
 
@@ -153,14 +158,7 @@ def loss_r_sup_array(y, yhat, roi_mask, beta, eps=DEFAULT_EPSILON):
 
 def loss_r_sup(y: Mask3, yhat: Volume3, roi: RoiBox,
                cfg: RelaxedSupConfig = RelaxedSupConfig()):
-    if y.dims != yhat.dims:
-        raise ParameterError("label and prediction shapes differ")
-    pred = _as64(yhat)
-    _check_unit_range(pred, "prediction")
-    lab = _as64(y)
-    if lab.sum() < 1:
-        raise NumericDomainError("relaxed supervision needs at least one positive voxel")
-    beta = resolve_beta(lab, cfg)
+    lab, pred, beta = _relaxed_inputs(y, yhat, cfg)
     value, grad = loss_r_sup_array(lab, pred, roi.indicator(y.dims), beta, cfg.epsilon)
     return value, Volume3(yhat.dims, yhat.spacing, grad.astype(np.float32))
 

@@ -12,10 +12,11 @@ from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from .errors import NumericDomainError, ParameterError
-from .skeleton import _components_array, _neighbor_counts, hard_skeleton
+from .skeleton import _STRUCT_6, _components_array, _neighbor_counts, hard_skeleton
 from .volume import Mask3
 
 
@@ -100,18 +101,7 @@ def surface_voxels(mask: Mask3) -> np.ndarray:
     """Coordinates of foreground voxels touching background 6-wise;
     the volume border counts as background."""
     fg = mask.data > 0
-    interior = fg.copy()
-    for axis in range(3):
-        pad = [(0, 0)] * 3
-        pad[axis] = (1, 1)
-        g = np.pad(fg, pad)
-        n = fg.shape[axis]
-        sl_lo = [slice(None)] * 3
-        sl_hi = [slice(None)] * 3
-        sl_lo[axis] = slice(0, n)
-        sl_hi[axis] = slice(2, n + 2)
-        interior &= g[tuple(sl_lo)] & g[tuple(sl_hi)]
-    return np.argwhere(fg & ~interior)
+    return np.argwhere(fg & ~ndimage.binary_erosion(fg, _STRUCT_6, border_value=0))
 
 
 def surface_distances(pred: Mask3, gt: Mask3, spacing=(1.0, 1.0, 1.0)):

@@ -10,8 +10,16 @@ x-fastest linear index (pads count as off-volume and absorb nothing).
 Pooling passes run per axis in x, y, z order; because each 1D pass
 prefers the lower index on ties, the composed selection is the window
 cell with the smallest linear index, matching the documented tie rule.
+
+The recurrence (soft clDice, Shit et al., CVPR 2021) runs at most the
+requested number of erosions and stops early once an erosion leaves an
+all-zero image: every later iteration would add exactly zero to the
+skeleton and to its gradient, so the result equals the full run's.  A
+tape's ``iterations`` is the number of erosions that actually ran.
 """
 
+import hashlib
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,155 +64,125 @@ class ReconnectResult:
 # pooling with selection tracking
 # ---------------------------------------------------------------------------
 
-def _pool_pass(arr, axis, mode):
-    """One 3-wide min/max pass along an axis, zero padded.
-
-    Returns (pooled, offsets) where offsets in {-1, 0, +1} name the
-    winning source cell; numpy's arg{min,max} keeps the first winner, so
-    ties go to the lower source index (the left pad wins ties at -1).
-    """
-    pad = [(0, 0)] * 3
-    pad[axis] = (1, 1)
-    g = np.pad(arr, pad, constant_values=0.0)
-    n = arr.shape[axis]
-    sl = [slice(None)] * 3
-    views = []
-    for o in (0, 1, 2):
-        sl[axis] = slice(o, o + n)
-        views.append(g[tuple(sl)])
-    stack = np.stack(views, axis=0)
-    sel = np.argmin(stack, axis=0) if mode == "min" else np.argmax(stack, axis=0)
-    out = np.take_along_axis(stack, sel[None], axis=0)[0]
-    return out, (sel - 1).astype(np.int8)
-
-
 def _pool3(arr, mode, record=None):
-    """3x3x3 min/max pool; optionally record per-axis selection offsets."""
-    out = arr
+    """3x3x3 min/max pool with zero padding, one 1D pass per axis in
+    x, y, z order.
+
+    With a ``record`` list, appends the per-axis offsets in {-1, 0, +1}
+    naming each pass's winning source cell: the first of (left, centre,
+    right) equal to the pooled value, so the left pad wins ties at -1.
+    """
+    pool = ndimage.minimum_filter1d if mode == "min" else ndimage.maximum_filter1d
     offs = []
     for axis in (0, 1, 2):
-        out, off = _pool_pass(out, axis, mode)
-        offs.append(off)
+        out = pool(arr, 3, axis=axis, mode="constant", cval=0.0)
+        if record is not None:
+            off = np.where(arr == out, np.int8(0), np.int8(1))
+            a, p, o = (np.moveaxis(v, axis, 0) for v in (arr, out, off))
+            o[0][p[0] == 0.0] = -1  # the zero pad left of the first cell
+            o[1:][a[:-1] == p[1:]] = -1
+            offs.append(off)
+        arr = out
     if record is not None:
         record.append(offs)
-    return out
-
-
-def _scatter_pass(grad, off, axis):
-    """Adjoint of one pooling pass: route grad to the winning source."""
-    shp = list(grad.shape)
-    shp[axis] += 2
-    acc = np.zeros(shp, dtype=grad.dtype)
-    sl = [slice(None)] * 3
-    for o in (-1, 0, 1):
-        contrib = np.where(off == o, grad, 0.0)
-        sl[axis] = slice(1 + o, 1 + o + grad.shape[axis])
-        acc[tuple(sl)] += contrib
-    sl[axis] = slice(1, -1)  # gradient routed into the pad is dropped
-    return acc[tuple(sl)]
+    return arr
 
 
 def _scatter3(grad, offs):
-    out = grad
+    """Adjoint of ``_pool3``: route grad to each pass's winning source,
+    last pass first; gradient routed into the pad is dropped."""
     for axis in (2, 1, 0):
-        out = _scatter_pass(out, offs[axis], axis)
-    return out
+        shp = list(grad.shape)
+        shp[axis] += 2
+        acc = np.zeros(shp, dtype=grad.dtype)
+        sl = [slice(None)] * 3
+        for o in (-1, 0, 1):
+            sl[axis] = slice(1 + o, 1 + o + grad.shape[axis])
+            acc[tuple(sl)] += np.where(offs[axis] == o, grad, 0.0)
+        sl[axis] = slice(1, -1)
+        grad = acc[tuple(sl)]
+    return grad
 
 
 # ---------------------------------------------------------------------------
 # soft skeleton forward / backward
 # ---------------------------------------------------------------------------
 
+def _recurrence(img, iterations, tape=None):
+    """The skeleton recurrence on a float64 array; returns the skeleton.
+
+    Stage 0 opens the image; each later stage erodes it once more and
+    opens the result, adding relu(delta - skel * delta) with delta =
+    relu(img - opened).  The erosion inside one stage's opening is the
+    next stage's image.  The loop stops once that erosion is all zero:
+    every further stage would add exactly zero to the skeleton and, in
+    the adjoint, scatter an all-zero gradient.  With a ``tape``, each
+    stage's adjoint inputs go to ``tape.stages`` and the pooling offsets
+    to ``tape.pools`` (erosion, then dilation, per stage).
+    """
+    pools = None if tape is None else tape.pools
+    skel = np.zeros_like(img)
+    eroded = _pool3(img, "min", pools)
+    for i in itertools.count():
+        opened = _pool3(eroded, "max", pools)
+        delta = np.maximum(img - opened, 0.0)
+        t = np.maximum(delta - skel * delta, 0.0)
+        if tape is not None:
+            tape.stages.append((skel, delta, t > 0))
+        skel = skel + t
+        if i >= iterations or not eroded.any():
+            break
+        img = eroded
+        eroded = _pool3(img, "min", pools)
+    return skel
+
+
 class SoftSkeletonTape:
     """Recorded forward pass of the skeleton recurrence.
 
-    Holds everything the adjoint needs: per-erosion images, relu masks,
-    and pooling selections.  ``signature()`` digests all discrete
-    choices; two inputs with equal signatures lie in the same smooth
-    region of the piecewise-linear recurrence.
+    ``iterations`` is the number of erosions actually run: at most the
+    requested count, fewer when an erosion leaves an all-zero image,
+    after which the recurrence stops (further iterations change neither
+    the skeleton nor the gradient).  Per stage 0..iterations the tape
+    holds the skeleton entering the stage, its relu output and mask, and
+    the pooling selections of its opening.  ``signature()`` digests all
+    discrete choices; two inputs with equal signatures lie in the same
+    smooth region of the piecewise-linear recurrence.
     """
 
     def __init__(self, img: np.ndarray, iterations: int):
-        img = np.asarray(img, dtype=np.float64)
-        self.iterations = iterations
-        self.imgs = [img]
-        self.skels = []
-        self.deltas = []
-        self.masks_s0 = None
-        self.masks_delta = []
-        self.masks_t = []
-        self.pool_open = []    # (erode offs, dilate offs) per stage 0..k
-        self.pool_erode = []   # erode offs per stage 1..k
-
-        rec = []
-        er = _pool3(img, "min", rec)
-        opened = _pool3(er, "max", rec)
-        self.pool_open.append((rec[0], rec[1]))
-        s_in = img - opened
-        self.masks_s0 = s_in > 0
-        skel = np.where(self.masks_s0, s_in, 0.0)
-        self.skels.append(skel)
-
-        for _ in range(iterations):
-            rec = []
-            img = _pool3(img, "min", rec)
-            self.pool_erode.append(rec[0])
-            er = _pool3(img, "min", rec)
-            opened = _pool3(er, "max", rec)
-            self.pool_open.append((rec[1], rec[2]))
-            self.imgs.append(img)
-
-            d_in = img - opened
-            mask_d = d_in > 0
-            delta = np.where(mask_d, d_in, 0.0)
-            t_in = delta - skel * delta
-            mask_t = t_in > 0
-            t = np.where(mask_t, t_in, 0.0)
-            skel = skel + t
-
-            self.deltas.append(delta)
-            self.masks_delta.append(mask_d)
-            self.masks_t.append(mask_t)
-            self.skels.append(skel)
-
-    @property
-    def skeleton(self) -> np.ndarray:
-        return self.skels[-1]
+        self.stages = []  # (skeleton in, delta, relu mask of t) per stage
+        self.pools = []   # erosion offs, dilation offs, per stage
+        self.skeleton = _recurrence(np.asarray(img, dtype=np.float64),
+                                    iterations, self)
+        self.iterations = len(self.stages) - 1
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         """Gradient of sum(grad_out * skeleton) w.r.t. the input image."""
         g_skel = np.asarray(grad_out, dtype=np.float64).copy()
         g_img = np.zeros_like(g_skel)
-        for i in range(self.iterations, 0, -1):
-            g_tin = np.where(self.masks_t[i - 1], g_skel, 0.0)
-            g_delta = g_tin * (1.0 - self.skels[i - 1])
-            g_skel = g_skel - g_tin * self.deltas[i - 1]
-            g_din = np.where(self.masks_delta[i - 1], g_delta, 0.0)
+        for i in range(self.iterations, -1, -1):
+            skel, delta, mask_t = self.stages[i]
+            g_t = np.where(mask_t, g_skel, 0.0)
+            g_skel = g_skel - g_t * delta
+            g_din = np.where(delta > 0, g_t * (1.0 - skel), 0.0)
             g_img += g_din
-            er_offs, di_offs = self.pool_open[i]
-            g_er = _scatter3(-g_din, di_offs)
-            g_img += _scatter3(g_er, er_offs)
-            g_img = _scatter3(g_img, self.pool_erode[i - 1])
-        g_s0 = np.where(self.masks_s0, g_skel, 0.0)
-        g_img += g_s0
-        er_offs, di_offs = self.pool_open[0]
-        g_er = _scatter3(-g_s0, di_offs)
-        g_img += _scatter3(g_er, er_offs)
+            g_er = _scatter3(-g_din, self.pools[2 * i + 1])
+            g_img += _scatter3(g_er, self.pools[2 * i])
+            if i:  # this stage's image is the previous stage's erosion
+                g_img = _scatter3(g_img, self.pools[2 * i - 2])
         return g_img
 
     def signature(self) -> bytes:
-        """Digest of every discrete selection made in the forward pass."""
-        import hashlib
+        """Digest of the iteration count, then every discrete selection
+        made in the forward pass.  The count comes first, so a change of
+        the stopping point always changes the signature."""
         h = hashlib.sha256()
-        h.update(self.masks_s0.tobytes())
-        for m in self.masks_delta:
-            h.update(m.tobytes())
-        for m in self.masks_t:
-            h.update(m.tobytes())
-        for er, di in self.pool_open:
-            for o in er + di:
-                h.update(o.tobytes())
-        for offs in self.pool_erode:
+        h.update(self.iterations.to_bytes(4, "little"))
+        for _, delta, mask_t in self.stages:
+            h.update((delta > 0).tobytes())
+            h.update(mask_t.tobytes())
+        for offs in self.pools:
             for o in offs:
                 h.update(o.tobytes())
         return h.digest()
@@ -215,14 +193,7 @@ def soft_skeleton_array(img: np.ndarray, iterations: int) -> np.ndarray:
     img = np.asarray(img, dtype=np.float64)
     if img.min(initial=0.0) < 0.0 or img.max(initial=0.0) > 1.0:
         raise ParameterError("soft_skeleton input values must lie in [0, 1]")
-    opened = _pool3(_pool3(img, "min"), "max")
-    skel = np.maximum(img - opened, 0.0)
-    for _ in range(iterations):
-        img = _pool3(img, "min")
-        opened = _pool3(_pool3(img, "min"), "max")
-        delta = np.maximum(img - opened, 0.0)
-        skel = skel + np.maximum(delta - skel * delta, 0.0)
-    return skel
+    return _recurrence(img, iterations)
 
 
 def soft_skeleton(prob: Volume3, params: SoftSkeletonParams = SoftSkeletonParams()) -> Volume3:
@@ -266,19 +237,8 @@ def connected_components(mask: Mask3, connectivity: int = 26) -> ComponentSet:
 
 def _neighbor_counts(fg: np.ndarray) -> np.ndarray:
     """Number of foreground 26-neighbors of every voxel (self excluded)."""
-    acc = fg.astype(np.int32)
-    for axis in range(3):
-        pad = [(0, 0)] * 3
-        pad[axis] = (1, 1)
-        g = np.pad(acc, pad)
-        n = fg.shape[axis]
-        sl = [slice(None)] * 3
-        total = np.zeros_like(acc)
-        for o in (0, 1, 2):
-            sl[axis] = slice(o, o + n)
-            total += g[tuple(sl)]
-        acc = total
-    return acc - fg.astype(np.int32)
+    fg = fg.astype(np.int32)
+    return ndimage.correlate(fg, _STRUCT_26.astype(np.int32), mode="constant") - fg
 
 
 def _sort_by_linear(coords: np.ndarray) -> np.ndarray:

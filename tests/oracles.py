@@ -4,6 +4,7 @@ Everything here is deliberately naive (loops, brute force) and shares no
 code with the package paths it checks.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -143,3 +144,160 @@ def spatial_pair_sum_bruteforce(yhat, guide, sigma_l, sigma_c, radius):
                             if yhat[x, y, z] * yhat[u, v, w] != 0.0:
                                 n += 1
     return total, n
+
+
+def neighbor_counts_bruteforce(mask):
+    """Foreground 26-neighbors of every voxel (self excluded), by loops."""
+    fg = np.asarray(mask, dtype=bool)
+    nx, ny, nz = fg.shape
+    out = np.zeros(fg.shape, dtype=np.int64)
+    for x in range(nx):
+        for y in range(ny):
+            for z in range(nz):
+                for dx in (-1, 0, 1):
+                    for dy in (-1, 0, 1):
+                        for dz in (-1, 0, 1):
+                            u, v, w = x + dx, y + dy, z + dz
+                            if ((dx or dy or dz) and 0 <= u < nx and 0 <= v < ny
+                                    and 0 <= w < nz and fg[u, v, w]):
+                                out[x, y, z] += 1
+    return out
+
+
+# ---------------------------------------------------------------------------
+# soft skeleton recurrence: stacked argmin/argmax pooling, all k iterations
+# ---------------------------------------------------------------------------
+
+def _oracle_pool_pass(arr, axis, mode):
+    """One 3-wide zero-padded min/max pass; offsets in {-1, 0, +1} name the
+    first winning source cell (the left pad wins ties at -1)."""
+    pad = [(0, 0)] * 3
+    pad[axis] = (1, 1)
+    g = np.pad(arr, pad, constant_values=0.0)
+    n = arr.shape[axis]
+    sl = [slice(None)] * 3
+    views = []
+    for o in (0, 1, 2):
+        sl[axis] = slice(o, o + n)
+        views.append(g[tuple(sl)])
+    stack = np.stack(views, axis=0)
+    sel = np.argmin(stack, axis=0) if mode == "min" else np.argmax(stack, axis=0)
+    out = np.take_along_axis(stack, sel[None], axis=0)[0]
+    return out, (sel - 1).astype(np.int8)
+
+
+def _oracle_pool3(arr, mode, record=None):
+    out = arr
+    offs = []
+    for axis in (0, 1, 2):
+        out, off = _oracle_pool_pass(out, axis, mode)
+        offs.append(off)
+    if record is not None:
+        record.append(offs)
+    return out
+
+
+def _oracle_scatter_pass(grad, off, axis):
+    shp = list(grad.shape)
+    shp[axis] += 2
+    acc = np.zeros(shp, dtype=grad.dtype)
+    sl = [slice(None)] * 3
+    for o in (-1, 0, 1):
+        contrib = np.where(off == o, grad, 0.0)
+        sl[axis] = slice(1 + o, 1 + o + grad.shape[axis])
+        acc[tuple(sl)] += contrib
+    sl[axis] = slice(1, -1)  # gradient routed into the pad is dropped
+    return acc[tuple(sl)]
+
+
+def _oracle_scatter3(grad, offs):
+    out = grad
+    for axis in (2, 1, 0):
+        out = _oracle_scatter_pass(out, offs[axis], axis)
+    return out
+
+
+class soft_skeleton_tape_oracle:
+    """Skeleton recurrence with a selection tape, running all ``iterations``
+    erosions even after the image is empty; each iteration erodes, then
+    opens the eroded image with two fresh poolings."""
+
+    def __init__(self, img, iterations):
+        img = np.asarray(img, dtype=np.float64)
+        self.iterations = iterations
+        self.skels = []
+        self.deltas = []
+        self.masks_delta = []
+        self.masks_t = []
+        self.pool_open = []    # (erode offs, dilate offs) per stage 0..k
+        self.pool_erode = []   # erode offs per stage 1..k
+
+        rec = []
+        er = _oracle_pool3(img, "min", rec)
+        opened = _oracle_pool3(er, "max", rec)
+        self.pool_open.append((rec[0], rec[1]))
+        s_in = img - opened
+        self.masks_s0 = s_in > 0
+        skel = np.where(self.masks_s0, s_in, 0.0)
+        self.skels.append(skel)
+
+        for _ in range(iterations):
+            rec = []
+            img = _oracle_pool3(img, "min", rec)
+            self.pool_erode.append(rec[0])
+            er = _oracle_pool3(img, "min", rec)
+            opened = _oracle_pool3(er, "max", rec)
+            self.pool_open.append((rec[1], rec[2]))
+
+            d_in = img - opened
+            mask_d = d_in > 0
+            delta = np.where(mask_d, d_in, 0.0)
+            t_in = delta - skel * delta
+            mask_t = t_in > 0
+            t = np.where(mask_t, t_in, 0.0)
+            skel = skel + t
+
+            self.deltas.append(delta)
+            self.masks_delta.append(mask_d)
+            self.masks_t.append(mask_t)
+            self.skels.append(skel)
+
+    @property
+    def skeleton(self):
+        return self.skels[-1]
+
+    def backward(self, grad_out):
+        g_skel = np.asarray(grad_out, dtype=np.float64).copy()
+        g_img = np.zeros_like(g_skel)
+        for i in range(self.iterations, 0, -1):
+            g_tin = np.where(self.masks_t[i - 1], g_skel, 0.0)
+            g_delta = g_tin * (1.0 - self.skels[i - 1])
+            g_skel = g_skel - g_tin * self.deltas[i - 1]
+            g_din = np.where(self.masks_delta[i - 1], g_delta, 0.0)
+            g_img += g_din
+            er_offs, di_offs = self.pool_open[i]
+            g_er = _oracle_scatter3(-g_din, di_offs)
+            g_img += _oracle_scatter3(g_er, er_offs)
+            g_img = _oracle_scatter3(g_img, self.pool_erode[i - 1])
+        g_s0 = np.where(self.masks_s0, g_skel, 0.0)
+        g_img += g_s0
+        er_offs, di_offs = self.pool_open[0]
+        g_er = _oracle_scatter3(-g_s0, di_offs)
+        g_img += _oracle_scatter3(g_er, er_offs)
+        return g_img
+
+    def signature(self):
+        """Digest of every discrete selection made in the forward pass."""
+        h = hashlib.sha256()
+        h.update(self.masks_s0.tobytes())
+        for m in self.masks_delta:
+            h.update(m.tobytes())
+        for m in self.masks_t:
+            h.update(m.tobytes())
+        for er, di in self.pool_open:
+            for o in er + di:
+                h.update(o.tobytes())
+        for offs in self.pool_erode:
+            for o in offs:
+                h.update(o.tobytes())
+        return h.digest()

@@ -193,6 +193,25 @@ def test_bad_magic_exits_3(tmp_path, capsys):
     assert "bad magic" in err["message"]
 
 
+def test_failed_write_leaves_target_and_no_temp_file(tmp_path, monkeypatch, capsys):
+    _, lab = _phantom_files(tmp_path / "in", dims="16,16,16", radius_mm=1.5)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "skel.tvol"
+    out.write_bytes(b"previous contents")
+
+    def failing_save(obj, path, spacing=None):
+        with open(path, "wb") as fh:
+            fh.write(b"partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr("tubekit.cli.save_tvol", failing_save)
+    assert _run("skeleton", "--in", str(lab), "--out", str(out)) == 3
+    assert "disk full" in json.loads(capsys.readouterr().err.strip())["message"]
+    assert [p.name for p in out_dir.iterdir()] == ["skel.tvol"]
+    assert out.read_bytes() == b"previous contents"
+
+
 def test_numeric_domain_error_exits_4(tmp_path, capsys):
     # all-positive label: auto-beta undefined (sum(y^c) == 0)
     dims = (16, 16, 16)

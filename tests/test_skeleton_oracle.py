@@ -1,0 +1,95 @@
+"""The skeleton engine against the stacked-argmin, full-k oracle.
+
+The package pools with scipy's 1-D min/max filters, shares the opening's
+erosion with the next iteration and stops once an erosion is all zero;
+the oracle does none of this, so byte-equal results pin the tie rule,
+the stopping rule and the adjoint together.
+"""
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from oracles import neighbor_counts_bruteforce, soft_skeleton_tape_oracle
+from tubekit import Mask3
+from tubekit.skeleton import (SoftSkeletonTape, endpoints, hard_skeleton,
+                              soft_skeleton_array)
+
+H = 1e-3
+
+
+def _field(kind, shape, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        return rng.random(shape)
+    if kind == "mask":
+        return (rng.random(shape) < 0.6).astype(np.float64)
+    return rng.integers(0, 5, shape) / 4.0  # quantised: ties everywhere
+
+
+cases = st.tuples(
+    st.sampled_from(["uniform", "mask", "quantised"]),
+    st.tuples(*[st.integers(3, 12)] * 3),
+    st.integers(1, 10),
+    st.integers(0, 2 ** 32 - 1),
+)
+
+
+@given(cases)
+def test_forward_and_backward_match_oracle(case):
+    kind, shape, k, seed = case
+    x = _field(kind, shape, seed)
+    oracle = soft_skeleton_tape_oracle(x, k)
+    tape = SoftSkeletonTape(x, k)
+    assert tape.iterations <= k
+    assert tape.skeleton.tobytes() == oracle.skeleton.tobytes()
+    assert soft_skeleton_array(x, k).tobytes() == oracle.skeleton.tobytes()
+
+    mask = (x >= 0.5).astype(np.uint8)
+    expected = (soft_skeleton_tape_oracle(mask, k).skeleton >= 0.5).astype(np.uint8)
+    assert hard_skeleton(Mask3(shape, mask), k).data.tobytes() == expected.tobytes()
+
+    g = np.random.default_rng(seed + 1).standard_normal(shape)
+    assert tape.backward(g).tobytes() == oracle.backward(g).tobytes()
+
+
+@given(cases)
+def test_tie_free_verdict_matches_oracle(case):
+    kind, shape, k, seed = case
+    x = _field(kind, shape, seed)
+    sig_tape = SoftSkeletonTape(x, k).signature()
+    sig_oracle = soft_skeleton_tape_oracle(x, k).signature()
+    rng = np.random.default_rng(seed + 2)
+    for _ in range(3):
+        v = tuple(int(rng.integers(0, n)) for n in shape)
+        verdicts = []
+        for make, sig0 in ((SoftSkeletonTape, sig_tape),
+                           (soft_skeleton_tape_oracle, sig_oracle)):
+            same = True
+            for step in (H, -H):
+                xs = x.copy()
+                xs[v] += step
+                same = same and make(xs, k).signature() == sig0
+            verdicts.append(same)
+        assert verdicts[0] == verdicts[1], v
+
+
+def test_stops_once_the_erosion_is_empty():
+    x = np.zeros((9, 9, 9))
+    x[2:7, 2:7, 2:7] = 1.0  # a 5^3 cube: the third erosion is empty
+    tape = SoftSkeletonTape(x, 10)
+    assert tape.iterations == 2
+    assert tape.skeleton.tobytes() == soft_skeleton_tape_oracle(x, 10).skeleton.tobytes()
+
+
+def test_endpoints_match_bruteforce_neighbor_counts():
+    rng = np.random.default_rng(11)
+    for p in (0.05, 0.15, 0.3):
+        for _ in range(4):
+            shape = tuple(int(n) for n in rng.integers(3, 10, 3))
+            fg = rng.random(shape) < p
+            counts = neighbor_counts_bruteforce(fg)
+            ends = np.argwhere(fg & (counts <= 1))
+            expected = sorted((tuple(int(c) for c in v) for v in ends),
+                              key=lambda c: (c[2], c[1], c[0]))  # x fastest
+            assert endpoints(Mask3(shape, fg.astype(np.uint8))) == expected
