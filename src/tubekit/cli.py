@@ -22,7 +22,7 @@ from . import fusion, losses, metrics, skeleton, vesselness
 from .errors import FileFormatError, NumericDomainError, ParameterError
 from .rng import uniform01, uniform_range
 from .volume import (Mask3, PhantomSpec, RoiBox, Volume3, load_tvol,
-                     make_phantom, read_tvol_header, roi_from_label, save_tvol)
+                     make_phantom, roi_from_label, save_tvol)
 
 GRADCHECK_H = 1e-3
 
@@ -72,8 +72,8 @@ def _write_json(path: str, obj):
     _atomic_write(path, lambda tmp: Path(tmp).write_bytes(text.encode()))
 
 
-def _save_tvol_atomic(obj, path: str, spacing=None):
-    _atomic_write(path, lambda tmp: save_tvol(obj, tmp, spacing=spacing))
+def _save_tvol_atomic(obj, path: str):
+    _atomic_write(path, lambda tmp: save_tvol(obj, tmp))
 
 
 def _parse_triple(text: str, cast, name: str):
@@ -114,7 +114,7 @@ def _cmd_phantom(args):
     spacing = _parse_triple(args.spacing, float, "--spacing")
     image, label = make_phantom(spec, dims, spacing)
     _save_tvol_atomic(image, args.out_image)
-    _save_tvol_atomic(label, args.out_label, spacing=spacing)
+    _save_tvol_atomic(label, args.out_label)
     return 0
 
 
@@ -132,18 +132,16 @@ def _cmd_skeleton(args):
     obj = load_tvol(args.infile)
     if isinstance(obj, Mask3):
         out = skeleton.hard_skeleton(obj, args.iters)
-        _save_tvol_atomic(out, args.out, spacing=read_tvol_header(args.infile)[2])
     else:
         out = skeleton.soft_skeleton(obj, skeleton.SoftSkeletonParams(args.iters))
-        _save_tvol_atomic(out, args.out)
+    _save_tvol_atomic(out, args.out)
     return 0
 
 
 def _cmd_reconnect(args):
     mask = _load_mask(args.infile)
     res = skeleton.reconnect(mask)
-    _save_tvol_atomic(res.reconnected, args.out,
-                      spacing=read_tvol_header(args.infile)[2])
+    _save_tvol_atomic(res.reconnected, args.out)
     if args.report:
         segments = [{"from": list(a), "to": list(b),
                      "line_voxels": len(skeleton.bresenham_line(a, b)) - 2}
@@ -209,11 +207,7 @@ def _cmd_loss(args):
 def _cmd_metrics(args):
     pred = _load_mask(args.pred)
     gt = _load_mask(args.gt)
-    if args.spacing is not None:
-        spacing = _parse_triple(args.spacing, float, "--spacing")
-    else:
-        spacing = read_tvol_header(args.gt)[2]
-    report = metrics.evaluate(pred, gt, spacing=spacing, skel_k=args.skel_iters)
+    report = metrics.evaluate(pred, gt, spacing=gt.spacing, skel_k=args.skel_iters)
     _write_json(args.json, report.to_dict())
     return 0
 
@@ -464,7 +458,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("metrics", help="evaluation metrics for a mask pair")
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
-    p.add_argument("--spacing", default=None)
     p.add_argument("--skel-iters", type=int, default=10)
     p.add_argument("--json", required=True)
     p.set_defaults(func=_cmd_metrics)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericDomainError, ParameterError
-from .skeleton import SoftSkeletonParams, SoftSkeletonTape, reconnect
+from .skeleton import SoftSkeletonParams, SoftSkeletonTape, _reconnect_array
 from .volume import Mask3, RoiBox, Volume3
 
 DEFAULT_EPSILON = 1e-7
@@ -167,11 +167,6 @@ def loss_r_sup(y: Mask3, yhat: Volume3, roi: RoiBox,
 # skeleton connectivity
 # ---------------------------------------------------------------------------
 
-def _reconnect_bool(hard: np.ndarray):
-    res = reconnect(Mask3(hard.shape, hard.astype(np.uint8)))
-    return res.reconnected.data > 0, res.drawn_only.data > 0
-
-
 def loss_con_array(yhat, iterations=10, threshold=0.5, eps=DEFAULT_EPSILON,
                    support="reconnected"):
     """Cross entropy between the soft skeleton and its reconnected
@@ -185,8 +180,8 @@ def loss_con_array(yhat, iterations=10, threshold=0.5, eps=DEFAULT_EPSILON,
     hard = ys >= threshold
     if not hard.any():
         return 0.0, np.zeros_like(yhat)
-    rec, drawn = _reconnect_bool(hard)
-    cover = rec if support == "reconnected" else drawn
+    rec, _ = _reconnect_array(hard)
+    cover = rec if support == "reconnected" else rec & ~hard
     n = max(1, int(cover.sum()))
     value = -float(np.log(ys[cover] + eps).sum()) / n
     g_skel = np.where(cover, -1.0 / ((ys + eps) * n), 0.0)
@@ -204,7 +199,7 @@ def loss_con_signature(yhat, iterations=10, threshold=0.5) -> bytes:
     h.update(tape.signature())
     h.update(hard.tobytes())
     if hard.any():
-        rec, _ = _reconnect_bool(hard)
+        rec, _ = _reconnect_array(hard)
         h.update(rec.tobytes())
     return h.digest()
 

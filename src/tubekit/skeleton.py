@@ -120,6 +120,8 @@ def _recurrence(img, iterations, tape=None):
     stage's adjoint inputs go to ``tape.stages`` and the pooling offsets
     to ``tape.pools`` (erosion, then dilation, per stage).
     """
+    if iterations < 1:
+        raise ParameterError("iterations must be >= 1")
     pools = None if tape is None else tape.pools
     skel = np.zeros_like(img)
     eroded = _pool3(img, "min", pools)
@@ -205,7 +207,7 @@ def soft_skeleton(prob: Volume3, params: SoftSkeletonParams = SoftSkeletonParams
 def hard_skeleton(mask: Mask3, k: int = 10) -> Mask3:
     """Binary skeleton: soft recurrence on the 0/1 field, cut at 0.5."""
     skel = soft_skeleton_array(mask.data.astype(np.float64), k)
-    return Mask3(mask.dims, (skel >= 0.5).astype(np.uint8))
+    return Mask3(mask.dims, (skel >= 0.5).astype(np.uint8), mask.spacing)
 
 
 # ---------------------------------------------------------------------------
@@ -328,23 +330,28 @@ def _reconnect_pass(fg: np.ndarray, comp: ComponentSet, segments) -> np.ndarray:
     return lines
 
 
+def _reconnect_array(fg0: np.ndarray):
+    """Reconnection loop on a boolean array: returns the reconnected
+    copy and the segments drawn, in drawing order."""
+    fg = fg0.copy()
+    segments = []
+    while True:
+        comp = _components_array(fg, 26)
+        if comp.count <= 1:
+            return fg, segments
+        fg |= _reconnect_pass(fg, comp, segments)
+
+
 def reconnect(skeleton: Mask3) -> ReconnectResult:
     """Join skeleton fragments with 1-voxel-wide lines between nearest
     endpoints, repeating passes until a single component remains."""
     fg0 = skeleton.data > 0
     if not fg0.any():
         raise NumericDomainError("reconnect: empty skeleton")
-    fg = fg0.copy()
-    segments = []
-    while True:
-        comp = _components_array(fg, 26)
-        if comp.count <= 1:
-            break
-        lines = _reconnect_pass(fg, comp, segments)
-        fg |= lines
-    drawn = fg & ~fg0
+    fg, segments = _reconnect_array(fg0)
     return ReconnectResult(
-        reconnected=Mask3(skeleton.dims, fg.astype(np.uint8)),
-        drawn_only=Mask3(skeleton.dims, drawn.astype(np.uint8)),
+        reconnected=Mask3(skeleton.dims, fg.astype(np.uint8), skeleton.spacing),
+        drawn_only=Mask3(skeleton.dims, (fg & ~fg0).astype(np.uint8),
+                         skeleton.spacing),
         segments=segments,
     )

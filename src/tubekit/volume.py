@@ -6,7 +6,8 @@ Conventions shared by every module:
 * the linear order of a voxel is x-fastest: ``x + nx*(y + ny*z)``, which
   is the Fortran ravel of the array above (used for file payloads and
   every deterministic tie-break in the toolkit);
-* volumes are float32, masks are uint8 holding exactly {0, 1};
+* volumes are float32, masks are uint8 holding exactly {0, 1}; both
+  carry their voxel spacing in mm, which every .tvol header stores;
 * containers are frozen after construction (numpy buffers are marked
   read-only), so instances are safe to share across threads.
 
@@ -16,6 +17,7 @@ The .tvol format (little-endian, no padding):
     | nx, ny, nz as u32 | sx, sy, sz as f32 | payload, x-fastest
 """
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -26,6 +28,7 @@ from .errors import FileFormatError, NumericDomainError, ParameterError
 from .rng import normal
 
 _MAGIC = b"TVOL1"
+_HEAD = struct.Struct("<B3I3f")  # dtype code, dims, spacing
 _DTYPE_VOLUME = 0
 _DTYPE_MASK = 1
 
@@ -44,6 +47,19 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_grid(dims, spacing, size):
+    """Normalised (dims, spacing) of a container holding ``size`` voxels."""
+    grid = tuple(int(d) for d in dims)
+    sp = tuple(float(s) for s in spacing)
+    if len(grid) != 3 or any(d < 1 for d in grid):
+        raise ParameterError(f"dims must be three counts >= 1, got {dims}")
+    if len(sp) != 3 or any(not np.isfinite(s) or s <= 0 for s in sp):
+        raise ParameterError(f"spacing must be three finite positives, got {spacing}")
+    if size != grid[0] * grid[1] * grid[2]:
+        raise ParameterError(f"data length {size} does not match dims {grid}")
+    return grid, sp
+
+
 @dataclass(frozen=True, eq=False)
 class Volume3:
     """Dense 3D scalar field with voxel spacing in millimetres."""
@@ -53,16 +69,8 @@ class Volume3:
     data: np.ndarray  # float32, shape == dims
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        spacing = tuple(float(s) for s in self.spacing)
-        if len(dims) != 3 or any(d < 1 for d in dims):
-            raise ParameterError(f"dims must be three counts >= 1, got {self.dims}")
-        if len(spacing) != 3 or any(not np.isfinite(s) or s <= 0 for s in spacing):
-            raise ParameterError(f"spacing must be three finite positives, got {self.spacing}")
         data = np.asarray(self.data, dtype=np.float32)
-        if data.size != dims[0] * dims[1] * dims[2]:
-            raise ParameterError(
-                f"data length {data.size} does not match dims {dims}")
+        dims, spacing = _check_grid(self.dims, self.spacing, data.size)
         data = data.reshape(dims)
         if not np.all(np.isfinite(data)):
             raise ParameterError("volume data contains non-finite values")
@@ -78,19 +86,17 @@ class Volume3:
 
 @dataclass(frozen=True, eq=False)
 class Mask3:
-    """Dense 3D binary field; same indexing conventions as Volume3."""
+    """Dense 3D binary field with voxel spacing in millimetres; same
+    indexing conventions as Volume3.  Equality compares dims and data
+    only."""
 
     dims: tuple
     data: np.ndarray  # uint8, values in {0, 1}
+    spacing: tuple = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        if len(dims) != 3 or any(d < 1 for d in dims):
-            raise ParameterError(f"dims must be three counts >= 1, got {self.dims}")
         data = np.asarray(self.data)
-        if data.size != dims[0] * dims[1] * dims[2]:
-            raise ParameterError(
-                f"data length {data.size} does not match dims {dims}")
+        dims, spacing = _check_grid(self.dims, self.spacing, data.size)
         data = data.reshape(dims)
         if data.dtype != np.uint8:
             if not np.isin(np.unique(data), (0, 1)).all():
@@ -99,6 +105,7 @@ class Mask3:
         elif data.max(initial=0) > 1:
             raise ParameterError("mask values must be exactly 0 or 1")
         object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "data", _freeze(data))
 
     def count(self) -> int:
@@ -234,9 +241,7 @@ def make_phantom(spec: PhantomSpec, dims, spacing=(1.0, 1.0, 1.0)):
     dims = tuple(int(d) for d in dims)
     if len(dims) != 3 or any(d < 16 for d in dims):
         raise ParameterError(f"phantom dims must each be >= 16, got {dims}")
-    spacing = tuple(float(s) for s in spacing)
-    if any(s <= 0 or not np.isfinite(s) for s in spacing):
-        raise ParameterError(f"spacing must be finite positives, got {spacing}")
+    dims, spacing = _check_grid(dims, spacing, dims[0] * dims[1] * dims[2])
 
     dist = _centerline_distance(spec, dims, spacing)
     label = dist <= spec.radius_mm
@@ -256,71 +261,70 @@ def make_phantom(spec: PhantomSpec, dims, spacing=(1.0, 1.0, 1.0)):
         img = img + spec.noise_sigma * noise
 
     return (Volume3(dims, spacing, img.astype(np.float32)),
-            Mask3(dims, label.astype(np.uint8)))
+            Mask3(dims, label.astype(np.uint8), spacing))
 
 
-def save_tvol(obj, path, spacing=None) -> None:
-    """Write a Volume3 or Mask3 to the .tvol format (bit-exact round trip).
-
-    Masks carry no spacing of their own; pass ``spacing`` to record the
-    grid geometry in the header (defaults to 1 mm isotropic).
-    """
+def save_tvol(obj, path) -> None:
+    """Write a Volume3 or Mask3, spacing included, to the .tvol format
+    (bit-exact round trip)."""
     if isinstance(obj, Volume3):
         code, payload = _DTYPE_VOLUME, obj.data.astype("<f4").ravel(order="F")
-        sp = obj.spacing
     elif isinstance(obj, Mask3):
         code, payload = _DTYPE_MASK, obj.data.astype(np.uint8).ravel(order="F")
-        sp = tuple(float(s) for s in spacing) if spacing is not None else (1.0, 1.0, 1.0)
     else:
         raise ParameterError(f"cannot save object of type {type(obj).__name__}")
-    header = _MAGIC + struct.pack("<B3I3f", code, *obj.dims, *sp)
+    header = _MAGIC + _HEAD.pack(code, *obj.dims, *obj.spacing)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(payload.tobytes())
 
 
-def read_tvol_header(path):
-    """Return (dtype_kind, dims, spacing) without reading the payload."""
-    with open(path, "rb") as fh:
-        head = fh.read(len(_MAGIC) + struct.calcsize("<B3I3f"))
-    if len(head) < len(_MAGIC) + struct.calcsize("<B3I3f"):
+def _read_header(fh, path):
+    head = fh.read(len(_MAGIC) + _HEAD.size)
+    if len(head) < len(_MAGIC) + _HEAD.size:
         raise FileFormatError(f"{path}: truncated header")
     if head[:len(_MAGIC)] != _MAGIC:
         raise FileFormatError(f"{path}: bad magic {head[:len(_MAGIC)]!r}")
-    code, nx, ny, nz, sx, sy, sz = struct.unpack_from("<B3I3f", head, len(_MAGIC))
+    code, nx, ny, nz, sx, sy, sz = _HEAD.unpack_from(head, len(_MAGIC))
     if code not in (_DTYPE_VOLUME, _DTYPE_MASK):
         raise FileFormatError(f"{path}: unknown dtype code {code}")
     kind = "volume" if code == _DTYPE_VOLUME else "mask"
     return kind, (nx, ny, nz), (sx, sy, sz)
 
 
-def load_tvol(path):
-    """Read a .tvol file back into a Volume3 or Mask3."""
-    kind, dims, spacing = read_tvol_header(path)
-    nx, ny, nz = dims
-    if min(dims) < 1:
-        raise FileFormatError(f"{path}: bad dims {dims}")
-    count = nx * ny * nz
-    offset = len(_MAGIC) + struct.calcsize("<B3I3f")
+def read_tvol_header(path):
+    """Return (dtype_kind, dims, spacing) without reading the payload."""
     with open(path, "rb") as fh:
-        fh.seek(offset)
-        raw = fh.read()
-    dtype = np.dtype("<f4") if kind == "volume" else np.dtype(np.uint8)
-    if len(raw) != count * dtype.itemsize:
-        raise FileFormatError(
-            f"{path}: length mismatch, header says {count} voxels "
-            f"but payload holds {len(raw) // dtype.itemsize}")
-    flat = np.frombuffer(raw, dtype=dtype)
-    data = flat.reshape(dims, order="F")
-    if kind == "volume":
+        return _read_header(fh, path)
+
+
+def load_tvol(path):
+    """Read a .tvol file back into a Volume3 or Mask3.
+
+    The header is checked before any payload byte is read: dims, spacing,
+    and the payload length the dims imply against the file's size."""
+    with open(path, "rb") as fh:
+        kind, dims, spacing = _read_header(fh, path)
+        if min(dims) < 1:
+            raise FileFormatError(f"{path}: bad dims {dims}")
         if any(s <= 0 or not np.isfinite(s) for s in spacing):
             raise FileFormatError(f"{path}: bad spacing {spacing}")
+        count = dims[0] * dims[1] * dims[2]
+        dtype = np.dtype("<f4") if kind == "volume" else np.dtype(np.uint8)
+        held = os.fstat(fh.fileno()).st_size - fh.tell()
+        if held != count * dtype.itemsize:
+            raise FileFormatError(
+                f"{path}: length mismatch, header says {count} voxels "
+                f"but payload holds {held // dtype.itemsize}")
+        raw = fh.read(held)
+    data = np.frombuffer(raw, dtype=dtype).reshape(dims, order="F")
+    if kind == "volume":
         if not np.all(np.isfinite(data)):
             raise FileFormatError(f"{path}: non-finite data in payload")
         return Volume3(dims, spacing, data)
     if data.max(initial=0) > 1:
         raise FileFormatError(f"{path}: mask payload holds values outside {{0,1}}")
-    return Mask3(dims, data)
+    return Mask3(dims, data, spacing)
 
 
 def roi_from_label(y: Mask3, margin: int = 2) -> RoiBox:

@@ -5,9 +5,9 @@ import struct
 import numpy as np
 import pytest
 
-from tubekit import Mask3, load_tvol, save_tvol
+from tubekit import Mask3, load_tvol, metrics, save_tvol
 from tubekit.cli import main
-from tubekit.volume import Volume3
+from tubekit.volume import Volume3, read_tvol_header
 
 
 def _run(*argv):
@@ -73,6 +73,31 @@ def test_skeleton_and_reconnect_pipeline(tmp_path):
     assert seg["drawn_voxels"] == 3
     assert seg["output_voxels"] == seg["input_voxels"] + 3
     assert len(seg["segments"][0]["from"]) == 3
+
+
+def test_anisotropic_spacing_flows_through_cli(tmp_path):
+    sp = (0.5, 0.75, 1.25)
+    _, lab = _phantom_files(tmp_path, kind="gapped_cylinder", dims="16,16,16",
+                            radius_mm=1.5, gap=1, spacing="0.5,0.75,1.25")
+    skel = tmp_path / "skel.tvol"
+    rec = tmp_path / "rec.tvol"
+    assert _run("skeleton", "--in", str(lab), "--out", str(skel)) == 0
+    assert _run("reconnect", "--in", str(skel), "--out", str(rec)) == 0
+    for path in (lab, skel, rec):
+        assert read_tvol_header(path)[2] == sp
+
+    gt = load_tvol(lab)
+    shifted = np.zeros_like(gt.data)
+    shifted[1:] = gt.data[:-1]
+    pred_mask = Mask3(gt.dims, shifted, sp)
+    pred = tmp_path / "pred.tvol"
+    save_tvol(pred_mask, pred)
+    report = tmp_path / "m.json"
+    assert _run("metrics", "--pred", str(pred), "--gt", str(lab),
+                "--json", str(report)) == 0
+    hd = metrics.surface_distances(pred_mask, gt, gt.spacing)[0]
+    assert hd != metrics.surface_distances(pred_mask, gt)[0]
+    assert json.loads(report.read_text())["hd"] == float(f"{hd:.9g}")
 
 
 def test_loss_lambda_zero_total(tmp_path):
@@ -210,6 +235,51 @@ def test_failed_write_leaves_target_and_no_temp_file(tmp_path, monkeypatch, caps
     assert "disk full" in json.loads(capsys.readouterr().err.strip())["message"]
     assert [p.name for p in out_dir.iterdir()] == ["skel.tvol"]
     assert out.read_bytes() == b"previous contents"
+
+
+def _one_line_error(capsys):
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+@pytest.mark.parametrize("argv", [
+    ["skeleton", "--iters", "-3"],
+    ["metrics", "--skel-iters", "0"],
+    ["metrics", "--skel-iters", "-3"],
+])
+def test_skeleton_iterations_below_one_exit_2(tmp_path, capsys, argv):
+    _, lab = _phantom_files(tmp_path, dims="16,16,16", radius_mm=1.5)
+    if argv[0] == "skeleton":
+        argv = argv + ["--in", str(lab), "--out", str(tmp_path / "s.tvol")]
+    else:
+        argv = argv + ["--pred", str(lab), "--gt", str(lab),
+                       "--json", str(tmp_path / "m.json")]
+    assert _run(*argv) == 2
+    err = _one_line_error(capsys)
+    assert err["error"] == "ParameterError"
+    assert err["message"] == "iterations must be >= 1"
+
+
+@pytest.mark.parametrize("command", ["metrics", "skeleton", "reconnect"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_mask_with_bad_header_spacing_exits_3(tmp_path, capsys, command, bad):
+    _, lab = _phantom_files(tmp_path, dims="16,16,16", radius_mm=1.5)
+    hostile = tmp_path / "hostile.tvol"
+    raw = lab.read_bytes()
+    head = struct.calcsize("<5sB3I")
+    spacing = struct.pack("<3f", 1.0, bad, 1.0)
+    hostile.write_bytes(raw[:head] + spacing + raw[head + len(spacing):])
+    out = tmp_path / "out"
+    if command == "metrics":
+        argv = ["--pred", str(lab), "--gt", str(hostile), "--json", str(out)]
+    else:
+        argv = ["--in", str(hostile), "--out", str(out)]
+    assert _run(command, *argv) == 3
+    err = _one_line_error(capsys)
+    assert err["error"] == "FileFormatError"
+    assert "bad spacing" in err["message"]
+    assert not out.exists()
 
 
 def test_numeric_domain_error_exits_4(tmp_path, capsys):

@@ -34,6 +34,15 @@ def test_mask_requires_binary_values():
     assert m.count() == 8
 
 
+def test_mask_carries_validated_spacing():
+    m = Mask3((2, 2, 2), np.ones(8, dtype=np.uint8), (0.5, 1, 2))
+    assert m.spacing == (0.5, 1.0, 2.0)
+    assert m == Mask3((2, 2, 2), np.ones(8, dtype=np.uint8))  # dims and data only
+    for bad in ((1, 0, 1), (1, -1, 1), (1, math.nan, 1), (1, math.inf, 1), (1, 1)):
+        with pytest.raises(ParameterError, match="spacing"):
+            Mask3((2, 2, 2), np.ones(8, dtype=np.uint8), bad)
+
+
 def test_containers_are_frozen():
     v = Volume3((2, 2, 2), (1, 1, 1), np.zeros((2, 2, 2), dtype=np.float32))
     with pytest.raises(ValueError):
@@ -113,6 +122,12 @@ def test_phantom_parameter_errors():
         PhantomSpec("hexagon", radius_mm=1.0)
 
 
+@pytest.mark.parametrize("spacing", [(1.0, 1.0), (1.0, 0.0, 1.0), (math.nan, 1.0, 1.0)])
+def test_phantom_rejects_bad_spacing(spacing):
+    with pytest.raises(ParameterError, match="spacing"):
+        make_phantom(PhantomSpec("helix", radius_mm=2.0), (16, 16, 16), spacing)
+
+
 # ---------------------------------------------------------------------------
 # .tvol round trips
 # ---------------------------------------------------------------------------
@@ -141,12 +156,13 @@ def test_tvol_round_trip_masks(tmp_path):
     rng = np.random.default_rng(8)
     for i in range(20):
         dims = tuple(int(rng.integers(1, 9)) for _ in range(3))
-        m = Mask3(dims, (rng.random(dims) < 0.4).astype(np.uint8))
+        m = Mask3(dims, (rng.random(dims) < 0.4).astype(np.uint8), (1.0, 2.0, 3.0))
         path = tmp_path / f"m{i}.tvol"
-        save_tvol(m, path, spacing=(1.0, 2.0, 3.0))
+        save_tvol(m, path)
         w = load_tvol(path)
         assert isinstance(w, Mask3)
         assert w == m
+        assert w.spacing == (1.0, 2.0, 3.0)
         assert read_tvol_header(path) == ("mask", dims, (1.0, 2.0, 3.0))
 
 
@@ -162,6 +178,24 @@ def test_tvol_length_mismatch(tmp_path):
     header = b"TVOL1" + struct.pack("<B3I3f", 0, 2, 2, 2, 1.0, 1.0, 1.0)
     payload = struct.pack("<7f", *range(7))  # header promises 8
     path.write_bytes(header + payload)
+    with pytest.raises(FileFormatError, match="length mismatch"):
+        load_tvol(path)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_tvol_rejects_bad_mask_spacing(tmp_path, bad):
+    path = tmp_path / "mask.tvol"
+    header = b"TVOL1" + struct.pack("<B3I3f", 1, 2, 1, 1, 1.0, bad, 1.0)
+    path.write_bytes(header + bytes([0, 1]))
+    with pytest.raises(FileFormatError, match="bad spacing"):
+        load_tvol(path)
+
+
+@pytest.mark.parametrize("code", [0, 1])
+def test_tvol_huge_header_is_length_mismatch(tmp_path, code):
+    path = tmp_path / "huge.tvol"
+    header = b"TVOL1" + struct.pack("<B3I3f", code, 2048, 1024, 1024, 1.0, 1.0, 1.0)
+    path.write_bytes(header + bytes(10))  # header claims 2**31 voxels
     with pytest.raises(FileFormatError, match="length mismatch"):
         load_tvol(path)
 
