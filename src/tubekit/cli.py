@@ -144,7 +144,7 @@ def _cmd_reconnect(args):
     _save_tvol_atomic(res.reconnected, args.out)
     if args.report:
         segments = [{"from": list(a), "to": list(b),
-                     "line_voxels": len(skeleton.bresenham_line(a, b)) - 2}
+                     "line_voxels": _line_voxels(a, b)}
                     for a, b in res.segments]
         _write_json(args.report, {
             "segments": segments,
@@ -154,6 +154,12 @@ def _cmd_reconnect(args):
             "output_voxels": res.reconnected.count(),
         })
     return 0
+
+
+def _line_voxels(a, b) -> int:
+    """Voxels strictly between a and b on ``bresenham_line(a, b)``, which
+    takes one voxel per step of the driving axis: max|b - a| - 1."""
+    return max(abs(q - p) for p, q in zip(a, b)) - 1
 
 
 def _parse_roi(args, label: Mask3) -> RoiBox:
@@ -172,6 +178,8 @@ def _cmd_loss(args):
     image = _load_volume(args.image)
     if pred.dims != label.dims or pred.dims != image.dims:
         raise ParameterError("pred, label and image must share dims")
+    if pred.spacing != label.spacing or pred.spacing != image.spacing:
+        raise ParameterError("pred, label and image must share spacing")
     roi = _parse_roi(args, label)
     beta = None if args.beta == "auto" else float(args.beta)
     cfg = losses.RelaxedSupConfig(beta=beta)
@@ -207,6 +215,9 @@ def _cmd_loss(args):
 def _cmd_metrics(args):
     pred = _load_mask(args.pred)
     gt = _load_mask(args.gt)
+    if pred.spacing != gt.spacing:
+        raise ParameterError(
+            f"pred and gt must share spacing, got {pred.spacing} vs {gt.spacing}")
     report = metrics.evaluate(pred, gt, spacing=gt.spacing, skel_k=args.skel_iters)
     _write_json(args.json, report.to_dict())
     return 0

@@ -83,10 +83,15 @@ def cldice(pred: Mask3, gt: Mask3, skel_k: int = 10) -> float:
     _check_same_dims(pred, gt)
     if pred == gt:
         return 100.0
-    p = pred.data > 0
-    g = gt.data > 0
-    sp = hard_skeleton(pred, skel_k).data > 0
-    sg = hard_skeleton(gt, skel_k).data > 0
+    return _cldice(pred.data > 0, gt.data > 0, _centerline(pred, skel_k),
+                   _centerline(gt, skel_k))
+
+
+def _centerline(mask: Mask3, skel_k: int) -> np.ndarray:
+    return hard_skeleton(mask, skel_k).data > 0
+
+
+def _cldice(p, g, sp, sg) -> float:
     nsp, nsg = int(sp.sum()), int(sg.sum())
     if nsp == 0 or nsg == 0:
         return 0.0
@@ -106,14 +111,24 @@ def surface_voxels(mask: Mask3) -> np.ndarray:
 
 def surface_distances(pred: Mask3, gt: Mask3, spacing=(1.0, 1.0, 1.0)):
     """(hd, assd, ahd) in mm between the two mask surfaces."""
+    sp = _check_distance_inputs(pred, gt, spacing)
+    return _surface_distances(surface_voxels(pred), surface_voxels(gt), sp)
+
+
+def _check_distance_inputs(pred: Mask3, gt: Mask3, spacing) -> np.ndarray:
+    """Validate a distance query; returns the spacing as a float64 array."""
     _check_same_dims(pred, gt)
     if not (pred.data.any() and gt.data.any()):
         raise NumericDomainError("undefined distance: empty mask")
     sp = np.asarray(spacing, dtype=np.float64)
     if sp.shape != (3,) or (sp <= 0).any():
         raise ParameterError(f"spacing must be three positives, got {spacing}")
-    a = surface_voxels(pred) * sp
-    b = surface_voxels(gt) * sp
+    return sp
+
+
+def _surface_distances(surf_a, surf_b, sp):
+    a = surf_a * sp
+    b = surf_b * sp
     d_ab, _ = cKDTree(b).query(a)
     d_ba, _ = cKDTree(a).query(b)
     hd = max(float(d_ab.max()), float(d_ba.max()))
@@ -184,22 +199,26 @@ def tree_metrics(pred: Mask3, gt: Mask3, skel_k: int = 10,
     _check_same_dims(pred, gt)
     if not gt.data.any():
         raise NumericDomainError("tree metrics need a non-empty reference")
-    centerline = hard_skeleton(gt, skel_k).data > 0
+    return _tree_metrics(pred.data > 0, _centerline(gt, skel_k), spacing,
+                         detect_threshold)
+
+
+def _tree_metrics(p, centerline, spacing, detect_threshold):
     comp = _branch_components(centerline)
     if comp.count == 0:
         raise NumericDomainError("reference centerline has no branches")
-    p = pred.data > 0
+    # every branch's voxels from one scan: C-order coordinates, grouped by id
+    coords = np.argwhere(comp.labels)
+    coords = coords[np.argsort(comp.labels[tuple(coords.T)], kind="stable")]
+    inside = p[tuple(coords.T)]
+    bounds = np.cumsum(comp.sizes)[:-1]
 
     detected_branches = 0
     total_len = detected_len = 0.0
-    covered_voxels = 0
-    for cid in range(1, comp.count + 1):
-        coords = np.argwhere(comp.labels == cid)
-        inside = p[coords[:, 0], coords[:, 1], coords[:, 2]]
-        if int(inside.sum()) >= detect_threshold:
+    for c, ins in zip(np.split(coords, bounds), np.split(inside, bounds)):
+        if int(ins.sum()) >= detect_threshold:
             detected_branches += 1
-        covered_voxels += int(inside.sum())
-        t, d = _walk_lengths(coords, inside, spacing)
+        t, d = _walk_lengths(c, ins, spacing)
         total_len += t
         detected_len += d
 
@@ -208,22 +227,26 @@ def tree_metrics(pred: Mask3, gt: Mask3, skel_k: int = 10,
         tld = 100.0 * detected_len / total_len
     else:
         # all branches are single voxels: fall back to voxel coverage
-        tld = 100.0 * covered_voxels / int(comp.sizes.sum())
+        tld = 100.0 * int(inside.sum()) / int(comp.sizes.sum())
     return bd, tld
 
 
 def evaluate(pred: Mask3, gt: Mask3, spacing=(1.0, 1.0, 1.0),
              skel_k: int = 10) -> MetricsReport:
-    """Full metric panel for one prediction/reference pair."""
+    """Full metric panel for one prediction/reference pair.  Each
+    skeleton and surface is computed once and shared by the scores."""
     prf = precision_recall_f1(pred, gt)
-    hd, assd, ahd = surface_distances(pred, gt, spacing)
-    bd, tld = tree_metrics(pred, gt, skel_k, spacing)
+    sp = _check_distance_inputs(pred, gt, spacing)
+    surf_p, surf_g = surface_voxels(pred), surface_voxels(gt)
+    hd, assd, ahd = _surface_distances(surf_p, surf_g, sp)
+    p, g = pred.data > 0, gt.data > 0
+    sg = _centerline(gt, skel_k)
+    bd, tld = _tree_metrics(p, sg, spacing, 1)
     return MetricsReport(
         dice=dice(pred, gt),
-        cldice=cldice(pred, gt, skel_k),
+        cldice=100.0 if pred == gt else _cldice(p, g, _centerline(pred, skel_k), sg),
         f1=prf.f1, precision=prf.precision, recall=prf.recall,
         hd=hd, assd=assd, ahd=ahd, bd=bd, tld=tld,
         pred_voxels=pred.count(), gt_voxels=gt.count(),
-        pred_surface_voxels=len(surface_voxels(pred)),
-        gt_surface_voxels=len(surface_voxels(gt)),
+        pred_surface_voxels=len(surf_p), gt_surface_voxels=len(surf_g),
     )

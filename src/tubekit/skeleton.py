@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
+from scipy.spatial import cKDTree
 
 from .errors import NumericDomainError, ParameterError
 from .volume import Mask3, Volume3
@@ -262,26 +263,23 @@ def endpoints(skeleton: Mask3) -> list:
 
 def bresenham_line(a, b) -> np.ndarray:
     """Integer 3D line from a to b inclusive, one voxel per driving step."""
-    p = np.array(a, dtype=np.int64)
-    q = np.array(b, dtype=np.int64)
-    d = np.abs(q - p)
-    step = np.sign(q - p)
-    axis = int(np.argmax(d))
-    n = int(d[axis])
-    pts = [p.copy()]
-    err = [2 * d[i] - d[axis] for i in range(3)]
-    cur = p.copy()
-    for _ in range(n):
-        cur[axis] += step[axis]
-        for i in range(3):
-            if i == axis:
-                continue
-            if err[i] > 0:
-                cur[i] += step[i]
-                err[i] -= 2 * d[axis]
-            err[i] += 2 * d[i]
-        pts.append(cur.copy())
-    return np.array(pts, dtype=np.int64)
+    return _lines(np.array([a], dtype=np.int64), np.array([b], dtype=np.int64))
+
+
+def _lines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Voxels of ``bresenham_line(a[i], b[i])`` for every row i, joined.
+
+    A line takes max|b - a| + 1 voxels.  After t steps, Bresenham's error
+    term for an axis moving d of the driving axis's D has stepped that
+    axis ceil((2 d t - D) / (2 D)) times; on the driving axis this is t.
+    """
+    d = np.abs(b - a)
+    n = d.max(axis=1) + 1
+    seg = np.repeat(np.arange(len(a)), n)
+    t = (np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n))[:, None]
+    big = np.maximum(n - 1, 1)[seg, None]  # D; a == b has t = 0 only
+    moved = -((big - 2 * d[seg] * t) // (2 * big))
+    return a[seg] + np.sign(b - a)[seg] * moved
 
 
 def _linear_of(coords: np.ndarray, dims) -> np.ndarray:
@@ -289,56 +287,101 @@ def _linear_of(coords: np.ndarray, dims) -> np.ndarray:
     return coords[:, 0] + nx * (coords[:, 1] + ny * coords[:, 2])
 
 
-def _nearest_pair(src: np.ndarray, dst: np.ndarray, dims):
-    """Closest (source, target) pair; ties by smallest linear indices."""
-    diff = src[:, None, :].astype(np.float64) - dst[None, :, :].astype(np.float64)
-    dist = np.sqrt((diff ** 2).sum(axis=2))
-    lin_src = _linear_of(src, dims)
-    lin_dst = _linear_of(dst, dims)
-    # per-source nearest target, ties -> smallest target linear index
-    order_dst = np.argsort(lin_dst, kind="stable")
-    dist_sorted = dist[:, order_dst]
-    j_sorted = np.argmin(dist_sorted, axis=1)
-    best_d = dist_sorted[np.arange(len(src)), j_sorted]
-    best_j = order_dst[j_sorted]
-    # pair with minimal distance, ties -> smallest source linear index
-    order_src = np.argsort(lin_src, kind="stable")
-    i_best = order_src[int(np.argmin(best_d[order_src]))]
-    return src[i_best], dst[best_j[i_best]], float(best_d[i_best])
+_QUERY_PAIRS = 1 << 20  # (source, neighbour) pairs held by one query
+
+
+def _nearest_other(src, src_lab, tgt, tgt_lab):
+    """Per source, the nearest target of another label: (squared distance,
+    target row), ties -> smallest target row.  ``tgt`` is in linear
+    order, so that is the smallest target linear index; it must hold a
+    point of another label for every source.
+
+    Each round queries the k nearest targets, in chunks of at most
+    ``_QUERY_PAIRS`` pairs; k doubles for the sources whose k-th
+    neighbour is not strictly farther than their best hit, since an
+    equally near target might then be missing from the k returned."""
+    n = len(tgt)
+    tree = cKDTree(tgt)
+    none = np.iinfo(np.int64).max
+    key = np.full(len(src), none)  # d2 * n + row of the best hit
+    todo = np.arange(len(src))
+    k = min(4, n)
+    while todo.size:
+        left = []
+        for rows in np.array_split(todo, -(-todo.size * k // _QUERY_PAIRS)):
+            _, idx = tree.query(src[rows], k=k)
+            idx = idx.reshape(len(rows), k)
+            d2 = ((tgt[idx] - src[rows, None, :]) ** 2).sum(axis=2)
+            best = np.where(tgt_lab[idx] != src_lab[rows, None],
+                            d2 * n + idx, none).min(axis=1)
+            done = (k == n) | ((best < none) & (d2[:, -1] > best // n))
+            key[rows[done]] = best[done]
+            left.append(rows[~done])
+        todo = np.concatenate(left)
+        k = min(2 * k, n)
+    return key // n, key % n
 
 
 def _reconnect_pass(fg: np.ndarray, comp: ComponentSet, segments) -> np.ndarray:
-    """Draw one line per non-largest component; returns the line mask."""
+    """Draw one line per non-largest component; returns the line mask.
+
+    A component's sources are its endpoints, or all its voxels when it
+    has none (e.g. a ring); its targets are the endpoints of the other
+    components, or all their voxels when it owns every endpoint.  It
+    draws its closest (source, target) pair, ties -> smallest source,
+    then target, linear index.  Every component of a pass sees the same
+    ``fg``, so all of them are solved in one nearest-neighbour query.
+    """
     dims = fg.shape
     largest = int(np.argmax(comp.sizes)) + 1  # ties -> smallest id, i.e. argmax
-    ep_all = _endpoints_array(fg)
-    ep_labels = comp.labels[ep_all[:, 0], ep_all[:, 1], ep_all[:, 2]] if ep_all.size else np.zeros(0, int)
-    lines = np.zeros(dims, dtype=bool)
-    for cid in range(1, comp.count + 1):
-        if cid == largest:
+    ep = _endpoints_array(fg)
+    ep_lab = comp.labels[ep[:, 0], ep[:, 1], ep[:, 2]]
+    n_ep = np.bincount(ep_lab, minlength=comp.count + 1)
+    whole = n_ep == 0
+    whole[[0, largest]] = False
+    src = np.concatenate([ep[ep_lab != largest], np.argwhere(whole[comp.labels])])
+    src_lab = comp.labels[src[:, 0], src[:, 1], src[:, 2]]
+
+    d2 = np.empty(len(src), dtype=np.int64)
+    dst = np.empty_like(src)
+    fallback = (n_ep == len(ep))[src_lab]
+    for sel, tgt in ((~fallback, ep), (fallback, None)):
+        if not sel.any():
             continue
-        src = ep_all[ep_labels == cid]
-        if src.size == 0:  # endpoint-free component (e.g. a ring)
-            src = _sort_by_linear(np.argwhere(comp.labels == cid))
-        dst = ep_all[(ep_labels != cid) & (ep_labels != 0)]
-        if dst.size == 0:  # no endpoints anywhere else: aim at any voxel
-            dst = _sort_by_linear(np.argwhere(fg & (comp.labels != cid)))
-        a, b, _ = _nearest_pair(src, dst, dims)
-        pts = bresenham_line(a, b)
-        lines[pts[:, 0], pts[:, 1], pts[:, 2]] = True
-        segments.append((tuple(int(v) for v in a), tuple(int(v) for v in b)))
+        if tgt is None:  # no endpoint outside the component: aim at any voxel
+            tgt = _sort_by_linear(np.argwhere(fg))
+        tgt_lab = comp.labels[tgt[:, 0], tgt[:, 1], tgt[:, 2]]
+        d2[sel], j = _nearest_other(src[sel], src_lab[sel], tgt, tgt_lab)
+        dst[sel] = tgt[j]
+
+    # per component, the source with minimal (d2, linear index)
+    order = np.lexsort((_linear_of(src, dims), d2, src_lab))
+    lab = src_lab[order]
+    first = order[np.flatnonzero(np.r_[True, lab[1:] != lab[:-1]])]
+    a, b = src[first], dst[first]
+    segments.extend(zip(map(tuple, a.tolist()), map(tuple, b.tolist())))
+    lines = np.zeros(dims, dtype=bool)
+    pts = _lines(a, b)
+    lines[pts[:, 0], pts[:, 1], pts[:, 2]] = True
     return lines
 
 
 def _reconnect_array(fg0: np.ndarray):
     """Reconnection loop on a boolean array: returns the reconnected
-    copy and the segments drawn, in drawing order."""
+    copy and the segments drawn, in drawing order.  Every pass joins
+    each non-largest component to another, so the component count
+    falls strictly; a pass that fails to lower it is an error."""
     fg = fg0.copy()
     segments = []
+    before = None
     while True:
         comp = _components_array(fg, 26)
         if comp.count <= 1:
             return fg, segments
+        if before is not None and comp.count >= before:
+            raise NumericDomainError(
+                f"reconnect: a pass left {comp.count} of {before} components")
+        before = comp.count
         fg |= _reconnect_pass(fg, comp, segments)
 
 

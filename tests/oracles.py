@@ -301,3 +301,114 @@ class soft_skeleton_tape_oracle:
             for o in offs:
                 h.update(o.tobytes())
         return h.digest()
+
+
+# ---------------------------------------------------------------------------
+# skeleton reconnection: one dense distance matrix per component
+# ---------------------------------------------------------------------------
+
+def _oracle_linear(coords, dims):
+    nx, ny, _ = dims
+    return coords[:, 0] + nx * (coords[:, 1] + ny * coords[:, 2])
+
+
+def _oracle_sorted(coords, dims):
+    return coords[np.argsort(_oracle_linear(coords, dims), kind="stable")]
+
+
+def _oracle_components(fg):
+    """26-connected labels, ids ordered by each component's first voxel
+    in x-fastest linear order; returns (labels, sizes by id - 1)."""
+    from scipy import ndimage
+
+    raw, n = ndimage.label(fg, structure=np.ones((3, 3, 3), dtype=bool))
+    remap = np.zeros(n + 1, dtype=np.int64)
+    for v in raw.ravel(order="F"):
+        if v and not remap[v]:
+            remap[v] = remap.max() + 1
+    labels = remap[raw]
+    return labels, np.bincount(labels.ravel(), minlength=n + 1)[1:]
+
+
+def _oracle_neighbor_counts(fg):
+    """Foreground 26-neighbors of every voxel, as a sum of shifted copies."""
+    pad = np.pad(fg.astype(np.int64), 1)
+    nx, ny, nz = fg.shape
+    total = sum(pad[dx:dx + nx, dy:dy + ny, dz:dz + nz]
+                for dx in range(3) for dy in range(3) for dz in range(3))
+    return total - fg
+
+
+def bresenham_line_oracle(a, b):
+    """Integer 3D line from a to b inclusive, one voxel per driving step."""
+    p = np.array(a, dtype=np.int64)
+    d = np.abs(np.array(b, dtype=np.int64) - p)
+    step = np.sign(np.array(b, dtype=np.int64) - p)
+    axis = int(np.argmax(d))
+    err = [2 * d[i] - d[axis] for i in range(3)]
+    pts = [p.copy()]
+    for _ in range(int(d[axis])):
+        p[axis] += step[axis]
+        for i in range(3):
+            if i != axis:
+                if err[i] > 0:
+                    p[i] += step[i]
+                    err[i] -= 2 * d[axis]
+                err[i] += 2 * d[i]
+        pts.append(p.copy())
+    return np.array(pts, dtype=np.int64)
+
+
+def _oracle_nearest_pair(src, dst, dims):
+    """Closest (source, target) pair; ties by smallest linear indices."""
+    diff = src[:, None, :].astype(np.float64) - dst[None, :, :].astype(np.float64)
+    dist = np.sqrt((diff ** 2).sum(axis=2))
+    lin_src = _oracle_linear(src, dims)
+    lin_dst = _oracle_linear(dst, dims)
+    # per-source nearest target, ties -> smallest target linear index
+    order_dst = np.argsort(lin_dst, kind="stable")
+    dist_sorted = dist[:, order_dst]
+    j_sorted = np.argmin(dist_sorted, axis=1)
+    best_d = dist_sorted[np.arange(len(src)), j_sorted]
+    best_j = order_dst[j_sorted]
+    # pair with minimal distance, ties -> smallest source linear index
+    order_src = np.argsort(lin_src, kind="stable")
+    i_best = order_src[int(np.argmin(best_d[order_src]))]
+    return src[i_best], dst[best_j[i_best]]
+
+
+def _oracle_reconnect_pass(fg, labels, sizes, segments):
+    dims = fg.shape
+    largest = int(np.argmax(sizes)) + 1
+    counts = _oracle_neighbor_counts(fg)
+    ep_all = _oracle_sorted(np.argwhere(fg & (counts <= 1)), dims)
+    ep_labels = labels[ep_all[:, 0], ep_all[:, 1], ep_all[:, 2]]
+    lines = np.zeros(dims, dtype=bool)
+    for cid in range(1, len(sizes) + 1):
+        if cid == largest:
+            continue
+        src = ep_all[ep_labels == cid]
+        if src.size == 0:  # endpoint-free component (e.g. a ring)
+            src = _oracle_sorted(np.argwhere(labels == cid), dims)
+        dst = ep_all[ep_labels != cid]
+        if dst.size == 0:  # no endpoints anywhere else: aim at any voxel
+            dst = _oracle_sorted(np.argwhere(fg & (labels != cid)), dims)
+        a, b = _oracle_nearest_pair(src, dst, dims)
+        pts = bresenham_line_oracle(a, b)
+        lines[pts[:, 0], pts[:, 1], pts[:, 2]] = True
+        segments.append((tuple(int(v) for v in a), tuple(int(v) for v in b)))
+    return lines
+
+
+def reconnect_oracle(fg0):
+    """Reconnection loop, one component at a time: each pass recomputes
+    the endpoints, builds a dense |src| x |dst| distance matrix per
+    non-largest component and draws its closest pair; passes repeat
+    until one component remains.  Returns (mask, segments)."""
+    fg = np.array(fg0, dtype=bool)
+    segments = []
+    while True:
+        labels, sizes = _oracle_components(fg)
+        if len(sizes) <= 1:
+            return fg, segments
+        fg |= _oracle_reconnect_pass(fg, labels, sizes, segments)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from tubekit import Mask3, load_tvol, metrics, save_tvol
-from tubekit.cli import main
+from tubekit.cli import _line_voxels, main
+from tubekit.skeleton import bresenham_line
 from tubekit.volume import Volume3, read_tvol_header
 
 
@@ -314,3 +315,48 @@ def test_reports_have_sorted_keys(tmp_path):
                 "--json", str(report)) == 0
     data = json.loads(report.read_text())
     assert list(data) == sorted(data)
+
+
+def test_line_voxels_counts_the_bresenham_interior():
+    rng = np.random.default_rng(4)
+    pairs = [((3, 4, 5), (3, 4, 5)), ((0, 0, 0), (0, 0, 1))]
+    for _ in range(300):
+        a = tuple(int(v) for v in rng.integers(0, 20, 3))
+        b = a if rng.random() < 0.1 else tuple(int(v) for v in rng.integers(0, 20, 3))
+        pairs.append((a, b))
+    for a, b in pairs:
+        assert _line_voxels(a, b) == len(bresenham_line(a, b)) - 2, (a, b)
+
+
+def test_metrics_spacing_mismatch_exits_2(tmp_path, capsys):
+    _, lab1 = _phantom_files(tmp_path / "a", dims="16,16,16")
+    _, lab2 = _phantom_files(tmp_path / "b", dims="16,16,16", spacing="2,2,2")
+    out = tmp_path / "m.json"
+    for pred, gt in ((lab2, lab1), (lab1, lab2)):
+        assert _run("metrics", "--pred", str(pred), "--gt", str(gt),
+                    "--json", str(out)) == 2
+        err = _one_line_error(capsys)
+        assert err["error"] == "ParameterError"
+        assert "spacing" in err["message"]
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("odd", ["pred", "image"])
+def test_loss_spacing_mismatch_exits_2(tmp_path, capsys, odd):
+    img, lab = _phantom_files(tmp_path, dims="16,16,16", radius_mm=1.5)
+    label = load_tvol(lab)
+    pred = tmp_path / "pred.tvol"
+    spacing = (2.0, 2.0, 2.0) if odd == "pred" else (1.0, 1.0, 1.0)
+    save_tvol(Volume3(label.dims, spacing,
+                      0.1 + 0.8 * label.data.astype(np.float32)), pred)
+    if odd == "image":
+        image = load_tvol(img)
+        img = tmp_path / "img2.tvol"
+        save_tvol(Volume3(image.dims, (1.0, 1.0, 2.0), image.data), img)
+    out = tmp_path / "loss.json"
+    assert _run("loss", "--pred", str(pred), "--label", str(lab),
+                "--image", str(img), "--json", str(out)) == 2
+    err = _one_line_error(capsys)
+    assert err["error"] == "ParameterError"
+    assert err["message"] == "pred, label and image must share spacing"
+    assert not out.exists()

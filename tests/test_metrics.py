@@ -251,3 +251,31 @@ def test_evaluate_full_report():
         assert 0.0 <= d[key] <= 100.0
     assert d["hd"] >= d["assd"] >= 0.0
     assert report.precision == 100.0  # pred is a subset of gt
+
+
+def test_evaluate_shares_skeletons_and_surfaces(monkeypatch):
+    # One skeleton and one surface per mask feed every score, and the
+    # scores equal those of the separate public functions.
+    from tubekit import metrics
+
+    calls = {"hard_skeleton": 0, "surface_voxels": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(metrics, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(metrics, name, counted)
+
+    _, gt = make_phantom(PhantomSpec("bifurcation", radius_mm=2.0), (20, 20, 20))
+    rng = np.random.default_rng(3)
+    sp = (0.5, 1.0, 1.5)
+    for flip, skeletons in ((0.0, 1), (0.05, 2)):
+        pred = _mask((gt.data > 0) ^ (rng.random(gt.dims) < flip))
+        for name in calls:
+            calls[name] = 0
+        report = evaluate(pred, gt, sp, skel_k=4)
+        assert calls == {"hard_skeleton": skeletons, "surface_voxels": 2}
+        assert report.cldice == cldice(pred, gt, 4)
+        assert (report.bd, report.tld) == tree_metrics(pred, gt, 4, sp)
+        assert (report.hd, report.assd, report.ahd) == surface_distances(pred, gt, sp)
+        assert report.pred_surface_voxels == len(surface_voxels(pred))
+        assert report.gt_surface_voxels == len(surface_voxels(gt))

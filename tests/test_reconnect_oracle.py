@@ -1,0 +1,130 @@
+"""Skeleton reconnection against the one-component-at-a-time oracle.
+
+The package solves all components of a pass with one cKDTree query over
+the pass's endpoints; the oracle builds a dense distance matrix per
+component, as the loop did before.  Byte-equal masks and equal segment
+lists pin the sources, the targets, the fallback and both tie rules.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from oracles import bresenham_line_oracle, reconnect_oracle
+from tubekit import Mask3, skeleton
+from tubekit.errors import NumericDomainError
+from tubekit.skeleton import (_reconnect_array, bresenham_line, endpoints,
+                              reconnect)
+
+
+def _put(fg, kind, at, rng):
+    x, y, z = at
+    if kind == "voxel":
+        fg[x, y, z] = True
+    elif kind == "blob":  # 2x2x2: every voxel has 7 neighbours, no endpoint
+        fg[x:x + 2, y:y + 2, z:z + 2] = True
+    elif kind == "ring":  # 3x3 square without its centre, no endpoint
+        fg[x:x + 3, y:y + 3, z] = True
+        fg[x + 1, y + 1, z] = False
+    else:
+        fg[x:x + int(rng.integers(2, 5)), y, z] = True
+
+
+def _field(shape, kinds, density, lattice, seed):
+    rng = np.random.default_rng(seed)
+    fg = rng.random(shape) < density
+    if lattice:  # isolated voxels at equal spacing: equal-distance ties
+        fg[::lattice, ::lattice, ::lattice] = True
+    for kind in kinds:
+        at = tuple(int(rng.integers(0, n - 2)) for n in shape)
+        _put(fg, kind, at, rng)
+    return fg
+
+
+fields = st.tuples(
+    st.tuples(*[st.integers(3, 16)] * 3),
+    st.lists(st.sampled_from(["voxel", "blob", "ring", "line"]), max_size=8),
+    st.sampled_from([0.0, 0.02, 0.06, 0.12]),
+    st.sampled_from([0, 2, 3]),
+    st.integers(0, 2 ** 32 - 1),
+)
+
+
+@given(fields)
+def test_reconnect_matches_oracle(case):
+    fg = _field(*case)
+    fg.flat[0] = True  # never empty
+    got, segments = _reconnect_array(fg)
+    want, want_segments = reconnect_oracle(fg)
+    assert got.tobytes() == want.tobytes()
+    assert segments == want_segments
+
+
+@given(st.tuples(
+    st.tuples(*[st.integers(4, 16)] * 3),
+    st.lists(st.sampled_from(["blob", "ring"]), min_size=2, max_size=6),
+    st.booleans(),
+    st.integers(0, 2 ** 32 - 1),
+))
+def test_fallback_matches_oracle(case):
+    # Only endpoint-free fragments, plus at most one line that then owns
+    # every endpoint: the fallback aims at all voxels of the others.
+    shape, kinds, with_line, seed = case
+    fg = _field(shape, kinds + ["line"] * with_line, 0.0, 0, seed)
+    got, segments = _reconnect_array(fg)
+    want, want_segments = reconnect_oracle(fg)
+    assert got.tobytes() == want.tobytes()
+    assert segments == want_segments
+
+
+@pytest.mark.parametrize("pairs", [1 << 20, 5])
+@pytest.mark.parametrize("with_line", [True, False])
+def test_endpoint_free_components_fall_back_to_all_voxels(monkeypatch, with_line,
+                                                          pairs):
+    # Rings and blobs have no endpoints.  With a short line beside them the
+    # line owns every endpoint, so it must aim at any voxel of the others;
+    # without it, every component falls back.  A small query budget splits
+    # each neighbour query into many chunks.
+    monkeypatch.setattr(skeleton, "_QUERY_PAIRS", pairs)
+    fg = np.zeros((16, 12, 6), dtype=bool)
+    rng = np.random.default_rng(0)
+    for kind, at in (("ring", (0, 0, 0)), ("blob", (6, 1, 3)),
+                     ("ring", (11, 7, 2)), ("blob", (2, 8, 4))):
+        _put(fg, kind, at, rng)
+    if with_line:
+        fg[12:14, 1, 5] = True
+    ends = endpoints(Mask3(fg.shape, fg.astype(np.uint8)))
+    assert len(ends) == (2 if with_line else 0)
+    got, segments = _reconnect_array(fg)
+    want, want_segments = reconnect_oracle(fg)
+    assert got.tobytes() == want.tobytes()
+    assert segments == want_segments
+    if with_line:
+        assert any(a in ends and b not in ends for a, b in segments)
+
+
+def test_lines_match_the_stepping_loop():
+    rng = np.random.default_rng(8)
+    for _ in range(500):
+        a = rng.integers(-20, 20, 3)
+        b = a + rng.integers(-6, 7, 3) * rng.integers(0, 4)
+        got = bresenham_line(tuple(a), tuple(b))
+        assert got.tobytes() == bresenham_line_oracle(a, b).tobytes(), (a, b)
+
+
+def test_a_pass_that_joins_nothing_raises(monkeypatch):
+    passes = []
+
+    def draw_nothing(fg, comp, segments):
+        passes.append(comp.count)
+        assert len(passes) < 5, "the loop did not stop"
+        return np.zeros_like(fg)
+
+    monkeypatch.setattr(skeleton, "_reconnect_pass", draw_nothing)
+    fg = np.zeros((6, 6, 6), dtype=bool)
+    fg[0, 0, 0] = fg[5, 5, 5] = True
+    with pytest.raises(NumericDomainError, match="a pass left 2 of 2 components"):
+        _reconnect_array(fg)
+    with pytest.raises(NumericDomainError):
+        reconnect(Mask3(fg.shape, fg.astype(np.uint8)))
