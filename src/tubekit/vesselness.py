@@ -42,27 +42,6 @@ class JermanParams:
         object.__setattr__(self, "scales", scales)
 
 
-@dataclass(frozen=True, eq=False)
-class HessianField:
-    """Per-voxel symmetric second derivatives at one smoothing scale.
-
-    comps has shape dims + (6,), ordered (xx, xy, xz, yy, yz, zz), in
-    mm^-2 units and already multiplied by sigma^2 (scale normalization).
-    """
-
-    dims: tuple
-    comps: np.ndarray
-    scale_sigma: float
-
-    def __post_init__(self):
-        comps = np.asarray(self.comps, dtype=np.float32)
-        if comps.shape != tuple(self.dims) + (6,):
-            raise ParameterError(f"component shape {comps.shape} does not match dims")
-        if not np.all(np.isfinite(comps)):
-            raise ParameterError("Hessian components must be finite")
-        object.__setattr__(self, "comps", comps)
-
-
 @dataclass(frozen=True)
 class EigenTriple:
     """Eigenvalues of one symmetric 3x3 matrix, |l1| <= |l2| <= |l3|."""
@@ -79,54 +58,90 @@ def _gaussian_kernel(sigma_mm: float, spacing_mm: float) -> np.ndarray:
     return k / k.sum()
 
 
+def _smooth(data: np.ndarray, spacing, sigma: float) -> np.ndarray:
+    """Separable Gaussian smoothing of a plain array, rounded to float32."""
+    if not sigma > 0:
+        raise ParameterError(f"sigma must be positive, got {sigma}")
+    limit = max(data.shape)
+    for s in spacing:
+        if 3.0 * sigma / s > limit:  # as floats: a tiny spacing never reaches arange
+            raise ParameterError(f"kernel radius 3*sigma/spacing exceeds dimension {limit}")
+    out = np.asarray(data, dtype=np.float64)
+    for axis in range(3):
+        out = correlate1d(out, _gaussian_kernel(sigma, spacing[axis]), axis=axis, mode="nearest")
+    return out.astype(np.float32)
+
+
 def gaussian_smooth(vol: Volume3, sigma: float) -> Volume3:
     """Separable Gaussian smoothing with replicate boundaries.
 
-    Kernel radius is ceil(3*sigma/spacing) per axis and each 1D kernel is
-    normalized to sum 1, so constant inputs are preserved exactly.
+    Kernel radius is ceil(3*sigma/spacing) per axis, at most the largest
+    dimension; each 1D kernel sums to 1, so constants are preserved exactly.
     """
-    if not sigma > 0:
-        raise ParameterError(f"sigma must be positive, got {sigma}")
-    out = np.asarray(vol.data, dtype=np.float64)
-    for axis in range(3):
-        k = _gaussian_kernel(sigma, vol.spacing[axis])
-        out = correlate1d(out, k, axis=axis, mode="nearest")
-    return Volume3(vol.dims, vol.spacing, out.astype(np.float32))
+    return Volume3(vol.dims, vol.spacing, _smooth(vol.data, vol.spacing, sigma))
 
 
-def _second_derivatives(f: np.ndarray, spacing) -> list:
-    """Central-difference second derivatives in mm units, replicate edges.
-
-    Returns [fxx, fxy, fxz, fyy, fyz, fzz].
-    """
+def _second_derivatives(f: np.ndarray, spacing):
+    """Central differences in mm units, replicate edges: xx, xy, xz, yy, yz, zz."""
     g = np.pad(f, 1, mode="edge")
     sx, sy, sz = spacing
-    c = (slice(1, -1),) * 3
 
     def sl(dx, dy, dz):
         return g[1 + dx: g.shape[0] - 1 + dx,
                  1 + dy: g.shape[1] - 1 + dy,
                  1 + dz: g.shape[2] - 1 + dz]
 
-    fxx = (sl(1, 0, 0) - 2.0 * f + sl(-1, 0, 0)) / (sx * sx)
-    fyy = (sl(0, 1, 0) - 2.0 * f + sl(0, -1, 0)) / (sy * sy)
-    fzz = (sl(0, 0, 1) - 2.0 * f + sl(0, 0, -1)) / (sz * sz)
-    fxy = (sl(1, 1, 0) - sl(1, -1, 0) - sl(-1, 1, 0) + sl(-1, -1, 0)) / (4.0 * sx * sy)
-    fxz = (sl(1, 0, 1) - sl(1, 0, -1) - sl(-1, 0, 1) + sl(-1, 0, -1)) / (4.0 * sx * sz)
-    fyz = (sl(0, 1, 1) - sl(0, 1, -1) - sl(0, -1, 1) + sl(0, -1, -1)) / (4.0 * sy * sz)
-    return [fxx, fxy, fxz, fyy, fyz, fzz]
+    yield (sl(1, 0, 0) - 2.0 * f + sl(-1, 0, 0)) / (sx * sx)
+    yield (sl(1, 1, 0) - sl(1, -1, 0) - sl(-1, 1, 0) + sl(-1, -1, 0)) / (4.0 * sx * sy)
+    yield (sl(1, 0, 1) - sl(1, 0, -1) - sl(-1, 0, 1) + sl(-1, 0, -1)) / (4.0 * sx * sz)
+    yield (sl(0, 1, 0) - 2.0 * f + sl(0, -1, 0)) / (sy * sy)
+    yield (sl(0, 1, 1) - sl(0, 1, -1) - sl(0, -1, 1) + sl(0, -1, -1)) / (4.0 * sy * sz)
+    yield (sl(0, 0, 1) - 2.0 * f + sl(0, 0, -1)) / (sz * sz)
 
 
-def hessian_at_scale(vol: Volume3, sigma: float) -> HessianField:
-    """Smooth at sigma, differentiate, multiply by sigma^2."""
+def hessian_at_scale(vol: Volume3, sigma: float) -> np.ndarray:
+    """Smooth at sigma (rounded to float32), differentiate, multiply by
+    sigma^2: float32 components dims + (6,), (xx, xy, xz, yy, yz, zz), mm^-2."""
     if not sigma > 0:
         raise ParameterError(f"sigma must be positive, got {sigma}")
     if any(d < 5 for d in vol.dims):
         raise ParameterError(f"dims {vol.dims} too small for the second-derivative stencil")
-    smooth = gaussian_smooth(vol, sigma)
-    derivs = _second_derivatives(np.asarray(smooth.data, dtype=np.float64), vol.spacing)
-    comps = np.stack(derivs, axis=-1) * (sigma * sigma)
-    return HessianField(vol.dims, comps.astype(np.float32), sigma)
+    smooth = _smooth(vol.data, vol.spacing, sigma).astype(np.float64)
+    comps = np.empty(vol.dims + (6,), dtype=np.float32)
+    with np.errstate(over="ignore"):  # an overflow to inf is the error below
+        for i, d in enumerate(_second_derivatives(smooth, vol.spacing)):
+            comps[..., i] = d * (sigma * sigma)
+    if not np.all(np.isfinite(comps)):
+        raise ParameterError("Hessian components must be finite")
+    return comps
+
+
+def _by_magnitude(a: np.ndarray, b: np.ndarray):
+    """Strict compare-swap: b comes first only if |b| < |a|."""
+    swap = np.abs(a) > np.abs(b)
+    return np.where(swap, b, a), np.where(swap, a, b)
+
+
+def _invariants(c: np.ndarray):
+    """q = tr(H)/3, p = |H - qI|/sqrt(6), the degenerate (p ~ 0) mask and
+    det(B)/2 for B = (H - qI)/p.  Each float64 field costs 16 MB at 128^3,
+    so B is formed in place in fresh copies that die on return."""
+    bxx, bxy, bxz, byy, byz, bzz = (c[..., i].astype(np.float64) for i in range(6))
+    q = (bxx + byy + bzz) / 3.0
+    p1 = bxy ** 2 + bxz ** 2 + byz ** 2
+    scale = np.maximum(np.abs(bxx), np.maximum(np.abs(byy), np.abs(bzz)))
+    tol = 1e-12 * (1.0 + np.maximum(scale, np.sqrt(p1)))
+    for d in (bxx, byy, bzz):
+        d -= q
+    p = np.sqrt((bxx ** 2 + byy ** 2 + bzz ** 2 + 2.0 * p1) / 6.0)
+    degenerate = p <= tol
+    p_safe = np.where(degenerate, 1.0, p)
+    for b in (bxx, byy, bzz, bxy, bxz, byz):
+        b /= p_safe
+    det_b = (bxx * (byy * bzz - byz ** 2)
+             - bxy * (bxy * bzz - byz * bxz)
+             + bxz * (bxy * byz - byy * bxz))
+    return q, p, degenerate, det_b / 2.0
 
 
 def eig3_symmetric_field(comps: np.ndarray):
@@ -135,41 +150,26 @@ def eig3_symmetric_field(comps: np.ndarray):
     comps: (..., 6) ordered (xx, xy, xz, yy, yz, zz).  Uses the analytic
     trigonometric solution; near-multiple spectra fall back to the
     diagonal, which is exact in that limit.  Returns (l1, l2, l3) arrays
-    with |l1| <= |l2| <= |l3|.
+    with |l1| <= |l2| <= |l3|; equal magnitudes keep the order
+    (largest, middle, smallest root), or (xx, yy, zz) when degenerate.
     """
-    c = np.asarray(comps, dtype=np.float64)
-    hxx, hxy, hxz, hyy, hyz, hzz = (c[..., i] for i in range(6))
-
-    q = (hxx + hyy + hzz) / 3.0
-    p1 = hxy ** 2 + hxz ** 2 + hyz ** 2
-    p2 = (hxx - q) ** 2 + (hyy - q) ** 2 + (hzz - q) ** 2 + 2.0 * p1
-    p = np.sqrt(p2 / 6.0)
-
-    scale = np.maximum(np.abs(hxx), np.maximum(np.abs(hyy), np.abs(hzz)))
-    scale = np.maximum(scale, np.sqrt(p1))
-    degenerate = p <= 1e-12 * (1.0 + scale)
-    p_safe = np.where(degenerate, 1.0, p)
-
-    bxx, byy, bzz = (hxx - q) / p_safe, (hyy - q) / p_safe, (hzz - q) / p_safe
-    bxy, bxz, byz = hxy / p_safe, hxz / p_safe, hyz / p_safe
-    det_b = (bxx * (byy * bzz - byz ** 2)
-             - bxy * (bxy * bzz - byz * bxz)
-             + bxz * (bxy * byz - byy * bxz))
-    phi = np.arccos(np.clip(det_b / 2.0, -1.0, 1.0)) / 3.0
-
+    c = np.asarray(comps)
+    q, p, degenerate, half_det = _invariants(c)
+    phi = np.arccos(np.clip(half_det, -1.0, 1.0)) / 3.0
     e_hi = q + 2.0 * p * np.cos(phi)
     e_lo = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
     e_mid = 3.0 * q - e_hi - e_lo
 
     # Degenerate (p ~ 0) matrices are q*I up to the residual tolerance.
-    e_hi = np.where(degenerate, hxx, e_hi)
-    e_mid = np.where(degenerate, hyy, e_mid)
-    e_lo = np.where(degenerate, hzz, e_lo)
+    l1 = np.where(degenerate, c[..., 0], e_hi)
+    l2 = np.where(degenerate, c[..., 3], e_mid)
+    l3 = np.where(degenerate, c[..., 5], e_lo)
 
-    stacked = np.stack([e_hi, e_mid, e_lo], axis=0)
-    order = np.argsort(np.abs(stacked), axis=0, kind="stable")
-    lam = np.take_along_axis(stacked, order, axis=0)
-    return lam[0], lam[1], lam[2]
+    # Sorting network (0,1), (1,2), (0,1) of strict swaps: a stable sort.
+    l1, l2 = _by_magnitude(l1, l2)
+    l2, l3 = _by_magnitude(l2, l3)
+    l1, l2 = _by_magnitude(l1, l2)
+    return l1, l2, l3
 
 
 def eig3_symmetric(comps) -> EigenTriple:
@@ -219,8 +219,7 @@ def vesselness_multiscale(vol: Volume3, params: JermanParams) -> Volume3:
     sign = -1.0 if params.polarity == "bright" else 1.0
     best = np.zeros(vol.dims, dtype=np.float64)
     for sigma in params.scales:
-        field = hessian_at_scale(vol, sigma)
-        _, l2, l3 = eig3_symmetric_field(field.comps)
+        _, l2, l3 = eig3_symmetric_field(hessian_at_scale(vol, sigma))
         l2, l3 = sign * l2, sign * l3
         lambda3_max = max(float(l3.max()), 0.0)
         np.maximum(best, _jerman_from_arrays(l2, l3, lambda3_max, params.tau), out=best)

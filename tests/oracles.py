@@ -75,6 +75,47 @@ def jacobi_eigenvalues(mat, sweeps=50, tol=1e-14):
     return eig[np.argsort(np.abs(eig), kind="stable")]
 
 
+def eig3_symmetric_field_oracle(comps):
+    """Analytic eigenvalues ordered by a stable argsort on magnitude.
+
+    The package's former ``eig3_symmetric_field``, kept unchanged: the
+    three roots are stacked, argsorted and gathered with take_along_axis.
+    """
+    c = np.asarray(comps, dtype=np.float64)
+    hxx, hxy, hxz, hyy, hyz, hzz = (c[..., i] for i in range(6))
+
+    q = (hxx + hyy + hzz) / 3.0
+    p1 = hxy ** 2 + hxz ** 2 + hyz ** 2
+    p2 = (hxx - q) ** 2 + (hyy - q) ** 2 + (hzz - q) ** 2 + 2.0 * p1
+    p = np.sqrt(p2 / 6.0)
+
+    scale = np.maximum(np.abs(hxx), np.maximum(np.abs(hyy), np.abs(hzz)))
+    scale = np.maximum(scale, np.sqrt(p1))
+    degenerate = p <= 1e-12 * (1.0 + scale)
+    p_safe = np.where(degenerate, 1.0, p)
+
+    bxx, byy, bzz = (hxx - q) / p_safe, (hyy - q) / p_safe, (hzz - q) / p_safe
+    bxy, bxz, byz = hxy / p_safe, hxz / p_safe, hyz / p_safe
+    det_b = (bxx * (byy * bzz - byz ** 2)
+             - bxy * (bxy * bzz - byz * bxz)
+             + bxz * (bxy * byz - byy * bxz))
+    phi = np.arccos(np.clip(det_b / 2.0, -1.0, 1.0)) / 3.0
+
+    e_hi = q + 2.0 * p * np.cos(phi)
+    e_lo = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
+    e_mid = 3.0 * q - e_hi - e_lo
+
+    # Degenerate (p ~ 0) matrices are q*I up to the residual tolerance.
+    e_hi = np.where(degenerate, hxx, e_hi)
+    e_mid = np.where(degenerate, hyy, e_mid)
+    e_lo = np.where(degenerate, hzz, e_lo)
+
+    stacked = np.stack([e_hi, e_mid, e_lo], axis=0)
+    order = np.argsort(np.abs(stacked), axis=0, kind="stable")
+    lam = np.take_along_axis(stacked, order, axis=0)
+    return lam[0], lam[1], lam[2]
+
+
 def brute_surface_distances(surf_a, surf_b, spacing):
     """All-pairs directed distances between surface voxel sets (mm)."""
     sa = np.asarray(surf_a, dtype=np.float64) * np.asarray(spacing)
@@ -328,6 +369,27 @@ def _oracle_components(fg):
             remap[v] = remap.max() + 1
     labels = remap[raw]
     return labels, np.bincount(labels.ravel(), minlength=n + 1)[1:]
+
+
+def components_oracle(fg, connectivity):
+    """Labels ids 1..n by each component's first voxel in x-fastest
+    order, renumbering ndimage.label's C-order ids through a sort of the
+    whole volume; returns (labels, count, sizes by id - 1)."""
+    from scipy import ndimage
+
+    struct = ndimage.generate_binary_structure(3, 1 if connectivity == 6 else 3)
+    raw, n = ndimage.label(fg, structure=struct)
+    if n == 0:
+        return raw.astype(np.int32), 0, np.zeros(0, dtype=np.int64)
+    flat = raw.ravel(order="F")
+    ids, first = np.unique(flat, return_index=True)
+    keep = ids != 0
+    order = np.argsort(first[keep], kind="stable")
+    remap = np.zeros(n + 1, dtype=np.int32)
+    remap[ids[keep][order]] = np.arange(1, n + 1, dtype=np.int32)
+    labels = remap[raw]
+    sizes = np.bincount(labels.ravel(), minlength=n + 1)[1:].astype(np.int64)
+    return labels, n, sizes
 
 
 def _oracle_neighbor_counts(fg):

@@ -360,3 +360,33 @@ def test_loss_spacing_mismatch_exits_2(tmp_path, capsys, odd):
     assert err["error"] == "ParameterError"
     assert err["message"] == "pred, label and image must share spacing"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("tiny", [1e-20, 1e-6])
+def test_vesselness_kernel_wider_than_volume_exits_2(tmp_path, capsys, tiny):
+    # 3*sigma/spacing far beyond any dimension: a kernel of millions of
+    # taps (1e-6) or an overflowing np.arange (1e-20) without the check.
+    img = tmp_path / "img.tvol"
+    data = np.random.default_rng(0).random((9, 9, 9)).astype(np.float32)
+    save_tvol(Volume3((9, 9, 9), (tiny, 1.0, 1.0), data), img)
+    out = tmp_path / "v.tvol"
+    assert _run("vesselness", "--in", str(img), "--out", str(out)) == 2
+    err = _one_line_error(capsys)
+    assert err["error"] == "ParameterError"
+    assert "exceeds" in err["message"]
+    assert not out.exists()
+
+
+def test_vesselness_hessian_overflow_exits_2(tmp_path, capsys):
+    # Finite float32 slabs of +-3e38, four voxels thick along x: at the
+    # default scales their scaled second differences overflow float32.
+    img = tmp_path / "img.tvol"
+    slabs = np.where(np.arange(16) % 8 < 4, 3e38, -3e38)[:, None, None]
+    save_tvol(Volume3((16, 16, 16), (1.0, 1.0, 1.0),
+                      np.broadcast_to(slabs, (16, 16, 16)).astype(np.float32)), img)
+    out = tmp_path / "v.tvol"
+    assert _run("vesselness", "--in", str(img), "--out", str(out)) == 2
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err == {"error": "ParameterError",
+                   "message": "Hessian components must be finite"}
+    assert not out.exists()

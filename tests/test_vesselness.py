@@ -76,7 +76,7 @@ def test_hessian_of_quadratic_is_analytic():
     sigma = 0.5
     field = hessian_at_scale(_vol(np.array(data)), sigma)
     inner = (slice(4, n - 4),) * 3
-    comps = field.comps[inner]
+    comps = field[inner]
     s2 = sigma * sigma
     assert np.abs(comps[..., 0]).max() <= 1e-3          # xx
     assert np.abs(comps[..., 3] + 2 * s2).max() <= 1e-3  # yy
@@ -87,13 +87,13 @@ def test_hessian_of_quadratic_is_analytic():
 
 def test_hessian_constant_and_ramp_vanish():
     const = hessian_at_scale(_vol(np.full((12, 12, 12), 3.0)), 1.0)
-    assert np.abs(const.comps).max() <= 1e-5
+    assert np.abs(const).max() <= 1e-5
     x = np.arange(16, dtype=np.float64)
     ramp = np.broadcast_to(x[:, None, None], (16, 16, 16))
     field = hessian_at_scale(_vol(np.array(ramp)), 1.0)
     margin = 4  # replicate padding bends the ramp near the border
     inner = (slice(margin, 16 - margin),) * 3
-    assert np.abs(field.comps[inner]).max() <= 1e-5
+    assert np.abs(field[inner]).max() <= 1e-5
 
 
 def test_hessian_rejects_small_volumes():
