@@ -5,7 +5,9 @@ The response of a voxel is driven by the magnitude-ordered eigenvalues
 background produce l2 ~ l3 << 0, so for that polarity l2 and l3 are
 negated before the response is evaluated; the regularized lp replaces l3
 with a volume-level floor tau * max(l3) to keep low-contrast vessels
-from vanishing.
+from vanishing.  Each scale is smoothed whole, then differentiated and
+eigen-solved in slabs of planes along axis 0: the peak memory is a few
+float64 volume fields (signed l2, l3, running max) plus one slab's work.
 """
 
 import math
@@ -19,6 +21,8 @@ from .volume import Volume3
 
 DEFAULT_TAU = 0.5
 DEFAULT_SCALES = (1.0, 1.5, 2.0, 3.0)
+_SLAB_VOXELS = 1 << 15  # 2 planes at 128^2, 8 at 64^2, never fewer than one
+EIG3_MAX_COMPONENT = 1e150  # the analytic solve squares it; float64 ends near 1.8e308
 
 
 @dataclass(frozen=True)
@@ -81,15 +85,12 @@ def gaussian_smooth(vol: Volume3, sigma: float) -> Volume3:
     return Volume3(vol.dims, vol.spacing, _smooth(vol.data, vol.spacing, sigma))
 
 
-def _second_derivatives(f: np.ndarray, spacing):
-    """Central differences in mm units, replicate edges: xx, xy, xz, yy, yz, zz."""
-    g = np.pad(f, 1, mode="edge")
-    sx, sy, sz = spacing
+def _second_derivatives(g: np.ndarray, spacing):
+    """Central differences in mm units inside g's 1-voxel rim: xx, xy, xz, yy, yz, zz."""
+    f, (sx, sy, sz) = g[1:-1, 1:-1, 1:-1], spacing
 
-    def sl(dx, dy, dz):
-        return g[1 + dx: g.shape[0] - 1 + dx,
-                 1 + dy: g.shape[1] - 1 + dy,
-                 1 + dz: g.shape[2] - 1 + dz]
+    def sl(*shift):
+        return g[tuple(slice(1 + d, n - 1 + d) for d, n in zip(shift, g.shape))]
 
     yield (sl(1, 0, 0) - 2.0 * f + sl(-1, 0, 0)) / (sx * sx)
     yield (sl(1, 1, 0) - sl(1, -1, 0) - sl(-1, 1, 0) + sl(-1, -1, 0)) / (4.0 * sx * sy)
@@ -99,33 +100,38 @@ def _second_derivatives(f: np.ndarray, spacing):
     yield (sl(0, 0, 1) - 2.0 * f + sl(0, 0, -1)) / (sz * sz)
 
 
-def hessian_at_scale(vol: Volume3, sigma: float) -> np.ndarray:
-    """Smooth at sigma (rounded to float32), differentiate, multiply by
-    sigma^2: float32 components dims + (6,), (xx, xy, xz, yy, yz, zz), mm^-2."""
-    if not sigma > 0:
-        raise ParameterError(f"sigma must be positive, got {sigma}")
-    if any(d < 5 for d in vol.dims):
-        raise ParameterError(f"dims {vol.dims} too small for the second-derivative stencil")
-    smooth = _smooth(vol.data, vol.spacing, sigma).astype(np.float64)
-    comps = np.empty(vol.dims + (6,), dtype=np.float32)
+def _hessian_slab(smooth: np.ndarray, spacing, sigma: float, planes: slice):
+    """hessian_at_scale on some planes (axis 0), edge-replicating only at the ends."""
+    if min(smooth.shape) < 5:
+        raise ParameterError(f"dims {smooth.shape} too small for the second-derivative stencil")
+    lo, hi = planes.start, planes.stop
+    ends = (int(lo == 0), int(hi == smooth.shape[0]))
+    g = np.pad(smooth[max(lo - 1, 0):hi + 1], (ends, (1, 1), (1, 1)), mode="edge")
+    comps = np.empty((hi - lo,) + smooth.shape[1:] + (6,), dtype=np.float32)
     with np.errstate(over="ignore"):  # an overflow to inf is the error below
-        for i, d in enumerate(_second_derivatives(smooth, vol.spacing)):
+        for i, d in enumerate(_second_derivatives(g.astype(np.float64), spacing)):
             comps[..., i] = d * (sigma * sigma)
     if not np.all(np.isfinite(comps)):
         raise ParameterError("Hessian components must be finite")
     return comps
 
 
-def _by_magnitude(a: np.ndarray, b: np.ndarray):
-    """Strict compare-swap: b comes first only if |b| < |a|."""
-    swap = np.abs(a) > np.abs(b)
+def hessian_at_scale(vol: Volume3, sigma: float) -> np.ndarray:
+    """Smooth at sigma (rounded to float32), differentiate, multiply by
+    sigma^2: float32 components dims + (6,), (xx, xy, xz, yy, yz, zz), mm^-2."""
+    smooth = _smooth(vol.data, vol.spacing, sigma)
+    return _hessian_slab(smooth, vol.spacing, sigma, slice(0, vol.dims[0]))
+
+
+def _by_magnitude(a: np.ndarray, b: np.ndarray, ma: np.ndarray, mb: np.ndarray):
+    """Strict compare-swap of a, b of magnitudes ma, mb: b first only if mb < ma."""
+    swap = ma > mb
     return np.where(swap, b, a), np.where(swap, a, b)
 
 
 def _invariants(c: np.ndarray):
     """q = tr(H)/3, p = |H - qI|/sqrt(6), the degenerate (p ~ 0) mask and
-    det(B)/2 for B = (H - qI)/p.  Each float64 field costs 16 MB at 128^3,
-    so B is formed in place in fresh copies that die on return."""
+    det(B)/2 for B = (H - qI)/p, formed in place in float64 copies."""
     bxx, bxy, bxz, byy, byz, bzz = (c[..., i].astype(np.float64) for i in range(6))
     q = (bxx + byy + bzz) / 3.0
     p1 = bxy ** 2 + bxz ** 2 + byz ** 2
@@ -166,19 +172,23 @@ def eig3_symmetric_field(comps: np.ndarray):
     l3 = np.where(degenerate, c[..., 5], e_lo)
 
     # Sorting network (0,1), (1,2), (0,1) of strict swaps: a stable sort.
-    l1, l2 = _by_magnitude(l1, l2)
-    l2, l3 = _by_magnitude(l2, l3)
-    l1, l2 = _by_magnitude(l1, l2)
+    m1, m2, m3 = np.abs(l1), np.abs(l2), np.abs(l3)  # min/max carry them, exact for NaN-free roots
+    l1, l2 = _by_magnitude(l1, l2, m1, m2)
+    m1, m2 = np.minimum(m1, m2), np.maximum(m1, m2)
+    l2, l3 = _by_magnitude(l2, l3, m2, m3)
+    m2 = np.minimum(m2, m3)
+    l1, l2 = _by_magnitude(l1, l2, m1, m2)
     return l1, l2, l3
 
 
 def eig3_symmetric(comps) -> EigenTriple:
-    """Eigenvalues of one symmetric 3x3, components (xx, xy, xz, yy, yz, zz)."""
+    """Eigenvalues of one symmetric 3x3, components (xx, xy, xz, yy, yz, zz),
+    each finite and at most EIG3_MAX_COMPONENT (1e150) in magnitude."""
     c = np.asarray(comps, dtype=np.float64)
     if c.shape != (6,):
         raise ParameterError("expected six components (xx, xy, xz, yy, yz, zz)")
-    if not np.all(np.isfinite(c)):
-        raise ParameterError("Hessian components must be finite")
+    if not np.all(np.abs(c) <= EIG3_MAX_COMPONENT):  # also false for NaN
+        raise ParameterError(f"Hessian components must be finite, |c| <= {EIG3_MAX_COMPONENT:g}")
     l1, l2, l3 = eig3_symmetric_field(c)
     return EigenTriple(float(l1), float(l2), float(l3))
 
@@ -202,12 +212,9 @@ def jerman_response(eigs: EigenTriple, lambda3_max: float, tau: float,
     lambda3_max is the volume-wide maximum of the polarity-adjusted l3 at
     the current scale (>= 0).
     """
-    if not 0.0 <= tau <= 1.0:
-        raise ParameterError(f"tau must be in [0,1], got {tau}")
+    JermanParams(tau=tau, polarity=polarity)  # validates both
     if lambda3_max < 0:
         raise ParameterError("lambda3_max must be non-negative")
-    if polarity not in ("bright", "dark"):
-        raise ParameterError(f"polarity must be bright or dark, got {polarity!r}")
     sign = -1.0 if polarity == "bright" else 1.0
     l2 = np.asarray(sign * eigs.l2, dtype=np.float64)
     l3 = np.asarray(sign * eigs.l3, dtype=np.float64)
@@ -215,12 +222,20 @@ def jerman_response(eigs: EigenTriple, lambda3_max: float, tau: float,
 
 
 def vesselness_multiscale(vol: Volume3, params: JermanParams) -> Volume3:
-    """Maximum Jerman response over the configured scales, in [0, 1]."""
+    """Maximum Jerman response over the configured scales, in [0, 1].  Slabs
+    fill the signed l2/l3; the response, needing max(l3), follows the last."""
     sign = -1.0 if params.polarity == "bright" else 1.0
-    best = np.zeros(vol.dims, dtype=np.float64)
+    n, step = vol.dims[0], max(1, _SLAB_VOXELS // (vol.dims[1] * vol.dims[2]))
+    slabs = [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+    best, l2, l3 = (np.zeros(vol.dims, dtype=np.float64) for _ in range(3))
     for sigma in params.scales:
-        _, l2, l3 = eig3_symmetric_field(hessian_at_scale(vol, sigma))
-        l2, l3 = sign * l2, sign * l3
-        lambda3_max = max(float(l3.max()), 0.0)
-        np.maximum(best, _jerman_from_arrays(l2, l3, lambda3_max, params.tau), out=best)
+        smooth, lambda3_max = _smooth(vol.data, vol.spacing, sigma), 0.0
+        for s in slabs:
+            _, e2, e3 = eig3_symmetric_field(_hessian_slab(smooth, vol.spacing, sigma, s))
+            np.multiply(sign, e2, out=l2[s])
+            np.multiply(sign, e3, out=l3[s])
+            lambda3_max = max(lambda3_max, float(l3[s].max()))
+        for s in slabs:
+            resp = _jerman_from_arrays(l2[s], l3[s], lambda3_max, params.tau)
+            np.maximum(best[s], resp, out=best[s])
     return Volume3(vol.dims, vol.spacing, best.astype(np.float32))

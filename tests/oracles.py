@@ -8,6 +8,7 @@ import hashlib
 import math
 
 import numpy as np
+from scipy import ndimage
 
 
 def cylinder_voxel_count(dims, spacing, radius_mm):
@@ -114,6 +115,66 @@ def eig3_symmetric_field_oracle(comps):
     order = np.argsort(np.abs(stacked), axis=0, kind="stable")
     lam = np.take_along_axis(stacked, order, axis=0)
     return lam[0], lam[1], lam[2]
+
+
+def _hessian_whole_volume_oracle(data, spacing, sigma):
+    """Smooth (rounded to float32), differentiate with the edge-padded
+    whole volume, scale by sigma^2 and round: float32 (..., 6)."""
+    smooth = np.asarray(data, dtype=np.float64)
+    for axis in range(3):
+        smooth = ndimage.correlate1d(smooth, gaussian_kernel_1d(sigma, spacing[axis]),
+                                     axis=axis, mode="nearest")
+    f = smooth.astype(np.float32).astype(np.float64)
+    g = np.pad(f, 1, mode="edge")
+    sx, sy, sz = spacing
+
+    def sl(dx, dy, dz):
+        return g[1 + dx: g.shape[0] - 1 + dx,
+                 1 + dy: g.shape[1] - 1 + dy,
+                 1 + dz: g.shape[2] - 1 + dz]
+
+    derivatives = (
+        (sl(1, 0, 0) - 2.0 * f + sl(-1, 0, 0)) / (sx * sx),
+        (sl(1, 1, 0) - sl(1, -1, 0) - sl(-1, 1, 0) + sl(-1, -1, 0)) / (4.0 * sx * sy),
+        (sl(1, 0, 1) - sl(1, 0, -1) - sl(-1, 0, 1) + sl(-1, 0, -1)) / (4.0 * sx * sz),
+        (sl(0, 1, 0) - 2.0 * f + sl(0, -1, 0)) / (sy * sy),
+        (sl(0, 1, 1) - sl(0, 1, -1) - sl(0, -1, 1) + sl(0, -1, -1)) / (4.0 * sy * sz),
+        (sl(0, 0, 1) - 2.0 * f + sl(0, 0, -1)) / (sz * sz),
+    )
+    comps = np.empty(f.shape + (6,), dtype=np.float32)
+    for i, d in enumerate(derivatives):
+        comps[..., i] = d * (sigma * sigma)
+    return comps
+
+
+def _jerman_oracle(l2, l3, lambda3_max, tau):
+    cap = tau * lambda3_max
+    lp = np.where(l3 > cap, l3, np.where(l3 > 0.0, cap, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mid = l2 ** 2 * (lp - l2) * (3.0 / (lp + l2)) ** 3
+    resp = np.where((l2 <= 0.0) | (lp <= 0.0), 0.0,
+                    np.where(l2 >= lp / 2.0, 1.0, mid))
+    return np.clip(resp, 0.0, 1.0)
+
+
+def vesselness_multiscale_oracle(vol, params):
+    """The package's former whole-volume ``vesselness_multiscale``.
+
+    Every scale materialises the Hessian, the eigenvalues and the response
+    of the whole volume at once, and the maximum of l3 is taken over the
+    finished field.  ``vol`` needs ``dims``, ``spacing`` and ``data``,
+    ``params`` needs ``tau``, ``scales`` and ``polarity``; returns the
+    float32 response array.
+    """
+    sign = -1.0 if params.polarity == "bright" else 1.0
+    best = np.zeros(vol.dims, dtype=np.float64)
+    for sigma in params.scales:
+        comps = _hessian_whole_volume_oracle(vol.data, vol.spacing, sigma)
+        _, l2, l3 = eig3_symmetric_field_oracle(comps)
+        l2, l3 = sign * l2, sign * l3
+        lambda3_max = max(float(l3.max()), 0.0)
+        np.maximum(best, _jerman_oracle(l2, l3, lambda3_max, params.tau), out=best)
+    return best.astype(np.float32)
 
 
 def brute_surface_distances(surf_a, surf_b, spacing):

@@ -1,11 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from tubekit import ParameterError, PhantomSpec, Volume3, make_phantom
-from tubekit.vesselness import (EigenTriple, JermanParams, eig3_symmetric,
-                                eig3_symmetric_field, gaussian_smooth,
-                                hessian_at_scale, jerman_response,
-                                vesselness_multiscale)
+from tubekit.vesselness import (EIG3_MAX_COMPONENT, EigenTriple, JermanParams,
+                                eig3_symmetric, eig3_symmetric_field,
+                                gaussian_smooth, hessian_at_scale,
+                                jerman_response, vesselness_multiscale)
 
 from oracles import dense_convolve3, gaussian_kernel_1d, jacobi_eigenvalues
 
@@ -155,6 +157,25 @@ def test_eig_rejects_non_finite():
         eig3_symmetric([np.nan, 0, 0, 0, 0, 0])
 
 
+@pytest.mark.parametrize("comps", [[1e155, 0, 0, 5e154, 0, 0],
+                                   [0, -2e150, 0, 0, 0, 0],
+                                   [0, 0, 0, 0, 0, np.inf]])
+def test_eig_rejects_components_beyond_the_limit(comps):
+    # Squaring 1e155 overflows: the solve returned (inf, nan, -inf).
+    with pytest.raises(ParameterError):
+        eig3_symmetric(comps)
+
+
+def test_eig_is_finite_at_the_limit():
+    lim = EIG3_MAX_COMPONENT
+    with np.errstate(all="raise"):
+        diag = eig3_symmetric([lim, 0, 0, -lim / 2, 0, lim / 4])
+        full = eig3_symmetric([lim] * 6)  # rank one: eigenvalues 3*lim, 0, 0
+    assert np.allclose([diag.l1, diag.l2, diag.l3], [lim / 4, -lim / 2, lim], rtol=1e-12)
+    assert np.allclose([full.l1, full.l2, full.l3], [0.0, 0.0, 3 * lim], rtol=1e-12,
+                       atol=1e-12 * lim)
+
+
 # ---------------------------------------------------------------------------
 # jerman response
 # ---------------------------------------------------------------------------
@@ -237,6 +258,24 @@ def test_multiscale_rotation_covariance():
     resp_x = vesselness_multiscale(turned, params)
     back = np.transpose(resp_x.data, (2, 1, 0))
     assert np.abs(back - resp_z.data).mean() <= 1e-3
+
+
+def test_multiscale_peak_memory_is_bounded():
+    # Slabs keep the peak to a few float64 volume fields: the whole-volume
+    # Hessian and eigen-solve peaked at about 22 of them.
+    image, _ = make_phantom(PhantomSpec("helix", 2.0, noise_sigma=0.3, seed=1), (64, 64, 64))
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        vesselness_multiscale(image, JermanParams())
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak <= 10 * 64 ** 3 * 8
 
 
 def test_multiscale_monotone_in_scale_coverage():
