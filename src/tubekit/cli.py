@@ -76,10 +76,13 @@ def _save_tvol_atomic(obj, path: str):
     _atomic_write(path, lambda tmp: save_tvol(obj, tmp))
 
 
-def _parse_triple(text: str, cast, name: str):
+def _parse_list(text: str, cast, name: str, count: int = None) -> tuple:
+    """The comma-separated values of ``text`` cast by ``cast``; exactly
+    ``count`` of them when ``count`` is given."""
     parts = text.split(",")
-    if len(parts) != 3:
-        raise ParameterError(f"{name} must be three comma-separated values, got {text!r}")
+    if count is not None and len(parts) != count:
+        raise ParameterError(f"{name} needs {count} comma-separated "
+                             f"value{'s' * (count != 1)}, got {text!r}")
     try:
         return tuple(cast(p) for p in parts)
     except ValueError as exc:
@@ -110,8 +113,8 @@ def _cmd_phantom(args):
                        background_intensity=args.background,
                        noise_sigma=args.noise_sigma,
                        gap_len_voxels=args.gap, seed=args.seed)
-    dims = _parse_triple(args.dims, int, "--dims")
-    spacing = _parse_triple(args.spacing, float, "--spacing")
+    dims = _parse_list(args.dims, int, "--dims", 3)
+    spacing = _parse_list(args.spacing, float, "--spacing", 3)
     image, label = make_phantom(spec, dims, spacing)
     _save_tvol_atomic(image, args.out_image)
     _save_tvol_atomic(label, args.out_label)
@@ -120,7 +123,7 @@ def _cmd_phantom(args):
 
 def _cmd_vesselness(args):
     vol = _load_volume(args.infile)
-    scales = tuple(float(s) for s in args.scales.split(","))
+    scales = _parse_list(args.scales, float, "--scales")
     params = vesselness.JermanParams(tau=args.tau, scales=scales,
                                      polarity=args.polarity)
     resp = vesselness.vesselness_multiscale(vol, params)
@@ -165,11 +168,8 @@ def _line_voxels(a, b) -> int:
 def _parse_roi(args, label: Mask3) -> RoiBox:
     if args.roi == "auto":
         return roi_from_label(label, margin=args.roi_margin)
-    parts = args.roi.split(",")
-    if len(parts) != 6:
-        raise ParameterError("--roi must be 'auto' or six ints x0,y0,z0,x1,y1,z1")
-    v = [int(p) for p in parts]
-    return RoiBox((v[0], v[1], v[2]), (v[3], v[4], v[5]))
+    v = _parse_list(args.roi, int, "--roi", 6)
+    return RoiBox(v[:3], v[3:])
 
 
 def _cmd_loss(args):
@@ -181,50 +181,63 @@ def _cmd_loss(args):
     if pred.spacing != label.spacing or pred.spacing != image.spacing:
         raise ParameterError("pred, label and image must share spacing")
     roi = _parse_roi(args, label)
-    beta = None if args.beta == "auto" else float(args.beta)
+    beta = None if args.beta == "auto" else _parse_list(args.beta, float, "--beta", 1)[0]
     cfg = losses.RelaxedSupConfig(beta=beta)
     kparams = losses.GatedKernelParams(sigma_l=args.sigma_l, sigma_c=args.sigma_c,
                                        radius=args.radius)
+    yhat = np.asarray(pred.data, dtype=np.float64)
+    lab = np.asarray(label.data, dtype=np.float64)
 
-    beta_used = losses.resolve_beta(np.asarray(label.data, dtype=np.float64), cfg)
-    r_sup = losses.loss_r_sup(label, pred, roi, cfg)
-    con = losses.loss_con(pred, skeleton.SoftSkeletonParams(args.skel_iters))
+    beta = losses.resolve_beta(lab, cfg)
+    r_sup = _grad32("r_sup", *losses.loss_r_sup_array(
+        lab, yhat, roi.indicator(label.dims), beta, cfg.epsilon))
+    con = _grad32("con", *losses.loss_con_array(yhat, args.skel_iters))
     sp_value, sp_grad, n_pairs = losses.loss_spatial_array(
-        np.asarray(pred.data, dtype=np.float64),
-        np.asarray(image.data, dtype=np.float64), kparams)
-    spatial = (sp_value, Volume3(pred.dims, pred.spacing, sp_grad.astype(np.float32)))
+        yhat, np.asarray(image.data, dtype=np.float64), kparams)
+    spatial = _grad32("spatial", sp_value, sp_grad)
     # Mix term at CLI level: self-mix of the case (alpha plays no role).
-    mix = losses.loss_mix(pred, label, label, args.mix_alpha)
+    alpha = args.mix_alpha
+    if not 0.0 <= alpha <= 1.0:
+        raise ParameterError(f"alpha must be in [0,1], got {alpha}")
+    mix = _grad32("mix", *losses.loss_mix_array(yhat, alpha * lab + (1.0 - alpha) * lab))
 
     bd = losses.loss_gsb(r_sup, con, spatial, mix, args.lam)
     report = {
         "r_sup": bd.r_sup, "con": bd.con, "spatial": bd.spatial, "mix": bd.mix,
-        "lambda": bd.lam, "total": bd.total, "beta": beta_used,
+        "lambda": bd.lam, "total": bd.total, "beta": beta,
         "spatial_pairs": n_pairs,
         "grad_norms": {
-            "r_sup": float(np.linalg.norm(bd.grad_r_sup.data)),
-            "con": float(np.linalg.norm(bd.grad_con.data)),
-            "spatial": float(np.linalg.norm(bd.grad_spatial.data)),
-            "mix": float(np.linalg.norm(bd.grad_mix.data)),
+            "r_sup": float(np.linalg.norm(bd.grad_r_sup)),
+            "con": float(np.linalg.norm(bd.grad_con)),
+            "spatial": float(np.linalg.norm(bd.grad_spatial)),
+            "mix": float(np.linalg.norm(bd.grad_mix)),
         },
     }
     _write_json(args.json, report)
     return 0
 
 
+def _grad32(name: str, value: float, grad: np.ndarray):
+    """(value, grad) with the gradient rounded to float32, the precision
+    of a stored volume, which also halves what each kept gradient holds;
+    a gradient beyond float32's range is rejected."""
+    with np.errstate(over="ignore"):
+        grad = grad.astype(np.float32)
+    if not np.isfinite(grad).all():
+        raise ParameterError(f"{name} gradient exceeds the float32 range")
+    return value, grad
+
+
 def _cmd_metrics(args):
     pred = _load_mask(args.pred)
     gt = _load_mask(args.gt)
-    if pred.spacing != gt.spacing:
-        raise ParameterError(
-            f"pred and gt must share spacing, got {pred.spacing} vs {gt.spacing}")
-    report = metrics.evaluate(pred, gt, spacing=gt.spacing, skel_k=args.skel_iters)
+    report = metrics.evaluate(pred, gt, skel_k=args.skel_iters)
     _write_json(args.json, report.to_dict())
     return 0
 
 
 def _cmd_fusion_demo(args):
-    dims = _parse_triple(args.dims, int, "--dims")
+    dims = _parse_list(args.dims, int, "--dims", 3)
     c = args.channels
     if c % 2:
         raise ParameterError("--channels must be even (shallow query splits halves)")

@@ -5,12 +5,13 @@ skeleton-connectivity push vessels to grow, while spatial-similarity and
 mix-equivalence penalties suppress noise; the combined objective weights
 the suppression pair by lambda.
 
-Every loss returns (value, gradient-with-respect-to-the-prediction).
-Public ``*_array`` functions do the numerics on float64 ndarrays; the
-wrappers accept the volume containers and return Volume3 gradients.
-The connectivity term treats the reconnected skeleton as a constant
-pseudo-label (no gradient through the reconnection), and differentiates
-through the pooling recurrence via the recorded selection tape.
+Each term is one ``*_array`` function on plain ndarrays: it converts its
+inputs to float64, checks them and returns (value, gradient with respect
+to the prediction), the gradient a float64 ndarray.  Callers holding
+``Volume3``/``Mask3`` containers pass their ``.data``.  The connectivity
+term treats the reconnected skeleton as a constant pseudo-label (no
+gradient through the reconnection), and differentiates through the
+pooling recurrence via the recorded selection tape.
 """
 
 import hashlib
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericDomainError, ParameterError
-from .skeleton import SoftSkeletonParams, SoftSkeletonTape, _reconnect_array
-from .volume import Mask3, RoiBox, Volume3
+from .skeleton import SoftSkeletonTape, _reconnect_array
+from .volume import Mask3, Volume3
 
 DEFAULT_EPSILON = 1e-7
 
@@ -69,23 +70,20 @@ class MixSample:
 
 @dataclass(frozen=True, eq=False)
 class LossBreakdown:
-    """Values and prediction-gradients of the four terms plus the
-    lambda-weighted total = r_sup + con + lambda*(spatial + mix)."""
+    """Values and prediction-gradients (ndarrays, as the ``*_array``
+    terms return them) of the four terms plus the lambda-weighted
+    total = r_sup + con + lambda*(spatial + mix)."""
 
     r_sup: float
     con: float
     spatial: float
     mix: float
-    grad_r_sup: Volume3
-    grad_con: Volume3
-    grad_spatial: Volume3
-    grad_mix: Volume3
+    grad_r_sup: np.ndarray
+    grad_con: np.ndarray
+    grad_spatial: np.ndarray
+    grad_mix: np.ndarray
     lam: float
     total: float
-
-
-def _as64(a) -> np.ndarray:
-    return np.asarray(a.data if hasattr(a, "data") else a, dtype=np.float64)
 
 
 def _check_unit_range(a: np.ndarray, name: str):
@@ -110,18 +108,6 @@ def resolve_beta(y: np.ndarray, cfg: RelaxedSupConfig) -> float:
     return 1.0 / math.log(s_neg / s_pos)
 
 
-def _relaxed_inputs(y: Mask3, yhat: Volume3, cfg: RelaxedSupConfig):
-    """Validated float64 (label, prediction) and the resolved beta."""
-    if y.dims != yhat.dims:
-        raise ParameterError("label and prediction shapes differ")
-    pred = _as64(yhat)
-    _check_unit_range(pred, "prediction")
-    lab = _as64(y)
-    if lab.sum() < 1:
-        raise NumericDomainError("relaxed supervision needs at least one positive voxel")
-    return lab, pred, resolve_beta(lab, cfg)
-
-
 def uncertain_prediction_array(y, yhat, roi_mask, beta):
     """Returns (yhat', w) where yhat' = w * yhat and
     w = y + beta*y^c*R + y^c*R^c routes the three certainty regimes."""
@@ -131,17 +117,17 @@ def uncertain_prediction_array(y, yhat, roi_mask, beta):
     return w * yhat, w
 
 
-def uncertain_prediction(y: Mask3, yhat: Volume3, roi: RoiBox,
-                         cfg: RelaxedSupConfig = RelaxedSupConfig()) -> Volume3:
-    lab, pred, beta = _relaxed_inputs(y, yhat, cfg)
-    yp, _ = uncertain_prediction_array(lab, pred, roi.indicator(y.dims), beta)
-    return Volume3(yhat.dims, yhat.spacing, yp.astype(np.float32))
-
-
 def loss_r_sup_array(y, yhat, roi_mask, beta, eps=DEFAULT_EPSILON):
-    """Relaxed Dice + positive-voxel cross entropy, with exact gradient."""
+    """Relaxed Dice + positive-voxel cross entropy, with exact gradient.
+
+    The prediction must lie in [0, 1] and the label hold a positive."""
     y = np.asarray(y, dtype=np.float64)
     yhat = np.asarray(yhat, dtype=np.float64)
+    if y.shape != yhat.shape:
+        raise ParameterError("label and prediction shapes differ")
+    _check_unit_range(yhat, "prediction")
+    if y.sum() < 1:
+        raise NumericDomainError("relaxed supervision needs at least one positive voxel")
     yp, w = uncertain_prediction_array(y, yhat, roi_mask, beta)
 
     s_inter = float((y * yhat).sum())
@@ -154,13 +140,6 @@ def loss_r_sup_array(y, yhat, roi_mask, beta, eps=DEFAULT_EPSILON):
     grad = (-y / denom + (s_inter / denom ** 2) * w
             - (y * w) / ((yp + eps) * n))
     return dice + ce, grad
-
-
-def loss_r_sup(y: Mask3, yhat: Volume3, roi: RoiBox,
-               cfg: RelaxedSupConfig = RelaxedSupConfig()):
-    lab, pred, beta = _relaxed_inputs(y, yhat, cfg)
-    value, grad = loss_r_sup_array(lab, pred, roi.indicator(y.dims), beta, cfg.epsilon)
-    return value, Volume3(yhat.dims, yhat.spacing, grad.astype(np.float32))
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +181,6 @@ def loss_con_signature(yhat, iterations=10, threshold=0.5) -> bytes:
         rec, _ = _reconnect_array(hard)
         h.update(rec.tobytes())
     return h.digest()
-
-
-def loss_con(yhat: Volume3, skel_params: SoftSkeletonParams = SoftSkeletonParams(),
-             threshold=0.5, eps=DEFAULT_EPSILON, support="reconnected"):
-    value, grad = loss_con_array(_as64(yhat), skel_params.iterations,
-                                 threshold, eps, support)
-    return value, Volume3(yhat.dims, yhat.spacing, grad.astype(np.float32))
 
 
 # ---------------------------------------------------------------------------
@@ -274,14 +246,6 @@ def loss_spatial_array(yhat, guide, params: GatedKernelParams):
     return total / n, grad / n, n_pairs
 
 
-def loss_spatial(yhat: Volume3, guide: Volume3,
-                 params: GatedKernelParams = GatedKernelParams()):
-    if yhat.dims != guide.dims:
-        raise ParameterError("prediction and guide shapes differ")
-    value, grad, _ = loss_spatial_array(_as64(yhat), _as64(guide), params)
-    return value, Volume3(yhat.dims, yhat.spacing, grad.astype(np.float32))
-
-
 # ---------------------------------------------------------------------------
 # mix equivalence
 # ---------------------------------------------------------------------------
@@ -292,7 +256,8 @@ def mix_inputs(x1: Volume3, x2: Volume3, alpha: float,
         raise ParameterError("mix inputs must share dims")
     if not 0.0 <= alpha <= 1.0:
         raise ParameterError(f"alpha must be in [0,1], got {alpha}")
-    mixed = alpha * _as64(x1) + (1.0 - alpha) * _as64(x2)
+    mixed = (alpha * np.asarray(x1.data, dtype=np.float64)
+             + (1.0 - alpha) * np.asarray(x2.data, dtype=np.float64))
     return MixSample(alpha, Volume3(x1.dims, x1.spacing, mixed.astype(np.float32)),
                      y1, y2)
 
@@ -301,6 +266,8 @@ def loss_mix_array(yhat, mixed_label):
     """Negative cosine similarity between prediction and mixed label."""
     yhat = np.asarray(yhat, dtype=np.float64)
     m = np.asarray(mixed_label, dtype=np.float64)
+    if yhat.shape != m.shape:
+        raise ParameterError("prediction and mixed label shapes differ")
     ny = float(np.sqrt((yhat ** 2).sum()))
     nm = float(np.sqrt((m ** 2).sum()))
     if ny == 0.0 or nm == 0.0:
@@ -309,16 +276,6 @@ def loss_mix_array(yhat, mixed_label):
     value = -dot / (ny * nm)
     grad = -m / (ny * nm) + dot * yhat / (ny ** 3 * nm)
     return value, grad
-
-
-def loss_mix(yhat_mixed: Volume3, y1: Mask3, y2: Mask3, alpha: float):
-    if not 0.0 <= alpha <= 1.0:
-        raise ParameterError(f"alpha must be in [0,1], got {alpha}")
-    if y1.dims != yhat_mixed.dims or y2.dims != yhat_mixed.dims:
-        raise ParameterError("labels and prediction must share dims")
-    m = alpha * _as64(y1) + (1.0 - alpha) * _as64(y2)
-    value, grad = loss_mix_array(_as64(yhat_mixed), m)
-    return value, Volume3(yhat_mixed.dims, yhat_mixed.spacing, grad.astype(np.float32))
 
 
 # ---------------------------------------------------------------------------

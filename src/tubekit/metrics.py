@@ -1,7 +1,9 @@
 """Overlap, centerline, surface-distance, and tree-detection metrics.
 
-All overlap scores are percentages in [0, 100]; distances are in mm and
-honour anisotropic spacing.  Surfaces are foreground voxels with at
+All overlap scores are percentages in [0, 100]; distances and lengths are
+in mm, measured in the voxel spacing the two masks carry.  Every metric
+takes a (prediction, reference) pair of masks that must share dims and
+spacing (ParameterError otherwise).  Surfaces are foreground voxels with at
 least one background 6-neighbor, the volume border counting as
 background.  Centerline-based scores share the toolkit's skeleton
 semantics (hard_skeleton), so the same centerline feeds losses and
@@ -48,14 +50,17 @@ class MetricsReport:
         return asdict(self)
 
 
-def _check_same_dims(pred: Mask3, gt: Mask3):
+def _check_pair(pred: Mask3, gt: Mask3):
+    if pred.spacing != gt.spacing:
+        raise ParameterError(
+            f"pred and gt must share spacing, got {pred.spacing} vs {gt.spacing}")
     if pred.dims != gt.dims:
         raise ParameterError(f"shape mismatch: {pred.dims} vs {gt.dims}")
 
 
 def dice(pred: Mask3, gt: Mask3) -> float:
     """100 * 2|P&G| / (|P|+|G|); both-empty pairs score 100 by convention."""
-    _check_same_dims(pred, gt)
+    _check_pair(pred, gt)
     p = pred.data > 0
     g = gt.data > 0
     np_, ng = int(p.sum()), int(g.sum())
@@ -65,7 +70,7 @@ def dice(pred: Mask3, gt: Mask3) -> float:
 
 
 def precision_recall_f1(pred: Mask3, gt: Mask3) -> PRF:
-    _check_same_dims(pred, gt)
+    _check_pair(pred, gt)
     p = pred.data > 0
     g = gt.data > 0
     tp = int((p & g).sum())
@@ -80,7 +85,7 @@ def precision_recall_f1(pred: Mask3, gt: Mask3) -> PRF:
 
 def cldice(pred: Mask3, gt: Mask3, skel_k: int = 10) -> float:
     """Harmonic mean of topology precision/sensitivity on skeletons."""
-    _check_same_dims(pred, gt)
+    _check_pair(pred, gt)
     if pred == gt:
         return 100.0
     return _cldice(pred.data > 0, gt.data > 0, _centerline(pred, skel_k),
@@ -109,24 +114,20 @@ def surface_voxels(mask: Mask3) -> np.ndarray:
     return np.argwhere(fg & ~ndimage.binary_erosion(fg, _STRUCT_6, border_value=0))
 
 
-def surface_distances(pred: Mask3, gt: Mask3, spacing=(1.0, 1.0, 1.0)):
+def surface_distances(pred: Mask3, gt: Mask3):
     """(hd, assd, ahd) in mm between the two mask surfaces."""
-    sp = _check_distance_inputs(pred, gt, spacing)
-    return _surface_distances(surface_voxels(pred), surface_voxels(gt), sp)
+    _check_distance_inputs(pred, gt)
+    return _surface_distances(surface_voxels(pred), surface_voxels(gt), gt.spacing)
 
 
-def _check_distance_inputs(pred: Mask3, gt: Mask3, spacing) -> np.ndarray:
-    """Validate a distance query; returns the spacing as a float64 array."""
-    _check_same_dims(pred, gt)
+def _check_distance_inputs(pred: Mask3, gt: Mask3):
+    _check_pair(pred, gt)
     if not (pred.data.any() and gt.data.any()):
         raise NumericDomainError("undefined distance: empty mask")
+
+
+def _surface_distances(surf_a, surf_b, spacing):
     sp = np.asarray(spacing, dtype=np.float64)
-    if sp.shape != (3,) or (sp <= 0).any():
-        raise ParameterError(f"spacing must be three positives, got {spacing}")
-    return sp
-
-
-def _surface_distances(surf_a, surf_b, sp):
     a = surf_a * sp
     b = surf_b * sp
     d_ab, _ = cKDTree(b).query(a)
@@ -190,16 +191,17 @@ def _neighbors26(c):
 
 
 def tree_metrics(pred: Mask3, gt: Mask3, skel_k: int = 10,
-                 spacing=(1.0, 1.0, 1.0), detect_threshold: int = 1):
-    """Branch-detected and tree-length-detected percentages.
+                 detect_threshold: int = 1):
+    """Branch-detected and tree-length-detected percentages; lengths are
+    measured in the masks' spacing.
 
     A reference branch counts as detected when at least detect_threshold
     of its centerline voxels fall inside the prediction.
     """
-    _check_same_dims(pred, gt)
+    _check_pair(pred, gt)
     if not gt.data.any():
         raise NumericDomainError("tree metrics need a non-empty reference")
-    return _tree_metrics(pred.data > 0, _centerline(gt, skel_k), spacing,
+    return _tree_metrics(pred.data > 0, _centerline(gt, skel_k), gt.spacing,
                          detect_threshold)
 
 
@@ -231,17 +233,17 @@ def _tree_metrics(p, centerline, spacing, detect_threshold):
     return bd, tld
 
 
-def evaluate(pred: Mask3, gt: Mask3, spacing=(1.0, 1.0, 1.0),
-             skel_k: int = 10) -> MetricsReport:
-    """Full metric panel for one prediction/reference pair.  Each
-    skeleton and surface is computed once and shared by the scores."""
+def evaluate(pred: Mask3, gt: Mask3, skel_k: int = 10) -> MetricsReport:
+    """Full metric panel for one prediction/reference pair, in the masks'
+    spacing.  Each skeleton and surface is computed once and shared by
+    the scores."""
     prf = precision_recall_f1(pred, gt)
-    sp = _check_distance_inputs(pred, gt, spacing)
+    _check_distance_inputs(pred, gt)
     surf_p, surf_g = surface_voxels(pred), surface_voxels(gt)
-    hd, assd, ahd = _surface_distances(surf_p, surf_g, sp)
+    hd, assd, ahd = _surface_distances(surf_p, surf_g, gt.spacing)
     p, g = pred.data > 0, gt.data > 0
     sg = _centerline(gt, skel_k)
-    bd, tld = _tree_metrics(p, sg, spacing, 1)
+    bd, tld = _tree_metrics(p, sg, gt.spacing, 1)
     return MetricsReport(
         dice=dice(pred, gt),
         cldice=100.0 if pred == gt else _cldice(p, g, _centerline(pred, skel_k), sg),

@@ -78,11 +78,6 @@ class Volume3:
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "data", _freeze(data))
 
-    def allclose(self, other: "Volume3", rtol=0.0, atol=0.0) -> bool:
-        return (self.dims == other.dims
-                and np.allclose(self.spacing, other.spacing)
-                and np.allclose(self.data, other.data, rtol=rtol, atol=atol))
-
 
 @dataclass(frozen=True, eq=False)
 class Mask3:

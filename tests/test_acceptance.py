@@ -131,7 +131,7 @@ def test_criterion_02_lambda_linearity():
     dims = (4, 4, 4)
 
     def fake_part():
-        g = Volume3(dims, (1, 1, 1), rng.random(dims).astype(np.float32))
+        g = rng.random(dims)
         return float(rng.standard_normal()), g
 
     for _ in range(20):
@@ -320,7 +320,7 @@ def test_criterion_08_metric_oracles():
         sp, sg = surface_voxels(pm), surface_voxels(gm)
         assert len(sp) <= 200 and len(sg) <= 200
         expected = brute_surface_distances(sp, sg, spacing)
-        got = surface_distances(pm, gm, spacing)
+        got = surface_distances(Mask3(dims, p, spacing), Mask3(dims, g, spacing))
         assert max(abs(a - b) for a, b in zip(got, expected)) <= 1e-6
 
         inter = int((p & g).sum())

@@ -1,6 +1,8 @@
 import json
 import math
+import shlex
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,8 +98,9 @@ def test_anisotropic_spacing_flows_through_cli(tmp_path):
     report = tmp_path / "m.json"
     assert _run("metrics", "--pred", str(pred), "--gt", str(lab),
                 "--json", str(report)) == 0
-    hd = metrics.surface_distances(pred_mask, gt, gt.spacing)[0]
-    assert hd != metrics.surface_distances(pred_mask, gt)[0]
+    hd = metrics.surface_distances(pred_mask, gt)[0]
+    at_1mm = [Mask3(m.dims, m.data) for m in (pred_mask, gt)]
+    assert hd != metrics.surface_distances(*at_1mm)[0]
     assert json.loads(report.read_text())["hd"] == float(f"{hd:.9g}")
 
 
@@ -390,3 +393,84 @@ def test_vesselness_hessian_overflow_exits_2(tmp_path, capsys):
     assert err == {"error": "ParameterError",
                    "message": "Hessian components must be finite"}
     assert not out.exists()
+
+
+def _loss_argv(tmp_path, pred_scale=0.8, empty_label=False, pred_floor=0.1):
+    """`tubekit loss` over a 16^3 tube with pred = pred_floor + pred_scale * label."""
+    img, lab = _phantom_files(tmp_path, dims="16,16,16", radius_mm=1.5)
+    label = load_tvol(lab)
+    pred = tmp_path / "pred.tvol"
+    save_tvol(Volume3(label.dims, label.spacing,
+                      pred_floor + pred_scale * label.data.astype(np.float32)), pred)
+    if empty_label:
+        lab = tmp_path / "empty.tvol"
+        save_tvol(Mask3(label.dims, np.zeros(label.dims, dtype=np.uint8)), lab)
+    return ["loss", "--pred", str(pred), "--label", str(lab), "--image", str(img)]
+
+
+@pytest.mark.parametrize("inputs, extra, code, error, message", [
+    ({"pred_scale": 1.5}, [], 2, "ParameterError",
+     "prediction values must lie in [0, 1]"),
+    ({}, ["--mix-alpha", "1.5"], 2, "ParameterError", "alpha must be in [0,1], got 1.5"),
+    ({"empty_label": True}, ["--beta", "0.5", "--roi", "0,0,0,3,3,3"], 4,
+     "NumericDomainError", "relaxed supervision needs at least one positive voxel"),
+    ({}, ["--skel-iters", "0"], 2, "ParameterError", "iterations must be >= 1"),
+], ids=["pred-above-one", "mix-alpha", "empty-label-explicit-beta", "skel-iters-0"])
+def test_loss_error_contract(tmp_path, capsys, inputs, extra, code, error, message):
+    argv = _loss_argv(tmp_path, **inputs)
+    capsys.readouterr()
+    out = tmp_path / "loss.json"
+    assert _run(*argv, *extra, "--json", str(out)) == code
+    assert _one_line_error(capsys) == {"error": error, "message": message}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, option, text", [
+    ("loss", "--roi", "a,b,c,d,e,f"),
+    ("loss", "--beta", "xyz"),
+    ("vesselness", "--scales", "1,x"),
+    ("vesselness", "--scales", ""),
+])
+def test_malformed_numbers_exit_2(tmp_path, capsys, command, option, text):
+    if command == "loss":
+        argv = _loss_argv(tmp_path) + ["--json"]
+    else:
+        img, _ = _phantom_files(tmp_path, dims="16,16,16")
+        argv = ["vesselness", "--in", str(img), "--out"]
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert _run(*argv, str(out), option, text) == 2
+    err = _one_line_error(capsys)
+    assert err["error"] == "ParameterError"
+    assert err["message"].startswith(option)
+    assert not out.exists()
+
+
+def test_loss_gradient_beyond_float32_exits_2(tmp_path, capsys):
+    # A huge explicit beta weights the ROI's zero-prediction negatives so
+    # strongly that the relaxed-supervision gradient overflows float32.
+    argv = _loss_argv(tmp_path, pred_scale=0.5, pred_floor=0.0)
+    capsys.readouterr()
+    out = tmp_path / "loss.json"
+    assert _run(*argv, "--beta", "1e300", "--json", str(out)) == 2
+    assert _one_line_error(capsys) == {
+        "error": "ParameterError", "message": "r_sup gradient exceeds the float32 range"}
+    assert not out.exists()
+
+
+def _readme_cli_lines():
+    """Each `tubekit ...` command of README's CLI block, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("tubekit ")]
+
+
+def test_readme_cli_walkthrough_runs(tmp_path, monkeypatch):
+    lines = _readme_cli_lines()
+    assert [line.split()[1] for line in lines] == [
+        "phantom", "vesselness", "skeleton", "reconnect", "loss", "metrics",
+        "fusion-demo", "gradcheck"]
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line

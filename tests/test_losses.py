@@ -3,16 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from tubekit import (Mask3, NumericDomainError, ParameterError, PhantomSpec,
-                     RoiBox, Volume3, make_phantom, roi_from_label)
+from tubekit import (NumericDomainError, ParameterError, PhantomSpec, Volume3,
+                     make_phantom)
 from tubekit.losses import (DEFAULT_EPSILON, GatedKernelParams, LossBreakdown,
-                            RelaxedSupConfig, loss_con, loss_con_array,
-                            loss_con_signature, loss_gsb, loss_mix,
-                            loss_mix_array, loss_r_sup, loss_r_sup_array,
-                            loss_spatial, loss_spatial_array, mix_inputs,
-                            resolve_beta, uncertain_prediction,
-                            uncertain_prediction_array)
-from tubekit.skeleton import SoftSkeletonParams
+                            RelaxedSupConfig, loss_con_array,
+                            loss_con_signature, loss_gsb, loss_mix_array,
+                            loss_r_sup_array, loss_spatial_array, mix_inputs,
+                            resolve_beta, uncertain_prediction_array)
 
 from oracles import central_difference, spatial_pair_sum_bruteforce
 
@@ -20,10 +17,6 @@ from oracles import central_difference, spatial_pair_sum_bruteforce
 def _vol(data, spacing=(1.0, 1.0, 1.0)):
     data = np.asarray(data, dtype=np.float32)
     return Volume3(data.shape, spacing, data)
-
-
-def _mask(data):
-    return Mask3(np.asarray(data).shape, np.asarray(data, dtype=np.uint8))
 
 
 def _rand_setup(seed, n=6):
@@ -85,11 +78,15 @@ def test_auto_beta_undefined_cases():
         resolve_beta(np.zeros((4, 4, 4)), RelaxedSupConfig())
 
 
-def test_uncertain_prediction_wrapper_validates():
-    y = _mask(np.ones((4, 4, 4)))
-    bad = _vol(np.full((4, 4, 4), 1.5))
-    with pytest.raises(ParameterError):
-        uncertain_prediction(y, bad, RoiBox((0, 0, 0), (3, 3, 3)))
+def test_r_sup_validates_inputs():
+    y = np.ones((4, 4, 4))
+    roi = np.ones((4, 4, 4), dtype=bool)
+    with pytest.raises(ParameterError, match=r"prediction values must lie in \[0, 1\]"):
+        loss_r_sup_array(y, np.full((4, 4, 4), 1.5), roi, 0.5)
+    with pytest.raises(ParameterError, match="label and prediction shapes differ"):
+        loss_r_sup_array(y, np.full((4, 4, 5), 0.5), roi, 0.5)
+    with pytest.raises(NumericDomainError, match="at least one positive voxel"):
+        loss_r_sup_array(np.zeros((4, 4, 4)), np.full((4, 4, 4), 0.5), roi, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -330,13 +327,14 @@ def test_mix_value_range_for_nonnegative_inputs():
         assert -1.0 - 1e-12 <= value <= 0.0
 
 
-def test_mix_wrapper_labels():
-    pred = _vol(np.full((4, 4, 4), 0.5))
-    y1 = _mask(np.ones((4, 4, 4)))
-    y2 = _mask(np.zeros((4, 4, 4)))
-    value, grad = loss_mix(pred, y1, y2, alpha=0.5)
+def test_mix_blended_labels_and_shape_check():
+    pred = np.full((4, 4, 4), 0.5)
+    y1, y2, alpha = np.ones((4, 4, 4)), np.zeros((4, 4, 4)), 0.5
+    value, grad = loss_mix_array(pred, alpha * y1 + (1.0 - alpha) * y2)
     assert abs(value + 1.0) <= 1e-9  # constant fields are collinear
-    assert grad.dims == pred.dims
+    assert grad.shape == pred.shape
+    with pytest.raises(ParameterError, match="shapes differ"):
+        loss_mix_array(pred, np.ones((4, 4, 5)))
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +343,7 @@ def test_mix_wrapper_labels():
 
 def _fake_parts(rng, dims=(4, 4, 4)):
     def part(seed):
-        g = Volume3(dims, (1, 1, 1), rng.random(dims).astype(np.float32))
+        g = rng.random(dims)
         return float(rng.standard_normal()), g
     return part(0), part(1), part(2), part(3)
 
@@ -380,24 +378,3 @@ def test_gsb_breakdown_total_recomputable():
     assert abs(recomputed - bd.total) <= 1e-7 * max(1.0, abs(bd.total))
     assert isinstance(bd, LossBreakdown)
 
-
-# ---------------------------------------------------------------------------
-# container-level wrappers
-# ---------------------------------------------------------------------------
-
-def test_wrappers_round_trip_through_volumes():
-    rng, yhat, y, _ = _rand_setup(15)
-    pred = _vol(yhat)
-    label = _mask(y)
-    roi = roi_from_label(label, margin=1)
-    v1, g1 = loss_r_sup(label, pred, roi)
-    beta = resolve_beta(y, RelaxedSupConfig())
-    v2, g2 = loss_r_sup_array(y, np.asarray(pred.data, dtype=np.float64),
-                              roi.indicator(label.dims), beta)
-    assert abs(v1 - v2) <= 1e-9
-    assert np.abs(g1.data - g2).max() <= 1e-6
-
-    vc, gc = loss_con(pred, SoftSkeletonParams(3))
-    assert gc.dims == pred.dims
-    vs, gs = loss_spatial(pred, _vol(rng.random((6, 6, 6))))
-    assert gs.dims == pred.dims

@@ -9,8 +9,8 @@ from tubekit.metrics import (MetricsReport, cldice, dice, evaluate,
 from oracles import brute_surface_distances, surface_voxels_bruteforce
 
 
-def _mask(data):
-    return Mask3(np.asarray(data).shape, np.asarray(data, dtype=np.uint8))
+def _mask(data, spacing=(1.0, 1.0, 1.0)):
+    return Mask3(np.asarray(data).shape, np.asarray(data, dtype=np.uint8), spacing)
 
 
 def _blob(rng, dims=(8, 8, 8), p=0.2):
@@ -151,7 +151,7 @@ def test_surface_distances_match_bruteforce_oracle():
         sg_vox = surface_voxels(g)
         assert len(sp_vox) <= 200 and len(sg_vox) <= 200
         expected = brute_surface_distances(sp_vox, sg_vox, spacing)
-        got = surface_distances(p, g, spacing)
+        got = surface_distances(_mask(p.data, spacing), _mask(g.data, spacing))
         for e, o in zip(got, expected):
             assert abs(e - o) <= 1e-6
 
@@ -160,8 +160,9 @@ def test_surface_distance_scales_with_spacing():
     rng = np.random.default_rng(6)
     p = _blob(rng)
     g = _blob(rng)
-    base = surface_distances(p, g, (1.0, 1.0, 1.0))
-    double = surface_distances(p, g, (2.0, 2.0, 2.0))
+    base = surface_distances(p, g)
+    double = surface_distances(_mask(p.data, (2.0, 2.0, 2.0)),
+                               _mask(g.data, (2.0, 2.0, 2.0)))
     for b, d in zip(base, double):
         assert abs(d - 2.0 * b) <= 1e-9
 
@@ -227,8 +228,8 @@ def test_tree_length_uses_spacing():
     gt[4, 4, 1:8] = 1
     pred = np.array(gt)
     pred[4, 4, 5:] = 0  # keep steps 1-4 of 6
-    bd, tld = tree_metrics(_mask(pred), _mask(gt), skel_k=3,
-                           spacing=(1.0, 1.0, 2.0))
+    sp = (1.0, 1.0, 2.0)
+    bd, tld = tree_metrics(_mask(pred, sp), _mask(gt, sp), skel_k=3)
     assert bd == 100.0
     assert abs(tld - 100.0 * 3.0 / 6.0) <= 1e-9
 
@@ -268,14 +269,33 @@ def test_evaluate_shares_skeletons_and_surfaces(monkeypatch):
     _, gt = make_phantom(PhantomSpec("bifurcation", radius_mm=2.0), (20, 20, 20))
     rng = np.random.default_rng(3)
     sp = (0.5, 1.0, 1.5)
+    gt = _mask(gt.data, sp)
     for flip, skeletons in ((0.0, 1), (0.05, 2)):
-        pred = _mask((gt.data > 0) ^ (rng.random(gt.dims) < flip))
+        pred = _mask((gt.data > 0) ^ (rng.random(gt.dims) < flip), sp)
         for name in calls:
             calls[name] = 0
-        report = evaluate(pred, gt, sp, skel_k=4)
+        report = evaluate(pred, gt, skel_k=4)
         assert calls == {"hard_skeleton": skeletons, "surface_voxels": 2}
         assert report.cldice == cldice(pred, gt, 4)
-        assert (report.bd, report.tld) == tree_metrics(pred, gt, 4, sp)
-        assert (report.hd, report.assd, report.ahd) == surface_distances(pred, gt, sp)
+        assert (report.bd, report.tld) == tree_metrics(pred, gt, 4)
+        assert (report.hd, report.assd, report.ahd) == surface_distances(pred, gt)
         assert report.pred_surface_voxels == len(surface_voxels(pred))
         assert report.gt_surface_voxels == len(surface_voxels(gt))
+
+
+def test_metrics_measure_in_the_masks_spacing():
+    _, gt = make_phantom(PhantomSpec("cylinder", radius_mm=2.0), (16, 16, 16),
+                         (2.0, 2.0, 2.0))
+    shifted = np.zeros_like(gt.data)
+    shifted[1:] = gt.data[:-1]
+    assert evaluate(Mask3(gt.dims, shifted, gt.spacing), gt).hd == 2.0
+    assert evaluate(_mask(shifted), _mask(gt.data)).hd == 1.0
+
+
+@pytest.mark.parametrize("metric", [dice, precision_recall_f1, cldice,
+                                    surface_distances, tree_metrics, evaluate])
+def test_metrics_reject_masks_of_different_spacing(metric):
+    data = np.zeros((6, 6, 6), dtype=np.uint8)
+    data[2:4, 2:4, 1:5] = 1
+    with pytest.raises(ParameterError, match="must share spacing"):
+        metric(_mask(data), _mask(data, (2.0, 2.0, 2.0)))
