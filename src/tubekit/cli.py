@@ -9,6 +9,7 @@ give byte-identical artifacts.
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -67,9 +68,13 @@ def _atomic_write(path: str, write):
         raise
 
 
-def _write_json(path: str, obj):
+def _write_json(path, obj):
+    """Write the report ``obj`` to ``path``, or to stdout without one."""
     text = json.dumps(_jsonify(obj), sort_keys=True, indent=2) + "\n"
-    _atomic_write(path, lambda tmp: Path(tmp).write_bytes(text.encode()))
+    if not path:
+        sys.stdout.write(text)
+    else:
+        _atomic_write(path, lambda tmp: Path(tmp).write_bytes(text.encode()))
 
 
 def _save_tvol_atomic(obj, path: str):
@@ -136,7 +141,7 @@ def _cmd_skeleton(args):
     if isinstance(obj, Mask3):
         out = skeleton.hard_skeleton(obj, args.iters)
     else:
-        out = skeleton.soft_skeleton(obj, skeleton.SoftSkeletonParams(args.iters))
+        out = skeleton.soft_skeleton(obj, args.iters)
     _save_tvol_atomic(out, args.out)
     return 0
 
@@ -182,24 +187,19 @@ def _cmd_loss(args):
         raise ParameterError("pred, label and image must share spacing")
     roi = _parse_roi(args, label)
     beta = None if args.beta == "auto" else _parse_list(args.beta, float, "--beta", 1)[0]
-    cfg = losses.RelaxedSupConfig(beta=beta)
     kparams = losses.GatedKernelParams(sigma_l=args.sigma_l, sigma_c=args.sigma_c,
                                        radius=args.radius)
     yhat = np.asarray(pred.data, dtype=np.float64)
     lab = np.asarray(label.data, dtype=np.float64)
 
-    beta = losses.resolve_beta(lab, cfg)
+    beta = losses.resolve_beta(lab, beta)
     r_sup = _grad32("r_sup", *losses.loss_r_sup_array(
-        lab, yhat, roi.indicator(label.dims), beta, cfg.epsilon))
+        lab, yhat, roi.indicator(label.dims), beta))
     con = _grad32("con", *losses.loss_con_array(yhat, args.skel_iters))
     sp_value, sp_grad, n_pairs = losses.loss_spatial_array(
         yhat, np.asarray(image.data, dtype=np.float64), kparams)
     spatial = _grad32("spatial", sp_value, sp_grad)
-    # Mix term at CLI level: self-mix of the case (alpha plays no role).
-    alpha = args.mix_alpha
-    if not 0.0 <= alpha <= 1.0:
-        raise ParameterError(f"alpha must be in [0,1], got {alpha}")
-    mix = _grad32("mix", *losses.loss_mix_array(yhat, alpha * lab + (1.0 - alpha) * lab))
+    mix = _grad32("mix", *losses.loss_mix_array(yhat, lab))
 
     bd = losses.loss_gsb(r_sup, con, spatial, mix, args.lam)
     report = {
@@ -238,9 +238,11 @@ def _cmd_metrics(args):
 
 def _cmd_fusion_demo(args):
     dims = _parse_list(args.dims, int, "--dims", 3)
+    if min(dims) < 1:
+        raise ParameterError(f"--dims must be three counts >= 1, got {args.dims!r}")
     c = args.channels
-    if c % 2:
-        raise ParameterError("--channels must be even (shallow query splits halves)")
+    if c < 2 or c % 2:
+        raise ParameterError("--channels must be even and >= 2 (shallow query splits halves)")
     seed = args.seed
 
     fc4 = fusion.feature_map_from_seed(c, dims, seed * 64 + 1)
@@ -288,10 +290,7 @@ def _cmd_fusion_demo(args):
                 dq_self[0].data, dq_self[1].data)),
         },
     }
-    if args.json:
-        _write_json(args.json, report)
-    else:
-        sys.stdout.write(json.dumps(_jsonify(report), sort_keys=True, indent=2) + "\n")
+    _write_json(args.json, report)
     return 0
 
 
@@ -340,7 +339,13 @@ def gradcheck_report(seed: int, size: int, points: int = 20,
     The connectivity loss is checked only at tie-free voxels: candidate
     perturbations must leave every pooling/relu/threshold selection
     unchanged at x-h, x, x+h (certified via selection signatures).
+    The sample needs ``points`` distinct voxels and ``2 * con_points``
+    distinct interior ones, which sets the smallest size.
     """
+    smallest = next(s for s in itertools.count(3)
+                    if s ** 3 >= points and (s - 2) ** 3 >= 2 * con_points)
+    if size < smallest:
+        raise ParameterError(f"gradcheck size must be >= {smallest}, got {size}")
     dims = (size,) * 3
     n = size ** 3
 
@@ -410,11 +415,7 @@ def gradcheck_report(seed: int, size: int, points: int = 20,
 
 
 def _cmd_gradcheck(args):
-    report = gradcheck_report(args.seed, args.size)
-    if args.json:
-        _write_json(args.json, report)
-    else:
-        sys.stdout.write(json.dumps(_jsonify(report), sort_keys=True, indent=2) + "\n")
+    _write_json(args.json, gradcheck_report(args.seed, args.size))
     return 0
 
 
@@ -475,7 +476,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=int, default=2)
     p.add_argument("--sigma-l", type=float, default=1.5)
     p.add_argument("--sigma-c", type=float, default=0.1)
-    p.add_argument("--mix-alpha", type=float, default=0.5)
     p.add_argument("--json", required=True)
     p.set_defaults(func=_cmd_loss)
 

@@ -149,7 +149,7 @@ def _unpool2(data: np.ndarray, spatial) -> np.ndarray:
 
 
 def shallow_query(fci: FeatureMap, fvi: FeatureMap, p: AttentionParams,
-                  mix_seed: int = None, w_mix: np.ndarray = None) -> FeatureMap:
+                  w_mix: np.ndarray = None) -> FeatureMap:
     """Fuse the shallow streams, run pooled-token attention on one
     channel half, pass the other half through untouched.
 
@@ -169,10 +169,8 @@ def shallow_query(fci: FeatureMap, fvi: FeatureMap, p: AttentionParams,
         raise ParameterError(f"attention d_model {p.d_model} must equal half channels {half}")
 
     if w_mix is None:
-        if mix_seed is None:
-            mix_seed = p.seed * 4 + 1013
         bound = 1.0 / math.sqrt(c)
-        w_mix = uniform_range(mix_seed, c * c, -bound, bound).reshape(c, c)
+        w_mix = uniform_range(p.seed * 4 + 1013, c * c, -bound, bound).reshape(c, c)
     elif np.asarray(w_mix).shape != (c, c):
         raise ParameterError(f"w_mix must be ({c}, {c})")
     fused = np.einsum("oc,c...->o...", w_mix,

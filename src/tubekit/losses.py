@@ -22,50 +22,25 @@ import numpy as np
 
 from .errors import NumericDomainError, ParameterError
 from .skeleton import SoftSkeletonTape, _reconnect_array
-from .volume import Mask3, Volume3
 
 DEFAULT_EPSILON = 1e-7
 
 
 @dataclass(frozen=True)
-class RelaxedSupConfig:
-    """beta = None selects the auto ratio 1/ln(sum(y^c)/sum(y))."""
-
-    beta: float = None
-    epsilon: float = DEFAULT_EPSILON
-
-    def __post_init__(self):
-        if self.beta is not None and not np.isfinite(self.beta):
-            raise ParameterError("beta must be finite or None")
-        if not self.epsilon > 0:
-            raise ParameterError("epsilon must be positive")
-
-
-@dataclass(frozen=True)
 class GatedKernelParams:
     """Gaussian pair kernel: location bandwidth (voxels), intensity
-    bandwidth (image units), cube window radius; self-pairs excluded."""
+    bandwidth (image units), cube window radius; self-pairs excluded.
+    A pair (i, j) contributes k*y_i*y_j."""
 
     sigma_l: float = 1.5
     sigma_c: float = 0.1
     radius: int = 2
-    mode: str = "joint"  # "joint" = k*y_i*y_j as printed; "gated" = k*y_i*(1-y_j)
 
     def __post_init__(self):
         if not (self.sigma_l > 0 and self.sigma_c > 0):
             raise ParameterError("sigma_l and sigma_c must be positive")
         if self.radius < 1:
             raise ParameterError("radius must be >= 1")
-        if self.mode not in ("joint", "gated"):
-            raise ParameterError(f"mode must be joint or gated, got {self.mode!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class MixSample:
-    alpha: float
-    x_mixed: Volume3
-    y1: Mask3 = None
-    y2: Mask3 = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,9 +70,13 @@ def _check_unit_range(a: np.ndarray, name: str):
 # relaxed supervision
 # ---------------------------------------------------------------------------
 
-def resolve_beta(y: np.ndarray, cfg: RelaxedSupConfig) -> float:
-    if cfg.beta is not None:
-        return float(cfg.beta)
+def resolve_beta(y: np.ndarray, beta: float = None) -> float:
+    """An explicit beta, which must be finite and non-negative, or for
+    None the auto ratio 1/ln(sum(y^c)/sum(y))."""
+    if beta is not None:
+        if not 0.0 <= beta < math.inf:  # NaN fails too
+            raise ParameterError(f"beta must be finite and non-negative, got {beta}")
+        return float(beta)
     s_pos = float(y.sum())
     s_neg = float(y.size - s_pos)
     if s_pos < 1:
@@ -117,7 +96,7 @@ def uncertain_prediction_array(y, yhat, roi_mask, beta):
     return w * yhat, w
 
 
-def loss_r_sup_array(y, yhat, roi_mask, beta, eps=DEFAULT_EPSILON):
+def loss_r_sup_array(y, yhat, roi_mask, beta):
     """Relaxed Dice + positive-voxel cross entropy, with exact gradient.
 
     The prediction must lie in [0, 1] and the label hold a positive."""
@@ -130,6 +109,7 @@ def loss_r_sup_array(y, yhat, roi_mask, beta, eps=DEFAULT_EPSILON):
         raise NumericDomainError("relaxed supervision needs at least one positive voxel")
     yp, w = uncertain_prediction_array(y, yhat, roi_mask, beta)
 
+    eps = DEFAULT_EPSILON
     s_inter = float((y * yhat).sum())
     denom = float(y.sum()) + float(yp.sum()) + eps
     dice = -s_inter / denom
@@ -146,34 +126,30 @@ def loss_r_sup_array(y, yhat, roi_mask, beta, eps=DEFAULT_EPSILON):
 # skeleton connectivity
 # ---------------------------------------------------------------------------
 
-def loss_con_array(yhat, iterations=10, threshold=0.5, eps=DEFAULT_EPSILON,
-                   support="reconnected"):
+def loss_con_array(yhat, iterations=10):
     """Cross entropy between the soft skeleton and its reconnected
-    (constant) counterpart, averaged over the supervised support."""
-    if support not in ("reconnected", "drawn"):
-        raise ParameterError(f"support must be reconnected or drawn, got {support!r}")
+    (constant) counterpart, averaged over the reconnected skeleton."""
     yhat = np.asarray(yhat, dtype=np.float64)
     _check_unit_range(yhat, "prediction")
     tape = SoftSkeletonTape(yhat, iterations)
     ys = tape.skeleton
-    hard = ys >= threshold
+    hard = ys >= 0.5
     if not hard.any():
         return 0.0, np.zeros_like(yhat)
     rec, _ = _reconnect_array(hard)
-    cover = rec if support == "reconnected" else rec & ~hard
-    n = max(1, int(cover.sum()))
-    value = -float(np.log(ys[cover] + eps).sum()) / n
-    g_skel = np.where(cover, -1.0 / ((ys + eps) * n), 0.0)
+    n = int(rec.sum())
+    value = -float(np.log(ys[rec] + DEFAULT_EPSILON).sum()) / n
+    g_skel = np.where(rec, -1.0 / ((ys + DEFAULT_EPSILON) * n), 0.0)
     return value, tape.backward(g_skel)
 
 
-def loss_con_signature(yhat, iterations=10, threshold=0.5) -> bytes:
+def loss_con_signature(yhat, iterations=10) -> bytes:
     """Digest of every discrete choice in the connectivity loss: pooling
     selections, relu signs, threshold mask, and reconnected support.
     Equal signatures at x-h, x, x+h certify a tie-free direction."""
     yhat = np.asarray(yhat, dtype=np.float64)
     tape = SoftSkeletonTape(yhat, iterations)
-    hard = tape.skeleton >= threshold
+    hard = tape.skeleton >= 0.5
     h = hashlib.sha256()
     h.update(tape.signature())
     h.update(hard.tobytes())
@@ -230,18 +206,11 @@ def loss_spatial_array(yhat, guide, params: GatedKernelParams):
         a, b = yhat[sa], yhat[sb]
         k = np.exp(-((d[0] ** 2 + d[1] ** 2 + d[2] ** 2) * inv_2sl2
                      + (guide[sa] - guide[sb]) ** 2 * inv_2sc2))
-        if params.mode == "joint":
-            term = k * a * b
-            total += float(term.sum())
-            n_pairs += int(np.count_nonzero(a * b))
-            grad[sa] += k * b
-            grad[sb] += k * a
-        else:
-            term = k * a * (1.0 - b)
-            total += float(term.sum())
-            n_pairs += int(np.count_nonzero(a * (1.0 - b)))
-            grad[sa] += k * (1.0 - b)
-            grad[sb] -= k * a
+        term = k * a * b
+        total += float(term.sum())
+        n_pairs += int(np.count_nonzero(a * b))
+        grad[sa] += k * b
+        grad[sb] += k * a
     n = max(1, n_pairs)
     return total / n, grad / n, n_pairs
 
@@ -249,18 +218,6 @@ def loss_spatial_array(yhat, guide, params: GatedKernelParams):
 # ---------------------------------------------------------------------------
 # mix equivalence
 # ---------------------------------------------------------------------------
-
-def mix_inputs(x1: Volume3, x2: Volume3, alpha: float,
-               y1: Mask3 = None, y2: Mask3 = None) -> MixSample:
-    if x1.dims != x2.dims:
-        raise ParameterError("mix inputs must share dims")
-    if not 0.0 <= alpha <= 1.0:
-        raise ParameterError(f"alpha must be in [0,1], got {alpha}")
-    mixed = (alpha * np.asarray(x1.data, dtype=np.float64)
-             + (1.0 - alpha) * np.asarray(x2.data, dtype=np.float64))
-    return MixSample(alpha, Volume3(x1.dims, x1.spacing, mixed.astype(np.float32)),
-                     y1, y2)
-
 
 def loss_mix_array(yhat, mixed_label):
     """Negative cosine similarity between prediction and mixed label."""

@@ -18,8 +18,10 @@ from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from .errors import NumericDomainError, ParameterError
-from .skeleton import _STRUCT_6, _components_array, _neighbor_counts, hard_skeleton
+from .skeleton import _components_array, _neighbor_counts, hard_skeleton
 from .volume import Mask3
+
+_STRUCT_6 = ndimage.generate_binary_structure(3, 1)
 
 
 class PRF(NamedTuple):
@@ -146,9 +148,9 @@ def _branch_components(centerline: np.ndarray):
     centerline so thick degenerate skeletons still count as branches."""
     counts = _neighbor_counts(centerline)
     junctions = centerline & (counts >= 3)
-    comp = _components_array(centerline & ~junctions, 26)
+    comp = _components_array(centerline & ~junctions)
     if comp.count == 0:
-        comp = _components_array(centerline, 26)
+        comp = _components_array(centerline)
     return comp
 
 
@@ -190,22 +192,20 @@ def _neighbors26(c):
                     yield (x + dx, y + dy, z + dz)
 
 
-def tree_metrics(pred: Mask3, gt: Mask3, skel_k: int = 10,
-                 detect_threshold: int = 1):
+def tree_metrics(pred: Mask3, gt: Mask3, skel_k: int = 10):
     """Branch-detected and tree-length-detected percentages; lengths are
     measured in the masks' spacing.
 
-    A reference branch counts as detected when at least detect_threshold
-    of its centerline voxels fall inside the prediction.
+    A reference branch counts as detected when any of its centerline
+    voxels falls inside the prediction.
     """
     _check_pair(pred, gt)
     if not gt.data.any():
         raise NumericDomainError("tree metrics need a non-empty reference")
-    return _tree_metrics(pred.data > 0, _centerline(gt, skel_k), gt.spacing,
-                         detect_threshold)
+    return _tree_metrics(pred.data > 0, _centerline(gt, skel_k), gt.spacing)
 
 
-def _tree_metrics(p, centerline, spacing, detect_threshold):
+def _tree_metrics(p, centerline, spacing):
     comp = _branch_components(centerline)
     if comp.count == 0:
         raise NumericDomainError("reference centerline has no branches")
@@ -218,7 +218,7 @@ def _tree_metrics(p, centerline, spacing, detect_threshold):
     detected_branches = 0
     total_len = detected_len = 0.0
     for c, ins in zip(np.split(coords, bounds), np.split(inside, bounds)):
-        if int(ins.sum()) >= detect_threshold:
+        if ins.any():
             detected_branches += 1
         t, d = _walk_lengths(c, ins, spacing)
         total_len += t
@@ -243,7 +243,7 @@ def evaluate(pred: Mask3, gt: Mask3, skel_k: int = 10) -> MetricsReport:
     hd, assd, ahd = _surface_distances(surf_p, surf_g, gt.spacing)
     p, g = pred.data > 0, gt.data > 0
     sg = _centerline(gt, skel_k)
-    bd, tld = _tree_metrics(p, sg, gt.spacing, 1)
+    bd, tld = _tree_metrics(p, sg, gt.spacing)
     return MetricsReport(
         dice=dice(pred, gt),
         cldice=100.0 if pred == gt else _cldice(p, g, _centerline(pred, skel_k), sg),

@@ -30,23 +30,11 @@ from .errors import NumericDomainError, ParameterError
 from .volume import Mask3, Volume3
 
 _STRUCT_26 = np.ones((3, 3, 3), dtype=bool)
-_STRUCT_6 = ndimage.generate_binary_structure(3, 1)
-
-
-@dataclass(frozen=True)
-class SoftSkeletonParams:
-    """Iteration count of the erosion/opening recurrence (3^3 element)."""
-
-    iterations: int = 10
-
-    def __post_init__(self):
-        if self.iterations < 1:
-            raise ParameterError("iterations must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
 class ComponentSet:
-    """Connected-component labelling: ids 1..count ordered by each
+    """26-connected component labelling: ids 1..count ordered by each
     component's minimum linear voxel index; 0 is background."""
 
     labels: np.ndarray
@@ -199,9 +187,9 @@ def soft_skeleton_array(img: np.ndarray, iterations: int) -> np.ndarray:
     return _recurrence(img, iterations)
 
 
-def soft_skeleton(prob: Volume3, params: SoftSkeletonParams = SoftSkeletonParams()) -> Volume3:
+def soft_skeleton(prob: Volume3, iterations: int = 10) -> Volume3:
     """Differentiable centerline proxy of a probability volume."""
-    out = soft_skeleton_array(prob.data, params.iterations)
+    out = soft_skeleton_array(prob.data, iterations)
     return Volume3(prob.dims, prob.spacing, out.astype(np.float32))
 
 
@@ -215,19 +203,16 @@ def hard_skeleton(mask: Mask3, k: int = 10) -> Mask3:
 # components / endpoints / reconnection
 # ---------------------------------------------------------------------------
 
-def _components_array(fg: np.ndarray, connectivity: int) -> ComponentSet:
-    if connectivity not in (6, 26):
-        raise ParameterError(f"connectivity must be 6 or 26, got {connectivity}")
-    struct = _STRUCT_6 if connectivity == 6 else _STRUCT_26
+def _components_array(fg: np.ndarray) -> ComponentSet:
     # Labelling the transpose scans x fastest, so ids follow each
     # component's first voxel in linear order.
-    raw, n = ndimage.label(fg.T, structure=struct)
+    raw, n = ndimage.label(fg.T, structure=_STRUCT_26)
     sizes = np.bincount(raw.ravel(), minlength=n + 1)[1:].astype(np.int64)
     return ComponentSet(raw.T, n, sizes)
 
 
-def connected_components(mask: Mask3, connectivity: int = 26) -> ComponentSet:
-    return _components_array(mask.data > 0, connectivity)
+def connected_components(mask: Mask3) -> ComponentSet:
+    return _components_array(mask.data > 0)
 
 
 def _neighbor_counts(fg: np.ndarray) -> np.ndarray:
@@ -370,7 +355,7 @@ def _reconnect_array(fg0: np.ndarray):
     segments = []
     before = None
     while True:
-        comp = _components_array(fg, 26)
+        comp = _components_array(fg)
         if comp.count <= 1:
             return fg, segments
         if before is not None and comp.count >= before:

@@ -157,7 +157,7 @@ class PhantomSpec:
             raise ParameterError("radius_mm must be positive")
         if not self.foreground_intensity > self.background_intensity:
             raise ParameterError("foreground_intensity must exceed background_intensity")
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:  # NaN fails too
             raise ParameterError("noise_sigma must be non-negative")
         if self.gap_len_voxels < 0 or int(self.gap_len_voxels) != self.gap_len_voxels:
             raise ParameterError("gap_len_voxels must be a non-negative integer")
@@ -285,12 +285,6 @@ def _read_header(fh, path):
         raise FileFormatError(f"{path}: unknown dtype code {code}")
     kind = "volume" if code == _DTYPE_VOLUME else "mask"
     return kind, (nx, ny, nz), (sx, sy, sz)
-
-
-def read_tvol_header(path):
-    """Return (dtype_kind, dims, spacing) without reading the payload."""
-    with open(path, "rb") as fh:
-        return _read_header(fh, path)
 
 
 def load_tvol(path):

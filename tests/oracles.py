@@ -432,14 +432,13 @@ def _oracle_components(fg):
     return labels, np.bincount(labels.ravel(), minlength=n + 1)[1:]
 
 
-def components_oracle(fg, connectivity):
-    """Labels ids 1..n by each component's first voxel in x-fastest
-    order, renumbering ndimage.label's C-order ids through a sort of the
+def components_oracle(fg):
+    """Labels 26-connected ids 1..n by each component's first voxel in
+    x-fastest order, renumbering ndimage.label's C-order ids through a sort of the
     whole volume; returns (labels, count, sizes by id - 1)."""
     from scipy import ndimage
 
-    struct = ndimage.generate_binary_structure(3, 1 if connectivity == 6 else 3)
-    raw, n = ndimage.label(fg, structure=struct)
+    raw, n = ndimage.label(fg, structure=np.ones((3, 3, 3), dtype=bool))
     if n == 0:
         return raw.astype(np.int32), 0, np.zeros(0, dtype=np.int64)
     flat = raw.ravel(order="F")

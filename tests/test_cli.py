@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import shlex
@@ -8,9 +9,9 @@ import numpy as np
 import pytest
 
 from tubekit import Mask3, load_tvol, metrics, save_tvol
-from tubekit.cli import _line_voxels, main
+from tubekit.cli import _build_parser, _line_voxels, main
 from tubekit.skeleton import bresenham_line
-from tubekit.volume import Volume3, read_tvol_header
+from tubekit.volume import Volume3
 
 
 def _run(*argv):
@@ -87,7 +88,7 @@ def test_anisotropic_spacing_flows_through_cli(tmp_path):
     assert _run("skeleton", "--in", str(lab), "--out", str(skel)) == 0
     assert _run("reconnect", "--in", str(skel), "--out", str(rec)) == 0
     for path in (lab, skel, rec):
-        assert read_tvol_header(path)[2] == sp
+        assert load_tvol(path).spacing == sp
 
     gt = load_tvol(lab)
     shifted = np.zeros_like(gt.data)
@@ -140,6 +141,43 @@ def test_loss_lambda_linearity_via_cli(tmp_path):
         parts[lam] = data["spatial"] + data["mix"]
     assert math.isclose(totals["2"] - totals["0"], 2.0 * parts["0"],
                         rel_tol=1e-6, abs_tol=1e-9)
+
+
+# Two valid values per optional `tubekit loss` flag whose meaning says the
+# report must change between them.  On a 20^3 volume the 0.1 background
+# erodes from the border for 10 iterations, so --skel-iters 1 and 10 differ.
+LOSS_KNOBS = {
+    "--roi": ("auto", "0,0,0,5,5,5"),
+    "--roi-margin": ("0", "4"),
+    "--lambda": ("0", "1"),
+    "--beta": ("auto", "0.5"),
+    "--skel-iters": ("1", "10"),
+    "--radius": ("1", "2"),
+    "--sigma-l": ("1", "2"),
+    "--sigma-c": ("0.05", "0.5"),
+}
+
+
+def test_every_loss_option_changes_the_report(tmp_path):
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {a.option_strings[-1] for a in sub.choices["loss"]._actions
+               if a.option_strings and not a.required} - {"--help"}
+    assert options == set(LOSS_KNOBS)
+
+    img, lab = _phantom_files(tmp_path, dims="20,20,20", radius_mm=3.0)
+    label = load_tvol(lab)
+    pred = tmp_path / "pred.tvol"
+    save_tvol(Volume3(label.dims, label.spacing,
+                      0.1 + 0.8 * label.data.astype(np.float32)), pred)
+    base = ["loss", "--pred", str(pred), "--label", str(lab), "--image", str(img)]
+    for flag, values in LOSS_KNOBS.items():
+        reports = []
+        for value in values:
+            out = tmp_path / "loss.json"
+            assert _run(*base, flag, value, "--json", str(out)) == 0, (flag, value)
+            reports.append(out.read_bytes())
+        assert reports[0] != reports[1], flag
 
 
 def test_gradcheck_thresholds(tmp_path):
@@ -204,6 +242,23 @@ def test_parameter_error_exits_2(tmp_path, capsys):
     assert code == 2
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "ParameterError"
+
+
+@pytest.mark.parametrize("argv", [
+    *(["gradcheck", "--size", str(n)] for n in range(6)),
+    ["fusion-demo", "--channels", "0"],
+    ["fusion-demo", "--dims", "0,4,4"],
+    ["phantom", "--noise-sigma", "nan"],
+], ids=[*(f"gradcheck-size-{n}" for n in range(6)),
+        "fusion-channels-0", "fusion-dims-0", "phantom-noise-nan"])
+def test_out_of_domain_arguments_exit_2(tmp_path, capsys, argv):
+    # gradcheck below size 6 cannot draw its 20 voxels and 40 interior ones
+    if argv[0] == "phantom":
+        argv = argv + ["--out-image", str(tmp_path / "i.tvol"),
+                       "--out-label", str(tmp_path / "l.tvol")]
+    assert _run(*argv) == 2
+    assert _one_line_error(capsys)["error"] == "ParameterError"
+    assert not list(tmp_path.iterdir())
 
 
 def test_missing_file_exits_3(tmp_path, capsys):
@@ -411,11 +466,12 @@ def _loss_argv(tmp_path, pred_scale=0.8, empty_label=False, pred_floor=0.1):
 @pytest.mark.parametrize("inputs, extra, code, error, message", [
     ({"pred_scale": 1.5}, [], 2, "ParameterError",
      "prediction values must lie in [0, 1]"),
-    ({}, ["--mix-alpha", "1.5"], 2, "ParameterError", "alpha must be in [0,1], got 1.5"),
+    ({}, ["--beta", "-5"], 2, "ParameterError",
+     "beta must be finite and non-negative, got -5.0"),
     ({"empty_label": True}, ["--beta", "0.5", "--roi", "0,0,0,3,3,3"], 4,
      "NumericDomainError", "relaxed supervision needs at least one positive voxel"),
     ({}, ["--skel-iters", "0"], 2, "ParameterError", "iterations must be >= 1"),
-], ids=["pred-above-one", "mix-alpha", "empty-label-explicit-beta", "skel-iters-0"])
+], ids=["pred-above-one", "negative-beta", "empty-label-explicit-beta", "skel-iters-0"])
 def test_loss_error_contract(tmp_path, capsys, inputs, extra, code, error, message):
     argv = _loss_argv(tmp_path, **inputs)
     capsys.readouterr()

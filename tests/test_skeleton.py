@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from tubekit import Mask3, NumericDomainError, ParameterError, Volume3
-from tubekit.skeleton import (SoftSkeletonParams, bresenham_line,
-                              connected_components, endpoints, hard_skeleton,
-                              reconnect, soft_skeleton, soft_skeleton_array)
+from tubekit.skeleton import (bresenham_line, connected_components, endpoints,
+                              hard_skeleton, reconnect, soft_skeleton,
+                              soft_skeleton_array)
 
 
 def _mask(data):
@@ -58,15 +58,15 @@ def test_soft_skeleton_bounded_by_input():
 def test_soft_skeleton_rejects_out_of_range():
     with pytest.raises(ParameterError):
         soft_skeleton_array(np.full((5, 5, 5), 1.5), 2)
-    with pytest.raises(ParameterError):
-        SoftSkeletonParams(0)
+    with pytest.raises(ParameterError, match="iterations must be >= 1"):
+        soft_skeleton_array(np.full((5, 5, 5), 0.5), 0)
 
 
 def test_soft_skeleton_volume_wrapper():
     data = np.zeros((8, 8, 8), dtype=np.float32)
     data[3, 3, 1:7] = 1.0
     v = Volume3(data.shape, (1, 1, 1), data)
-    out = soft_skeleton(v, SoftSkeletonParams(2))
+    out = soft_skeleton(v, 2)
     assert np.array_equal(out.data, data)
 
 
@@ -107,10 +107,7 @@ def test_diagonal_pair_connectivity():
     data = np.zeros((5, 5, 5), dtype=np.uint8)
     data[1, 1, 1] = 1
     data[2, 2, 2] = 1
-    c26 = connected_components(_mask(data), 26)
-    c6 = connected_components(_mask(data), 6)
-    assert c26.count == 1
-    assert c6.count == 2
+    assert connected_components(_mask(data)).count == 1
 
 
 def test_components_empty_and_full():
@@ -126,17 +123,12 @@ def test_component_ids_ordered_by_linear_index():
     data[6, 6, 6] = 1  # high linear index
     data[1, 0, 0] = 1  # low linear index
     data[0, 0, 4] = 1  # middle
-    comp = connected_components(_mask(data), 6)
+    comp = connected_components(_mask(data))
     assert comp.count == 3
     assert comp.labels[1, 0, 0] == 1
     assert comp.labels[0, 0, 4] == 2
     assert comp.labels[6, 6, 6] == 3
     assert comp.sizes.sum() == 3
-
-
-def test_components_invalid_connectivity():
-    with pytest.raises(ParameterError):
-        connected_components(_mask(np.zeros((3, 3, 3), dtype=np.uint8)), 18)
 
 
 # ---------------------------------------------------------------------------
