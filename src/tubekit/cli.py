@@ -26,6 +26,7 @@ from .volume import (Mask3, PhantomSpec, RoiBox, Volume3, load_tvol,
                      make_phantom, roi_from_label, save_tvol)
 
 GRADCHECK_H = 1e-3
+FUSION_MAX_VOXELS = 16 ** 3  # fusion-demo's attention matrix grows as voxels^2
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +241,9 @@ def _cmd_fusion_demo(args):
     dims = _parse_list(args.dims, int, "--dims", 3)
     if min(dims) < 1:
         raise ParameterError(f"--dims must be three counts >= 1, got {args.dims!r}")
+    if dims[0] * dims[1] * dims[2] > FUSION_MAX_VOXELS:
+        raise ParameterError(f"--dims {args.dims!r} holds more than {FUSION_MAX_VOXELS} "
+                             "voxels (16^3); the demo keeps a voxels x voxels attention matrix")
     c = args.channels
     if c < 2 or c % 2:
         raise ParameterError("--channels must be even and >= 2 (shallow query splits halves)")

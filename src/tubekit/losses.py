@@ -21,9 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericDomainError, ParameterError
-from .skeleton import SoftSkeletonTape, _reconnect_array
+from .skeleton import SoftSkeletonTape, _neighbor_counts, _reconnect_array
 
 DEFAULT_EPSILON = 1e-7
+SPATIAL_MIN_MAGNITUDE = 2.0 ** -537  # the square of this is the smallest subnormal
 
 
 @dataclass(frozen=True)
@@ -70,13 +71,17 @@ def _check_unit_range(a: np.ndarray, name: str):
 # relaxed supervision
 # ---------------------------------------------------------------------------
 
+def _checked_beta(beta: float) -> float:
+    if not 0.0 <= beta < math.inf:  # NaN fails too
+        raise ParameterError(f"beta must be finite and non-negative, got {beta}")
+    return float(beta)
+
+
 def resolve_beta(y: np.ndarray, beta: float = None) -> float:
     """An explicit beta, which must be finite and non-negative, or for
     None the auto ratio 1/ln(sum(y^c)/sum(y))."""
     if beta is not None:
-        if not 0.0 <= beta < math.inf:  # NaN fails too
-            raise ParameterError(f"beta must be finite and non-negative, got {beta}")
-        return float(beta)
+        return _checked_beta(beta)
     s_pos = float(y.sum())
     s_neg = float(y.size - s_pos)
     if s_pos < 1:
@@ -99,7 +104,8 @@ def uncertain_prediction_array(y, yhat, roi_mask, beta):
 def loss_r_sup_array(y, yhat, roi_mask, beta):
     """Relaxed Dice + positive-voxel cross entropy, with exact gradient.
 
-    The prediction must lie in [0, 1] and the label hold a positive."""
+    The prediction must lie in [0, 1], the label hold a positive and
+    beta be finite and non-negative."""
     y = np.asarray(y, dtype=np.float64)
     yhat = np.asarray(yhat, dtype=np.float64)
     if y.shape != yhat.shape:
@@ -107,7 +113,7 @@ def loss_r_sup_array(y, yhat, roi_mask, beta):
     _check_unit_range(yhat, "prediction")
     if y.sum() < 1:
         raise NumericDomainError("relaxed supervision needs at least one positive voxel")
-    yp, w = uncertain_prediction_array(y, yhat, roi_mask, beta)
+    yp, w = uncertain_prediction_array(y, yhat, roi_mask, _checked_beta(beta))
 
     eps = DEFAULT_EPSILON
     s_inter = float((y * yhat).sum())
@@ -172,15 +178,16 @@ def _window_offsets(radius: int):
 
 
 def _shift_slices(shape, d):
-    """Index pairs (sl_a, sl_b) with b = a + d, both inside the volume."""
+    """Index pairs (sl_a, sl_b) with b = a + d, both inside the volume
+    (empty where |d| reaches past the axis)."""
     sa, sb = [], []
     for n, o in zip(shape, d):
         if o >= 0:
-            sa.append(slice(0, n - o))
+            sa.append(slice(0, max(n - o, 0)))
             sb.append(slice(o, n))
         else:
             sa.append(slice(-o, n))
-            sb.append(slice(0, n + o))
+            sb.append(slice(0, max(n + o, 0)))
     return tuple(sa), tuple(sb)
 
 
@@ -188,29 +195,41 @@ def loss_spatial_array(yhat, guide, params: GatedKernelParams):
     """Mean pairwise activation penalty over the cube window.
 
     Returns (value, grad, n_pairs) where n_pairs counts the ordered
-    in-bounds pairs with a nonzero term (the normalizer N).
+    in-bounds pairs with a nonzero term (the normalizer N), by one
+    (2r+1)^3 box count of the nonzero predictions.  That holds while no
+    y_i*y_j underflows, so inputs must be finite and each nonzero |y|
+    >= ``SPATIAL_MIN_MAGNITUDE`` (float32-born values are >= 1.4e-45).
     """
     yhat = np.asarray(yhat, dtype=np.float64)
     guide = np.asarray(guide, dtype=np.float64)
     if yhat.shape != guide.shape:
         raise ParameterError("prediction and guide shapes differ")
+    nz = yhat != 0.0
+    if (not (np.isfinite(yhat).all() and np.isfinite(guide).all())
+            or (nz & (np.abs(yhat) < SPATIAL_MIN_MAGNITUDE)).any()):
+        raise ParameterError("spatial loss inputs must be finite, and nonzero "
+                             "predictions at least 2^-537 in magnitude")
 
     total = 0.0
-    n_pairs = 0
     grad = np.zeros_like(yhat)
+    kbuf, pbuf = np.empty(yhat.size), np.empty(yhat.size)
     inv_2sl2 = 1.0 / (2.0 * params.sigma_l ** 2)
-    inv_2sc2 = 1.0 / (2.0 * params.sigma_c ** 2)
+    neg_inv_2sc2 = -1.0 / (2.0 * params.sigma_c ** 2)
 
     for d in _window_offsets(params.radius):
         sa, sb = _shift_slices(yhat.shape, d)
         a, b = yhat[sa], yhat[sb]
-        k = np.exp(-((d[0] ** 2 + d[1] ** 2 + d[2] ** 2) * inv_2sl2
-                     + (guide[sa] - guide[sb]) ** 2 * inv_2sc2))
-        term = k * a * b
-        total += float(term.sum())
-        n_pairs += int(np.count_nonzero(a * b))
-        grad[sa] += k * b
-        grad[sb] += k * a
+        k, p = (buf[:a.size].reshape(a.shape) for buf in (kbuf, pbuf))
+        # exp(-(c1 + diff**2*c2)) as diff*diff*(-c2) + (-c1): same bits
+        np.subtract(guide[sa], guide[sb], out=k)
+        np.multiply(k, k, out=k)
+        np.multiply(k, neg_inv_2sc2, out=k)
+        np.add(k, -((d[0] ** 2 + d[1] ** 2 + d[2] ** 2) * inv_2sl2), out=k)
+        np.exp(k, out=k)
+        grad[sa] += np.multiply(k, b, out=p)
+        grad[sb] += np.multiply(k, a, out=p)
+        total += float(np.multiply(p, b, out=p).sum())
+    n_pairs = int(_neighbor_counts(nz, params.radius)[nz].sum())
     n = max(1, n_pairs)
     return total / n, grad / n, n_pairs
 

@@ -55,21 +55,26 @@ class ReconnectResult:
 
 def _pool3(arr, mode, record=None):
     """3x3x3 min/max pool with zero padding, one 1D pass per axis in
-    x, y, z order.
-
-    With a ``record`` list, appends the per-axis offsets in {-1, 0, +1}
-    naming each pass's winning source cell: the first of (left, centre,
-    right) equal to the pooled value, so the left pad wins ties at -1.
+    x, y, z order on the shifted views ``a[:-1]``, ``a[1:]``, the zero
+    pad folded into the two edge planes.  With a ``record`` list,
+    appends the per-axis offsets in {-1, 0, +1} naming each pass's
+    winning source cell: the first of (left, centre, right) equal to the
+    pooled value, so the left pad wins ties at -1.
     """
-    pool = ndimage.minimum_filter1d if mode == "min" else ndimage.maximum_filter1d
+    op = np.minimum if mode == "min" else np.maximum
     offs = []
     for axis in (0, 1, 2):
-        out = pool(arr, 3, axis=axis, mode="constant", cval=0.0)
+        out = np.empty_like(arr)
+        a, p = np.moveaxis(arr, axis, 0), np.moveaxis(out, axis, 0)
+        op(a[:-1], a[1:], out=p[1:])  # p[i] = op(a[i-1], a[i])
+        op(0.0, a[0], out=p[0])
+        op(p[:-1], a[1:], out=p[:-1])  # p[i] = op(p[i], a[i+1])
+        op(p[-1], 0.0, out=p[-1])
         if record is not None:
-            off = np.where(arr == out, np.int8(0), np.int8(1))
-            a, p, o = (np.moveaxis(v, axis, 0) for v in (arr, out, off))
-            o[0][p[0] == 0.0] = -1  # the zero pad left of the first cell
-            o[1:][a[:-1] == p[1:]] = -1
+            off = np.not_equal(arr, out).view(np.int8)  # 0 centre, 1 right
+            o = np.moveaxis(off, axis, 0)  # then -1 wherever the left wins:
+            o[1:] |= -(a[:-1] == p[1:]).view(np.int8)
+            o[0] |= -(p[0] == 0.0).view(np.int8)  # the pad
             offs.append(off)
         arr = out
     if record is not None:
@@ -79,18 +84,22 @@ def _pool3(arr, mode, record=None):
 
 def _scatter3(grad, offs):
     """Adjoint of ``_pool3``: route grad to each pass's winning source,
-    last pass first; gradient routed into the pad is dropped."""
+    last pass first; gradient routed into the pad is dropped.  Only the
+    k nonzero entries move (one scan, then O(k log k)); each target sums
+    its left, centre, right sources in that order from +0.0, as a padded
+    accumulator would, by ``np.bincount`` over descending source index."""
+    idx = np.flatnonzero(grad)
+    val = grad.ravel()[idx]
     for axis in (2, 1, 0):
-        shp = list(grad.shape)
-        shp[axis] += 2
-        acc = np.zeros(shp, dtype=grad.dtype)
-        sl = [slice(None)] * 3
-        for o in (-1, 0, 1):
-            sl[axis] = slice(1 + o, 1 + o + grad.shape[axis])
-            acc[tuple(sl)] += np.where(offs[axis] == o, grad, 0.0)
-        sl[axis] = slice(1, -1)
-        grad = acc[tuple(sl)]
-    return grad
+        n, stride = grad.shape[axis], int(np.prod(grad.shape[axis + 1:]))
+        o = offs[axis].ravel()[idx].astype(np.intp)
+        pos = idx // stride % n + o
+        keep = (0 <= pos) & (pos < n)  # a pad winner takes nothing
+        idx, inv = np.unique((idx + o * stride)[keep][::-1], return_inverse=True)
+        val = np.bincount(inv, val[keep][::-1], len(idx))
+    out = np.zeros(grad.size)
+    out[idx] = val
+    return out.reshape(grad.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +224,17 @@ def connected_components(mask: Mask3) -> ComponentSet:
     return _components_array(mask.data > 0)
 
 
-def _neighbor_counts(fg: np.ndarray) -> np.ndarray:
-    """Number of foreground 26-neighbors of every voxel (self excluded)."""
-    fg = fg.astype(np.int32)
-    box = fg
+def _neighbor_counts(fg: np.ndarray, radius: int = 1) -> np.ndarray:
+    """Foreground voxels in the (2r+1)^3 cube around each voxel, itself
+    excluded: per axis a sum of shifted views, in the narrowest type."""
+    box = fg.astype(np.min_scalar_type((2 * radius + 1) ** 3))
     for axis in range(3):
-        box = ndimage.correlate1d(box, [1, 1, 1], axis=axis, mode="constant")
+        b = np.moveaxis(box, axis, 0)
+        acc = b.copy()
+        for s in range(1, radius + 1):
+            acc[s:] += b[:-s]
+            acc[:-s] += b[s:]
+        box = np.moveaxis(acc, 0, axis)
     return box - fg
 
 

@@ -163,10 +163,7 @@ class PhantomSpec:
             raise ParameterError("gap_len_voxels must be a non-negative integer")
 
 
-def _voxel_centers_mm(dims, spacing):
-    """Voxel-center coordinate grids in mm, one (nx,ny,nz) array per axis."""
-    ax = [np.arange(d, dtype=np.float64) * s for d, s in zip(dims, spacing)]
-    return np.meshgrid(*ax, indexing="ij")
+_PHANTOM_SLAB = 1 << 16  # voxels per z-slab in make_phantom
 
 
 def _dist_to_segment(px, py, pz, a, b):
@@ -183,8 +180,11 @@ def _dist_to_segment(px, py, pz, a, b):
     return np.sqrt(dx ** 2 + dy ** 2 + dz ** 2)
 
 
-def _centerline_distance(spec: PhantomSpec, dims, spacing) -> np.ndarray:
-    """Distance (mm) from every voxel centre to the phantom's centerline.
+def _centerline_distance(spec: PhantomSpec, dims, spacing):
+    """A function of voxel-centre grids (px, py, pz) in mm, any block of
+    the volume, giving their distance (mm) to the phantom's centerline.
+    Only distances up to radius_mm matter: the helix's nearest-point
+    query stops just past it and reports inf beyond.
 
     gapped_cylinder is handled by the caller via a z-index mask, so here
     it shares the cylinder geometry.
@@ -193,34 +193,35 @@ def _centerline_distance(spec: PhantomSpec, dims, spacing) -> np.ndarray:
     sx, sy, sz = spacing
     cx = (nx - 1) / 2.0 * sx
     cy = (ny - 1) / 2.0 * sy
-    px, py, pz = _voxel_centers_mm(dims, spacing)
 
     if spec.kind in ("cylinder", "gapped_cylinder"):
-        return np.sqrt((px - cx) ** 2 + (py - cy) ** 2)
+        return lambda px, py, pz: np.sqrt((px - cx) ** 2 + (py - cy) ** 2)
 
     if spec.kind == "bifurcation":
         z_top = (nz - 1) * sz
         z_split = z_top / 2.0
-        trunk = _dist_to_segment(px, py, pz, (cx, cy, 0.0), (cx, cy, z_split))
-        # children rise at 45 degrees in the x-z plane
-        reach = z_top - z_split
-        left = _dist_to_segment(px, py, pz, (cx, cy, z_split),
-                                (cx - reach, cy, z_top))
-        right = _dist_to_segment(px, py, pz, (cx, cy, z_split),
-                                 (cx + reach, cy, z_top))
-        return np.minimum(trunk, np.minimum(left, right))
+        reach = z_top - z_split  # children rise at 45 degrees in the x-z plane
+        fork = (cx, cy, z_split)
+        segments = (((cx, cy, 0.0), fork), (fork, (cx - reach, cy, z_top)),
+                    (fork, (cx + reach, cy, z_top)))
+
+        def bifurcation(px, py, pz):
+            trunk, left, right = (_dist_to_segment(px, py, pz, a, b) for a, b in segments)
+            return np.minimum(trunk, np.minimum(left, right))
+        return bifurcation
 
     if spec.kind == "helix":
         turns = 2.0
         amp = min((nx - 1) * sx, (ny - 1) * sy) / 4.0
         t = np.linspace(0.0, 1.0, 8 * nz)
         theta = 2.0 * np.pi * turns * t
-        curve = np.column_stack([cx + amp * np.cos(theta),
-                                 cy + amp * np.sin(theta),
-                                 t * (nz - 1) * sz])
-        pts = np.column_stack([px.ravel(), py.ravel(), pz.ravel()])
-        d, _ = cKDTree(curve).query(pts)
-        return d.reshape(dims)
+        tree = cKDTree(np.column_stack([cx + amp * np.cos(theta),
+                                        cy + amp * np.sin(theta),
+                                        t * (nz - 1) * sz]))
+        bound = spec.radius_mm * (1.0 + 1e-6)
+        return lambda px, py, pz: tree.query(
+            np.column_stack([px.ravel(), py.ravel(), pz.ravel()]),
+            distance_upper_bound=bound)[0].reshape(px.shape)
 
     raise ParameterError(f"unknown phantom kind {spec.kind!r}")
 
@@ -231,32 +232,44 @@ def make_phantom(spec: PhantomSpec, dims, spacing=(1.0, 1.0, 1.0)):
     The label marks voxels whose centre lies within radius_mm of the
     analytic centerline; the image is background + (fg-bg)*label plus
     i.i.d. Gaussian noise drawn from the counter-based generator, so a
-    fixed (spec, dims, spacing) reproduces identical bytes.
+    fixed (spec, dims, spacing) reproduces identical bytes.  The work
+    runs in z-slabs of about ``_PHANTOM_SLAB`` voxels; the noise
+    counters, x-fastest, of a z-slab are one contiguous range.
     """
     dims = tuple(int(d) for d in dims)
     if len(dims) != 3 or any(d < 16 for d in dims):
         raise ParameterError(f"phantom dims must each be >= 16, got {dims}")
     dims, spacing = _check_grid(dims, spacing, dims[0] * dims[1] * dims[2])
+    nx, ny, nz = dims
 
-    dist = _centerline_distance(spec, dims, spacing)
-    label = dist <= spec.radius_mm
-
+    in_gap = np.zeros(nz, dtype=bool)
     if spec.kind == "gapped_cylinder" and spec.gap_len_voxels > 0:
         gap = int(spec.gap_len_voxels)
-        if gap >= dims[2]:
+        if gap >= nz:
             raise ParameterError("gap_len_voxels must be smaller than nz")
-        z0 = (dims[2] - gap) // 2
-        label[:, :, z0:z0 + gap] = False
+        in_gap[(nz - gap) // 2:(nz - gap) // 2 + gap] = True
 
-    img = spec.background_intensity + (
-        spec.foreground_intensity - spec.background_intensity) * label.astype(np.float64)
-    if spec.noise_sigma > 0:
-        counters = np.arange(label.size, dtype=np.uint64)
-        noise = normal(spec.seed, counters).reshape(dims, order="F")
-        img = img + spec.noise_sigma * noise
+    dist_to = _centerline_distance(spec, dims, spacing)
+    xs, ys = (np.arange(n, dtype=np.float64) * s for n, s in zip(dims[:2], spacing[:2]))
+    image = np.empty(dims, dtype=np.float32)
+    label = np.empty(dims, dtype=np.uint8)
+    plane = nx * ny
+    step = max(1, _PHANTOM_SLAB // plane)
+    for z0 in range(0, nz, step):
+        z1 = min(z0 + step, nz)
+        grid = np.meshgrid(xs, ys, np.arange(z0, z1, dtype=np.float64) * spacing[2],
+                           indexing="ij")
+        lab = (dist_to(*grid) <= spec.radius_mm) & ~in_gap[z0:z1]
+        img = spec.background_intensity + (
+            spec.foreground_intensity - spec.background_intensity) * lab.astype(np.float64)
+        if spec.noise_sigma > 0:
+            counters = np.arange(z0 * plane, z1 * plane, dtype=np.uint64)
+            noise = normal(spec.seed, counters).reshape((nx, ny, z1 - z0), order="F")
+            img = img + spec.noise_sigma * noise
+        image[:, :, z0:z1] = img
+        label[:, :, z0:z1] = lab
 
-    return (Volume3(dims, spacing, img.astype(np.float32)),
-            Mask3(dims, label.astype(np.uint8), spacing))
+    return Volume3(dims, spacing, image), Mask3(dims, label, spacing)
 
 
 def save_tvol(obj, path) -> None:

@@ -248,6 +248,55 @@ def spatial_pair_sum_bruteforce(yhat, guide, sigma_l, sigma_c, radius):
     return total, n
 
 
+def _oracle_window_offsets(radius):
+    for dz in range(-radius, radius + 1):
+        for dy in range(-radius, radius + 1):
+            for dx in range(-radius, radius + 1):
+                if dx or dy or dz:
+                    yield dx, dy, dz
+
+
+def _oracle_shift_slices(shape, d):
+    sa, sb = [], []
+    for n, o in zip(shape, d):
+        if o >= 0:
+            sa.append(slice(0, max(n - o, 0)))
+            sb.append(slice(o, n))
+        else:
+            sa.append(slice(-o, n))
+            sb.append(slice(0, max(n + o, 0)))
+    return tuple(sa), tuple(sb)
+
+
+def spatial_loss_oracle(yhat, guide, sigma_l, sigma_c, radius):
+    """The package's former ``loss_spatial_array`` loop, kept unchanged:
+    fresh temporaries per offset, the kernel as exp(-(c1 + diff**2*c2))
+    and n_pairs from one count_nonzero(a*b) per offset.  Returns
+    (value, grad, n_pairs).  Its slices are clamped to length 0 where an
+    offset reaches past an axis; the former code gave an axis of 2 a
+    one-cell slice at offset 3 and failed."""
+    yhat = np.asarray(yhat, dtype=np.float64)
+    guide = np.asarray(guide, dtype=np.float64)
+    total = 0.0
+    n_pairs = 0
+    grad = np.zeros_like(yhat)
+    inv_2sl2 = 1.0 / (2.0 * sigma_l ** 2)
+    inv_2sc2 = 1.0 / (2.0 * sigma_c ** 2)
+
+    for d in _oracle_window_offsets(radius):
+        sa, sb = _oracle_shift_slices(yhat.shape, d)
+        a, b = yhat[sa], yhat[sb]
+        k = np.exp(-((d[0] ** 2 + d[1] ** 2 + d[2] ** 2) * inv_2sl2
+                     + (guide[sa] - guide[sb]) ** 2 * inv_2sc2))
+        term = k * a * b
+        total += float(term.sum())
+        n_pairs += int(np.count_nonzero(a * b))
+        grad[sa] += k * b
+        grad[sb] += k * a
+    n = max(1, n_pairs)
+    return total / n, grad / n, n_pairs
+
+
 def neighbor_counts_bruteforce(mask):
     """Foreground 26-neighbors of every voxel (self excluded), by loops."""
     fg = np.asarray(mask, dtype=bool)
@@ -297,6 +346,41 @@ def _oracle_pool3(arr, mode, record=None):
     if record is not None:
         record.append(offs)
     return out
+
+
+def pool3_scipy_oracle(arr, mode, record=None):
+    """The package's former ``_pool3``: scipy's 3-tap min/max filters with
+    a zero constant, and offsets from comparisons with the neighbours."""
+    pool = ndimage.minimum_filter1d if mode == "min" else ndimage.maximum_filter1d
+    offs = []
+    for axis in (0, 1, 2):
+        out = pool(arr, 3, axis=axis, mode="constant", cval=0.0)
+        if record is not None:
+            off = np.where(arr == out, np.int8(0), np.int8(1))
+            a, p, o = (np.moveaxis(v, axis, 0) for v in (arr, out, off))
+            o[0][p[0] == 0.0] = -1  # the zero pad left of the first cell
+            o[1:][a[:-1] == p[1:]] = -1
+            offs.append(off)
+        arr = out
+    if record is not None:
+        record.append(offs)
+    return arr
+
+
+def scatter3_padded_oracle(grad, offs):
+    """The package's former ``_scatter3``: per axis a zeroed accumulator
+    two cells longer, adding the selections for offsets -1, 0, +1."""
+    for axis in (2, 1, 0):
+        shp = list(grad.shape)
+        shp[axis] += 2
+        acc = np.zeros(shp, dtype=grad.dtype)
+        sl = [slice(None)] * 3
+        for o in (-1, 0, 1):
+            sl[axis] = slice(1 + o, 1 + o + grad.shape[axis])
+            acc[tuple(sl)] += np.where(offs[axis] == o, grad, 0.0)
+        sl[axis] = slice(1, -1)
+        grad = acc[tuple(sl)]
+    return grad
 
 
 def _oracle_scatter_pass(grad, off, axis):
@@ -534,3 +618,75 @@ def reconnect_oracle(fg0):
         if len(sizes) <= 1:
             return fg, segments
         fg |= _oracle_reconnect_pass(fg, labels, sizes, segments)
+
+
+# ---------------------------------------------------------------------------
+# phantoms: the whole volume at once
+# ---------------------------------------------------------------------------
+
+def _oracle_dist_to_segment(px, py, pz, a, b):
+    ab = np.subtract(b, a, dtype=np.float64)
+    denom = float(ab @ ab)
+    apx, apy, apz = px - a[0], py - a[1], pz - a[2]
+    if denom == 0.0:
+        return np.sqrt(apx ** 2 + apy ** 2 + apz ** 2)
+    t = np.clip((apx * ab[0] + apy * ab[1] + apz * ab[2]) / denom, 0.0, 1.0)
+    dx = apx - t * ab[0]
+    dy = apy - t * ab[1]
+    dz = apz - t * ab[2]
+    return np.sqrt(dx ** 2 + dy ** 2 + dz ** 2)
+
+
+def _oracle_centerline_distance(spec, dims, spacing):
+    from scipy.spatial import cKDTree
+
+    nx, ny, nz = dims
+    sx, sy, sz = spacing
+    cx = (nx - 1) / 2.0 * sx
+    cy = (ny - 1) / 2.0 * sy
+    ax = [np.arange(d, dtype=np.float64) * s for d, s in zip(dims, spacing)]
+    px, py, pz = np.meshgrid(*ax, indexing="ij")
+
+    if spec.kind in ("cylinder", "gapped_cylinder"):
+        return np.sqrt((px - cx) ** 2 + (py - cy) ** 2)
+    if spec.kind == "bifurcation":
+        z_top = (nz - 1) * sz
+        z_split = z_top / 2.0
+        trunk = _oracle_dist_to_segment(px, py, pz, (cx, cy, 0.0), (cx, cy, z_split))
+        reach = z_top - z_split
+        left = _oracle_dist_to_segment(px, py, pz, (cx, cy, z_split),
+                                       (cx - reach, cy, z_top))
+        right = _oracle_dist_to_segment(px, py, pz, (cx, cy, z_split),
+                                        (cx + reach, cy, z_top))
+        return np.minimum(trunk, np.minimum(left, right))
+    turns = 2.0  # helix
+    amp = min((nx - 1) * sx, (ny - 1) * sy) / 4.0
+    t = np.linspace(0.0, 1.0, 8 * nz)
+    theta = 2.0 * np.pi * turns * t
+    curve = np.column_stack([cx + amp * np.cos(theta), cy + amp * np.sin(theta),
+                             t * (nz - 1) * sz])
+    pts = np.column_stack([px.ravel(), py.ravel(), pz.ravel()])
+    d, _ = cKDTree(curve).query(pts)
+    return d.reshape(dims)
+
+
+def phantom_oracle(spec, dims, spacing):
+    """The package's former whole-volume ``make_phantom`` body: distance,
+    label, gap and noise for every voxel at once, an exact helix
+    distance everywhere.  Returns (float32 image, uint8 label) arrays.
+    The noise comes from ``tubekit.rng.normal``, the generator both
+    sides share; what is checked is how counters map to voxels."""
+    from tubekit.rng import normal
+
+    label = _oracle_centerline_distance(spec, dims, spacing) <= spec.radius_mm
+    if spec.kind == "gapped_cylinder" and spec.gap_len_voxels > 0:
+        gap = int(spec.gap_len_voxels)
+        z0 = (dims[2] - gap) // 2
+        label[:, :, z0:z0 + gap] = False
+    img = spec.background_intensity + (
+        spec.foreground_intensity - spec.background_intensity) * label.astype(np.float64)
+    if spec.noise_sigma > 0:
+        counters = np.arange(label.size, dtype=np.uint64)
+        noise = normal(spec.seed, counters).reshape(dims, order="F")
+        img = img + spec.noise_sigma * noise
+    return img.astype(np.float32), label.astype(np.uint8)

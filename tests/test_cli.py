@@ -248,9 +248,12 @@ def test_parameter_error_exits_2(tmp_path, capsys):
     *(["gradcheck", "--size", str(n)] for n in range(6)),
     ["fusion-demo", "--channels", "0"],
     ["fusion-demo", "--dims", "0,4,4"],
+    ["fusion-demo", "--dims", "17,16,16"],
+    ["fusion-demo", "--dims", "32,32,32"],
     ["phantom", "--noise-sigma", "nan"],
 ], ids=[*(f"gradcheck-size-{n}" for n in range(6)),
-        "fusion-channels-0", "fusion-dims-0", "phantom-noise-nan"])
+        "fusion-channels-0", "fusion-dims-0", "fusion-dims-over-16^3",
+        "fusion-dims-32^3", "phantom-noise-nan"])
 def test_out_of_domain_arguments_exit_2(tmp_path, capsys, argv):
     # gradcheck below size 6 cannot draw its 20 voxels and 40 interior ones
     if argv[0] == "phantom":

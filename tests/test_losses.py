@@ -64,6 +64,13 @@ def test_uncertain_prediction_outside_roi_passthrough():
     assert np.array_equal(yp[outside_negative], yhat[outside_negative])
 
 
+@pytest.mark.parametrize("beta", [-5.0, -1e-12, float("nan"), float("inf")])
+def test_r_sup_rejects_beta_outside_domain(beta):
+    _, yhat, y, roi = _rand_setup(3)
+    with pytest.raises(ParameterError, match="beta must be finite and non-negative"):
+        loss_r_sup_array(y, yhat, roi, beta)
+
+
 def test_auto_beta_undefined_cases():
     y = np.ones((4, 4, 4))
     with pytest.raises(NumericDomainError, match="beta undefined"):

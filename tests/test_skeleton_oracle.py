@@ -1,19 +1,23 @@
 """The skeleton engine against the stacked-argmin, full-k oracle.
 
-The package pools with scipy's 1-D min/max filters, shares the opening's
-erosion with the next iteration and stops once an erosion is all zero;
-the oracle does none of this, so byte-equal results pin the tie rule,
-the stopping rule and the adjoint together.
+The package pools with min/max of shifted views, scatters the adjoint
+over the nonzero gradient only, shares the opening's erosion with the
+next iteration and stops once an erosion is all zero; the oracle does
+none of this, so byte-equal results pin the tie rule, the stopping rule
+and the adjoint together.  The pooling primitives are also pinned to
+their former scipy-filter and padded-accumulator versions on inputs
+holding signed zeros and infinities, where only the bits can differ.
 """
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import neighbor_counts_bruteforce, soft_skeleton_tape_oracle
+from oracles import (neighbor_counts_bruteforce, pool3_scipy_oracle,
+                     scatter3_padded_oracle, soft_skeleton_tape_oracle)
 from tubekit import Mask3
-from tubekit.skeleton import (SoftSkeletonTape, endpoints, hard_skeleton,
-                              soft_skeleton_array)
+from tubekit.skeleton import (SoftSkeletonTape, _pool3, _scatter3, endpoints,
+                              hard_skeleton, soft_skeleton_array)
 
 H = 1e-3
 
@@ -72,6 +76,30 @@ def test_tie_free_verdict_matches_oracle(case):
                 same = same and make(xs, k).signature() == sig0
             verdicts.append(same)
         assert verdicts[0] == verdicts[1], v
+
+
+def _bits(x):
+    return x.view(np.uint64).tobytes()
+
+
+@given(st.tuples(*[st.integers(1, 9)] * 3), st.sampled_from(["min", "max"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_pool_and_scatter_match_former_code_bitwise(shape, mode, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-2, 3, shape) / 2.0  # ties everywhere, signs both ways
+    x[rng.random(shape) < 0.3] = -0.0
+    rec, old = [], []
+    assert _bits(_pool3(x, mode, rec)) == _bits(pool3_scipy_oracle(x, mode, old))
+    assert [o.tobytes() for o in rec[0]] == [o.tobytes() for o in old[0]]
+    assert _bits(_pool3(x, mode)) == _bits(pool3_scipy_oracle(x, mode))
+
+    g = rng.standard_normal(shape)
+    g[rng.random(shape) < 0.3] = -0.0
+    g[rng.random(shape) < 0.2] = 0.0
+    g[rng.random(shape) < 0.05] = np.inf
+    g[rng.random(shape) < 0.05] = -np.inf
+    with np.errstate(invalid="ignore"):
+        assert _bits(_scatter3(g, rec[0])) == _bits(scatter3_padded_oracle(g, old[0]))
 
 
 def test_stops_once_the_erosion_is_empty():

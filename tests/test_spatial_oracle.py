@@ -1,0 +1,86 @@
+"""The spatial loss against its former per-offset loop, bit for bit.
+
+The package builds each offset's kernel and products in two reused
+buffers and counts pairs with one box sum of the nonzero mask; the
+oracle allocates fresh temporaries and counts count_nonzero(a*b) per
+offset.  The counts agree while no a*b underflows, which the domain
+(finite inputs, every nonzero |y| >= 2^-537) guarantees.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from oracles import spatial_loss_oracle
+from tubekit import ParameterError
+from tubekit.losses import SPATIAL_MIN_MAGNITUDE, GatedKernelParams, loss_spatial_array
+
+
+def _inputs(kind, shape, seed):
+    rng = np.random.default_rng(seed)
+    guide = rng.random(shape)
+    if kind == "smallest":  # products near the smallest subnormal
+        return (1.0 + rng.random(shape)) * SPATIAL_MIN_MAGNITUDE, guide
+    yhat = rng.random(shape).astype(np.float32).astype(np.float64)
+    if kind == "sparse":
+        yhat[rng.random(shape) < 0.85] = 0.0
+    return yhat, guide
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64).tobytes()
+
+
+cases = st.tuples(
+    st.sampled_from(["dense", "sparse", "smallest"]),
+    st.tuples(*[st.integers(1, 12)] * 3),
+    st.integers(1, 3),
+    st.sampled_from([(1.5, 0.1), (0.8, 2.0)]),
+    st.integers(0, 2 ** 32 - 1),
+)
+
+
+@given(cases)
+def test_matches_former_loop_bit_for_bit(case):
+    kind, shape, radius, (sigma_l, sigma_c), seed = case
+    yhat, guide = _inputs(kind, shape, seed)
+    value, grad, n_pairs = loss_spatial_array(
+        yhat, guide, GatedKernelParams(sigma_l, sigma_c, radius))
+    o_value, o_grad, o_pairs = spatial_loss_oracle(yhat, guide, sigma_l, sigma_c, radius)
+    assert n_pairs == o_pairs
+    assert _bits(value) == _bits(o_value)
+    assert _bits(grad) == _bits(o_grad)
+
+
+def test_axis_shorter_than_the_window():
+    # an offset of 3 on an axis of 2 once sliced one cell against none
+    yhat, guide = _inputs("dense", (2, 4, 1), 4)
+    value, _, n_pairs = loss_spatial_array(yhat, guide, GatedKernelParams(radius=3))
+    assert n_pairs == 8 * 7  # the window holds the whole volume
+    assert _bits(value) == _bits(spatial_loss_oracle(yhat, guide, 1.5, 0.1, 3)[0])
+
+
+@pytest.mark.parametrize("where, bad", [
+    ("yhat", np.nan), ("yhat", np.inf), ("guide", np.nan), ("guide", -np.inf),
+    ("yhat", SPATIAL_MIN_MAGNITUDE / 2), ("yhat", -np.nextafter(SPATIAL_MIN_MAGNITUDE, 0.0)),
+    ("yhat", 5e-324),
+])
+def test_rejects_inputs_outside_the_domain(where, bad):
+    yhat, guide = _inputs("dense", (4, 4, 4), 1)
+    (yhat if where == "yhat" else guide)[1, 2, 3] = bad
+    with pytest.raises(ParameterError, match="2\\^-537"):
+        loss_spatial_array(yhat, guide, GatedKernelParams())
+
+
+def test_domain_edge_is_where_the_counts_could_part():
+    guide = np.zeros((3, 3, 3))
+    edge = np.full((3, 3, 3), -SPATIAL_MIN_MAGNITUDE)
+    n_pairs = loss_spatial_array(edge, guide, GatedKernelParams(radius=1))[2]
+    assert n_pairs == spatial_loss_oracle(edge, guide, 1.5, 0.1, 1)[2] == 316
+    # below the edge every product underflows and the former loop counts
+    # no pair, while the nonzero mask still holds every voxel
+    below = np.full((3, 3, 3), 2.0 ** -540)
+    assert spatial_loss_oracle(below, guide, 1.5, 0.1, 1)[2] == 0
+    with pytest.raises(ParameterError):
+        loss_spatial_array(below, guide, GatedKernelParams(radius=1))
