@@ -4,7 +4,8 @@ Subpackages cover phantom/volume plumbing (volume), multi-scale
 vesselness filtering (vesselness), skeleton topology repair (skeleton),
 growth/suppression segmentation losses with analytic gradients (losses),
 evaluation metrics (metrics), attention-fusion forward blocks (fusion),
-and the command-line front end (cli).
+the finite-difference gradient audit (gradcheck) and the command-line
+front end (cli).
 """
 
 from .errors import (FileFormatError, NumericDomainError, ParameterError,

@@ -9,9 +9,7 @@ give byte-identical artifacts.
 
 import argparse
 import contextlib
-import itertools
 import json
-import math
 import os
 import sys
 import tempfile
@@ -19,14 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fusion, losses, metrics, skeleton, vesselness
+from . import fusion, gradcheck, losses, metrics, skeleton, vesselness
 from .errors import FileFormatError, NumericDomainError, ParameterError
-from .rng import uniform01, uniform_range
 from .volume import (Mask3, PhantomSpec, RoiBox, Volume3, load_tvol,
                      make_phantom, roi_from_label, save_tvol)
 
-GRADCHECK_H = 1e-3
 FUSION_MAX_VOXELS = 16 ** 3  # fusion-demo's attention matrix grows as voxels^2
+FUSION_MAX_CHANNELS = 64  # its flex-conv weights grow as 153 * channels^2
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +244,9 @@ def _cmd_fusion_demo(args):
     c = args.channels
     if c < 2 or c % 2:
         raise ParameterError("--channels must be even and >= 2 (shallow query splits halves)")
+    if c > FUSION_MAX_CHANNELS:
+        raise ParameterError(f"--channels {c} exceeds {FUSION_MAX_CHANNELS}; the demo's "
+                             "flex-conv block holds 153 * channels^2 weights")
     seed = args.seed
 
     fc4 = fusion.feature_map_from_seed(c, dims, seed * 64 + 1)
@@ -298,128 +298,8 @@ def _cmd_fusion_demo(args):
     return 0
 
 
-# ---------------------------------------------------------------------------
-# gradient checking
-# ---------------------------------------------------------------------------
-
-def central_difference(fn, x: np.ndarray, voxel, h: float = GRADCHECK_H) -> float:
-    xp = x.copy()
-    xp[voxel] += h
-    xm = x.copy()
-    xm[voxel] -= h
-    return (fn(xp) - fn(xm)) / (2.0 * h)
-
-
-def _rel_err(analytic: float, fd: float) -> float:
-    return abs(analytic - fd) / max(abs(fd), 1e-8)
-
-
-def _sample_voxels(dims, seed, count, interior=0):
-    lo = interior
-    pts = []
-    n = 0
-    while len(pts) < count:
-        u = uniform01(seed, np.arange(n * 3, n * 3 + 3, dtype=np.uint64))
-        v = tuple(lo + int(u[i] * (dims[i] - 2 * lo)) for i in range(3))
-        n += 1
-        if v not in pts:
-            pts.append(v)
-    return pts
-
-
-def _tube_prediction(size: int, seed: int) -> np.ndarray:
-    """Connected-tube probability field with tie-breaking jitter."""
-    spec = PhantomSpec("cylinder", radius_mm=1.5, seed=seed)
-    _, label = make_phantom(spec, (max(size, 16),) * 3, (1.0, 1.0, 1.0))
-    lab = label.data[:size, :size, :size].astype(np.float64)
-    jitter = uniform_range(seed + 77, size ** 3, -0.02, 0.02).reshape((size,) * 3)
-    return np.clip(0.07 + 0.83 * lab + jitter, 0.05, 0.95)
-
-
-def gradcheck_report(seed: int, size: int, points: int = 20,
-                     con_points: int = 20, skel_iters: int = 4) -> dict:
-    """Max relative error of each analytic gradient vs central FD.
-
-    The connectivity loss is checked only at tie-free voxels: candidate
-    perturbations must leave every pooling/relu/threshold selection
-    unchanged at x-h, x, x+h (certified via selection signatures).
-    The sample needs ``points`` distinct voxels and ``2 * con_points``
-    distinct interior ones, which sets the smallest size.
-    """
-    smallest = next(s for s in itertools.count(3)
-                    if s ** 3 >= points and (s - 2) ** 3 >= 2 * con_points)
-    if size < smallest:
-        raise ParameterError(f"gradcheck size must be >= {smallest}, got {size}")
-    dims = (size,) * 3
-    n = size ** 3
-
-    # Stay clear of 0/1: the FD truncation of the log terms grows as
-    # h^2/x^2 and would swamp the comparison below ~0.1.
-    yhat = 0.1 + 0.8 * uniform01(seed * 8 + 1, np.arange(n, dtype=np.uint64)).reshape(dims)
-    guide = uniform01(seed * 8 + 2, np.arange(n, dtype=np.uint64)).reshape(dims)
-    y = (uniform01(seed * 8 + 3, np.arange(n, dtype=np.uint64)).reshape(dims) < 0.2)
-    y = y.astype(np.float64)
-    if y.sum() < 1:
-        y.flat[0] = 1.0
-    roi = np.zeros(dims, dtype=bool)
-    roi[1:-1, 1:-1, 1:-1] = True
-    beta = 1.0 / math.log((n - y.sum()) / y.sum())
-
-    kparams = losses.GatedKernelParams()
-    m = (uniform01(seed * 8 + 4, np.arange(n, dtype=np.uint64)).reshape(dims) < 0.3)
-    m = m.astype(np.float64)
-    if m.sum() < 1:
-        m.flat[-1] = 1.0
-
-    voxels = _sample_voxels(dims, seed * 8 + 5, points)
-    report = {"h": GRADCHECK_H, "size": size, "seed": seed}
-
-    _, g = losses.loss_r_sup_array(y, yhat, roi, beta)
-    errs = [_rel_err(g[v], central_difference(
-        lambda x: losses.loss_r_sup_array(y, x, roi, beta)[0], yhat, v))
-        for v in voxels]
-    report["r_sup"] = {"max_rel_err": max(errs), "points": len(errs)}
-
-    _, g, _ = losses.loss_spatial_array(yhat, guide, kparams)
-    errs = [_rel_err(g[v], central_difference(
-        lambda x: losses.loss_spatial_array(x, guide, kparams)[0], yhat, v))
-        for v in voxels]
-    report["spatial"] = {"max_rel_err": max(errs), "points": len(errs)}
-
-    _, g = losses.loss_mix_array(yhat, m)
-    errs = [_rel_err(g[v], central_difference(
-        lambda x: losses.loss_mix_array(x, m)[0], yhat, v))
-        for v in voxels]
-    report["mix"] = {"max_rel_err": max(errs), "points": len(errs)}
-
-    tube = _tube_prediction(size, seed * 8 + 6)
-    _, g = losses.loss_con_array(tube, skel_iters)
-    sig0 = losses.loss_con_signature(tube, skel_iters)
-    errs = []
-    # Check where the gradient is live, not only at inert background.
-    flat = np.argsort(-np.abs(g), axis=None, kind="stable")[:con_points * 2]
-    candidates = [tuple(int(c) for c in np.unravel_index(i, dims)) for i in flat]
-    candidates += _sample_voxels(dims, seed * 8 + 7, con_points * 2, interior=1)
-    for v in candidates:
-        if len(errs) >= con_points:
-            break
-        xp = tube.copy()
-        xp[v] += GRADCHECK_H
-        xm = tube.copy()
-        xm[v] -= GRADCHECK_H
-        if (losses.loss_con_signature(xp, skel_iters) != sig0
-                or losses.loss_con_signature(xm, skel_iters) != sig0):
-            continue
-        fd = central_difference(
-            lambda x: losses.loss_con_array(x, skel_iters)[0], tube, v)
-        errs.append(_rel_err(g[v], fd))
-    report["con"] = {"max_rel_err": max(errs) if errs else 0.0,
-                     "points": len(errs), "tie_free_only": True}
-    return report
-
-
 def _cmd_gradcheck(args):
-    _write_json(args.json, gradcheck_report(args.seed, args.size))
+    _write_json(args.json, gradcheck.gradcheck_report(args.seed, args.size))
     return 0
 
 

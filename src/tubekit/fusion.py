@@ -40,20 +40,18 @@ class FeatureMap:
         return self.data.reshape(self.channels, -1).T
 
 
-def feature_map_from_seed(channels: int, spatial, seed: int,
-                          lo: float = -1.0, hi: float = 1.0) -> FeatureMap:
+def feature_map_from_seed(channels: int, spatial, seed: int) -> FeatureMap:
     spatial = tuple(int(v) for v in spatial)
     n = channels * int(np.prod(spatial))
-    data = uniform_range(seed, n, lo, hi).reshape((channels,) + spatial)
+    data = uniform_range(seed, n, -1.0, 1.0).reshape((channels,) + spatial)
     return FeatureMap(channels, spatial, data.astype(np.float32))
 
 
 @dataclass(frozen=True, eq=False)
 class AttentionParams:
-    """Single-head projection weights, all bias-free."""
+    """Single-head, bias-free projection weights, each d_model x d_model."""
 
     d_model: int
-    d_head: int
     wq: np.ndarray
     wk: np.ndarray
     wv: np.ndarray
@@ -61,16 +59,14 @@ class AttentionParams:
     seed: int
 
     @classmethod
-    def init(cls, d_model: int, d_head: int = None, seed: int = 0) -> "AttentionParams":
-        if d_head is None:
-            d_head = d_model
+    def init(cls, d_model: int, seed: int = 0) -> "AttentionParams":
         bound = 1.0 / math.sqrt(d_model)
 
-        def mat(sub, rows, cols):
-            return uniform_range(seed * 4 + sub, rows * cols, -bound, bound).reshape(rows, cols)
+        def mat(sub):
+            n = d_model * d_model
+            return uniform_range(seed * 4 + sub, n, -bound, bound).reshape(d_model, d_model)
 
-        return cls(d_model, d_head, mat(0, d_model, d_head), mat(1, d_model, d_head),
-                   mat(2, d_model, d_head), mat(3, d_head, d_model), seed)
+        return cls(d_model, mat(0), mat(1), mat(2), mat(3), seed)
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -86,7 +82,7 @@ def attention_rows(fq: FeatureMap, fkv: FeatureMap, p: AttentionParams) -> np.nd
             f"channel counts ({fq.channels}, {fkv.channels}) must equal d_model {p.d_model}")
     q = fq.tokens() @ p.wq
     k = fkv.tokens() @ p.wk
-    return _softmax_rows(q @ k.T / math.sqrt(p.d_head))
+    return _softmax_rows(q @ k.T / math.sqrt(p.d_model))
 
 
 def cross_attention(fq: FeatureMap, fkv: FeatureMap, p: AttentionParams) -> FeatureMap:
@@ -96,10 +92,6 @@ def cross_attention(fq: FeatureMap, fkv: FeatureMap, p: AttentionParams) -> Feat
     out = (a @ v) @ p.wo  # (T_q, d_model)
     data = out.T.reshape((p.d_model,) + fq.spatial)
     return FeatureMap(p.d_model, fq.spatial, data.astype(np.float32))
-
-
-def self_attention(f: FeatureMap, p: AttentionParams) -> FeatureMap:
-    return cross_attention(f, f, p)
 
 
 def deep_mutual_query(fc4: FeatureMap, fv4: FeatureMap, p: AttentionParams):
@@ -112,9 +104,9 @@ def deep_mutual_query(fc4: FeatureMap, fv4: FeatureMap, p: AttentionParams):
     cross_v2c = cross_attention(fv4, fc4, p)
     cross_c2v = cross_attention(fc4, fv4, p)
     dq_v2c = FeatureMap(p.d_model, fc4.spatial,
-                        cross_v2c.data + self_attention(fc4, p).data)
+                        cross_v2c.data + cross_attention(fc4, fc4, p).data)
     dq_c2v = FeatureMap(p.d_model, fv4.spatial,
-                        cross_c2v.data + self_attention(fv4, p).data)
+                        cross_c2v.data + cross_attention(fv4, fv4, p).data)
     return dq_v2c, dq_c2v
 
 
@@ -177,19 +169,19 @@ def shallow_query(fci: FeatureMap, fvi: FeatureMap, p: AttentionParams,
                       fci.data.astype(np.float64) + fvi.data.astype(np.float64))
 
     f_s1, f_s2 = fused[:half], fused[half:]
-    pooled_spatial = _pool2(f_s1, "avg").shape[1:]
+    q_cells = _pool2(f_s1, "avg")
 
     def toks(x):
         return x.reshape(x.shape[0], -1).T
 
-    q = toks(_pool2(f_s1, "avg")) @ p.wq
+    q = toks(q_cells) @ p.wq
     k = toks(_pool2(f_s1, "max")) @ p.wk
     v_full = np.einsum("ct,cd->dt", f_s1.reshape(half, -1), p.wv)
-    v_cells = toks(_pool2(v_full.reshape((p.d_head,) + fci.spatial), "avg"))
+    v_cells = toks(_pool2(v_full.reshape((half,) + fci.spatial), "avg"))
 
-    a = _softmax_rows(q @ k.T / math.sqrt(p.d_head))
+    a = _softmax_rows(q @ k.T / math.sqrt(p.d_model))
     out_p = (a @ v_cells) @ p.wo  # (T_p, half)
-    out_map = out_p.T.reshape((half,) + pooled_spatial)
+    out_map = out_p.T.reshape((half,) + q_cells.shape[1:])
     f_s1_attn = _unpool2(out_map, fci.spatial)
 
     data = np.concatenate([f_s1_attn.astype(np.float32),
@@ -201,49 +193,42 @@ def shallow_query(fci: FeatureMap, fvi: FeatureMap, p: AttentionParams,
 # flexible convolution block
 # ---------------------------------------------------------------------------
 
+FLEX_KERNEL_SIZES = (1, 3, 5)
+
+
 @dataclass(frozen=True, eq=False)
 class FlexConvParams:
-    """Parallel odd-size conv branches plus a 1x1x1 channel compressor."""
+    """Parallel conv branches, one per FLEX_KERNEL_SIZES, and a 1x1x1 compressor."""
 
-    kernel_sizes: tuple
     branch_weights: tuple  # one (C_in, C_in, k, k, k) array per kernel size
     compress: np.ndarray   # (C_out, n_branches * C_in)
-    out_channels: int
-
-    def __post_init__(self):
-        if not self.kernel_sizes:
-            raise ParameterError("at least one kernel size required")
-        if any(k % 2 == 0 or k < 1 for k in self.kernel_sizes):
-            raise ParameterError(f"kernel sizes must be odd, got {self.kernel_sizes}")
 
     @classmethod
-    def init(cls, in_channels: int, out_channels: int,
-             kernel_sizes=(1, 3, 5), seed: int = 0) -> "FlexConvParams":
+    def init(cls, in_channels: int, out_channels: int, seed: int = 0) -> "FlexConvParams":
         branches = []
-        for i, k in enumerate(kernel_sizes):
+        for i, k in enumerate(FLEX_KERNEL_SIZES):
             n = in_channels * in_channels * k ** 3
             bound = 1.0 / math.sqrt(in_channels * k ** 3)
             w = uniform_range(seed * 16 + i, n, -bound, bound)
             branches.append(w.reshape(in_channels, in_channels, k, k, k))
-        nc = len(kernel_sizes) * in_channels
+        nc = len(FLEX_KERNEL_SIZES) * in_channels
         comp = uniform_range(seed * 16 + 15, out_channels * nc,
                              -1.0 / math.sqrt(nc), 1.0 / math.sqrt(nc))
-        return cls(tuple(kernel_sizes), tuple(branches),
-                   comp.reshape(out_channels, nc), out_channels)
+        return cls(tuple(branches), comp.reshape(out_channels, nc))
 
     @classmethod
-    def identity(cls, channels: int, kernel_sizes=(1, 3, 5)) -> "FlexConvParams":
+    def identity(cls, channels: int) -> "FlexConvParams":
         """Centered-delta branches and a compressor that selects the
         first branch, so the block is the identity map."""
         branches = []
-        for k in kernel_sizes:
+        for k in FLEX_KERNEL_SIZES:
             w = np.zeros((channels, channels, k, k, k))
             for c in range(channels):
                 w[c, c, k // 2, k // 2, k // 2] = 1.0
             branches.append(w)
-        comp = np.zeros((channels, len(kernel_sizes) * channels))
+        comp = np.zeros((channels, len(FLEX_KERNEL_SIZES) * channels))
         comp[:, :channels] = np.eye(channels)
-        return cls(tuple(kernel_sizes), tuple(branches), comp, channels)
+        return cls(tuple(branches), comp)
 
 
 def _conv3d_same(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -269,7 +254,7 @@ def flex_conv_block(x: FeatureMap, p: FlexConvParams) -> FeatureMap:
         raise ParameterError(
             f"compressor expects {p.compress.shape[1]} channels, got {cat.shape[0]}")
     out = np.einsum("oc,c...->o...", p.compress, cat)
-    return FeatureMap(p.out_channels, x.spatial, out.astype(np.float32))
+    return FeatureMap(p.compress.shape[0], x.spatial, out.astype(np.float32))
 
 
 # ---------------------------------------------------------------------------
@@ -301,25 +286,20 @@ def trilinear_resize(data: np.ndarray, spatial) -> np.ndarray:
     return out
 
 
-def d2sd_fuse(segs, target_dims, weights=None) -> FeatureMap:
-    """Upsample per-scale single-channel maps, blend, squash to [0, 1].
+def d2sd_fuse(segs, target_dims) -> FeatureMap:
+    """Upsample per-scale single-channel maps, average, squash to [0, 1].
 
-    weights default to a uniform average over scales; the blend is the
-    1x1x1 fusion convolution and the output passes through a logistic.
+    The uniform average over scales is the 1x1x1 fusion convolution; the
+    output passes through a logistic.
     """
     if len(segs) < 2:
         raise ParameterError("d2sd_fuse needs at least two scales")
     if any(s.channels != 1 for s in segs):
         raise ParameterError("every scale map must be single-channel")
     target = tuple(int(v) for v in target_dims)
-    if weights is None:
-        weights = np.full(len(segs), 1.0 / len(segs))
-    else:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (len(segs),):
-            raise ParameterError("one fusion weight per scale required")
+    w = 1.0 / len(segs)
     acc = np.zeros((1,) + target)
-    for w, s in zip(weights, segs):
+    for s in segs:
         acc += w * trilinear_resize(s.data, target)
     out = 1.0 / (1.0 + np.exp(-acc))
     return FeatureMap(1, target, out.astype(np.float32))

@@ -21,10 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericDomainError, ParameterError
-from .skeleton import SoftSkeletonTape, _neighbor_counts, _reconnect_array
+from .skeleton import (SoftSkeletonTape, _check_unit_range, _neighbor_counts,
+                       _reconnect_array, _window_offsets)
 
 DEFAULT_EPSILON = 1e-7
 SPATIAL_MIN_MAGNITUDE = 2.0 ** -537  # the square of this is the smallest subnormal
+SIGMA_MIN, SIGMA_MAX = 1e-150, 1e150  # 2*sigma^2 and its reciprocal stay finite, nonzero
 
 
 @dataclass(frozen=True)
@@ -38,8 +40,9 @@ class GatedKernelParams:
     radius: int = 2
 
     def __post_init__(self):
-        if not (self.sigma_l > 0 and self.sigma_c > 0):
-            raise ParameterError("sigma_l and sigma_c must be positive")
+        if not all(SIGMA_MIN <= s <= SIGMA_MAX for s in (self.sigma_l, self.sigma_c)):
+            raise ParameterError(
+                f"sigma_l and sigma_c must lie in [{SIGMA_MIN:g}, {SIGMA_MAX:g}]")
         if self.radius < 1:
             raise ParameterError("radius must be >= 1")
 
@@ -60,11 +63,6 @@ class LossBreakdown:
     grad_mix: np.ndarray
     lam: float
     total: float
-
-
-def _check_unit_range(a: np.ndarray, name: str):
-    if a.size and (a.min() < 0.0 or a.max() > 1.0):
-        raise ParameterError(f"{name} values must lie in [0, 1]")
 
 
 # ---------------------------------------------------------------------------
@@ -169,14 +167,6 @@ def loss_con_signature(yhat, iterations=10) -> bytes:
 # spatial similarity suppression
 # ---------------------------------------------------------------------------
 
-def _window_offsets(radius: int):
-    for dz in range(-radius, radius + 1):
-        for dy in range(-radius, radius + 1):
-            for dx in range(-radius, radius + 1):
-                if dx or dy or dz:
-                    yield dx, dy, dz
-
-
 def _shift_slices(shape, d):
     """Index pairs (sl_a, sl_b) with b = a + d, both inside the volume
     (empty where |d| reaches past the axis)."""
@@ -194,7 +184,8 @@ def _shift_slices(shape, d):
 def loss_spatial_array(yhat, guide, params: GatedKernelParams):
     """Mean pairwise activation penalty over the cube window.
 
-    Returns (value, grad, n_pairs) where n_pairs counts the ordered
+    The window is cut to radius max(dims) - 1: every offset beyond that
+    pairs no voxels, so the result is the same.  Returns (value, grad, n_pairs) where n_pairs counts the ordered
     in-bounds pairs with a nonzero term (the normalizer N), by one
     (2r+1)^3 box count of the nonzero predictions.  That holds while no
     y_i*y_j underflows, so inputs must be finite and each nonzero |y|
@@ -215,8 +206,9 @@ def loss_spatial_array(yhat, guide, params: GatedKernelParams):
     kbuf, pbuf = np.empty(yhat.size), np.empty(yhat.size)
     inv_2sl2 = 1.0 / (2.0 * params.sigma_l ** 2)
     neg_inv_2sc2 = -1.0 / (2.0 * params.sigma_c ** 2)
+    radius = min(params.radius, max(yhat.shape) - 1)
 
-    for d in _window_offsets(params.radius):
+    for d in _window_offsets(radius):
         sa, sb = _shift_slices(yhat.shape, d)
         a, b = yhat[sa], yhat[sb]
         k, p = (buf[:a.size].reshape(a.shape) for buf in (kbuf, pbuf))
@@ -229,7 +221,7 @@ def loss_spatial_array(yhat, guide, params: GatedKernelParams):
         grad[sa] += np.multiply(k, b, out=p)
         grad[sb] += np.multiply(k, a, out=p)
         total += float(np.multiply(p, b, out=p).sum())
-    n_pairs = int(_neighbor_counts(nz, params.radius)[nz].sum())
+    n_pairs = int(_neighbor_counts(nz, radius)[nz].sum())
     n = max(1, n_pairs)
     return total / n, grad / n, n_pairs
 
@@ -260,8 +252,8 @@ def loss_mix_array(yhat, mixed_label):
 
 def loss_gsb(r_sup, con, spatial, mix, lam: float = 1.0) -> LossBreakdown:
     """Assemble the balanced objective from the four (value, grad) parts."""
-    if lam < 0:
-        raise ParameterError("lambda must be non-negative")
+    if not 0.0 <= lam < math.inf:  # NaN fails too
+        raise ParameterError(f"lambda must be finite and non-negative, got {lam}")
     values = [p[0] for p in (r_sup, con, spatial, mix)]
     total = values[0] + values[1] + lam * (values[2] + values[3])
     return LossBreakdown(

@@ -18,7 +18,8 @@ from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from .errors import NumericDomainError, ParameterError
-from .skeleton import _components_array, _neighbor_counts, hard_skeleton
+from .skeleton import (_components_array, _neighbor_counts, _window_offsets,
+                       hard_skeleton)
 from .volume import Mask3
 
 _STRUCT_6 = ndimage.generate_binary_structure(3, 1)
@@ -171,7 +172,9 @@ def _walk_lengths(coords: np.ndarray, inside: np.ndarray, spacing):
     while queue:
         i = queue.pop(0)
         ci = coords[i]
-        for j in sorted(index[t] for t in _neighbors26(tuple(ci)) if t in index):
+        x, y, z = ci
+        near = ((x + dx, y + dy, z + dz) for dx, dy, dz in _window_offsets(1))
+        for j in sorted(index[t] for t in near if t in index):
             if j in seen:
                 continue
             seen.add(j)
@@ -181,15 +184,6 @@ def _walk_lengths(coords: np.ndarray, inside: np.ndarray, spacing):
             if inside[i] and inside[j]:
                 detected += step
     return total, detected
-
-
-def _neighbors26(c):
-    x, y, z = c
-    for dz in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            for dx in (-1, 0, 1):
-                if dx or dy or dz:
-                    yield (x + dx, y + dy, z + dz)
 
 
 def tree_metrics(pred: Mask3, gt: Mask3, skel_k: int = 10):

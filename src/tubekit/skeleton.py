@@ -32,6 +32,20 @@ from .volume import Mask3, Volume3
 _STRUCT_26 = np.ones((3, 3, 3), dtype=bool)
 
 
+def _check_unit_range(a: np.ndarray, name: str):
+    if a.size and (a.min() < 0.0 or a.max() > 1.0):
+        raise ParameterError(f"{name} values must lie in [0, 1]")
+
+
+def _window_offsets(radius: int):
+    """(dx, dy, dz) of the (2r+1)^3 cube, centre excluded, x fastest."""
+    for dz in range(-radius, radius + 1):
+        for dy in range(-radius, radius + 1):
+            for dx in range(-radius, radius + 1):
+                if dx or dy or dz:
+                    yield dx, dy, dz
+
+
 @dataclass(frozen=True, eq=False)
 class ComponentSet:
     """26-connected component labelling: ids 1..count ordered by each
@@ -191,8 +205,7 @@ class SoftSkeletonTape:
 def soft_skeleton_array(img: np.ndarray, iterations: int) -> np.ndarray:
     """Skeleton recurrence on a raw array in [0, 1] (float64 math)."""
     img = np.asarray(img, dtype=np.float64)
-    if img.min(initial=0.0) < 0.0 or img.max(initial=0.0) > 1.0:
-        raise ParameterError("soft_skeleton input values must lie in [0, 1]")
+    _check_unit_range(img, "soft_skeleton input")
     return _recurrence(img, iterations)
 
 

@@ -19,7 +19,7 @@ The .tvol format (little-endian, no padding):
 
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -33,12 +33,6 @@ _DTYPE_VOLUME = 0
 _DTYPE_MASK = 1
 
 PHANTOM_KINDS = ("cylinder", "gapped_cylinder", "bifurcation", "helix")
-
-
-def linear_index(dims) -> np.ndarray:
-    """x-fastest linear index of every voxel, shaped like the volume."""
-    nx, ny, nz = dims
-    return np.arange(nx * ny * nz, dtype=np.int64).reshape((nx, ny, nz), order="F")
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import shlex
+import shutil
 import struct
 from pathlib import Path
 
@@ -143,41 +144,99 @@ def test_loss_lambda_linearity_via_cli(tmp_path):
                         rel_tol=1e-6, abs_tol=1e-9)
 
 
-# Two valid values per optional `tubekit loss` flag whose meaning says the
-# report must change between them.  On a 20^3 volume the 0.1 background
-# erodes from the border for 10 iterations, so --skel-iters 1 and 10 differ.
-LOSS_KNOBS = {
-    "--roi": ("auto", "0,0,0,5,5,5"),
-    "--roi-margin": ("0", "4"),
-    "--lambda": ("0", "1"),
-    "--beta": ("auto", "0.5"),
-    "--skel-iters": ("1", "10"),
-    "--radius": ("1", "2"),
-    "--sigma-l": ("1", "2"),
-    "--sigma-c": ("0.05", "0.5"),
+# Two valid values per optional flag of every subcommand whose meaning
+# says an output must change between them.  An output path counts: a
+# report written to another file is another output.  On the 20^3 loss
+# input the 0.1 background erodes from the border for 10 iterations, and
+# the radius-5 tube for 5, so 1 and 10 skeleton iterations differ.
+OPTION_VALUES = {
+    "phantom": {
+        "--kind": ("cylinder", "helix"),
+        "--radius-mm": ("1", "3"),
+        "--dims": ("16,16,16", "16,16,20"),
+        "--spacing": ("1,1,1", "1,1,2"),
+        "--foreground": ("1", "2"),
+        "--background": ("0", "0.5"),
+        "--noise-sigma": ("0", "0.1"),
+        "--gap": ("0", "3"),
+        "--seed": ("0", "1"),
+    },
+    "vesselness": {"--tau": ("0.5", "1"), "--scales": ("1", "2"),
+                   "--polarity": ("bright", "dark")},
+    "skeleton": {"--iters": ("1", "10")},
+    "reconnect": {"--report": ("out/a.json", "out/b.json")},
+    "loss": {
+        "--roi": ("auto", "0,0,0,5,5,5"),
+        "--roi-margin": ("0", "4"),
+        "--lambda": ("0", "1"),
+        "--beta": ("auto", "0.5"),
+        "--skel-iters": ("1", "10"),
+        "--radius": ("1", "2"),
+        "--sigma-l": ("1", "2"),
+        "--sigma-c": ("0.05", "0.5"),
+    },
+    "metrics": {"--skel-iters": ("1", "10")},
+    "fusion-demo": {"--seed": ("0", "7"), "--dims": ("4,4,4", "6,6,6"),
+                    "--channels": ("2", "4"), "--json": ("out/a.json", "out/b.json")},
+    "gradcheck": {"--seed": ("0", "1"), "--size": ("6", "7"),
+                  "--json": ("out/a.json", "out/b.json")},
+}
+# arguments a flag needs before its value can matter
+OPTION_NEEDS = {
+    ("phantom", "--gap"): ["--kind", "gapped_cylinder"],
+    ("phantom", "--seed"): ["--noise-sigma", "0.1"],
 }
 
 
-def test_every_loss_option_changes_the_report(tmp_path):
+def _assert_every_option_changes_an_output(command, base, capsys):
+    """Run ``command`` (in the current directory, writing under out/) at
+    both values of each optional flag; the files and stdout must differ."""
     sub = next(a for a in _build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
-    options = {a.option_strings[-1] for a in sub.choices["loss"]._actions
+    assert set(OPTION_VALUES) == set(sub.choices)
+    options = {a.option_strings[-1] for a in sub.choices[command]._actions
                if a.option_strings and not a.required} - {"--help"}
-    assert options == set(LOSS_KNOBS)
+    assert options == set(OPTION_VALUES[command])
 
+    out = Path("out")
+    for flag, values in OPTION_VALUES[command].items():
+        outputs = []
+        for value in values:
+            shutil.rmtree(out, ignore_errors=True)
+            out.mkdir()
+            argv = [command, *base, *OPTION_NEEDS.get((command, flag), []), flag, value]
+            assert _run(*argv) == 0, argv
+            outputs.append((capsys.readouterr().out,
+                            {p.name: p.read_bytes() for p in out.iterdir()}))
+        assert outputs[0] != outputs[1], (command, flag)
+
+
+def test_every_loss_option_changes_the_report(tmp_path, monkeypatch, capsys):
     img, lab = _phantom_files(tmp_path, dims="20,20,20", radius_mm=3.0)
     label = load_tvol(lab)
     pred = tmp_path / "pred.tvol"
     save_tvol(Volume3(label.dims, label.spacing,
                       0.1 + 0.8 * label.data.astype(np.float32)), pred)
-    base = ["loss", "--pred", str(pred), "--label", str(lab), "--image", str(img)]
-    for flag, values in LOSS_KNOBS.items():
-        reports = []
-        for value in values:
-            out = tmp_path / "loss.json"
-            assert _run(*base, flag, value, "--json", str(out)) == 0, (flag, value)
-            reports.append(out.read_bytes())
-        assert reports[0] != reports[1], flag
+    monkeypatch.chdir(tmp_path)
+    base = ["--pred", str(pred), "--label", str(lab), "--image", str(img),
+            "--json", "out/loss.json"]
+    _assert_every_option_changes_an_output("loss", base, capsys)
+
+
+@pytest.mark.parametrize("command", [c for c in OPTION_VALUES if c != "loss"])
+def test_every_option_changes_an_output(tmp_path, monkeypatch, capsys, command):
+    img, tube = _phantom_files(tmp_path / "in", dims="20,20,20", radius_mm=5.0,
+                               noise_sigma=0.2)
+    _, thin = _phantom_files(tmp_path / "thin", dims="20,20,20", radius_mm=2.0)
+    monkeypatch.chdir(tmp_path)
+    base = {
+        "phantom": ["--out-image", "out/i.tvol", "--out-label", "out/l.tvol"],
+        "vesselness": ["--in", str(img), "--out", "out/v.tvol"],
+        "skeleton": ["--in", str(tube), "--out", "out/s.tvol"],
+        "reconnect": ["--in", str(tube), "--out", "out/r.tvol"],
+        "metrics": ["--pred", str(tube), "--gt", str(thin), "--json", "out/m.json"],
+    }.get(command, [])
+    _assert_every_option_changes_an_output(command, base, capsys)
 
 
 def test_gradcheck_thresholds(tmp_path):
@@ -247,12 +306,13 @@ def test_parameter_error_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     *(["gradcheck", "--size", str(n)] for n in range(6)),
     ["fusion-demo", "--channels", "0"],
+    ["fusion-demo", "--channels", "66"],
     ["fusion-demo", "--dims", "0,4,4"],
     ["fusion-demo", "--dims", "17,16,16"],
     ["fusion-demo", "--dims", "32,32,32"],
     ["phantom", "--noise-sigma", "nan"],
 ], ids=[*(f"gradcheck-size-{n}" for n in range(6)),
-        "fusion-channels-0", "fusion-dims-0", "fusion-dims-over-16^3",
+        "fusion-channels-0", "fusion-channels-over-64", "fusion-dims-0", "fusion-dims-over-16^3",
         "fusion-dims-32^3", "phantom-noise-nan"])
 def test_out_of_domain_arguments_exit_2(tmp_path, capsys, argv):
     # gradcheck below size 6 cannot draw its 20 voxels and 40 interior ones
@@ -474,7 +534,16 @@ def _loss_argv(tmp_path, pred_scale=0.8, empty_label=False, pred_floor=0.1):
     ({"empty_label": True}, ["--beta", "0.5", "--roi", "0,0,0,3,3,3"], 4,
      "NumericDomainError", "relaxed supervision needs at least one positive voxel"),
     ({}, ["--skel-iters", "0"], 2, "ParameterError", "iterations must be >= 1"),
-], ids=["pred-above-one", "negative-beta", "empty-label-explicit-beta", "skel-iters-0"])
+    ({}, ["--lambda", "nan"], 2, "ParameterError",
+     "lambda must be finite and non-negative, got nan"),
+    ({}, ["--lambda", "inf"], 2, "ParameterError",
+     "lambda must be finite and non-negative, got inf"),
+    *(({}, [flag, value], 2, "ParameterError",
+       "sigma_l and sigma_c must lie in [1e-150, 1e+150]")
+      for flag in ("--sigma-l", "--sigma-c") for value in ("1e-300", "1e200")),
+], ids=["pred-above-one", "negative-beta", "empty-label-explicit-beta", "skel-iters-0",
+        "lambda-nan", "lambda-inf", "sigma-l-underflow", "sigma-l-overflow",
+        "sigma-c-underflow", "sigma-c-overflow"])
 def test_loss_error_contract(tmp_path, capsys, inputs, extra, code, error, message):
     argv = _loss_argv(tmp_path, **inputs)
     capsys.readouterr()

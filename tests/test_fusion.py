@@ -5,7 +5,7 @@ from tubekit import ParameterError
 from tubekit.fusion import (AttentionParams, FeatureMap, FlexConvParams,
                             attention_rows, cross_attention, d2sd_fuse,
                             deep_mutual_query, feature_map_from_seed,
-                            flex_conv_block, self_attention, shallow_query,
+                            flex_conv_block, shallow_query,
                             trilinear_resize)
 
 
@@ -90,7 +90,7 @@ def test_dmq_zero_query_gives_uniform_average():
     dq_v2c, _ = deep_mutual_query(fc4, fv4, p)
     v = fc4.tokens() @ p.wv
     uniform_cross = (v.mean(axis=0) @ p.wo)[None, :]
-    expected = uniform_cross + self_attention(fc4, p).tokens()
+    expected = uniform_cross + cross_attention(fc4, fc4, p).tokens()
     assert np.abs(dq_v2c.tokens() - expected).max() <= 1e-5
 
 
@@ -163,18 +163,13 @@ def test_flex_conv_zero_input_zero_output():
 
 
 def test_flex_conv_receptive_field_of_impulse():
-    p = FlexConvParams.init(2, 2, kernel_sizes=(1, 3, 5), seed=15)
+    p = FlexConvParams.init(2, 2, seed=15)
     data = np.zeros((2, 9, 9, 9), dtype=np.float32)
     data[0, 4, 4, 4] = 1.0
     out = flex_conv_block(_fm(data), p)
     nz = np.argwhere(out.data != 0)
     assert nz.size > 0
     assert np.abs(nz[:, 1:] - 4).max() <= 2  # max kernel 5 -> radius 2
-
-
-def test_flex_conv_rejects_even_kernels():
-    with pytest.raises(ParameterError):
-        FlexConvParams.init(2, 2, kernel_sizes=(2, 3), seed=16)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,29 @@
+"""Every name a package module imports is used in it (no linter ships
+with the toolchain, so this stands in for an unused-import check)."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tubekit"
+
+
+def _unused_imports(tree: ast.Module) -> set:
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.add(alias.asname or alias.name.split(".")[0])
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:  # names re-exported through __all__
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+            used |= set(ast.literal_eval(node.value))
+    return imported - used
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_uses_every_name_it_imports(path):
+    assert _unused_imports(ast.parse(path.read_text())) == set()
+

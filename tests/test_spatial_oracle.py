@@ -7,6 +7,8 @@ offset.  The counts agree while no a*b underflows, which the domain
 (finite inputs, every nonzero |y| >= 2^-537) guarantees.
 """
 
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -59,6 +61,27 @@ def test_axis_shorter_than_the_window():
     value, _, n_pairs = loss_spatial_array(yhat, guide, GatedKernelParams(radius=3))
     assert n_pairs == 8 * 7  # the window holds the whole volume
     assert _bits(value) == _bits(spatial_loss_oracle(yhat, guide, 1.5, 0.1, 3)[0])
+
+
+def test_window_is_cut_to_the_volume():
+    # Every offset beyond max(dims) - 1 = 7 pairs no voxels, so a radius
+    # of 10**6 gives the radius-7 bits without walking its huge window.
+    yhat, guide = _inputs("sparse", (6, 7, 8), 3)
+    want = loss_spatial_array(yhat, guide, GatedKernelParams(radius=7))
+
+    def give_up(signum, frame):
+        raise TimeoutError("radius 10**6 took more than a second")
+
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        got = loss_spatial_array(yhat, guide, GatedKernelParams(radius=10 ** 6))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert got[2] == want[2] > 0
+    assert _bits(got[0]) == _bits(want[0])
+    assert _bits(got[1]) == _bits(want[1])
 
 
 @pytest.mark.parametrize("where, bad", [

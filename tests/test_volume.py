@@ -7,7 +7,6 @@ import pytest
 from tubekit import (FileFormatError, Mask3, NumericDomainError, ParameterError,
                      PhantomSpec, RoiBox, Volume3, load_tvol, make_phantom,
                      roi_from_label, save_tvol)
-from tubekit.volume import linear_index
 
 from oracles import cylinder_voxel_count
 
@@ -47,15 +46,6 @@ def test_containers_are_frozen():
     v = Volume3((2, 2, 2), (1, 1, 1), np.zeros((2, 2, 2), dtype=np.float32))
     with pytest.raises(ValueError):
         v.data[0, 0, 0] = 1.0
-
-
-def test_linear_index_is_x_fastest():
-    lin = linear_index((3, 4, 5))
-    assert lin[0, 0, 0] == 0
-    assert lin[1, 0, 0] == 1
-    assert lin[0, 1, 0] == 3
-    assert lin[0, 0, 1] == 12
-    assert lin[2, 3, 4] == 2 + 3 * 3 + 12 * 4
 
 
 # ---------------------------------------------------------------------------
