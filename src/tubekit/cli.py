@@ -137,27 +137,31 @@ def _cmd_vesselness(args):
 def _cmd_skeleton(args):
     obj = load_tvol(args.infile)
     if isinstance(obj, Mask3):
-        out = skeleton.hard_skeleton(obj, args.iters)
+        skel = skeleton.hard_skeleton(obj.data > 0, args.iters)
+        out = Mask3(obj.dims, skel.astype(np.uint8), obj.spacing)
     else:
-        out = skeleton.soft_skeleton(obj, args.iters)
+        skel = skeleton.soft_skeleton_array(obj.data, args.iters)
+        out = Volume3(obj.dims, obj.spacing, skel.astype(np.float32))
     _save_tvol_atomic(out, args.out)
     return 0
 
 
 def _cmd_reconnect(args):
     mask = _load_mask(args.infile)
-    res = skeleton.reconnect(mask)
-    _save_tvol_atomic(res.reconnected, args.out)
+    res = skeleton.reconnect(mask.data > 0)
+    _save_tvol_atomic(Mask3(mask.dims, res.reconnected.astype(np.uint8),
+                            mask.spacing), args.out)
     if args.report:
         segments = [{"from": list(a), "to": list(b),
                      "line_voxels": _line_voxels(a, b)}
                     for a, b in res.segments]
+        n_in, n_out = mask.count(), int(res.reconnected.sum())
         _write_json(args.report, {
             "segments": segments,
             "segment_count": len(res.segments),
-            "drawn_voxels": res.drawn_only.count(),
-            "input_voxels": mask.count(),
-            "output_voxels": res.reconnected.count(),
+            "drawn_voxels": n_out - n_in,  # reconnection only adds voxels
+            "input_voxels": n_in,
+            "output_voxels": n_out,
         })
     return 0
 
@@ -176,6 +180,7 @@ def _parse_roi(args, label: Mask3) -> RoiBox:
 
 
 def _cmd_loss(args):
+    losses._checked_lambda(args.lam)
     pred = _load_volume(args.pred)
     label = _load_mask(args.label)
     image = _load_volume(args.image)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import NumericDomainError, ParameterError
 from .skeleton import (SoftSkeletonTape, _check_unit_range, _neighbor_counts,
-                       _reconnect_array, _window_offsets)
+                       _window_offsets, reconnect)
 
 DEFAULT_EPSILON = 1e-7
 SPATIAL_MIN_MAGNITUDE = 2.0 ** -537  # the square of this is the smallest subnormal
@@ -140,7 +140,7 @@ def loss_con_array(yhat, iterations=10):
     hard = ys >= 0.5
     if not hard.any():
         return 0.0, np.zeros_like(yhat)
-    rec, _ = _reconnect_array(hard)
+    rec = reconnect(hard).reconnected
     n = int(rec.sum())
     value = -float(np.log(ys[rec] + DEFAULT_EPSILON).sum()) / n
     g_skel = np.where(rec, -1.0 / ((ys + DEFAULT_EPSILON) * n), 0.0)
@@ -158,8 +158,7 @@ def loss_con_signature(yhat, iterations=10) -> bytes:
     h.update(tape.signature())
     h.update(hard.tobytes())
     if hard.any():
-        rec, _ = _reconnect_array(hard)
-        h.update(rec.tobytes())
+        h.update(reconnect(hard).reconnected.tobytes())
     return h.digest()
 
 
@@ -250,10 +249,15 @@ def loss_mix_array(yhat, mixed_label):
 # combined objective
 # ---------------------------------------------------------------------------
 
-def loss_gsb(r_sup, con, spatial, mix, lam: float = 1.0) -> LossBreakdown:
-    """Assemble the balanced objective from the four (value, grad) parts."""
+def _checked_lambda(lam: float) -> float:
     if not 0.0 <= lam < math.inf:  # NaN fails too
         raise ParameterError(f"lambda must be finite and non-negative, got {lam}")
+    return float(lam)
+
+
+def loss_gsb(r_sup, con, spatial, mix, lam: float = 1.0) -> LossBreakdown:
+    """Assemble the balanced objective from the four (value, grad) parts."""
+    lam = _checked_lambda(lam)
     values = [p[0] for p in (r_sup, con, spatial, mix)]
     total = values[0] + values[1] + lam * (values[2] + values[3])
     return LossBreakdown(

@@ -18,7 +18,7 @@ from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from .errors import NumericDomainError, ParameterError
-from .skeleton import (_components_array, _neighbor_counts, _window_offsets,
+from .skeleton import (_neighbor_counts, _window_offsets, connected_components,
                        hard_skeleton)
 from .volume import Mask3
 
@@ -96,7 +96,7 @@ def cldice(pred: Mask3, gt: Mask3, skel_k: int = 10) -> float:
 
 
 def _centerline(mask: Mask3, skel_k: int) -> np.ndarray:
-    return hard_skeleton(mask, skel_k).data > 0
+    return hard_skeleton(mask.data > 0, skel_k)
 
 
 def _cldice(p, g, sp, sg) -> float:
@@ -149,9 +149,9 @@ def _branch_components(centerline: np.ndarray):
     centerline so thick degenerate skeletons still count as branches."""
     counts = _neighbor_counts(centerline)
     junctions = centerline & (counts >= 3)
-    comp = _components_array(centerline & ~junctions)
+    comp = connected_components(centerline & ~junctions)
     if comp.count == 0:
-        comp = _components_array(centerline)
+        comp = connected_components(centerline)
     return comp
 
 

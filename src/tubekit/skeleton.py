@@ -21,13 +21,13 @@ tape's ``iterations`` is the number of erosions that actually ran.
 import hashlib
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from .errors import NumericDomainError, ParameterError
-from .volume import Mask3, Volume3
 
 _STRUCT_26 = np.ones((3, 3, 3), dtype=bool)
 
@@ -56,11 +56,9 @@ class ComponentSet:
     sizes: np.ndarray  # sizes[i-1] = voxels in component i
 
 
-@dataclass(frozen=True, eq=False)
-class ReconnectResult:
-    reconnected: Mask3
-    drawn_only: Mask3
-    segments: list  # [( (x,y,z) from, (x,y,z) to ), ...]
+class Reconnection(NamedTuple):
+    reconnected: np.ndarray  # bool, the input plus every drawn line
+    segments: list  # [( (x,y,z) from, (x,y,z) to ), ...] in drawing order
 
 
 # ---------------------------------------------------------------------------
@@ -209,32 +207,23 @@ def soft_skeleton_array(img: np.ndarray, iterations: int) -> np.ndarray:
     return _recurrence(img, iterations)
 
 
-def soft_skeleton(prob: Volume3, iterations: int = 10) -> Volume3:
-    """Differentiable centerline proxy of a probability volume."""
-    out = soft_skeleton_array(prob.data, iterations)
-    return Volume3(prob.dims, prob.spacing, out.astype(np.float32))
-
-
-def hard_skeleton(mask: Mask3, k: int = 10) -> Mask3:
-    """Binary skeleton: soft recurrence on the 0/1 field, cut at 0.5."""
-    skel = soft_skeleton_array(mask.data.astype(np.float64), k)
-    return Mask3(mask.dims, (skel >= 0.5).astype(np.uint8), mask.spacing)
+def hard_skeleton(fg: np.ndarray, k: int = 10) -> np.ndarray:
+    """Binary skeleton of a boolean array: soft recurrence on the 0/1
+    field, cut at 0.5."""
+    return soft_skeleton_array(fg, k) >= 0.5
 
 
 # ---------------------------------------------------------------------------
 # components / endpoints / reconnection
 # ---------------------------------------------------------------------------
 
-def _components_array(fg: np.ndarray) -> ComponentSet:
+def connected_components(fg: np.ndarray) -> ComponentSet:
+    """26-connected components of a boolean array."""
     # Labelling the transpose scans x fastest, so ids follow each
     # component's first voxel in linear order.
     raw, n = ndimage.label(fg.T, structure=_STRUCT_26)
     sizes = np.bincount(raw.ravel(), minlength=n + 1)[1:].astype(np.int64)
     return ComponentSet(raw.T, n, sizes)
-
-
-def connected_components(mask: Mask3) -> ComponentSet:
-    return _components_array(mask.data > 0)
 
 
 def _neighbor_counts(fg: np.ndarray, radius: int = 1) -> np.ndarray:
@@ -252,20 +241,13 @@ def _neighbor_counts(fg: np.ndarray, radius: int = 1) -> np.ndarray:
 
 
 def _sort_by_linear(coords: np.ndarray) -> np.ndarray:
-    if coords.size == 0:
-        return coords
     return coords[np.lexsort((coords[:, 0], coords[:, 1], coords[:, 2]))]
 
 
-def _endpoints_array(fg: np.ndarray) -> np.ndarray:
-    counts = _neighbor_counts(fg)
-    pts = np.argwhere(fg & (counts <= 1))
-    return _sort_by_linear(pts)
-
-
-def endpoints(skeleton: Mask3) -> list:
-    """Foreground voxels with <= 1 foreground 26-neighbor, linear order."""
-    return [tuple(int(v) for v in p) for p in _endpoints_array(skeleton.data > 0)]
+def endpoints(fg: np.ndarray) -> np.ndarray:
+    """Foreground voxels with <= 1 foreground 26-neighbor: an (n, 3)
+    array of (x, y, z) rows in linear order."""
+    return _sort_by_linear(np.argwhere(fg & (_neighbor_counts(fg) <= 1)))
 
 
 def bresenham_line(a, b) -> np.ndarray:
@@ -341,7 +323,7 @@ def _reconnect_pass(fg: np.ndarray, comp: ComponentSet, segments) -> np.ndarray:
     """
     dims = fg.shape
     largest = int(np.argmax(comp.sizes)) + 1  # ties -> smallest id, i.e. argmax
-    ep = _endpoints_array(fg)
+    ep = endpoints(fg)
     ep_lab = comp.labels[ep[:, 0], ep[:, 1], ep[:, 2]]
     n_ep = np.bincount(ep_lab, minlength=comp.count + 1)
     whole = n_ep == 0
@@ -373,35 +355,23 @@ def _reconnect_pass(fg: np.ndarray, comp: ComponentSet, segments) -> np.ndarray:
     return lines
 
 
-def _reconnect_array(fg0: np.ndarray):
-    """Reconnection loop on a boolean array: returns the reconnected
-    copy and the segments drawn, in drawing order.  Every pass joins
-    each non-largest component to another, so the component count
-    falls strictly; a pass that fails to lower it is an error."""
-    fg = fg0.copy()
+def reconnect(fg: np.ndarray) -> Reconnection:
+    """Join the fragments of a boolean skeleton with 1-voxel-wide lines
+    between nearest endpoints, repeating passes until a single component
+    remains; the input is not modified.  Every pass joins each
+    non-largest component to another, so the component count falls
+    strictly; a pass that fails to lower it is an error."""
+    if not fg.any():
+        raise NumericDomainError("reconnect: empty skeleton")
+    fg = fg.copy()
     segments = []
     before = None
     while True:
-        comp = _components_array(fg)
+        comp = connected_components(fg)
         if comp.count <= 1:
-            return fg, segments
+            return Reconnection(fg, segments)
         if before is not None and comp.count >= before:
             raise NumericDomainError(
                 f"reconnect: a pass left {comp.count} of {before} components")
         before = comp.count
         fg |= _reconnect_pass(fg, comp, segments)
-
-
-def reconnect(skeleton: Mask3) -> ReconnectResult:
-    """Join skeleton fragments with 1-voxel-wide lines between nearest
-    endpoints, repeating passes until a single component remains."""
-    fg0 = skeleton.data > 0
-    if not fg0.any():
-        raise NumericDomainError("reconnect: empty skeleton")
-    fg, segments = _reconnect_array(fg0)
-    return ReconnectResult(
-        reconnected=Mask3(skeleton.dims, fg.astype(np.uint8), skeleton.spacing),
-        drawn_only=Mask3(skeleton.dims, (fg & ~fg0).astype(np.uint8),
-                         skeleton.spacing),
-        segments=segments,
-    )

@@ -62,8 +62,11 @@ def _gaussian_kernel(sigma_mm: float, spacing_mm: float) -> np.ndarray:
     return k / k.sum()
 
 
-def _smooth(data: np.ndarray, spacing, sigma: float) -> np.ndarray:
-    """Separable Gaussian smoothing of a plain array, rounded to float32."""
+def gaussian_smooth(data: np.ndarray, spacing, sigma: float) -> np.ndarray:
+    """Separable Gaussian smoothing with replicate boundaries, rounded to
+    float32.  Kernel radius is ceil(3*sigma/spacing) per axis, at most the
+    largest dimension; each 1D kernel sums to 1, so constants are
+    preserved exactly."""
     if not sigma > 0:
         raise ParameterError(f"sigma must be positive, got {sigma}")
     limit = max(data.shape)
@@ -74,15 +77,6 @@ def _smooth(data: np.ndarray, spacing, sigma: float) -> np.ndarray:
     for axis in range(3):
         out = correlate1d(out, _gaussian_kernel(sigma, spacing[axis]), axis=axis, mode="nearest")
     return out.astype(np.float32)
-
-
-def gaussian_smooth(vol: Volume3, sigma: float) -> Volume3:
-    """Separable Gaussian smoothing with replicate boundaries.
-
-    Kernel radius is ceil(3*sigma/spacing) per axis, at most the largest
-    dimension; each 1D kernel sums to 1, so constants are preserved exactly.
-    """
-    return Volume3(vol.dims, vol.spacing, _smooth(vol.data, vol.spacing, sigma))
 
 
 def _second_derivatives(g: np.ndarray, spacing):
@@ -100,8 +94,11 @@ def _second_derivatives(g: np.ndarray, spacing):
     yield (sl(0, 0, 1) - 2.0 * f + sl(0, 0, -1)) / (sz * sz)
 
 
-def _hessian_slab(smooth: np.ndarray, spacing, sigma: float, planes: slice):
-    """hessian_at_scale on some planes (axis 0), edge-replicating only at the ends."""
+def hessian_at_scale(smooth: np.ndarray, spacing, sigma: float,
+                     planes: slice) -> np.ndarray:
+    """sigma^2 times the Hessian of ``smooth`` on ``planes`` along axis 0,
+    edge-replicated only at the volume's ends: float32 components
+    (..., 6), (xx, xy, xz, yy, yz, zz), mm^-2."""
     if min(smooth.shape) < 5:
         raise ParameterError(f"dims {smooth.shape} too small for the second-derivative stencil")
     lo, hi = planes.start, planes.stop
@@ -114,13 +111,6 @@ def _hessian_slab(smooth: np.ndarray, spacing, sigma: float, planes: slice):
     if not np.all(np.isfinite(comps)):
         raise ParameterError("Hessian components must be finite")
     return comps
-
-
-def hessian_at_scale(vol: Volume3, sigma: float) -> np.ndarray:
-    """Smooth at sigma (rounded to float32), differentiate, multiply by
-    sigma^2: float32 components dims + (6,), (xx, xy, xz, yy, yz, zz), mm^-2."""
-    smooth = _smooth(vol.data, vol.spacing, sigma)
-    return _hessian_slab(smooth, vol.spacing, sigma, slice(0, vol.dims[0]))
 
 
 def _by_magnitude(a: np.ndarray, b: np.ndarray, ma: np.ndarray, mb: np.ndarray):
@@ -229,9 +219,9 @@ def vesselness_multiscale(vol: Volume3, params: JermanParams) -> Volume3:
     slabs = [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
     best, l2, l3 = (np.zeros(vol.dims, dtype=np.float64) for _ in range(3))
     for sigma in params.scales:
-        smooth, lambda3_max = _smooth(vol.data, vol.spacing, sigma), 0.0
+        smooth, lambda3_max = gaussian_smooth(vol.data, vol.spacing, sigma), 0.0
         for s in slabs:
-            _, e2, e3 = eig3_symmetric_field(_hessian_slab(smooth, vol.spacing, sigma, s))
+            _, e2, e3 = eig3_symmetric_field(hessian_at_scale(smooth, vol.spacing, sigma, s))
             np.multiply(sign, e2, out=l2[s])
             np.multiply(sign, e3, out=l3[s])
             lambda3_max = max(lambda3_max, float(l3[s].max()))

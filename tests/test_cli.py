@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tubekit import Mask3, load_tvol, metrics, save_tvol
+from tubekit import Mask3, load_tvol, losses, metrics, save_tvol
 from tubekit.cli import _build_parser, _line_voxels, main
 from tubekit.skeleton import bresenham_line
 from tubekit.volume import Volume3
@@ -78,6 +78,17 @@ def test_skeleton_and_reconnect_pipeline(tmp_path):
     assert seg["drawn_voxels"] == 3
     assert seg["output_voxels"] == seg["input_voxels"] + 3
     assert len(seg["segments"][0]["from"]) == 3
+
+
+def test_skeleton_of_a_volume_is_its_soft_skeleton(tmp_path):
+    data = np.zeros((8, 8, 8), dtype=np.float32)
+    data[3, 3, 1:7] = 1.0  # a one-wide line is its own soft skeleton
+    src, out = tmp_path / "line.tvol", tmp_path / "skel.tvol"
+    save_tvol(Volume3(data.shape, (1, 1, 1), data), src)
+    assert _run("skeleton", "--in", str(src), "--iters", "2", "--out", str(out)) == 0
+    skel = load_tvol(out)
+    assert isinstance(skel, Volume3)
+    assert np.array_equal(skel.data, data)
 
 
 def test_anisotropic_spacing_flows_through_cli(tmp_path):
@@ -550,6 +561,24 @@ def test_loss_error_contract(tmp_path, capsys, inputs, extra, code, error, messa
     out = tmp_path / "loss.json"
     assert _run(*argv, *extra, "--json", str(out)) == code
     assert _one_line_error(capsys) == {"error": error, "message": message}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lam", ["nan", "inf", "-1"])
+def test_loss_checks_lambda_before_any_work(tmp_path, capsys, monkeypatch, lam):
+    def never(*args, **kwargs):
+        raise AssertionError("a loss term ran before lambda was checked")
+
+    for term in ("loss_r_sup_array", "loss_con_array", "loss_spatial_array",
+                 "loss_mix_array"):
+        monkeypatch.setattr(losses, term, never)
+    argv = _loss_argv(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "loss.json"
+    assert _run(*argv, "--lambda", lam, "--json", str(out)) == 2
+    assert _one_line_error(capsys) == {
+        "error": "ParameterError",
+        "message": f"lambda must be finite and non-negative, got {float(lam)}"}
     assert not out.exists()
 
 

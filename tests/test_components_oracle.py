@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import components_oracle, neighbor_counts_bruteforce
-from tubekit.skeleton import _components_array, _neighbor_counts
+from tubekit.skeleton import _neighbor_counts, connected_components
 
 
 def _fg(shape, density, seed):
@@ -24,7 +24,7 @@ def _fg(shape, density, seed):
        st.integers(0, 2 ** 32 - 1))
 def test_components_match_renumbering_oracle(shape, density, seed):
     fg = _fg(shape, density, seed)
-    comp = _components_array(fg)
+    comp = connected_components(fg)
     labels, count, sizes = components_oracle(fg)
     assert comp.count == count
     assert comp.labels.dtype == labels.dtype

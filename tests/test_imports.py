@@ -1,5 +1,6 @@
 """Every name a package module imports is used in it (no linter ships
-with the toolchain, so this stands in for an unused-import check)."""
+with the toolchain, so this stands in for an unused-import check), and
+the array-only modules import nothing from the container module."""
 
 import ast
 from pathlib import Path
@@ -27,3 +28,23 @@ def _unused_imports(tree: ast.Module) -> set:
 def test_module_uses_every_name_it_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == set()
 
+
+def _volume_imports(tree: ast.Module) -> list:
+    """The import statements of ``tree`` that name a ``volume`` module."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            dotted = [module] + [f"{module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        else:
+            continue
+        if any("volume" in name.split(".") for name in dotted):
+            found.append(ast.unparse(node))
+    return found
+
+
+@pytest.mark.parametrize("name", ["skeleton.py", "losses.py"])
+def test_array_modules_do_not_import_volume(name):
+    assert _volume_imports(ast.parse((PACKAGE / name).read_text())) == []

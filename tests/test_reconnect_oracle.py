@@ -6,15 +6,17 @@ component, as the loop did before.  Byte-equal masks and equal segment
 lists pin the sources, the targets, the fallback and both tie rules.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import bresenham_line_oracle, reconnect_oracle
-from tubekit import Mask3, skeleton
+from tubekit import skeleton
 from tubekit.errors import NumericDomainError
-from tubekit.skeleton import (_reconnect_array, bresenham_line, endpoints,
+from tubekit.skeleton import (bresenham_line, connected_components, endpoints,
                               reconnect)
 
 
@@ -55,7 +57,7 @@ fields = st.tuples(
 def test_reconnect_matches_oracle(case):
     fg = _field(*case)
     fg.flat[0] = True  # never empty
-    got, segments = _reconnect_array(fg)
+    got, segments = reconnect(fg)
     want, want_segments = reconnect_oracle(fg)
     assert got.tobytes() == want.tobytes()
     assert segments == want_segments
@@ -72,7 +74,7 @@ def test_fallback_matches_oracle(case):
     # every endpoint: the fallback aims at all voxels of the others.
     shape, kinds, with_line, seed = case
     fg = _field(shape, kinds + ["line"] * with_line, 0.0, 0, seed)
-    got, segments = _reconnect_array(fg)
+    got, segments = reconnect(fg)
     want, want_segments = reconnect_oracle(fg)
     assert got.tobytes() == want.tobytes()
     assert segments == want_segments
@@ -94,14 +96,28 @@ def test_endpoint_free_components_fall_back_to_all_voxels(monkeypatch, with_line
         _put(fg, kind, at, rng)
     if with_line:
         fg[12:14, 1, 5] = True
-    ends = endpoints(Mask3(fg.shape, fg.astype(np.uint8)))
+    ends = list(map(tuple, endpoints(fg).tolist()))
     assert len(ends) == (2 if with_line else 0)
-    got, segments = _reconnect_array(fg)
+    got, segments = reconnect(fg)
     want, want_segments = reconnect_oracle(fg)
     assert got.tobytes() == want.tobytes()
     assert segments == want_segments
     if with_line:
         assert any(a in ends and b not in ends for a, b in segments)
+
+
+def test_many_isolated_fragments_reconnect_in_bounded_memory():
+    # 1334 voxels, mostly isolated, joined by 1553 segments.  One float64
+    # distance matrix over all fragment pairs would take 16 volumes.
+    fg = np.random.default_rng(5).random((48, 48, 48)) < 0.012
+    tracemalloc.start()
+    try:
+        res = reconnect(fg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert connected_components(res.reconnected).count == 1
+    assert peak <= 8 * 8 * fg.size, peak  # 8 float64 volumes
 
 
 def test_lines_match_the_stepping_loop():
@@ -125,6 +141,4 @@ def test_a_pass_that_joins_nothing_raises(monkeypatch):
     fg = np.zeros((6, 6, 6), dtype=bool)
     fg[0, 0, 0] = fg[5, 5, 5] = True
     with pytest.raises(NumericDomainError, match="a pass left 2 of 2 components"):
-        _reconnect_array(fg)
-    with pytest.raises(NumericDomainError):
-        reconnect(Mask3(fg.shape, fg.astype(np.uint8)))
+        reconnect(fg)

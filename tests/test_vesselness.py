@@ -17,6 +17,16 @@ def _vol(data, spacing=(1.0, 1.0, 1.0)):
     return Volume3(data.shape, spacing, data)
 
 
+def _smooth(vol, sigma):
+    return gaussian_smooth(vol.data, vol.spacing, sigma)
+
+
+def _hessian(vol, sigma):
+    """The whole volume's Hessian at one scale, smoothed first."""
+    return hessian_at_scale(_smooth(vol, sigma), vol.spacing, sigma,
+                            slice(0, vol.dims[0]))
+
+
 # ---------------------------------------------------------------------------
 # gaussian smoothing
 # ---------------------------------------------------------------------------
@@ -24,45 +34,45 @@ def _vol(data, spacing=(1.0, 1.0, 1.0)):
 def test_smooth_preserves_constants():
     v = _vol(np.full((9, 9, 9), 4.25))
     for sigma in (0.5, 1.0, 2.5):
-        out = gaussian_smooth(v, sigma)
-        assert np.abs(out.data - 4.25).max() <= 1e-6
+        out = _smooth(v, sigma)
+        assert np.abs(out - 4.25).max() <= 1e-6
 
 
 def test_smooth_impulse_matches_dense_oracle():
     data = np.zeros((11, 11, 11))
     data[5, 5, 5] = 1.0
-    out = gaussian_smooth(_vol(data), 1.0)
+    out = _smooth(_vol(data), 1.0)
     k1 = gaussian_kernel_1d(1.0, 1.0)
     kernel3 = k1[:, None, None] * k1[None, :, None] * k1[None, None, :]
     expected = dense_convolve3(data, kernel3)
-    assert np.abs(out.data - expected).max() <= 1e-7
+    assert np.abs(out - expected).max() <= 1e-7
 
 
 def test_smooth_random_matches_dense_oracle():
     rng = np.random.default_rng(5)
     data = rng.random((7, 8, 9))
-    out = gaussian_smooth(_vol(data, (1.0, 0.8, 1.3)), 0.7)
+    out = _smooth(_vol(data, (1.0, 0.8, 1.3)), 0.7)
     kernel3 = (gaussian_kernel_1d(0.7, 1.0)[:, None, None]
                * gaussian_kernel_1d(0.7, 0.8)[None, :, None]
                * gaussian_kernel_1d(0.7, 1.3)[None, None, :])
     expected = dense_convolve3(data, kernel3)
-    assert np.abs(out.data - expected).max() <= 1e-6
+    assert np.abs(out - expected).max() <= 1e-6
 
 
 def test_smooth_preserves_mass_of_interior_support():
     rng = np.random.default_rng(6)
     data = np.zeros((24, 24, 24))
     data[9:15, 9:15, 9:15] = rng.random((6, 6, 6))
-    out = gaussian_smooth(_vol(data), 1.0)
-    assert abs(out.data.sum() - data.sum()) / data.sum() <= 1e-3
+    out = _smooth(_vol(data), 1.0)
+    assert abs(out.sum() - data.sum()) / data.sum() <= 1e-3
 
 
 def test_smooth_rejects_bad_sigma():
     v = _vol(np.zeros((5, 5, 5)))
     with pytest.raises(ParameterError):
-        gaussian_smooth(v, 0.0)
+        _smooth(v, 0.0)
     with pytest.raises(ParameterError):
-        gaussian_smooth(v, -1.0)
+        _smooth(v, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +86,7 @@ def test_hessian_of_quadratic_is_analytic():
     f = -(y ** 2 + z ** 2)
     data = np.broadcast_to(f[None, :, :], (n, n, n))
     sigma = 0.5
-    field = hessian_at_scale(_vol(np.array(data)), sigma)
+    field = _hessian(_vol(np.array(data)), sigma)
     inner = (slice(4, n - 4),) * 3
     comps = field[inner]
     s2 = sigma * sigma
@@ -88,11 +98,11 @@ def test_hessian_of_quadratic_is_analytic():
 
 
 def test_hessian_constant_and_ramp_vanish():
-    const = hessian_at_scale(_vol(np.full((12, 12, 12), 3.0)), 1.0)
+    const = _hessian(_vol(np.full((12, 12, 12), 3.0)), 1.0)
     assert np.abs(const).max() <= 1e-5
     x = np.arange(16, dtype=np.float64)
     ramp = np.broadcast_to(x[:, None, None], (16, 16, 16))
-    field = hessian_at_scale(_vol(np.array(ramp)), 1.0)
+    field = _hessian(_vol(np.array(ramp)), 1.0)
     margin = 4  # replicate padding bends the ramp near the border
     inner = (slice(margin, 16 - margin),) * 3
     assert np.abs(field[inner]).max() <= 1e-5
@@ -100,7 +110,7 @@ def test_hessian_constant_and_ramp_vanish():
 
 def test_hessian_rejects_small_volumes():
     with pytest.raises(ParameterError):
-        hessian_at_scale(_vol(np.zeros((4, 8, 8))), 1.0)
+        _hessian(_vol(np.zeros((4, 8, 8))), 1.0)
 
 
 # ---------------------------------------------------------------------------
