@@ -1,10 +1,11 @@
 """Command-line front end: scriptable pipelines over .tvol files.
 
-Exit codes: 0 success, 2 parameter error, 3 I/O error, 4 numeric-domain
-error.  Failures print a one-line JSON error object to stderr.  All file
-outputs are written atomically (temp file + rename) and JSON reports use
-sorted keys with floats rounded to 9 significant digits, so fixed seeds
-give byte-identical artifacts.
+Exit codes: 0 success, 2 parameter error (or a size that cannot be
+allocated), 3 I/O error, 4 numeric-domain error.  Failures print a
+one-line JSON error object to stderr.  All file outputs are written
+atomically (temp file + rename) and JSON reports use sorted keys with
+floats rounded to 9 significant digits, so fixed seeds give
+byte-identical artifacts.
 """
 
 import argparse
@@ -413,6 +414,9 @@ def main(argv=None) -> int:
     except NumericDomainError as exc:
         _emit_error(exc)
         return 4
+    except MemoryError as exc:  # numpy's refusal of an impossible size
+        _emit_error(MemoryError(str(exc)))
+        return 2
 
 
 if __name__ == "__main__":

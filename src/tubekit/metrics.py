@@ -1,10 +1,12 @@
 """Overlap, centerline, surface-distance, and tree-detection metrics.
 
 All overlap scores are percentages in [0, 100]; distances and lengths are
-in mm, measured in the voxel spacing the two masks carry.  Every metric
-takes a (prediction, reference) pair of masks that must share dims and
-spacing (ParameterError otherwise).  Surfaces are foreground voxels with at
-least one background 6-neighbor, the volume border counting as
+in mm, measured in the given voxel spacing.  Each metric is one function
+on boolean arrays, and every field it pairs must share one shape
+(ParameterError otherwise).  ``evaluate`` is the one entry point for a
+(prediction, reference) pair of masks: it checks that the two share dims
+and spacing and measures in that spacing.  Surfaces are foreground voxels
+with at least one background 6-neighbor, the volume border counting as
 background.  Centerline-based scores share the toolkit's skeleton
 semantics (hard_skeleton), so the same centerline feeds losses and
 evaluation.
@@ -53,29 +55,22 @@ class MetricsReport:
         return asdict(self)
 
 
-def _check_pair(pred: Mask3, gt: Mask3):
-    if pred.spacing != gt.spacing:
-        raise ParameterError(
-            f"pred and gt must share spacing, got {pred.spacing} vs {gt.spacing}")
-    if pred.dims != gt.dims:
-        raise ParameterError(f"shape mismatch: {pred.dims} vs {gt.dims}")
+def _check_shapes(*fields):
+    if len({f.shape for f in fields}) > 1:
+        raise ParameterError("shape mismatch: " + " vs ".join(str(f.shape) for f in fields))
 
 
-def dice(pred: Mask3, gt: Mask3) -> float:
+def dice(p: np.ndarray, g: np.ndarray) -> float:
     """100 * 2|P&G| / (|P|+|G|); both-empty pairs score 100 by convention."""
-    _check_pair(pred, gt)
-    p = pred.data > 0
-    g = gt.data > 0
+    _check_shapes(p, g)
     np_, ng = int(p.sum()), int(g.sum())
     if np_ + ng == 0:
         return 100.0
     return 100.0 * 2.0 * int((p & g).sum()) / (np_ + ng)
 
 
-def precision_recall_f1(pred: Mask3, gt: Mask3) -> PRF:
-    _check_pair(pred, gt)
-    p = pred.data > 0
-    g = gt.data > 0
+def precision_recall_f1(p: np.ndarray, g: np.ndarray) -> PRF:
+    _check_shapes(p, g)
     tp = int((p & g).sum())
     np_, ng = int(p.sum()), int(g.sum())
     degenerate = np_ == 0 or ng == 0
@@ -86,20 +81,12 @@ def precision_recall_f1(pred: Mask3, gt: Mask3) -> PRF:
     return PRF(precision, recall, f1, degenerate)
 
 
-def cldice(pred: Mask3, gt: Mask3, skel_k: int = 10) -> float:
-    """Harmonic mean of topology precision/sensitivity on skeletons."""
-    _check_pair(pred, gt)
-    if pred == gt:
+def cldice(p: np.ndarray, g: np.ndarray, sp: np.ndarray, sg: np.ndarray) -> float:
+    """Harmonic mean of topology precision/sensitivity of the masks p, g
+    and their centerlines sp, sg; equal masks score 100."""
+    _check_shapes(p, g, sp, sg)
+    if np.array_equal(p, g):
         return 100.0
-    return _cldice(pred.data > 0, gt.data > 0, _centerline(pred, skel_k),
-                   _centerline(gt, skel_k))
-
-
-def _centerline(mask: Mask3, skel_k: int) -> np.ndarray:
-    return hard_skeleton(mask.data > 0, skel_k)
-
-
-def _cldice(p, g, sp, sg) -> float:
     nsp, nsg = int(sp.sum()), int(sg.sum())
     if nsp == 0 or nsg == 0:
         return 0.0
@@ -110,26 +97,17 @@ def _cldice(p, g, sp, sg) -> float:
     return 100.0 * 2.0 * tprec * tsens / (tprec + tsens)
 
 
-def surface_voxels(mask: Mask3) -> np.ndarray:
+def surface_voxels(fg: np.ndarray) -> np.ndarray:
     """Coordinates of foreground voxels touching background 6-wise;
     the volume border counts as background."""
-    fg = mask.data > 0
     return np.argwhere(fg & ~ndimage.binary_erosion(fg, _STRUCT_6, border_value=0))
 
 
-def surface_distances(pred: Mask3, gt: Mask3):
-    """(hd, assd, ahd) in mm between the two mask surfaces."""
-    _check_distance_inputs(pred, gt)
-    return _surface_distances(surface_voxels(pred), surface_voxels(gt), gt.spacing)
-
-
-def _check_distance_inputs(pred: Mask3, gt: Mask3):
-    _check_pair(pred, gt)
-    if not (pred.data.any() and gt.data.any()):
+def surface_distances(surf_a: np.ndarray, surf_b: np.ndarray, spacing):
+    """(hd, assd, ahd) in mm between two surfaces' voxel coordinates; a
+    non-empty mask always has surface voxels."""
+    if not (len(surf_a) and len(surf_b)):
         raise NumericDomainError("undefined distance: empty mask")
-
-
-def _surface_distances(surf_a, surf_b, spacing):
     sp = np.asarray(spacing, dtype=np.float64)
     a = surf_a * sp
     b = surf_b * sp
@@ -186,20 +164,14 @@ def _walk_lengths(coords: np.ndarray, inside: np.ndarray, spacing):
     return total, detected
 
 
-def tree_metrics(pred: Mask3, gt: Mask3, skel_k: int = 10):
-    """Branch-detected and tree-length-detected percentages; lengths are
-    measured in the masks' spacing.
+def tree_metrics(p: np.ndarray, centerline: np.ndarray, spacing):
+    """Branch-detected and tree-length-detected percentages of the
+    reference centerline covered by the prediction p; lengths in mm.
 
     A reference branch counts as detected when any of its centerline
     voxels falls inside the prediction.
     """
-    _check_pair(pred, gt)
-    if not gt.data.any():
-        raise NumericDomainError("tree metrics need a non-empty reference")
-    return _tree_metrics(pred.data > 0, _centerline(gt, skel_k), gt.spacing)
-
-
-def _tree_metrics(p, centerline, spacing):
+    _check_shapes(p, centerline)
     comp = _branch_components(centerline)
     if comp.count == 0:
         raise NumericDomainError("reference centerline has no branches")
@@ -228,19 +200,21 @@ def _tree_metrics(p, centerline, spacing):
 
 
 def evaluate(pred: Mask3, gt: Mask3, skel_k: int = 10) -> MetricsReport:
-    """Full metric panel for one prediction/reference pair, in the masks'
-    spacing.  Each skeleton and surface is computed once and shared by
-    the scores."""
-    prf = precision_recall_f1(pred, gt)
-    _check_distance_inputs(pred, gt)
-    surf_p, surf_g = surface_voxels(pred), surface_voxels(gt)
-    hd, assd, ahd = _surface_distances(surf_p, surf_g, gt.spacing)
+    """Full metric panel for one prediction/reference pair of masks that
+    share dims and spacing, measured in that spacing.  Each skeleton and
+    surface is computed once and shared by the scores."""
+    if pred.spacing != gt.spacing:
+        raise ParameterError(
+            f"pred and gt must share spacing, got {pred.spacing} vs {gt.spacing}")
     p, g = pred.data > 0, gt.data > 0
-    sg = _centerline(gt, skel_k)
-    bd, tld = _tree_metrics(p, sg, gt.spacing)
+    prf = precision_recall_f1(p, g)  # the dims check, before any other work
+    surf_p, surf_g = surface_voxels(p), surface_voxels(g)
+    hd, assd, ahd = surface_distances(surf_p, surf_g, gt.spacing)
+    sg = hard_skeleton(g, skel_k)
+    bd, tld = tree_metrics(p, sg, gt.spacing)
+    sp = sg if np.array_equal(p, g) else hard_skeleton(p, skel_k)
     return MetricsReport(
-        dice=dice(pred, gt),
-        cldice=100.0 if pred == gt else _cldice(p, g, _centerline(pred, skel_k), sg),
+        dice=dice(p, g), cldice=cldice(p, g, sp, sg),
         f1=prf.f1, precision=prf.precision, recall=prf.recall,
         hd=hd, assd=assd, ahd=ahd, bd=bd, tld=tld,
         pred_voxels=pred.count(), gt_voxels=gt.count(),

@@ -62,6 +62,15 @@ def _gaussian_kernel(sigma_mm: float, spacing_mm: float) -> np.ndarray:
     return k / k.sum()
 
 
+def _check_kernel_radius(dims, spacing, sigma: float):
+    """The kernel radius 3*sigma/spacing of every axis is at most the
+    largest dimension."""
+    limit = max(dims)
+    for s in spacing:
+        if 3.0 * sigma / s > limit:  # as floats: a tiny spacing never reaches arange
+            raise ParameterError(f"kernel radius 3*sigma/spacing exceeds dimension {limit}")
+
+
 def gaussian_smooth(data: np.ndarray, spacing, sigma: float) -> np.ndarray:
     """Separable Gaussian smoothing with replicate boundaries, rounded to
     float32.  Kernel radius is ceil(3*sigma/spacing) per axis, at most the
@@ -69,10 +78,7 @@ def gaussian_smooth(data: np.ndarray, spacing, sigma: float) -> np.ndarray:
     preserved exactly."""
     if not sigma > 0:
         raise ParameterError(f"sigma must be positive, got {sigma}")
-    limit = max(data.shape)
-    for s in spacing:
-        if 3.0 * sigma / s > limit:  # as floats: a tiny spacing never reaches arange
-            raise ParameterError(f"kernel radius 3*sigma/spacing exceeds dimension {limit}")
+    _check_kernel_radius(data.shape, spacing, sigma)
     out = np.asarray(data, dtype=np.float64)
     for axis in range(3):
         out = correlate1d(out, _gaussian_kernel(sigma, spacing[axis]), axis=axis, mode="nearest")
@@ -213,7 +219,9 @@ def jerman_response(eigs: EigenTriple, lambda3_max: float, tau: float,
 
 def vesselness_multiscale(vol: Volume3, params: JermanParams) -> Volume3:
     """Maximum Jerman response over the configured scales, in [0, 1].  Slabs
-    fill the signed l2/l3; the response, needing max(l3), follows the last."""
+    fill the signed l2/l3; the response, needing max(l3), follows the last.
+    The largest scale's kernel is checked before any scale runs."""
+    _check_kernel_radius(vol.dims, vol.spacing, params.scales[-1])  # scales increase
     sign = -1.0 if params.polarity == "bright" else 1.0
     n, step = vol.dims[0], max(1, _SLAB_VOXELS // (vol.dims[1] * vol.dims[2]))
     slabs = [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]

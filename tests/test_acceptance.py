@@ -10,8 +10,7 @@ import time
 
 import numpy as np
 
-from tubekit import (Mask3, PhantomSpec, Volume3, load_tvol, make_phantom,
-                     save_tvol)
+from tubekit import PhantomSpec, Volume3, load_tvol, make_phantom, save_tvol
 from tubekit.cli import main as cli_main
 from tubekit.fusion import (AttentionParams, FeatureMap, FlexConvParams,
                             attention_rows, cross_attention, d2sd_fuse,
@@ -315,12 +314,12 @@ def test_criterion_08_metric_oracles():
         g = (rng.random(dims) < 0.15).astype(np.uint8)
         p[4, 4, 4] = 1
         g[3, 3, 3] = 1
-        pm, gm = Mask3(dims, p), Mask3(dims, g)
+        pm, gm = p > 0, g > 0
         spacing = tuple(rng.uniform(0.5, 2.0, 3))
         sp, sg = surface_voxels(pm), surface_voxels(gm)
         assert len(sp) <= 200 and len(sg) <= 200
         expected = brute_surface_distances(sp, sg, spacing)
-        got = surface_distances(Mask3(dims, p, spacing), Mask3(dims, g, spacing))
+        got = surface_distances(sp, sg, spacing)
         assert max(abs(a - b) for a, b in zip(got, expected)) <= 1e-6
 
         inter = int((p & g).sum())
@@ -335,11 +334,10 @@ def test_criterion_08_metric_oracles():
     for i in range(1, 7):
         data[8 + i, 8, 8 + i] = 1
         data[8 - i, 8, 8 + i] = 1
-    gt = Mask3(data.shape, data)
     pred = np.array(data)
     for i in range(1, 7):
         pred[8 - i, 8, 8 + i] = 0
-    bd, _ = tree_metrics(Mask3(pred.shape, pred), gt, skel_k=3)
+    bd, _ = tree_metrics(pred > 0, hard_skeleton(data > 0, 3), (1.0, 1.0, 1.0))
     assert abs(bd - 66.67) <= 0.01
     _report(8, f"surface distances match brute force to 1e-6; dice/precision/"
                f"recall exact; Y-tree BD {bd:.2f} (66.67 +/- 0.01)")

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tubekit import Mask3, load_tvol, losses, metrics, save_tvol
+from tubekit import Mask3, load_tvol, losses, metrics, save_tvol, vesselness
 from tubekit.cli import _build_parser, _line_voxels, main
 from tubekit.skeleton import bresenham_line
 from tubekit.volume import Volume3
@@ -111,9 +111,9 @@ def test_anisotropic_spacing_flows_through_cli(tmp_path):
     report = tmp_path / "m.json"
     assert _run("metrics", "--pred", str(pred), "--gt", str(lab),
                 "--json", str(report)) == 0
-    hd = metrics.surface_distances(pred_mask, gt)[0]
-    at_1mm = [Mask3(m.dims, m.data) for m in (pred_mask, gt)]
-    assert hd != metrics.surface_distances(*at_1mm)[0]
+    surfaces = [metrics.surface_voxels(m.data > 0) for m in (pred_mask, gt)]
+    hd = metrics.surface_distances(*surfaces, sp)[0]
+    assert hd != metrics.surface_distances(*surfaces, (1.0, 1.0, 1.0))[0]
     assert json.loads(report.read_text())["hd"] == float(f"{hd:.9g}")
 
 
@@ -580,6 +580,37 @@ def test_loss_checks_lambda_before_any_work(tmp_path, capsys, monkeypatch, lam):
         "error": "ParameterError",
         "message": f"lambda must be finite and non-negative, got {float(lam)}"}
     assert not out.exists()
+
+
+def test_vesselness_checks_every_scale_before_any_work(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a scale ran before every scale was checked")
+
+    for stage in ("gaussian_smooth", "hessian_at_scale"):
+        monkeypatch.setattr(vesselness, stage, never)
+    img, _ = _phantom_files(tmp_path, dims="16,16,16")
+    capsys.readouterr()
+    out = tmp_path / "resp.tvol"
+    assert _run("vesselness", "--in", str(img), "--out", str(out),
+                "--scales", "1,3000") == 2
+    assert _one_line_error(capsys) == {
+        "error": "ParameterError",
+        "message": "kernel radius 3*sigma/spacing exceeds dimension 16"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["phantom", "--dims", "100000,100000,100000",
+     "--out-image", "img.tvol", "--out-label", "lab.tvol"],
+    ["gradcheck", "--size", "100000", "--json", "report.json"],
+], ids=["phantom", "gradcheck"])
+def test_unallocatable_size_exits_2(tmp_path, capsys, monkeypatch, argv):
+    # numpy refuses these 3.55 and 7.11 PiB requests at once: nothing is
+    # allocated, and the refusal is a parameter error, not a traceback.
+    monkeypatch.chdir(tmp_path)
+    assert _run(*argv) == 2
+    assert _one_line_error(capsys)["error"] == "MemoryError"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command, option, text", [

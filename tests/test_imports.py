@@ -1,13 +1,15 @@
 """Every name a package module imports is used in it (no linter ships
-with the toolchain, so this stands in for an unused-import check), and
-the array-only modules import nothing from the container module."""
+with the toolchain, so this stands in for an unused-import check), the
+array-only modules import nothing from the container module, and every
+source file parses as the oldest Python that pyproject.toml allows."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tubekit"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "tubekit"
 
 
 def _unused_imports(tree: ast.Module) -> set:
@@ -48,3 +50,12 @@ def _volume_imports(tree: ast.Module) -> list:
 @pytest.mark.parametrize("name", ["skeleton.py", "losses.py"])
 def test_array_modules_do_not_import_volume(name):
     assert _volume_imports(ast.parse((PACKAGE / name).read_text())) == []
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for d in (PACKAGE, ROOT / "tests", ROOT / "perfbench")
+                   for p in d.rglob("*.py")),
+    ids=lambda p: str(p.relative_to(ROOT)))
+def test_source_parses_as_python_3_10(path):
+    # requires-python is >=3.10; reject syntax newer than that grammar
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

@@ -5,6 +5,7 @@ from tubekit import Mask3, NumericDomainError, ParameterError, PhantomSpec, make
 from tubekit.metrics import (MetricsReport, cldice, dice, evaluate,
                              precision_recall_f1, surface_distances,
                              surface_voxels, tree_metrics)
+from tubekit.skeleton import hard_skeleton
 
 from oracles import brute_surface_distances, surface_voxels_bruteforce
 
@@ -14,10 +15,22 @@ def _mask(data, spacing=(1.0, 1.0, 1.0)):
 
 
 def _blob(rng, dims=(8, 8, 8), p=0.2):
-    data = (rng.random(dims) < p).astype(np.uint8)
+    data = rng.random(dims) < p
     if not data.any():
-        data[3, 3, 3] = 1
-    return _mask(data)
+        data[3, 3, 3] = True
+    return data
+
+
+def _cldice(p, g, skel_k=10):
+    return cldice(p, g, hard_skeleton(p, skel_k), hard_skeleton(g, skel_k))
+
+
+def _distances(p, g, spacing=(1.0, 1.0, 1.0)):
+    return surface_distances(surface_voxels(p), surface_voxels(g), spacing)
+
+
+def _tree(p, g, skel_k, spacing=(1.0, 1.0, 1.0)):
+    return tree_metrics(p, hard_skeleton(g, skel_k), spacing)
 
 
 # ---------------------------------------------------------------------------
@@ -25,22 +38,22 @@ def _blob(rng, dims=(8, 8, 8), p=0.2):
 # ---------------------------------------------------------------------------
 
 def test_dice_examples():
-    a = np.zeros((6, 6, 6))
-    a[2:4, 2:4, 2:4] = 1
-    assert dice(_mask(a), _mask(a)) == 100.0
+    a = np.zeros((6, 6, 6), dtype=bool)
+    a[2:4, 2:4, 2:4] = True
+    assert dice(a, a) == 100.0
 
-    b = np.zeros((6, 6, 6))
-    b[5, 5, 5] = 1
-    assert dice(_mask(a), _mask(b)) == 0.0
+    b = np.zeros((6, 6, 6), dtype=bool)
+    b[5, 5, 5] = True
+    assert dice(a, b) == 0.0
 
-    g = np.zeros((6, 6, 6))
-    g[0, 0, 0] = g[0, 0, 1] = 1
-    p = np.zeros((6, 6, 6))
-    p[0, 0, 1] = p[0, 0, 2] = 1
-    assert dice(_mask(p), _mask(g)) == 50.0
+    g = np.zeros((6, 6, 6), dtype=bool)
+    g[0, 0, 0] = g[0, 0, 1] = True
+    p = np.zeros((6, 6, 6), dtype=bool)
+    p[0, 0, 1] = p[0, 0, 2] = True
+    assert dice(p, g) == 50.0
 
-    empty = np.zeros((6, 6, 6))
-    assert dice(_mask(empty), _mask(empty)) == 100.0
+    empty = np.zeros((6, 6, 6), dtype=bool)
+    assert dice(empty, empty) == 100.0
 
 
 def test_dice_matches_enumeration_on_random_masks():
@@ -48,15 +61,18 @@ def test_dice_matches_enumeration_on_random_masks():
     for _ in range(20):
         p = _blob(rng)
         g = _blob(rng)
-        inter = sum(1 for v in np.ndindex(8, 8, 8)
-                    if p.data[v] and g.data[v])
-        expected = 100.0 * 2 * inter / (p.count() + g.count())
+        inter = sum(1 for v in np.ndindex(8, 8, 8) if p[v] and g[v])
+        expected = 100.0 * 2 * inter / (int(p.sum()) + int(g.sum()))
         assert dice(p, g) == expected
 
 
-def test_dice_shape_mismatch():
-    with pytest.raises(ParameterError):
-        dice(_mask(np.zeros((4, 4, 4))), _mask(np.zeros((4, 4, 5))))
+@pytest.mark.parametrize("metric", [dice, precision_recall_f1, cldice, tree_metrics])
+def test_dice_shape_mismatch(metric):
+    # (4, 4, 1) broadcasts against (4, 4, 4): unchecked, it would be scored
+    a, b = np.ones((4, 4, 4), dtype=bool), np.ones((4, 4, 1), dtype=bool)
+    args = {cldice: (a, b, a, b), tree_metrics: (a, b, (1.0, 1.0, 1.0))}
+    with pytest.raises(ParameterError, match="shape mismatch"):
+        metric(*args.get(metric, (a, b)))
 
 
 # ---------------------------------------------------------------------------
@@ -64,21 +80,21 @@ def test_dice_shape_mismatch():
 # ---------------------------------------------------------------------------
 
 def test_prf_examples():
-    a = np.zeros((6, 6, 6))
-    a[1:3, 1:3, 1:3] = 1
-    r = precision_recall_f1(_mask(a), _mask(a))
+    a = np.zeros((6, 6, 6), dtype=bool)
+    a[1:3, 1:3, 1:3] = True
+    r = precision_recall_f1(a, a)
     assert (r.precision, r.recall, r.f1) == (100.0, 100.0, 100.0)
     assert not r.degenerate
 
-    g = np.zeros((6, 6, 6))
-    g[1:3, 1:3, 1:3] = 1          # 8 voxels
-    p = np.zeros((6, 6, 6))
-    p[1:3, 1:3, 1:5] = 1          # 16 voxels, superset
-    r = precision_recall_f1(_mask(p), _mask(g))
+    g = np.zeros((6, 6, 6), dtype=bool)
+    g[1:3, 1:3, 1:3] = True       # 8 voxels
+    p = np.zeros((6, 6, 6), dtype=bool)
+    p[1:3, 1:3, 1:5] = True       # 16 voxels, superset
+    r = precision_recall_f1(p, g)
     assert r.precision == 50.0 and r.recall == 100.0
     assert abs(r.f1 - 200.0 / 3.0) <= 1e-9
 
-    r = precision_recall_f1(_mask(np.zeros((6, 6, 6))), _mask(g))
+    r = precision_recall_f1(np.zeros((6, 6, 6), dtype=bool), g)
     assert (r.precision, r.recall, r.f1) == (0.0, 0.0, 0.0)
     assert r.degenerate
 
@@ -89,28 +105,29 @@ def test_prf_examples():
 
 def test_cldice_identical_tube_is_100():
     _, label = make_phantom(PhantomSpec("cylinder", radius_mm=1.5), (17, 17, 17))
-    assert cldice(label, label) == 100.0
+    fg = label.data > 0
+    assert _cldice(fg, fg) == 100.0
 
 
 def test_cldice_half_covered_centerline():
-    g = np.zeros((5, 5, 12))
-    g[2, 2, 1:11] = 1   # 10-voxel line, its own skeleton
-    p = np.zeros((5, 5, 12))
-    p[2, 2, 1:6] = 1    # half of it
-    got = cldice(_mask(p), _mask(g), skel_k=3)
+    g = np.zeros((5, 5, 12), dtype=bool)
+    g[2, 2, 1:11] = True   # 10-voxel line, its own skeleton
+    p = np.zeros((5, 5, 12), dtype=bool)
+    p[2, 2, 1:6] = True    # half of it
+    got = _cldice(p, g, skel_k=3)
     # Tprec = 1, Tsens = 0.5 -> 2/3
     assert abs(got - 200.0 / 3.0) <= 1e-9
 
 
 def test_cldice_empty_and_symmetry():
-    g = np.zeros((6, 6, 6))
-    g[2, 2, 1:5] = 1
-    assert cldice(_mask(np.zeros((6, 6, 6))), _mask(g)) == 0.0
+    g = np.zeros((6, 6, 6), dtype=bool)
+    g[2, 2, 1:5] = True
+    assert _cldice(np.zeros((6, 6, 6), dtype=bool), g) == 0.0
     rng = np.random.default_rng(3)
     for _ in range(10):
         p = _blob(rng)
         q = _blob(rng)
-        assert abs(cldice(p, q, 3) - cldice(q, p, 3)) <= 1e-9
+        assert abs(_cldice(p, q, 3) - _cldice(q, p, 3)) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -118,17 +135,17 @@ def test_cldice_empty_and_symmetry():
 # ---------------------------------------------------------------------------
 
 def test_surface_identical_masks_are_zero():
-    a = np.zeros((6, 6, 6))
-    a[2:5, 2:5, 2:5] = 1
-    assert surface_distances(_mask(a), _mask(a)) == (0.0, 0.0, 0.0)
+    a = np.zeros((6, 6, 6), dtype=bool)
+    a[2:5, 2:5, 2:5] = True
+    assert _distances(a, a) == (0.0, 0.0, 0.0)
 
 
 def test_surface_single_voxel_pair_is_euclidean():
-    a = np.zeros((8, 8, 8))
-    a[0, 0, 0] = 1
-    b = np.zeros((8, 8, 8))
-    b[3, 4, 0] = 1
-    hd, assd, ahd = surface_distances(_mask(a), _mask(b))
+    a = np.zeros((8, 8, 8), dtype=bool)
+    a[0, 0, 0] = True
+    b = np.zeros((8, 8, 8), dtype=bool)
+    b[3, 4, 0] = True
+    hd, assd, ahd = _distances(a, b)
     assert hd == assd == ahd == 5.0
 
 
@@ -137,7 +154,7 @@ def test_surface_extraction_matches_bruteforce():
     for _ in range(10):
         m = _blob(rng, p=0.3)
         got = sorted(map(tuple, surface_voxels(m)))
-        expected = sorted(map(tuple, surface_voxels_bruteforce(m.data)))
+        expected = sorted(map(tuple, surface_voxels_bruteforce(m)))
         assert got == expected
 
 
@@ -151,7 +168,7 @@ def test_surface_distances_match_bruteforce_oracle():
         sg_vox = surface_voxels(g)
         assert len(sp_vox) <= 200 and len(sg_vox) <= 200
         expected = brute_surface_distances(sp_vox, sg_vox, spacing)
-        got = surface_distances(_mask(p.data, spacing), _mask(g.data, spacing))
+        got = surface_distances(sp_vox, sg_vox, spacing)
         for e, o in zip(got, expected):
             assert abs(e - o) <= 1e-6
 
@@ -160,9 +177,8 @@ def test_surface_distance_scales_with_spacing():
     rng = np.random.default_rng(6)
     p = _blob(rng)
     g = _blob(rng)
-    base = surface_distances(p, g)
-    double = surface_distances(_mask(p.data, (2.0, 2.0, 2.0)),
-                               _mask(g.data, (2.0, 2.0, 2.0)))
+    base = _distances(p, g)
+    double = _distances(p, g, (2.0, 2.0, 2.0))
     for b, d in zip(base, double):
         assert abs(d - 2.0 * b) <= 1e-9
 
@@ -172,17 +188,17 @@ def test_surface_hd_dominates_other_distances():
     for _ in range(10):
         p = _blob(rng)
         g = _blob(rng)
-        hd, assd, ahd = surface_distances(p, g)
+        hd, assd, ahd = _distances(p, g)
         assert hd >= assd >= 0.0
         assert hd >= ahd >= 0.0
 
 
 def test_surface_empty_mask_error():
-    a = np.zeros((5, 5, 5))
-    b = np.zeros((5, 5, 5))
-    b[2, 2, 2] = 1
+    a = np.zeros((5, 5, 5), dtype=bool)
+    b = np.zeros((5, 5, 5), dtype=bool)
+    b[2, 2, 2] = True
     with pytest.raises(NumericDomainError, match="undefined distance"):
-        surface_distances(_mask(a), _mask(b))
+        _distances(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -191,45 +207,44 @@ def test_surface_empty_mask_error():
 
 def _y_tree(dims=(17, 17, 17)):
     """1-wide Y: trunk along z plus two diagonal arms."""
-    data = np.zeros(dims, dtype=np.uint8)
-    data[8, 8, 0:9] = 1                   # trunk, junction at (8,8,8)
+    data = np.zeros(dims, dtype=bool)
+    data[8, 8, 0:9] = True                # trunk, junction at (8,8,8)
     for i in range(1, 7):
-        data[8 + i, 8, 8 + i] = 1          # right arm
-        data[8 - i, 8, 8 + i] = 1          # left arm
-    return _mask(data)
+        data[8 + i, 8, 8 + i] = True       # right arm
+        data[8 - i, 8, 8 + i] = True       # left arm
+    return data
 
 
 def test_tree_full_coverage_is_100():
     gt = _y_tree()
-    bd, tld = tree_metrics(gt, gt, skel_k=3)
+    bd, tld = _tree(gt, gt, skel_k=3)
     assert bd == 100.0 and tld == 100.0
 
 
 def test_tree_one_missed_branch_bd():
     gt = _y_tree()
-    pred = np.array(gt.data)
+    pred = np.array(gt)
     for i in range(1, 7):
-        pred[8 - i, 8, 8 + i] = 0          # drop the left arm
-    bd, tld = tree_metrics(_mask(pred), gt, skel_k=3)
+        pred[8 - i, 8, 8 + i] = False      # drop the left arm
+    bd, tld = _tree(pred, gt, skel_k=3)
     assert abs(bd - 200.0 / 3.0) <= 0.01
     assert 0.0 < tld < 100.0
 
 
 def test_tree_empty_pred_and_empty_gt():
     gt = _y_tree()
-    bd, tld = tree_metrics(_mask(np.zeros(gt.dims)), gt, skel_k=3)
+    bd, tld = _tree(np.zeros(gt.shape, dtype=bool), gt, skel_k=3)
     assert bd == 0.0 and tld == 0.0
     with pytest.raises(NumericDomainError):
-        tree_metrics(gt, _mask(np.zeros(gt.dims)), skel_k=3)
+        _tree(gt, np.zeros(gt.shape, dtype=bool), skel_k=3)
 
 
 def test_tree_length_uses_spacing():
-    gt = np.zeros((9, 9, 9), dtype=np.uint8)
-    gt[4, 4, 1:8] = 1
+    gt = np.zeros((9, 9, 9), dtype=bool)
+    gt[4, 4, 1:8] = True
     pred = np.array(gt)
-    pred[4, 4, 5:] = 0  # keep steps 1-4 of 6
-    sp = (1.0, 1.0, 2.0)
-    bd, tld = tree_metrics(_mask(pred, sp), _mask(gt, sp), skel_k=3)
+    pred[4, 4, 5:] = False  # keep steps 1-4 of 6
+    bd, tld = _tree(pred, gt, skel_k=3, spacing=(1.0, 1.0, 2.0))
     assert bd == 100.0
     assert abs(tld - 100.0 * 3.0 / 6.0) <= 1e-9
 
@@ -256,7 +271,8 @@ def test_evaluate_full_report():
 
 def test_evaluate_shares_skeletons_and_surfaces(monkeypatch):
     # One skeleton and one surface per mask feed every score, and the
-    # scores equal those of the separate public functions.
+    # scores equal those of the array functions fed by hard_skeleton and
+    # surface_voxels.
     from tubekit import metrics
 
     calls = {"hard_skeleton": 0, "surface_voxels": 0}
@@ -276,11 +292,12 @@ def test_evaluate_shares_skeletons_and_surfaces(monkeypatch):
             calls[name] = 0
         report = evaluate(pred, gt, skel_k=4)
         assert calls == {"hard_skeleton": skeletons, "surface_voxels": 2}
-        assert report.cldice == cldice(pred, gt, 4)
-        assert (report.bd, report.tld) == tree_metrics(pred, gt, 4)
-        assert (report.hd, report.assd, report.ahd) == surface_distances(pred, gt)
-        assert report.pred_surface_voxels == len(surface_voxels(pred))
-        assert report.gt_surface_voxels == len(surface_voxels(gt))
+        p, g = pred.data > 0, gt.data > 0
+        assert report.cldice == _cldice(p, g, 4)
+        assert (report.bd, report.tld) == _tree(p, g, 4, sp)
+        assert (report.hd, report.assd, report.ahd) == _distances(p, g, sp)
+        assert report.pred_surface_voxels == len(surface_voxels(p))
+        assert report.gt_surface_voxels == len(surface_voxels(g))
 
 
 def test_metrics_measure_in_the_masks_spacing():
@@ -292,8 +309,7 @@ def test_metrics_measure_in_the_masks_spacing():
     assert evaluate(_mask(shifted), _mask(gt.data)).hd == 1.0
 
 
-@pytest.mark.parametrize("metric", [dice, precision_recall_f1, cldice,
-                                    surface_distances, tree_metrics, evaluate])
+@pytest.mark.parametrize("metric", [evaluate])
 def test_metrics_reject_masks_of_different_spacing(metric):
     data = np.zeros((6, 6, 6), dtype=np.uint8)
     data[2:4, 2:4, 1:5] = 1
