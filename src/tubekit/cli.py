@@ -22,6 +22,7 @@ from . import fusion, gradcheck, losses, metrics, skeleton, vesselness
 from .errors import FileFormatError, NumericDomainError, ParameterError
 from .volume import (Mask3, PhantomSpec, RoiBox, Volume3, load_tvol,
                      make_phantom, roi_from_label, save_tvol)
+from .workers import thread_count
 
 FUSION_MAX_VOXELS = 16 ** 3  # fusion-demo's attention matrix grows as voxels^2
 FUSION_MAX_CHANNELS = 64  # its flex-conv weights grow as 153 * channels^2
@@ -404,6 +405,7 @@ def main(argv=None) -> int:
         code = exc.code
         return int(code) if code else 0
     try:
+        thread_count()  # a bad TUBEKIT_THREADS exits 2 before any file is read
         return int(args.func(args) or 0)
     except ParameterError as exc:
         _emit_error(exc)

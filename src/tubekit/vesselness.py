@@ -6,8 +6,10 @@ background produce l2 ~ l3 << 0, so for that polarity l2 and l3 are
 negated before the response is evaluated; the regularized lp replaces l3
 with a volume-level floor tau * max(l3) to keep low-contrast vessels
 from vanishing.  Each scale is smoothed whole, then differentiated and
-eigen-solved in slabs of planes along axis 0: the peak memory is a few
-float64 volume fields (signed l2, l3, running max) plus one slab's work.
+eigen-solved in slabs of planes along axis 0, one slab per part of the
+``TUBEKIT_THREADS`` pool (tubekit.workers), with 2^15 voxels in flight
+across all workers: the peak memory is a few volume fields (signed l2
+and l3 in float64, the running max in float32) plus those slabs' work.
 """
 
 import math
@@ -18,10 +20,11 @@ from scipy.ndimage import correlate1d
 
 from .errors import ParameterError
 from .volume import Volume3
+from .workers import parallel_map, thread_count
 
 DEFAULT_TAU = 0.5
 DEFAULT_SCALES = (1.0, 1.5, 2.0, 3.0)
-_SLAB_VOXELS = 1 << 15  # 2 planes at 128^2, 8 at 64^2, never fewer than one
+_SLAB_VOXELS = 1 << 15  # in flight across all workers; a slab is never under one plane
 EIG3_MAX_COMPONENT = 1e150  # the analytic solve squares it; float64 ends near 1.8e308
 
 
@@ -79,10 +82,28 @@ def gaussian_smooth(data: np.ndarray, spacing, sigma: float) -> np.ndarray:
     if not sigma > 0:
         raise ParameterError(f"sigma must be positive, got {sigma}")
     _check_kernel_radius(data.shape, spacing, sigma)
-    out = np.asarray(data, dtype=np.float64)
+    src = np.asarray(data)  # the first pass reads it as is
+    bufs = (np.empty(src.shape), np.empty(src.shape))
     for axis in range(3):
-        out = correlate1d(out, _gaussian_kernel(sigma, spacing[axis]), axis=axis, mode="nearest")
-    return out.astype(np.float32)
+        src = _correlate_pass(src, bufs[axis % 2], _gaussian_kernel(sigma, spacing[axis]), axis)
+    del bufs  # the last pass wrote bufs[0]; free the other before rounding
+    return src.astype(np.float32)
+
+
+def _correlate_pass(src: np.ndarray, out: np.ndarray, kernel: np.ndarray,
+                    axis: int) -> np.ndarray:
+    """correlate1d along ``axis`` into float64 ``out``, one pool part per
+    block of an axis it does not filter: every line is computed whole."""
+    other = 1 if axis == 0 else 0
+    n = src.shape[other]
+    k = min(thread_count(), n)
+
+    def part(i):
+        idx = (slice(None),) * other + (slice(i * n // k, (i + 1) * n // k),)
+        correlate1d(src[idx], kernel, axis=axis, output=out[idx], mode="nearest")
+
+    parallel_map(part, list(range(k)))
+    return out
 
 
 def _second_derivatives(g: np.ndarray, spacing):
@@ -194,11 +215,11 @@ def _jerman_from_arrays(l2: np.ndarray, l3: np.ndarray, lambda3_max: float,
     """Branchwise response; callers pass polarity-adjusted eigenvalues."""
     cap = tau * lambda3_max
     lp = np.where(l3 > cap, l3, np.where(l3 > 0.0, cap, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mid = l2 ** 2 * (lp - l2) * (3.0 / (lp + l2)) ** 3
-    resp = np.where((l2 <= 0.0) | (lp <= 0.0), 0.0,
-                    np.where(l2 >= lp / 2.0, 1.0, mid))
-    return np.clip(resp, 0.0, 1.0)
+    resp = np.asarray((l2 > 0.0) & (lp > 0.0) & (l2 >= lp / 2.0), dtype=np.float64)
+    mid = (l2 > 0.0) & (l2 < lp / 2.0)  # implies lp > 0: gather, form, scatter
+    a, b = l2[mid], lp[mid]
+    resp[mid] = np.clip(a ** 2 * (b - a) * (3.0 / (b + a)) ** 3, 0.0, 1.0)
+    return resp
 
 
 def jerman_response(eigs: EigenTriple, lambda3_max: float, tau: float,
@@ -223,17 +244,26 @@ def vesselness_multiscale(vol: Volume3, params: JermanParams) -> Volume3:
     The largest scale's kernel is checked before any scale runs."""
     _check_kernel_radius(vol.dims, vol.spacing, params.scales[-1])  # scales increase
     sign = -1.0 if params.polarity == "bright" else 1.0
-    n, step = vol.dims[0], max(1, _SLAB_VOXELS // (vol.dims[1] * vol.dims[2]))
+    n, plane = vol.dims[0], vol.dims[1] * vol.dims[2]
+    step = max(1, _SLAB_VOXELS // thread_count() // plane)
     slabs = [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
-    best, l2, l3 = (np.zeros(vol.dims, dtype=np.float64) for _ in range(3))
+    l2, l3 = np.empty(vol.dims), np.empty(vol.dims)
+    best = np.zeros(vol.dims, dtype=np.float32)  # rounding is monotone: max commutes
     for sigma in params.scales:
-        smooth, lambda3_max = gaussian_smooth(vol.data, vol.spacing, sigma), 0.0
-        for s in slabs:
+        smooth = gaussian_smooth(vol.data, vol.spacing, sigma)
+
+        def eigen(s):
             _, e2, e3 = eig3_symmetric_field(hessian_at_scale(smooth, vol.spacing, sigma, s))
             np.multiply(sign, e2, out=l2[s])
             np.multiply(sign, e3, out=l3[s])
-            lambda3_max = max(lambda3_max, float(l3[s].max()))
-        for s in slabs:
+            return float(l3[s].max())
+
+        lambda3_max = max([0.0] + parallel_map(eigen, slabs))
+        smooth = None  # free before the next scale is smoothed
+
+        def respond(s):
             resp = _jerman_from_arrays(l2[s], l3[s], lambda3_max, params.tau)
-            np.maximum(best[s], resp, out=best[s])
-    return Volume3(vol.dims, vol.spacing, best.astype(np.float32))
+            np.maximum(best[s], resp.astype(np.float32), out=best[s])
+
+        parallel_map(respond, slabs)
+    return Volume3(vol.dims, vol.spacing, best)

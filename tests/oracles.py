@@ -117,14 +117,20 @@ def eig3_symmetric_field_oracle(comps):
     return lam[0], lam[1], lam[2]
 
 
-def _hessian_whole_volume_oracle(data, spacing, sigma):
-    """Smooth (rounded to float32), differentiate with the edge-padded
-    whole volume, scale by sigma^2 and round: float32 (..., 6)."""
+def gaussian_smooth_oracle(data, spacing, sigma):
+    """The package's former ``gaussian_smooth``: three whole-volume
+    replicate-boundary passes on a float64 copy, rounded to float32."""
     smooth = np.asarray(data, dtype=np.float64)
     for axis in range(3):
         smooth = ndimage.correlate1d(smooth, gaussian_kernel_1d(sigma, spacing[axis]),
                                      axis=axis, mode="nearest")
-    f = smooth.astype(np.float32).astype(np.float64)
+    return smooth.astype(np.float32)
+
+
+def _hessian_whole_volume_oracle(data, spacing, sigma):
+    """Smooth (rounded to float32), differentiate with the edge-padded
+    whole volume, scale by sigma^2 and round: float32 (..., 6)."""
+    f = gaussian_smooth_oracle(data, spacing, sigma).astype(np.float64)
     g = np.pad(f, 1, mode="edge")
     sx, sy, sz = spacing
 
@@ -148,6 +154,7 @@ def _hessian_whole_volume_oracle(data, spacing, sigma):
 
 
 def _jerman_oracle(l2, l3, lambda3_max, tau):
+    """The former whole-field response: every branch formed everywhere."""
     cap = tau * lambda3_max
     lp = np.where(l3 > cap, l3, np.where(l3 > 0.0, cap, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):

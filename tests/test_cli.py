@@ -599,6 +599,19 @@ def test_vesselness_checks_every_scale_before_any_work(tmp_path, capsys, monkeyp
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["-1", "abc", "1.5", ""])
+def test_bad_thread_count_exits_2_before_any_file_is_read(tmp_path, capsys, monkeypatch,
+                                                          value):
+    # The input does not exist: reading it would exit 3, not 2.
+    monkeypatch.setenv("TUBEKIT_THREADS", value)
+    out = tmp_path / "resp.tvol"
+    assert _run("vesselness", "--in", str(tmp_path / "missing.tvol"), "--out", str(out)) == 2
+    assert _one_line_error(capsys) == {
+        "error": "ParameterError",
+        "message": f"TUBEKIT_THREADS must be an integer >= 0, got {value!r}"}
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["phantom", "--dims", "100000,100000,100000",
      "--out-image", "img.tvol", "--out-label", "lab.tvol"],

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tubekit import ParameterError, PhantomSpec, Volume3, make_phantom
+from tubekit import ParameterError, PhantomSpec, Volume3, make_phantom, workers
 from tubekit.vesselness import (EIG3_MAX_COMPONENT, EigenTriple, JermanParams,
                                 eig3_symmetric, eig3_symmetric_field,
                                 gaussian_smooth, hessian_at_scale,
@@ -270,9 +270,12 @@ def test_multiscale_rotation_covariance():
     assert np.abs(back - resp_z.data).mean() <= 1e-3
 
 
-def test_multiscale_peak_memory_is_bounded():
+def test_multiscale_peak_memory_is_bounded(monkeypatch):
     # Slabs keep the peak to a few float64 volume fields: the whole-volume
-    # Hessian and eigen-solve peaked at about 22 of them.
+    # Hessian and eigen-solve peaked at about 22 of them.  Two workers, on
+    # any host, keep two slabs in flight.
+    monkeypatch.setenv("TUBEKIT_THREADS", "2")
+    monkeypatch.setattr(workers, "_available_cores", lambda: 2)
     image, _ = make_phantom(PhantomSpec("helix", 2.0, noise_sigma=0.3, seed=1), (64, 64, 64))
     started = not tracemalloc.is_tracing()
     if started:

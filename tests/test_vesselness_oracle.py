@@ -6,8 +6,12 @@ response slab by slab; the oracle materialises every field over the whole
 volume.  Bit-equal float32 responses (compared as uint32) pin the halo,
 the edge replication at the volume's ends, the running maximum and the
 slab bounds, including 1-plane slabs, a short last slab and a single slab.
+The same bits come out at 1, 2 and 3 pool workers, and the gathered
+Jerman branch equals the response formed over every voxel.
 """
 
+import contextlib
+import os
 from unittest import mock
 
 import numpy as np
@@ -15,9 +19,10 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from oracles import vesselness_multiscale_oracle
-from tubekit import PhantomSpec, Volume3, make_phantom, vesselness
-from tubekit.vesselness import JermanParams, vesselness_multiscale
+from oracles import _jerman_oracle, gaussian_smooth_oracle, vesselness_multiscale_oracle
+from tubekit import ParameterError, PhantomSpec, Volume3, make_phantom, vesselness, workers
+from tubekit.vesselness import (JermanParams, _jerman_from_arrays, gaussian_smooth,
+                                vesselness_multiscale)
 
 
 def _volume(kind, shape, spacing, seed):
@@ -82,3 +87,85 @@ def test_default_slabs_match_whole_volume_oracle():
                             (40, 36, 32), (0.9, 1.0, 1.1))
     params = JermanParams()
     _assert_bit_equal(image, params, vesselness._SLAB_VOXELS)
+
+
+@contextlib.contextmanager
+def _workers(n):
+    """TUBEKIT_THREADS=n on a host that appears to have three cores."""
+    with mock.patch.dict(os.environ, {"TUBEKIT_THREADS": str(n)}), \
+            mock.patch.object(workers, "_available_cores", return_value=3):
+        yield
+
+
+def _bits(a):
+    return a.view(np.uint32).tobytes()
+
+
+@given(st.sampled_from(["noise", "quantised", "bar"]),
+       st.tuples(st.integers(5, 9), st.integers(5, 24), st.integers(5, 24)),
+       st.tuples(*[st.sampled_from([0.5, 0.8, 1.0, 1.7])] * 3),
+       st.sampled_from(SCALE_SETS),
+       st.sampled_from(["bright", "dark"]),
+       st.integers(0, 12),
+       st.integers(0, 2 ** 32 - 1))
+def test_worker_count_changes_no_bit(kind, shape, spacing, scales, polarity, planes, seed):
+    assume(3.0 * max(scales) / min(spacing) <= max(shape))
+    vol = _volume(kind, shape, spacing, seed)
+    params = JermanParams(scales=scales, polarity=polarity)
+    # planes * plane voxels in flight: from 1-plane slabs to one slab for all.
+    slab_voxels = max(planes * shape[1] * shape[2], 1)
+    want_smooth = gaussian_smooth_oracle(vol.data, spacing, scales[0])
+    want = vesselness_multiscale_oracle(vol, params)
+    for n in (1, 2, 3):
+        with _workers(n), mock.patch.object(vesselness, "_SLAB_VOXELS", slab_voxels):
+            smooth = gaussian_smooth(vol.data, spacing, scales[0])
+            got = vesselness_multiscale(vol, params).data
+        assert smooth.dtype == got.dtype == np.float32
+        assert _bits(smooth) == _bits(want_smooth), n
+        assert _bits(got) == _bits(want), n
+
+
+def test_non_finite_hessian_raises_from_a_worker():
+    # Only the last two of six 4-plane slabs overflow float32 at sigma 3:
+    # their parts run on pool threads, and the error reaches the caller.
+    data = np.zeros((24, 12, 12), dtype=np.float32)
+    data[16:] = np.where(np.arange(12) % 8 < 4, 3e38, -3e38)[:, None]
+    vol = Volume3(data.shape, (1.0, 1.0, 1.0), data)
+    with _workers(2), mock.patch.object(vesselness, "_SLAB_VOXELS", 2 * 4 * 12 * 12):
+        with pytest.raises(ParameterError) as info:
+            vesselness_multiscale(vol, JermanParams(scales=(3.0,)))
+    assert type(info.value) is ParameterError
+    assert str(info.value) == "Hessian components must be finite"
+
+
+# Eigenvalues with the branch edges: 0, -0, tiny and ordinary magnitudes.
+_EIGENVALUE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 5e-324]),
+                        st.floats(-1e3, 1e3), st.floats(-1e-150, 1e-150))
+
+
+@given(st.lists(st.tuples(_EIGENVALUE, _EIGENVALUE, st.sampled_from(["free", "half", "cap"])),
+                min_size=1, max_size=64),
+       st.one_of(st.just(0.0), st.floats(0.0, 1e3)),
+       st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+def test_lean_jerman_matches_every_voxel_response(rows, lambda3_max, tau):
+    # "half" puts l2 exactly on lp/2 where l3 exceeds the floor; "cap" puts
+    # l3 on the floor tau*lambda3_max itself.
+    cap = tau * lambda3_max
+    l3 = np.array([cap if how == "cap" else b for a, b, how in rows])
+    l2 = np.array([c / 2.0 if how != "free" else a for (a, _, how), c in zip(rows, l3)])
+    with np.errstate(over="ignore", invalid="ignore"):  # tiny l2 + lp cubes to inf
+        got = _jerman_from_arrays(l2, l3, lambda3_max, tau)
+        want = _jerman_oracle(l2, l3, lambda3_max, tau)
+    assert got.dtype == want.dtype == np.float64
+    assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+
+
+def test_lean_jerman_branch_edges():
+    # l2 = 0, lp = 0 (l3 <= 0), l2 = lp/2 exactly, and one middle voxel.
+    l2 = np.array([0.0, 0.3, 1.0, 0.5, -0.2])
+    l3 = np.array([2.0, -1.0, 2.0, 2.0, 2.0])
+    got = _jerman_from_arrays(l2, l3, 2.0, 0.5)
+    assert got.tolist()[:3] == [0.0, 0.0, 1.0] and got[4] == 0.0
+    assert 0.0 < got[3] < 1.0
+    want = _jerman_oracle(l2, l3, 2.0, 0.5)
+    assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
