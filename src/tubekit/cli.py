@@ -20,8 +20,8 @@ import numpy as np
 
 from . import fusion, gradcheck, losses, metrics, skeleton, vesselness
 from .errors import FileFormatError, NumericDomainError, ParameterError
-from .volume import (Mask3, PhantomSpec, RoiBox, Volume3, load_tvol,
-                     make_phantom, roi_from_label, save_tvol)
+from .volume import (DEFAULT_ROI_MARGIN, Mask3, PhantomSpec, RoiBox, Volume3,
+                     load_tvol, make_phantom, roi_from_label, save_tvol)
 from .workers import thread_count
 
 FUSION_MAX_VOXELS = 16 ** 3  # fusion-demo's attention matrix grows as voxels^2
@@ -182,7 +182,7 @@ def _parse_roi(args, label: Mask3) -> RoiBox:
 
 
 def _cmd_loss(args):
-    losses._checked_lambda(args.lam)
+    lam = losses._checked_lambda(args.lam)
     pred = _load_volume(args.pred)
     label = _load_mask(args.label)
     image = _load_volume(args.image)
@@ -206,18 +206,13 @@ def _cmd_loss(args):
     spatial = _grad32("spatial", sp_value, sp_grad)
     mix = _grad32("mix", *losses.loss_mix_array(yhat, lab))
 
-    bd = losses.loss_gsb(r_sup, con, spatial, mix, args.lam)
-    report = {
-        "r_sup": bd.r_sup, "con": bd.con, "spatial": bd.spatial, "mix": bd.mix,
-        "lambda": bd.lam, "total": bd.total, "beta": beta,
-        "spatial_pairs": n_pairs,
-        "grad_norms": {
-            "r_sup": float(np.linalg.norm(bd.grad_r_sup)),
-            "con": float(np.linalg.norm(bd.grad_con)),
-            "spatial": float(np.linalg.norm(bd.grad_spatial)),
-            "mix": float(np.linalg.norm(bd.grad_mix)),
-        },
-    }
+    terms = {"r_sup": r_sup, "con": con, "spatial": spatial, "mix": mix}
+    report = {name: value for name, (value, _) in terms.items()}
+    report.update({
+        "lambda": lam, "beta": beta, "spatial_pairs": n_pairs,
+        "total": losses.loss_gsb(r_sup[0], con[0], spatial[0], mix[0], lam),
+        "grad_norms": {name: float(np.linalg.norm(g)) for name, (_, g) in terms.items()},
+    })
     _write_json(args.json, report)
     return 0
 
@@ -236,8 +231,7 @@ def _grad32(name: str, value: float, grad: np.ndarray):
 def _cmd_metrics(args):
     pred = _load_mask(args.pred)
     gt = _load_mask(args.gt)
-    report = metrics.evaluate(pred, gt, skel_k=args.skel_iters)
-    _write_json(args.json, report.to_dict())
+    _write_json(args.json, metrics.evaluate(pred, gt, skel_k=args.skel_iters))
     return 0
 
 
@@ -267,8 +261,8 @@ def _cmd_fusion_demo(args):
 
     single = fusion.feature_map_from_seed(c, (1, 1, 1), seed * 64 + 4)
     out_single = fusion.cross_attention(fc4, single, p_deep)
-    expected = (single.tokens() @ p_deep.wv) @ p_deep.wo
-    single_token_dev = float(np.abs(out_single.tokens() - expected[None, :]).max())
+    expected = (fusion.tokens(single) @ p_deep.wv) @ p_deep.wo
+    single_token_dev = float(np.abs(fusion.tokens(out_single) - expected[None, :]).max())
 
     p_half = fusion.AttentionParams.init(c // 2, seed=seed * 64 + 5)
     sq = fusion.shallow_query(fc4, fv4, p_half)
@@ -276,7 +270,7 @@ def _cmd_fusion_demo(args):
     flex_p = fusion.FlexConvParams.init(c, c, seed=seed * 64 + 6)
     flex_out = fusion.flex_conv_block(fc4, flex_p)
     ident = fusion.flex_conv_block(fc4, fusion.FlexConvParams.identity(c))
-    identity_exact = bool(np.array_equal(ident.data, fc4.data))
+    identity_exact = bool(np.array_equal(ident, fc4))
 
     segs = [fusion.feature_map_from_seed(1, tuple(max(1, d >> i) for d in dims),
                                          seed * 64 + 16 + i)
@@ -286,19 +280,18 @@ def _cmd_fusion_demo(args):
     report = {
         "dims": list(dims), "channels": c, "seed": seed,
         "shapes": {
-            "dq_v2c": [dq_v2c.channels, *dq_v2c.spatial],
-            "dq_c2v": [dq_c2v.channels, *dq_c2v.spatial],
-            "shallow_query": [sq.channels, *sq.spatial],
-            "flex_conv": [flex_out.channels, *flex_out.spatial],
-            "d2sd": [fused.channels, *fused.spatial],
+            "dq_v2c": list(dq_v2c.shape),
+            "dq_c2v": list(dq_c2v.shape),
+            "shallow_query": list(sq.shape),
+            "flex_conv": list(flex_out.shape),
+            "d2sd": list(fused.shape),
         },
         "invariants": {
             "attention_row_sum_max_dev": row_sum_dev,
             "single_token_max_dev": single_token_dev,
             "flex_conv_identity_exact": identity_exact,
-            "d2sd_range_ok": bool(fused.data.min() >= 0.0 and fused.data.max() <= 1.0),
-            "dmq_symmetric_on_equal_inputs": bool(np.array_equal(
-                dq_self[0].data, dq_self[1].data)),
+            "d2sd_range_ok": bool(fused.min() >= 0.0 and fused.max() <= 1.0),
+            "dmq_symmetric_on_equal_inputs": bool(np.array_equal(*dq_self)),
         },
     }
     _write_json(args.json, report)
@@ -326,11 +319,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius-mm", type=float, default=2.0)
     p.add_argument("--dims", default="32,32,32")
     p.add_argument("--spacing", default="1,1,1")
-    p.add_argument("--foreground", type=float, default=1.0)
-    p.add_argument("--background", type=float, default=0.0)
-    p.add_argument("--noise-sigma", type=float, default=0.0)
-    p.add_argument("--gap", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--foreground", type=float, default=PhantomSpec.foreground_intensity)
+    p.add_argument("--background", type=float, default=PhantomSpec.background_intensity)
+    p.add_argument("--noise-sigma", type=float, default=PhantomSpec.noise_sigma)
+    p.add_argument("--gap", type=int, default=PhantomSpec.gap_len_voxels)
+    p.add_argument("--seed", type=int, default=PhantomSpec.seed)
     p.add_argument("--out-image", required=True)
     p.add_argument("--out-label", required=True)
     p.set_defaults(func=_cmd_phantom)
@@ -345,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("skeleton", help="soft/hard skeletonization")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--iters", type=int, default=10)
+    p.add_argument("--iters", type=int, default=skeleton.DEFAULT_ITERATIONS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_skeleton)
 
@@ -360,20 +353,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--label", required=True)
     p.add_argument("--image", required=True)
     p.add_argument("--roi", default="auto")
-    p.add_argument("--roi-margin", type=int, default=2)
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    p.add_argument("--roi-margin", type=int, default=DEFAULT_ROI_MARGIN)
+    p.add_argument("--lambda", dest="lam", type=float, default=losses.DEFAULT_LAMBDA)
     p.add_argument("--beta", default="auto")
-    p.add_argument("--skel-iters", type=int, default=10)
-    p.add_argument("--radius", type=int, default=2)
-    p.add_argument("--sigma-l", type=float, default=1.5)
-    p.add_argument("--sigma-c", type=float, default=0.1)
+    p.add_argument("--skel-iters", type=int, default=skeleton.DEFAULT_ITERATIONS)
+    p.add_argument("--radius", type=int, default=losses.GatedKernelParams.radius)
+    p.add_argument("--sigma-l", type=float, default=losses.GatedKernelParams.sigma_l)
+    p.add_argument("--sigma-c", type=float, default=losses.GatedKernelParams.sigma_c)
     p.add_argument("--json", required=True)
     p.set_defaults(func=_cmd_loss)
 
     p = sub.add_parser("metrics", help="evaluation metrics for a mask pair")
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
-    p.add_argument("--skel-iters", type=int, default=10)
+    p.add_argument("--skel-iters", type=int, default=skeleton.DEFAULT_ITERATIONS)
     p.add_argument("--json", required=True)
     p.set_defaults(func=_cmd_metrics)
 

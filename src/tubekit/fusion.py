@@ -5,8 +5,9 @@ run with the same seed reproduces identical outputs; there is no
 training here, the blocks exist to verify shape/softmax/equivariance
 invariants of the fusion design.
 
-A FeatureMap stores (channels, d, h, w) with the last axis fastest, and
-"tokens" are the flattened voxels of that layout.
+A feature map is a float32 ndarray (channels, d, h, w) with the last
+axis fastest, and "tokens" are the flattened voxels of that layout.
+Each block checks that its input maps are 4-D and finite.
 """
 
 import math
@@ -18,40 +19,32 @@ from .errors import ParameterError
 from .rng import uniform_range
 
 
-@dataclass(frozen=True, eq=False)
-class FeatureMap:
-    channels: int
-    spatial: tuple  # (d, h, w)
-    data: np.ndarray  # float32, shape (channels,) + spatial
-
-    def __post_init__(self):
-        spatial = tuple(int(v) for v in self.spatial)
-        data = np.asarray(self.data, dtype=np.float32)
-        if data.shape != (self.channels,) + spatial:
-            raise ParameterError(
-                f"data shape {data.shape} does not match ({self.channels}, *{spatial})")
-        if not np.all(np.isfinite(data)):
-            raise ParameterError("feature map contains non-finite values")
-        object.__setattr__(self, "spatial", spatial)
-        object.__setattr__(self, "data", data)
-
-    def tokens(self) -> np.ndarray:
-        """(T, C) view of the voxels, x-fastest token order."""
-        return self.data.reshape(self.channels, -1).T
+def _checked_map(f) -> np.ndarray:
+    """The feature map f as float32; it must be 4-D and finite."""
+    f = np.asarray(f, dtype=np.float32)
+    if f.ndim != 4:
+        raise ParameterError(f"feature map must be (channels, d, h, w), got shape {f.shape}")
+    if not np.all(np.isfinite(f)):
+        raise ParameterError("feature map contains non-finite values")
+    return f
 
 
-def feature_map_from_seed(channels: int, spatial, seed: int) -> FeatureMap:
+def tokens(f: np.ndarray) -> np.ndarray:
+    """(T, C) view of the voxels of a (C, ...) map, x-fastest token order."""
+    return f.reshape(len(f), -1).T
+
+
+def feature_map_from_seed(channels: int, spatial, seed: int) -> np.ndarray:
     spatial = tuple(int(v) for v in spatial)
     n = channels * int(np.prod(spatial))
     data = uniform_range(seed, n, -1.0, 1.0).reshape((channels,) + spatial)
-    return FeatureMap(channels, spatial, data.astype(np.float32))
+    return data.astype(np.float32)
 
 
 @dataclass(frozen=True, eq=False)
 class AttentionParams:
     """Single-head, bias-free projection weights, each d_model x d_model."""
 
-    d_model: int
     wq: np.ndarray
     wk: np.ndarray
     wv: np.ndarray
@@ -66,7 +59,11 @@ class AttentionParams:
             n = d_model * d_model
             return uniform_range(seed * 4 + sub, n, -bound, bound).reshape(d_model, d_model)
 
-        return cls(d_model, mat(0), mat(1), mat(2), mat(3), seed)
+        return cls(mat(0), mat(1), mat(2), mat(3), seed)
+
+    @property
+    def d_model(self) -> int:
+        return self.wq.shape[0]
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -75,38 +72,36 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def attention_rows(fq: FeatureMap, fkv: FeatureMap, p: AttentionParams) -> np.ndarray:
+def attention_rows(fq, fkv, p: AttentionParams) -> np.ndarray:
     """The softmax attention matrix (T_q, T_kv); rows sum to one."""
-    if fq.channels != p.d_model or fkv.channels != p.d_model:
+    fq, fkv = _checked_map(fq), _checked_map(fkv)
+    if len(fq) != p.d_model or len(fkv) != p.d_model:
         raise ParameterError(
-            f"channel counts ({fq.channels}, {fkv.channels}) must equal d_model {p.d_model}")
-    q = fq.tokens() @ p.wq
-    k = fkv.tokens() @ p.wk
+            f"channel counts ({len(fq)}, {len(fkv)}) must equal d_model {p.d_model}")
+    q = tokens(fq) @ p.wq
+    k = tokens(fkv) @ p.wk
     return _softmax_rows(q @ k.T / math.sqrt(p.d_model))
 
 
-def cross_attention(fq: FeatureMap, fkv: FeatureMap, p: AttentionParams) -> FeatureMap:
+def cross_attention(fq, fkv, p: AttentionParams) -> np.ndarray:
     """Tokens of fq attend over tokens of fkv; output on fq's grid."""
+    fq, fkv = _checked_map(fq), _checked_map(fkv)
     a = attention_rows(fq, fkv, p)
-    v = fkv.tokens() @ p.wv
+    v = tokens(fkv) @ p.wv
     out = (a @ v) @ p.wo  # (T_q, d_model)
-    data = out.T.reshape((p.d_model,) + fq.spatial)
-    return FeatureMap(p.d_model, fq.spatial, data.astype(np.float32))
+    return out.T.reshape((p.d_model,) + fq.shape[1:]).astype(np.float32)
 
 
-def deep_mutual_query(fc4: FeatureMap, fv4: FeatureMap, p: AttentionParams):
+def deep_mutual_query(fc4, fv4, p: AttentionParams):
     """Bidirectional cross-attention between the two deep streams, each
     summed with the self-attention of the key/value stream."""
-    if fc4.channels != fv4.channels:
+    fc4, fv4 = _checked_map(fc4), _checked_map(fv4)
+    if len(fc4) != len(fv4):
         raise ParameterError("deep features must share channel count")
-    if fc4.spatial != fv4.spatial:
+    if fc4.shape != fv4.shape:
         raise ParameterError("deep features must share spatial dims")
-    cross_v2c = cross_attention(fv4, fc4, p)
-    cross_c2v = cross_attention(fc4, fv4, p)
-    dq_v2c = FeatureMap(p.d_model, fc4.spatial,
-                        cross_v2c.data + cross_attention(fc4, fc4, p).data)
-    dq_c2v = FeatureMap(p.d_model, fv4.spatial,
-                        cross_c2v.data + cross_attention(fv4, fv4, p).data)
+    dq_v2c = cross_attention(fv4, fc4, p) + cross_attention(fc4, fc4, p)
+    dq_c2v = cross_attention(fc4, fv4, p) + cross_attention(fv4, fv4, p)
     return dq_v2c, dq_c2v
 
 
@@ -140,8 +135,7 @@ def _unpool2(data: np.ndarray, spatial) -> np.ndarray:
     return out[sl]
 
 
-def shallow_query(fci: FeatureMap, fvi: FeatureMap, p: AttentionParams,
-                  w_mix: np.ndarray = None) -> FeatureMap:
+def shallow_query(fci, fvi, p: AttentionParams, w_mix: np.ndarray = None) -> np.ndarray:
     """Fuse the shallow streams, run pooled-token attention on one
     channel half, pass the other half through untouched.
 
@@ -151,9 +145,10 @@ def shallow_query(fci: FeatureMap, fvi: FeatureMap, p: AttentionParams,
     is unpooled back so the concatenation restores the input shape.
     p.d_model must equal half the fused channel count.
     """
-    if fci.channels != fvi.channels or fci.spatial != fvi.spatial:
+    fci, fvi = _checked_map(fci), _checked_map(fvi)
+    if fci.shape != fvi.shape:
         raise ParameterError("shallow features must share shape")
-    c = fci.channels
+    c, spatial = len(fci), fci.shape[1:]
     if c % 2:
         raise ParameterError("shallow query needs an even channel count")
     half = c // 2
@@ -166,27 +161,21 @@ def shallow_query(fci: FeatureMap, fvi: FeatureMap, p: AttentionParams,
     elif np.asarray(w_mix).shape != (c, c):
         raise ParameterError(f"w_mix must be ({c}, {c})")
     fused = np.einsum("oc,c...->o...", w_mix,
-                      fci.data.astype(np.float64) + fvi.data.astype(np.float64))
+                      fci.astype(np.float64) + fvi.astype(np.float64))
 
     f_s1, f_s2 = fused[:half], fused[half:]
     q_cells = _pool2(f_s1, "avg")
-
-    def toks(x):
-        return x.reshape(x.shape[0], -1).T
-
-    q = toks(q_cells) @ p.wq
-    k = toks(_pool2(f_s1, "max")) @ p.wk
+    q = tokens(q_cells) @ p.wq
+    k = tokens(_pool2(f_s1, "max")) @ p.wk
     v_full = np.einsum("ct,cd->dt", f_s1.reshape(half, -1), p.wv)
-    v_cells = toks(_pool2(v_full.reshape((half,) + fci.spatial), "avg"))
+    v_cells = tokens(_pool2(v_full.reshape((half,) + spatial), "avg"))
 
     a = _softmax_rows(q @ k.T / math.sqrt(p.d_model))
     out_p = (a @ v_cells) @ p.wo  # (T_p, half)
     out_map = out_p.T.reshape((half,) + q_cells.shape[1:])
-    f_s1_attn = _unpool2(out_map, fci.spatial)
-
-    data = np.concatenate([f_s1_attn.astype(np.float32),
+    f_s1_attn = _unpool2(out_map, spatial)
+    return np.concatenate([f_s1_attn.astype(np.float32),
                            f_s2.astype(np.float32)], axis=0)
-    return FeatureMap(c, fci.spatial, data)
 
 
 # ---------------------------------------------------------------------------
@@ -246,15 +235,15 @@ def _conv3d_same(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def flex_conv_block(x: FeatureMap, p: FlexConvParams) -> FeatureMap:
+def flex_conv_block(x, p: FlexConvParams) -> np.ndarray:
     """Parallel branches concatenated on channels, then 1x1x1 compression."""
-    feats = [_conv3d_same(x.data.astype(np.float64), w) for w in p.branch_weights]
+    x = _checked_map(x).astype(np.float64)
+    feats = [_conv3d_same(x, w) for w in p.branch_weights]
     cat = np.concatenate(feats, axis=0)
     if p.compress.shape[1] != cat.shape[0]:
         raise ParameterError(
             f"compressor expects {p.compress.shape[1]} channels, got {cat.shape[0]}")
-    out = np.einsum("oc,c...->o...", p.compress, cat)
-    return FeatureMap(p.compress.shape[0], x.spatial, out.astype(np.float32))
+    return np.einsum("oc,c...->o...", p.compress, cat).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -286,20 +275,20 @@ def trilinear_resize(data: np.ndarray, spatial) -> np.ndarray:
     return out
 
 
-def d2sd_fuse(segs, target_dims) -> FeatureMap:
+def d2sd_fuse(segs, target_dims) -> np.ndarray:
     """Upsample per-scale single-channel maps, average, squash to [0, 1].
 
     The uniform average over scales is the 1x1x1 fusion convolution; the
     output passes through a logistic.
     """
+    segs = [_checked_map(s) for s in segs]
     if len(segs) < 2:
         raise ParameterError("d2sd_fuse needs at least two scales")
-    if any(s.channels != 1 for s in segs):
+    if any(len(s) != 1 for s in segs):
         raise ParameterError("every scale map must be single-channel")
     target = tuple(int(v) for v in target_dims)
     w = 1.0 / len(segs)
     acc = np.zeros((1,) + target)
     for s in segs:
-        acc += w * trilinear_resize(s.data, target)
-    out = 1.0 / (1.0 + np.exp(-acc))
-    return FeatureMap(1, target, out.astype(np.float32))
+        acc += w * trilinear_resize(s, target)
+    return (1.0 / (1.0 + np.exp(-acc))).astype(np.float32)

@@ -21,10 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericDomainError, ParameterError
-from .skeleton import (SoftSkeletonTape, _check_unit_range, _neighbor_counts,
-                       _window_offsets, reconnect)
+from .skeleton import (DEFAULT_ITERATIONS, SoftSkeletonTape, _check_unit_range,
+                       _neighbor_counts, _window_offsets, reconnect)
 
 DEFAULT_EPSILON = 1e-7
+DEFAULT_LAMBDA = 1.0
 SPATIAL_MIN_MAGNITUDE = 2.0 ** -537  # the square of this is the smallest subnormal
 SIGMA_MIN, SIGMA_MAX = 1e-150, 1e150  # 2*sigma^2 and its reciprocal stay finite, nonzero
 
@@ -45,24 +46,6 @@ class GatedKernelParams:
                 f"sigma_l and sigma_c must lie in [{SIGMA_MIN:g}, {SIGMA_MAX:g}]")
         if self.radius < 1:
             raise ParameterError("radius must be >= 1")
-
-
-@dataclass(frozen=True, eq=False)
-class LossBreakdown:
-    """Values and prediction-gradients (ndarrays, as the ``*_array``
-    terms return them) of the four terms plus the lambda-weighted
-    total = r_sup + con + lambda*(spatial + mix)."""
-
-    r_sup: float
-    con: float
-    spatial: float
-    mix: float
-    grad_r_sup: np.ndarray
-    grad_con: np.ndarray
-    grad_spatial: np.ndarray
-    grad_mix: np.ndarray
-    lam: float
-    total: float
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +113,7 @@ def loss_r_sup_array(y, yhat, roi_mask, beta):
 # skeleton connectivity
 # ---------------------------------------------------------------------------
 
-def loss_con_array(yhat, iterations=10):
+def loss_con_array(yhat, iterations=DEFAULT_ITERATIONS):
     """Cross entropy between the soft skeleton and its reconnected
     (constant) counterpart, averaged over the reconnected skeleton."""
     yhat = np.asarray(yhat, dtype=np.float64)
@@ -147,7 +130,7 @@ def loss_con_array(yhat, iterations=10):
     return value, tape.backward(g_skel)
 
 
-def loss_con_signature(yhat, iterations=10) -> bytes:
+def loss_con_signature(yhat, iterations=DEFAULT_ITERATIONS) -> bytes:
     """Digest of every discrete choice in the connectivity loss: pooling
     selections, relu signs, threshold mask, and reconnected support.
     Equal signatures at x-h, x, x+h certify a tie-free direction."""
@@ -255,14 +238,8 @@ def _checked_lambda(lam: float) -> float:
     return float(lam)
 
 
-def loss_gsb(r_sup, con, spatial, mix, lam: float = 1.0) -> LossBreakdown:
-    """Assemble the balanced objective from the four (value, grad) parts."""
-    lam = _checked_lambda(lam)
-    values = [p[0] for p in (r_sup, con, spatial, mix)]
-    total = values[0] + values[1] + lam * (values[2] + values[3])
-    return LossBreakdown(
-        r_sup=values[0], con=values[1], spatial=values[2], mix=values[3],
-        grad_r_sup=r_sup[1], grad_con=con[1],
-        grad_spatial=spatial[1], grad_mix=mix[1],
-        lam=lam, total=total,
-    )
+def loss_gsb(r_sup: float, con: float, spatial: float, mix: float,
+             lam: float = DEFAULT_LAMBDA) -> float:
+    """The balanced objective r_sup + con + lambda*(spatial + mix) of the
+    four term values."""
+    return r_sup + con + _checked_lambda(lam) * (spatial + mix)

@@ -12,7 +12,6 @@ semantics (hard_skeleton), so the same centerline feeds losses and
 evaluation.
 """
 
-from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -20,8 +19,8 @@ from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from .errors import NumericDomainError, ParameterError
-from .skeleton import (_neighbor_counts, _window_offsets, connected_components,
-                       hard_skeleton)
+from .skeleton import (DEFAULT_ITERATIONS, _neighbor_counts, _window_offsets,
+                       connected_components, hard_skeleton)
 from .volume import Mask3
 
 _STRUCT_6 = ndimage.generate_binary_structure(3, 1)
@@ -31,28 +30,6 @@ class PRF(NamedTuple):
     precision: float
     recall: float
     f1: float
-    degenerate: bool  # True when an empty denominator forced a 0
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    dice: float
-    cldice: float
-    f1: float
-    precision: float
-    recall: float
-    hd: float
-    assd: float
-    ahd: float
-    bd: float
-    tld: float
-    pred_voxels: int
-    gt_voxels: int
-    pred_surface_voxels: int
-    gt_surface_voxels: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _check_shapes(*fields):
@@ -73,12 +50,11 @@ def precision_recall_f1(p: np.ndarray, g: np.ndarray) -> PRF:
     _check_shapes(p, g)
     tp = int((p & g).sum())
     np_, ng = int(p.sum()), int(g.sum())
-    degenerate = np_ == 0 or ng == 0
     precision = 100.0 * tp / np_ if np_ else 0.0
     recall = 100.0 * tp / ng if ng else 0.0
     f1 = (2.0 * precision * recall / (precision + recall)
           if precision > 0 and recall > 0 else 0.0)
-    return PRF(precision, recall, f1, degenerate)
+    return PRF(precision, recall, f1)
 
 
 def cldice(p: np.ndarray, g: np.ndarray, sp: np.ndarray, sg: np.ndarray) -> float:
@@ -199,10 +175,11 @@ def tree_metrics(p: np.ndarray, centerline: np.ndarray, spacing):
     return bd, tld
 
 
-def evaluate(pred: Mask3, gt: Mask3, skel_k: int = 10) -> MetricsReport:
-    """Full metric panel for one prediction/reference pair of masks that
-    share dims and spacing, measured in that spacing.  Each skeleton and
-    surface is computed once and shared by the scores."""
+def evaluate(pred: Mask3, gt: Mask3, skel_k: int = DEFAULT_ITERATIONS) -> dict:
+    """Full metric panel, as a dict of 14 scores and counts, for one
+    prediction/reference pair of masks that share dims and spacing,
+    measured in that spacing.  Each skeleton and surface is computed once
+    and shared by the scores."""
     if pred.spacing != gt.spacing:
         raise ParameterError(
             f"pred and gt must share spacing, got {pred.spacing} vs {gt.spacing}")
@@ -213,10 +190,10 @@ def evaluate(pred: Mask3, gt: Mask3, skel_k: int = 10) -> MetricsReport:
     sg = hard_skeleton(g, skel_k)
     bd, tld = tree_metrics(p, sg, gt.spacing)
     sp = sg if np.array_equal(p, g) else hard_skeleton(p, skel_k)
-    return MetricsReport(
-        dice=dice(p, g), cldice=cldice(p, g, sp, sg),
-        f1=prf.f1, precision=prf.precision, recall=prf.recall,
-        hd=hd, assd=assd, ahd=ahd, bd=bd, tld=tld,
-        pred_voxels=pred.count(), gt_voxels=gt.count(),
-        pred_surface_voxels=len(surf_p), gt_surface_voxels=len(surf_g),
-    )
+    return {
+        "dice": dice(p, g), "cldice": cldice(p, g, sp, sg),
+        "f1": prf.f1, "precision": prf.precision, "recall": prf.recall,
+        "hd": hd, "assd": assd, "ahd": ahd, "bd": bd, "tld": tld,
+        "pred_voxels": pred.count(), "gt_voxels": gt.count(),
+        "pred_surface_voxels": len(surf_p), "gt_surface_voxels": len(surf_g),
+    }

@@ -30,6 +30,7 @@ from scipy.spatial import cKDTree
 from .errors import NumericDomainError, ParameterError
 
 _STRUCT_26 = np.ones((3, 3, 3), dtype=bool)
+DEFAULT_ITERATIONS = 10  # erosions of the skeleton recurrence
 
 
 def _check_unit_range(a: np.ndarray, name: str):
@@ -207,7 +208,7 @@ def soft_skeleton_array(img: np.ndarray, iterations: int) -> np.ndarray:
     return _recurrence(img, iterations)
 
 
-def hard_skeleton(fg: np.ndarray, k: int = 10) -> np.ndarray:
+def hard_skeleton(fg: np.ndarray, k: int = DEFAULT_ITERATIONS) -> np.ndarray:
     """Binary skeleton of a boolean array: soft recurrence on the 0/1
     field, cut at 0.5."""
     return soft_skeleton_array(fg, k) >= 0.5

@@ -33,6 +33,7 @@ _DTYPE_VOLUME = 0
 _DTYPE_MASK = 1
 
 PHANTOM_KINDS = ("cylinder", "gapped_cylinder", "bifurcation", "helix")
+DEFAULT_ROI_MARGIN = 2  # voxels added around the label's positives
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -323,7 +324,7 @@ def load_tvol(path):
     return Mask3(dims, data, spacing)
 
 
-def roi_from_label(y: Mask3, margin: int = 2) -> RoiBox:
+def roi_from_label(y: Mask3, margin: int = DEFAULT_ROI_MARGIN) -> RoiBox:
     """Tightest box around all positive voxels, dilated by margin, clamped."""
     if margin < 0:
         raise ParameterError("margin must be non-negative")

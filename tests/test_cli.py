@@ -130,8 +130,10 @@ def test_loss_lambda_zero_total(tmp_path):
     data = json.loads(report.read_text())
     assert math.isclose(data["total"], data["r_sup"] + data["con"],
                         rel_tol=1e-6, abs_tol=1e-9)
+    assert set(data) == {"r_sup", "con", "spatial", "mix", "lambda", "total",
+                         "beta", "spatial_pairs", "grad_norms"}
     assert data["beta"] > 0
-    assert data["spatial_pairs"] > 0
+    assert type(data["spatial_pairs"]) is int and data["spatial_pairs"] > 0
     assert set(data["grad_norms"]) == {"r_sup", "con", "spatial", "mix"}
 
 
@@ -267,13 +269,19 @@ def test_fusion_demo_invariants(tmp_path):
     assert _run("fusion-demo", "--seed", "7", "--dims", "6,6,6",
                 "--channels", "8", "--json", str(report)) == 0
     data = json.loads(report.read_text())
+    assert set(data) == {"dims", "channels", "seed", "shapes", "invariants"}
+    assert data["shapes"] == {"dq_v2c": [8, 6, 6, 6], "dq_c2v": [8, 6, 6, 6],
+                              "shallow_query": [8, 6, 6, 6], "flex_conv": [8, 6, 6, 6],
+                              "d2sd": [1, 6, 6, 6]}
     inv = data["invariants"]
+    assert set(inv) == {"attention_row_sum_max_dev", "single_token_max_dev",
+                        "flex_conv_identity_exact", "d2sd_range_ok",
+                        "dmq_symmetric_on_equal_inputs"}
     assert inv["attention_row_sum_max_dev"] <= 1e-6
     assert inv["single_token_max_dev"] <= 1e-6
     assert inv["flex_conv_identity_exact"] is True
     assert inv["d2sd_range_ok"] is True
     assert inv["dmq_symmetric_on_equal_inputs"] is True
-    assert data["shapes"]["d2sd"] == [1, 6, 6, 6]
 
 
 # ---------------------------------------------------------------------------

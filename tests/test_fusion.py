@@ -2,16 +2,10 @@ import numpy as np
 import pytest
 
 from tubekit import ParameterError
-from tubekit.fusion import (AttentionParams, FeatureMap, FlexConvParams,
-                            attention_rows, cross_attention, d2sd_fuse,
-                            deep_mutual_query, feature_map_from_seed,
-                            flex_conv_block, shallow_query,
-                            trilinear_resize)
-
-
-def _fm(data):
-    data = np.asarray(data, dtype=np.float32)
-    return FeatureMap(data.shape[0], data.shape[1:], data)
+from tubekit.fusion import (AttentionParams, FlexConvParams, attention_rows,
+                            cross_attention, d2sd_fuse, deep_mutual_query,
+                            feature_map_from_seed, flex_conv_block,
+                            shallow_query, tokens, trilinear_resize)
 
 
 # ---------------------------------------------------------------------------
@@ -23,20 +17,19 @@ def test_single_kv_token_returns_projected_value():
     fq = feature_map_from_seed(4, (2, 2, 2), 11)
     fkv = feature_map_from_seed(4, (1, 1, 1), 12)
     out = cross_attention(fq, fkv, p)
-    expected = (fkv.tokens() @ p.wv) @ p.wo  # one row
-    assert out.spatial == fq.spatial
-    assert np.abs(out.tokens() - expected).max() <= 1e-6
+    expected = (tokens(fkv) @ p.wv) @ p.wo  # one row
+    assert out.shape == fq.shape and out.dtype == np.float32
+    assert np.abs(tokens(out) - expected).max() <= 1e-6
 
 
 def test_identical_keys_average_values():
     p = AttentionParams.init(3, seed=2)
     fq = feature_map_from_seed(3, (2, 2, 1), 13)
-    const = np.ones((3, 2, 2, 1), dtype=np.float32) * 0.7
-    fkv = _fm(const)
+    fkv = np.full((3, 2, 2, 1), 0.7, dtype=np.float32)
     out = cross_attention(fq, fkv, p)
-    mean_v = (fkv.tokens() @ p.wv).mean(axis=0)
+    mean_v = (tokens(fkv) @ p.wv).mean(axis=0)
     expected = mean_v @ p.wo
-    assert np.abs(out.tokens() - expected[None, :]).max() <= 1e-6
+    assert np.abs(tokens(out) - expected[None, :]).max() <= 1e-6
 
 
 def test_attention_rows_sum_to_one():
@@ -57,12 +50,10 @@ def test_token_permutation_equivariance():
     out = cross_attention(fq, fkv, p)
 
     rng = np.random.default_rng(5)
-    perm = rng.permutation(np.prod(fkv.spatial))
-    toks = fkv.tokens()[perm]
-    fkv_p = FeatureMap(5, fkv.spatial,
-                       toks.T.reshape((5,) + fkv.spatial).astype(np.float32))
+    perm = rng.permutation(np.prod(fkv.shape[1:]))
+    fkv_p = tokens(fkv)[perm].T.reshape(fkv.shape)
     out_p = cross_attention(fq, fkv_p, p)
-    assert np.abs(out.data - out_p.data).max() <= 1e-10
+    assert np.abs(out - out_p).max() <= 1e-10
 
 
 def test_channel_mismatch_is_error():
@@ -70,6 +61,33 @@ def test_channel_mismatch_is_error():
     with pytest.raises(ParameterError):
         cross_attention(feature_map_from_seed(3, (2, 2, 2), 1),
                         feature_map_from_seed(4, (2, 2, 2), 2), p)
+
+
+# block -> (channels, maps taken, run on a list of maps)
+_BLOCKS = {
+    "cross_attention": (2, 2, lambda fs: cross_attention(*fs, AttentionParams.init(2, 1))),
+    "shallow_query": (2, 2, lambda fs: shallow_query(*fs, AttentionParams.init(1, 1))),
+    "flex_conv_block": (2, 1, lambda fs: flex_conv_block(*fs, FlexConvParams.init(2, 2, 1))),
+    "d2sd_fuse": (1, 2, lambda fs: d2sd_fuse(fs, (3, 3, 3))),
+}
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "3-D"])
+@pytest.mark.parametrize("block", sorted(_BLOCKS))
+def test_blocks_reject_non_finite_and_non_4d_maps(block, bad):
+    channels, n_maps, run = _BLOCKS[block]
+    good = feature_map_from_seed(channels, (2, 2, 2), 81)
+    run([good] * n_maps)
+    if bad == "3-D":
+        broken = good[0]
+    else:
+        broken = good.copy()
+        broken[0, 1, 0, 1] = float(bad)
+    for i in range(n_maps):
+        maps = [good] * n_maps
+        maps[i] = broken
+        with pytest.raises(ParameterError, match="feature map"):
+            run(maps)
 
 
 # ---------------------------------------------------------------------------
@@ -80,18 +98,18 @@ def test_dmq_symmetric_for_equal_inputs():
     p = AttentionParams.init(4, seed=7)
     f = feature_map_from_seed(4, (2, 2, 3), 31)
     a, b = deep_mutual_query(f, f, p)
-    assert np.array_equal(a.data, b.data)
+    assert np.array_equal(a, b)
 
 
 def test_dmq_zero_query_gives_uniform_average():
     p = AttentionParams.init(4, seed=8)
     fc4 = feature_map_from_seed(4, (2, 2, 2), 32)
-    fv4 = _fm(np.zeros((4, 2, 2, 2)))
+    fv4 = np.zeros((4, 2, 2, 2))
     dq_v2c, _ = deep_mutual_query(fc4, fv4, p)
-    v = fc4.tokens() @ p.wv
+    v = tokens(fc4) @ p.wv
     uniform_cross = (v.mean(axis=0) @ p.wo)[None, :]
-    expected = uniform_cross + cross_attention(fc4, fc4, p).tokens()
-    assert np.abs(dq_v2c.tokens() - expected).max() <= 1e-5
+    expected = uniform_cross + tokens(cross_attention(fc4, fc4, p))
+    assert np.abs(tokens(dq_v2c) - expected).max() <= 1e-5
 
 
 def test_dmq_output_shape_contract():
@@ -99,8 +117,8 @@ def test_dmq_output_shape_contract():
     fc4 = feature_map_from_seed(6, (3, 2, 2), 33)
     fv4 = feature_map_from_seed(6, (3, 2, 2), 34)
     a, b = deep_mutual_query(fc4, fv4, p)
-    assert a.spatial == fc4.spatial and a.channels == 6
-    assert b.spatial == fv4.spatial and b.channels == 6
+    assert a.shape == fc4.shape == (6, 3, 2, 2)
+    assert b.shape == fv4.shape == (6, 3, 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -112,16 +130,15 @@ def test_shallow_query_shape_preserved():
     fci = feature_map_from_seed(8, (3, 4, 5), 41)
     fvi = feature_map_from_seed(8, (3, 4, 5), 42)
     out = shallow_query(fci, fvi, p)
-    assert out.channels == 8
-    assert out.spatial == (3, 4, 5)
+    assert out.shape == (8, 3, 4, 5)
 
 
 def test_shallow_query_constant_half_stays_constant():
     p = AttentionParams.init(2, seed=11)
-    const_c = _fm(np.full((4, 4, 4, 4), 0.3))
-    const_v = _fm(np.full((4, 4, 4, 4), -0.1))
+    const_c = np.full((4, 4, 4, 4), 0.3)
+    const_v = np.full((4, 4, 4, 4), -0.1)
     out = shallow_query(const_c, const_v, p)
-    attended = out.data[:2]
+    attended = out[:2]
     for ch in range(2):
         vals = attended[ch]
         assert np.abs(vals - vals.ravel()[0]).max() <= 1e-6
@@ -132,9 +149,9 @@ def test_shallow_query_second_half_passthrough():
     fci = feature_map_from_seed(6, (2, 3, 2), 43)
     fvi = feature_map_from_seed(6, (2, 3, 2), 44)
     out = shallow_query(fci, fvi, p, w_mix=np.eye(6))
-    fused = (fci.data.astype(np.float64) + fvi.data.astype(np.float64))
+    fused = (fci.astype(np.float64) + fvi.astype(np.float64))
     expected_second = fused[3:].astype(np.float32)
-    assert np.array_equal(out.data[3:], expected_second)
+    assert np.array_equal(out[3:], expected_second)
 
 
 def test_shallow_query_rejects_odd_channels():
@@ -151,23 +168,23 @@ def test_shallow_query_rejects_odd_channels():
 def test_flex_conv_identity_configuration():
     f = feature_map_from_seed(4, (5, 5, 5), 51)
     out = flex_conv_block(f, FlexConvParams.identity(4))
-    assert np.array_equal(out.data, f.data)
+    assert np.array_equal(out, f)
 
 
 def test_flex_conv_zero_input_zero_output():
     p = FlexConvParams.init(3, 5, seed=14)
-    zero = _fm(np.zeros((3, 4, 4, 4)))
+    zero = np.zeros((3, 4, 4, 4))
     out = flex_conv_block(zero, p)
-    assert out.channels == 5
-    assert not out.data.any()
+    assert out.shape == (5, 4, 4, 4)
+    assert not out.any()
 
 
 def test_flex_conv_receptive_field_of_impulse():
     p = FlexConvParams.init(2, 2, seed=15)
     data = np.zeros((2, 9, 9, 9), dtype=np.float32)
     data[0, 4, 4, 4] = 1.0
-    out = flex_conv_block(_fm(data), p)
-    nz = np.argwhere(out.data != 0)
+    out = flex_conv_block(data, p)
+    nz = np.argwhere(out != 0)
     assert nz.size > 0
     assert np.abs(nz[:, 1:] - 4).max() <= 2  # max kernel 5 -> radius 2
 
@@ -178,10 +195,10 @@ def test_flex_conv_receptive_field_of_impulse():
 
 def test_d2sd_constant_scales_give_logistic():
     c = 0.8
-    segs = [_fm(np.full((1, n, n, n), c)) for n in (2, 3, 5)]
+    segs = [np.full((1, n, n, n), c) for n in (2, 3, 5)]
     out = d2sd_fuse(segs, (6, 6, 6))
     expected = 1.0 / (1.0 + np.exp(-c))
-    assert np.abs(out.data - expected).max() <= 1e-6
+    assert np.abs(out - expected).max() <= 1e-6
 
 
 def test_d2sd_shape_contract_50_random_draws():
@@ -192,9 +209,8 @@ def test_d2sd_shape_contract_50_random_draws():
                 for j in range(n_scales)]
         target = tuple(rng.integers(2, 10, 3))
         out = d2sd_fuse(segs, target)
-        assert out.channels == 1
-        assert out.spatial == target
-        assert out.data.min() >= 0.0 and out.data.max() <= 1.0
+        assert out.shape == (1, *target)
+        assert out.min() >= 0.0 and out.max() <= 1.0
 
 
 def test_d2sd_validation():
@@ -224,9 +240,9 @@ def test_trilinear_constant_exact_and_endpoint_interp():
 def test_seeded_feature_maps_and_params_reproducible():
     a = feature_map_from_seed(3, (4, 4, 4), 77)
     b = feature_map_from_seed(3, (4, 4, 4), 77)
-    assert np.array_equal(a.data, b.data)
+    assert np.array_equal(a, b)
     c = feature_map_from_seed(3, (4, 4, 4), 78)
-    assert not np.array_equal(a.data, c.data)
+    assert not np.array_equal(a, c)
 
     p1 = AttentionParams.init(5, seed=9)
     p2 = AttentionParams.init(5, seed=9)
@@ -235,4 +251,4 @@ def test_seeded_feature_maps_and_params_reproducible():
     f = feature_map_from_seed(4, (2, 2, 2), 79)
     o1 = cross_attention(f, f, AttentionParams.init(4, seed=9))
     o2 = cross_attention(f, f, AttentionParams.init(4, seed=9))
-    assert np.array_equal(o1.data, o2.data)
+    assert np.array_equal(o1, o2)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from tubekit import NumericDomainError, ParameterError, PhantomSpec, make_phantom
-from tubekit.losses import (DEFAULT_EPSILON, GatedKernelParams, LossBreakdown,
-                            loss_con_array, loss_con_signature, loss_gsb,
+from tubekit.losses import (DEFAULT_EPSILON, GatedKernelParams, loss_con_array,
+                            loss_con_signature, loss_gsb,
                             loss_mix_array, loss_r_sup_array,
                             loss_spatial_array, resolve_beta,
                             uncertain_prediction_array)
@@ -318,20 +318,17 @@ def test_mix_blended_labels_and_shape_check():
 # combined objective
 # ---------------------------------------------------------------------------
 
-def _fake_parts(rng, dims=(4, 4, 4)):
-    def part(seed):
-        g = rng.random(dims)
-        return float(rng.standard_normal()), g
-    return part(0), part(1), part(2), part(3)
+def _fake_values(rng):
+    return tuple(float(v) for v in rng.standard_normal(4))
 
 
 def test_gsb_lambda_zero_and_one():
     rng = np.random.default_rng(12)
-    r_sup, con, spatial, mix = _fake_parts(rng)
+    r_sup, con, spatial, mix = _fake_values(rng)
     off = loss_gsb(r_sup, con, spatial, mix, 0.0)
-    assert abs(off.total - (r_sup[0] + con[0])) <= 1e-12
+    assert abs(off - (r_sup + con)) <= 1e-12
     on = loss_gsb(r_sup, con, spatial, mix, 1.0)
-    assert abs(on.total - (r_sup[0] + con[0] + spatial[0] + mix[0])) <= 1e-12
+    assert abs(on - (r_sup + con + spatial + mix)) <= 1e-12
     with pytest.raises(ParameterError):
         loss_gsb(r_sup, con, spatial, mix, -0.5)
 
@@ -339,19 +336,18 @@ def test_gsb_lambda_zero_and_one():
 def test_gsb_linearity_over_lambda_grid():
     rng = np.random.default_rng(13)
     for _ in range(5):
-        r_sup, con, spatial, mix = _fake_parts(rng)
+        r_sup, con, spatial, mix = _fake_values(rng)
         for lam in (0.0, 0.5, 0.75, 1.0, 1.5, 2.0):
-            bd = loss_gsb(r_sup, con, spatial, mix, lam)
-            lhs = bd.total - (bd.r_sup + bd.con)
-            rhs = lam * (bd.spatial + bd.mix)
+            total = loss_gsb(r_sup, con, spatial, mix, lam)
+            lhs = total - (r_sup + con)
+            rhs = lam * (spatial + mix)
             assert abs(lhs - rhs) <= 1e-7 * max(1.0, abs(rhs))
 
 
 def test_gsb_breakdown_total_recomputable():
     rng = np.random.default_rng(14)
-    r_sup, con, spatial, mix = _fake_parts(rng)
-    bd = loss_gsb(r_sup, con, spatial, mix, 1.5)
-    recomputed = bd.r_sup + bd.con + bd.lam * (bd.spatial + bd.mix)
-    assert abs(recomputed - bd.total) <= 1e-7 * max(1.0, abs(bd.total))
-    assert isinstance(bd, LossBreakdown)
+    r_sup, con, spatial, mix = _fake_values(rng)
+    total = loss_gsb(r_sup, con, spatial, mix, 1.5)
+    assert type(total) is float
+    assert total == r_sup + con + 1.5 * (spatial + mix)
 

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from tubekit import Mask3, NumericDomainError, ParameterError, PhantomSpec, make_phantom
-from tubekit.metrics import (MetricsReport, cldice, dice, evaluate,
-                             precision_recall_f1, surface_distances,
-                             surface_voxels, tree_metrics)
+from tubekit.metrics import (cldice, dice, evaluate, precision_recall_f1,
+                             surface_distances, surface_voxels, tree_metrics)
 from tubekit.skeleton import hard_skeleton
 
 from oracles import brute_surface_distances, surface_voxels_bruteforce
@@ -84,7 +83,8 @@ def test_prf_examples():
     a[1:3, 1:3, 1:3] = True
     r = precision_recall_f1(a, a)
     assert (r.precision, r.recall, r.f1) == (100.0, 100.0, 100.0)
-    assert not r.degenerate
+    r = precision_recall_f1(a, np.zeros_like(a))  # empty reference: recall forced to 0
+    assert (r.precision, r.recall, r.f1) == (0.0, 0.0, 0.0)
 
     g = np.zeros((6, 6, 6), dtype=bool)
     g[1:3, 1:3, 1:3] = True       # 8 voxels
@@ -96,7 +96,8 @@ def test_prf_examples():
 
     r = precision_recall_f1(np.zeros((6, 6, 6), dtype=bool), g)
     assert (r.precision, r.recall, r.f1) == (0.0, 0.0, 0.0)
-    assert r.degenerate
+    empty = np.zeros((6, 6, 6), dtype=bool)  # both denominators empty
+    assert precision_recall_f1(empty, empty) == (0.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -257,16 +258,17 @@ def test_evaluate_full_report():
     _, gt = make_phantom(PhantomSpec("cylinder", radius_mm=1.5), (17, 17, 17))
     pred = np.array(gt.data)
     pred[:, :, 12:] = 0
-    report = evaluate(_mask(pred), gt, skel_k=6)
-    assert isinstance(report, MetricsReport)
-    d = report.to_dict()
+    d = evaluate(_mask(pred), gt, skel_k=6)
     assert set(d) == {"dice", "cldice", "f1", "precision", "recall", "hd",
                       "assd", "ahd", "bd", "tld", "pred_voxels", "gt_voxels",
                       "pred_surface_voxels", "gt_surface_voxels"}
     for key in ("dice", "cldice", "f1", "precision", "recall", "bd", "tld"):
         assert 0.0 <= d[key] <= 100.0
     assert d["hd"] >= d["assd"] >= 0.0
-    assert report.precision == 100.0  # pred is a subset of gt
+    assert d["precision"] == 100.0  # pred is a subset of gt
+    counts = ("pred_voxels", "gt_voxels", "pred_surface_voxels", "gt_surface_voxels")
+    assert all(type(d[key]) is int for key in counts)
+    assert d["gt_voxels"] == gt.count() and d["pred_voxels"] == int((pred > 0).sum())
 
 
 def test_evaluate_shares_skeletons_and_surfaces(monkeypatch):
@@ -293,11 +295,11 @@ def test_evaluate_shares_skeletons_and_surfaces(monkeypatch):
         report = evaluate(pred, gt, skel_k=4)
         assert calls == {"hard_skeleton": skeletons, "surface_voxels": 2}
         p, g = pred.data > 0, gt.data > 0
-        assert report.cldice == _cldice(p, g, 4)
-        assert (report.bd, report.tld) == _tree(p, g, 4, sp)
-        assert (report.hd, report.assd, report.ahd) == _distances(p, g, sp)
-        assert report.pred_surface_voxels == len(surface_voxels(p))
-        assert report.gt_surface_voxels == len(surface_voxels(g))
+        assert report["cldice"] == _cldice(p, g, 4)
+        assert (report["bd"], report["tld"]) == _tree(p, g, 4, sp)
+        assert (report["hd"], report["assd"], report["ahd"]) == _distances(p, g, sp)
+        assert report["pred_surface_voxels"] == len(surface_voxels(p))
+        assert report["gt_surface_voxels"] == len(surface_voxels(g))
 
 
 def test_metrics_measure_in_the_masks_spacing():
@@ -305,8 +307,8 @@ def test_metrics_measure_in_the_masks_spacing():
                          (2.0, 2.0, 2.0))
     shifted = np.zeros_like(gt.data)
     shifted[1:] = gt.data[:-1]
-    assert evaluate(Mask3(gt.dims, shifted, gt.spacing), gt).hd == 2.0
-    assert evaluate(_mask(shifted), _mask(gt.data)).hd == 1.0
+    assert evaluate(Mask3(gt.dims, shifted, gt.spacing), gt)["hd"] == 2.0
+    assert evaluate(_mask(shifted), _mask(gt.data))["hd"] == 1.0
 
 
 @pytest.mark.parametrize("metric", [evaluate])
