@@ -66,10 +66,15 @@ class AttentionParams:
         return self.wq.shape[0]
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+def _attention_weights(q: np.ndarray, k: np.ndarray, d_model: int) -> np.ndarray:
+    """Row softmax of q @ k.T / sqrt(d_model), scaled, shifted,
+    exponentiated and normalised in place on the one logits matrix."""
+    a = q @ k.T
+    a /= math.sqrt(d_model)
+    a -= a.max(axis=1, keepdims=True)
+    np.exp(a, out=a)
+    a /= a.sum(axis=1, keepdims=True)
+    return a
 
 
 def attention_rows(fq, fkv, p: AttentionParams) -> np.ndarray:
@@ -80,7 +85,7 @@ def attention_rows(fq, fkv, p: AttentionParams) -> np.ndarray:
             f"channel counts ({len(fq)}, {len(fkv)}) must equal d_model {p.d_model}")
     q = tokens(fq) @ p.wq
     k = tokens(fkv) @ p.wk
-    return _softmax_rows(q @ k.T / math.sqrt(p.d_model))
+    return _attention_weights(q, k, p.d_model)
 
 
 def cross_attention(fq, fkv, p: AttentionParams) -> np.ndarray:
@@ -170,7 +175,7 @@ def shallow_query(fci, fvi, p: AttentionParams, w_mix: np.ndarray = None) -> np.
     v_full = np.einsum("ct,cd->dt", f_s1.reshape(half, -1), p.wv)
     v_cells = tokens(_pool2(v_full.reshape((half,) + spatial), "avg"))
 
-    a = _softmax_rows(q @ k.T / math.sqrt(p.d_model))
+    a = _attention_weights(q, k, p.d_model)
     out_p = (a @ v_cells) @ p.wo  # (T_p, half)
     out_map = out_p.T.reshape((half,) + q_cells.shape[1:])
     f_s1_attn = _unpool2(out_map, spatial)

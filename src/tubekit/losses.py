@@ -28,6 +28,7 @@ DEFAULT_EPSILON = 1e-7
 DEFAULT_LAMBDA = 1.0
 SPATIAL_MIN_MAGNITUDE = 2.0 ** -537  # the square of this is the smallest subnormal
 SIGMA_MIN, SIGMA_MAX = 1e-150, 1e150  # 2*sigma^2 and its reciprocal stay finite, nonzero
+SPATIAL_BLOCK = 2 ** 14  # voxels per block of the spatial loss, in whole x-planes
 
 
 @dataclass(frozen=True)
@@ -149,29 +150,38 @@ def loss_con_signature(yhat, iterations=DEFAULT_ITERATIONS) -> bytes:
 # spatial similarity suppression
 # ---------------------------------------------------------------------------
 
-def _shift_slices(shape, d):
-    """Index pairs (sl_a, sl_b) with b = a + d, both inside the volume
-    (empty where |d| reaches past the axis)."""
-    sa, sb = [], []
-    for n, o in zip(shape, d):
-        if o >= 0:
-            sa.append(slice(0, max(n - o, 0)))
-            sb.append(slice(o, n))
-        else:
-            sa.append(slice(-o, n))
-            sb.append(slice(0, max(n + o, 0)))
-    return tuple(sa), tuple(sb)
+def _plane_blocks(sa, lo, hi, plane, bp, p, tplanes):
+    """Per block of bp planes from sa's first: its flat range i0:i1, its
+    slice of the flat block buffers, and the part of p with its source,
+    the in-bounds part of tplanes (the product buffer as planes)."""
+    x0, x1 = sa[0].start, sa[0].stop
+    return [(i0, i1, slice(i0 - x * plane, i1 - x * plane),
+             p[x - x0:x - x0 + bp], tplanes[:x1 - x, sa[1], sa[2]])
+            for x in range(x0, x1, bp)
+            for i0, i1 in [(max(lo, x * plane), min(hi, (x + bp) * plane))]]
 
 
 def loss_spatial_array(yhat, guide, params: GatedKernelParams):
     """Mean pairwise activation penalty over the cube window.
 
-    The window is cut to radius max(dims) - 1: every offset beyond that
-    pairs no voxels, so the result is the same.  Returns (value, grad, n_pairs) where n_pairs counts the ordered
-    in-bounds pairs with a nonzero term (the normalizer N), by one
-    (2r+1)^3 box count of the nonzero predictions.  That holds while no
-    y_i*y_j underflows, so inputs must be finite and each nonzero |y|
+    Returns (value, grad, n_pairs).  The window is cut to radius
+    max(dims) - 1, beyond which no offset pairs voxels.  n_pairs counts
+    the ordered in-bounds pairs with a nonzero term (the normalizer N) by
+    one (2r+1)^3 box count of the nonzero predictions.  That holds while
+    no y_i*y_j underflows, so inputs must be finite and each nonzero |y|
     >= ``SPATIAL_MIN_MAGNITUDE`` (float32-born values are >= 1.4e-45).
+
+    Offset d pairs flat index i with i + s in blocks of whole x-planes
+    (``SPATIAL_BLOCK`` voxels, at least radius + 1 planes), the end
+    blocks cut to 0 <= i + s < size.  The kernel exponent takes -c1 from
+    a per-plane row that holds -inf where i + s wraps into another row or
+    plane, so there k is exactly 0.  Phase A adds k*y[i+s] to grad[i];
+    phase B adds k*y[i] to grad[i+s] and forms p = (k*y[i])*y[i+s].
+    Phase B of block j runs after phase A of block j+1 (in-bounds |s| is
+    under radius + 1 planes), so every voxel takes its additions in the
+    order of a pass over whole 3-D views.  A wrapped pair adds +-0.0 to a
+    grad that starts at +0.0 and so never holds -0.0: no bit changes.
+    The in-bounds p fill a buffer of the view's shape, summed per offset.
     """
     yhat = np.asarray(yhat, dtype=np.float64)
     guide = np.asarray(guide, dtype=np.float64)
@@ -184,28 +194,56 @@ def loss_spatial_array(yhat, guide, params: GatedKernelParams):
                              "predictions at least 2^-537 in magnitude")
 
     total = 0.0
-    grad = np.zeros_like(yhat)
-    kbuf, pbuf = np.empty(yhat.size), np.empty(yhat.size)
+    y, g = yhat.ravel(), guide.ravel()
+    grad = np.zeros(y.size)
     inv_2sl2 = 1.0 / (2.0 * params.sigma_l ** 2)
     neg_inv_2sc2 = -1.0 / (2.0 * params.sigma_c ** 2)
     radius = min(params.radius, max(yhat.shape) - 1)
+    plane = y.size // max(yhat.shape[0], 1)
+    bp = min(yhat.shape[0], max(radius + 1, SPATIAL_BLOCK // max(plane, 1)))
+    planes = (bp,) + yhat.shape[1:]
+    *kbufs, tbuf, row = np.empty((4, bp * plane))
+    pbuf = np.empty(y.size)
 
-    for d in _window_offsets(radius):
-        sa, sb = _shift_slices(yhat.shape, d)
-        a, b = yhat[sa], yhat[sb]
-        k, p = (buf[:a.size].reshape(a.shape) for buf in (kbuf, pbuf))
+    # Per-block work runs in small functions: tracemalloc finds the line
+    # of each allocation by a scan over its function's code.
+    def kernel_and_phase_a(k, s, block):
+        i0, i1, at, _, _ = block
+        k = k[at]
         # exp(-(c1 + diff**2*c2)) as diff*diff*(-c2) + (-c1): same bits
-        np.subtract(guide[sa], guide[sb], out=k)
+        np.subtract(g[i0:i1], g[i0 + s:i1 + s], out=k)
         np.multiply(k, k, out=k)
         np.multiply(k, neg_inv_2sc2, out=k)
-        np.add(k, -((d[0] ** 2 + d[1] ** 2 + d[2] ** 2) * inv_2sl2), out=k)
+        np.add(k, row[at], out=k)
         np.exp(k, out=k)
-        grad[sa] += np.multiply(k, b, out=p)
-        grad[sb] += np.multiply(k, a, out=p)
-        total += float(np.multiply(p, b, out=p).sum())
+        grad[i0:i1] += np.multiply(k, y[i0 + s:i1 + s], out=tbuf[at])
+
+    def phase_b(k, s, block):
+        i0, i1, at, dst, src = block
+        t = np.multiply(k[at], y[i0:i1], out=tbuf[at])
+        grad[i0 + s:i1 + s] += t
+        np.multiply(t, y[i0 + s:i1 + s], out=t)
+        dst[...] = src
+
+    for d in _window_offsets(radius):
+        if any(abs(o) >= n for o, n in zip(d, yhat.shape)):
+            continue  # pairs no voxels
+        sa = tuple(slice(max(0, -o), n - max(0, o)) for o, n in zip(d, yhat.shape))
+        s = (d[0] * yhat.shape[1] + d[1]) * yhat.shape[2] + d[2]
+        lo, hi = max(sa[0].start * plane, -s), min(sa[0].stop * plane, y.size - s)
+        row.fill(-np.inf)
+        row.reshape(planes)[:, sa[1], sa[2]] = -(sum(o * o for o in d) * inv_2sl2)
+        p = pbuf[:yhat[sa].size].reshape(yhat[sa].shape)
+        blocks = _plane_blocks(sa, lo, hi, plane, bp, p, tbuf.reshape(planes))
+        for j in range(len(blocks) + 1):
+            if j < len(blocks):
+                kernel_and_phase_a(kbufs[j % 2], s, blocks[j])
+            if j:  # phase B of block j - 1 runs after phase A of block j
+                phase_b(kbufs[(j - 1) % 2], s, blocks[j - 1])
+        total += float(p.sum())
     n_pairs = int(_neighbor_counts(nz, radius)[nz].sum())
     n = max(1, n_pairs)
-    return total / n, grad / n, n_pairs
+    return total / n, (grad / n).reshape(yhat.shape), n_pairs
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,22 @@ def test_attention_rows_sum_to_one():
         fkv = feature_map_from_seed(c, tuple(rng.integers(1, 4, 3)), seed + 90)
         rows = attention_rows(fq, fkv, p)
         assert np.abs(rows.sum(axis=1) - 1.0).max() <= 1e-6
+
+
+def test_cross_attention_holds_one_logits_matrix():
+    # Scale, shift, exp and normalise run in place on the one T x T
+    # logits matrix; with a copy per step the peak was 4 of them.
+    p = AttentionParams.init(8, seed=7)
+    f = feature_map_from_seed(8, (12, 12, 12), 31)
+    t = 12 ** 3
+    tracemalloc.start()
+    try:
+        out = cross_attention(f, f, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == f.shape
+    assert peak < 2 * t * t * 8, peak / (t * t * 8)
 
 
 def test_token_permutation_equivariance():

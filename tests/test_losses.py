@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -253,6 +254,24 @@ def test_spatial_gradient_matches_fd():
             lambda x: loss_spatial_array(x, guide, params)[0], yhat, v)
         worst = max(worst, abs(grad[v] - fd) / max(abs(fd), 1e-8))
     assert worst <= 1e-4
+
+
+def test_spatial_peak_memory_is_bounded():
+    # Block buffers of about 2^14 voxels, not padded whole-volume copies:
+    # the gradient, the offset's product buffer and the domain checks
+    # peak near 3.7 float64 volumes at 48^3.
+    rng = np.random.default_rng(9)
+    yhat = rng.random((48, 48, 48))
+    yhat[rng.random(yhat.shape) < 0.5] = 0.0
+    guide = rng.random(yhat.shape)
+    tracemalloc.start()
+    try:
+        n_pairs = loss_spatial_array(yhat, guide, GatedKernelParams())[2]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n_pairs > 0
+    assert peak <= 5 * 8 * yhat.size, peak / (8 * yhat.size)
 
 
 def test_spatial_shape_mismatch():

@@ -1,10 +1,11 @@
 """The spatial loss against its former per-offset loop, bit for bit.
 
-The package builds each offset's kernel and products in two reused
-buffers and counts pairs with one box sum of the nonzero mask; the
-oracle allocates fresh temporaries and counts count_nonzero(a*b) per
-offset.  The counts agree while no a*b underflows, which the domain
-(finite inputs, every nonzero |y| >= 2^-537) guarantees.
+The package runs each offset over the flat arrays in blocks of whole
+planes, reusing small block buffers, and counts pairs with one box sum
+of the nonzero mask; the oracle allocates fresh temporaries over the
+offset's 3-D views and counts count_nonzero(a*b) per offset.  The
+counts agree while no a*b underflows, which the domain (finite inputs,
+every nonzero |y| >= 2^-537) guarantees.
 """
 
 import signal
@@ -15,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import spatial_loss_oracle
-from tubekit import ParameterError
+from tubekit import ParameterError, losses
 from tubekit.losses import SPATIAL_MIN_MAGNITUDE, GatedKernelParams, loss_spatial_array
 
 
@@ -27,6 +28,9 @@ def _inputs(kind, shape, seed):
     yhat = rng.random(shape).astype(np.float32).astype(np.float64)
     if kind == "sparse":
         yhat[rng.random(shape) < 0.85] = 0.0
+    if kind == "signed":  # negative predictions and -0.0 entries
+        yhat -= 0.5
+        yhat[rng.random(shape) < 0.6] = -0.0
     return yhat, guide
 
 
@@ -35,7 +39,7 @@ def _bits(x):
 
 
 cases = st.tuples(
-    st.sampled_from(["dense", "sparse", "smallest"]),
+    st.sampled_from(["dense", "sparse", "smallest", "signed"]),
     st.tuples(*[st.integers(1, 12)] * 3),
     st.integers(1, 3),
     st.sampled_from([(1.5, 0.1), (0.8, 2.0)]),
@@ -47,12 +51,17 @@ cases = st.tuples(
 def test_matches_former_loop_bit_for_bit(case):
     kind, shape, radius, (sigma_l, sigma_c), seed = case
     yhat, guide = _inputs(kind, shape, seed)
-    value, grad, n_pairs = loss_spatial_array(
-        yhat, guide, GatedKernelParams(sigma_l, sigma_c, radius))
     o_value, o_grad, o_pairs = spatial_loss_oracle(yhat, guide, sigma_l, sigma_c, radius)
-    assert n_pairs == o_pairs
-    assert _bits(value) == _bits(o_value)
-    assert _bits(grad) == _bits(o_grad)
+    # A block of 1 voxel means radius + 1 planes: shapes up to 12^3 then
+    # run in several blocks, so phase B lags phase A of the next block.
+    for block in (losses.SPATIAL_BLOCK, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(losses, "SPATIAL_BLOCK", block)
+            value, grad, n_pairs = loss_spatial_array(
+                yhat, guide, GatedKernelParams(sigma_l, sigma_c, radius))
+        assert n_pairs == o_pairs, block
+        assert _bits(value) == _bits(o_value), block
+        assert _bits(grad) == _bits(o_grad), block
 
 
 def test_axis_shorter_than_the_window():
