@@ -70,7 +70,11 @@ def _atomic_write(path: str, write):
 
 def _write_json(path, obj):
     """Write the report ``obj`` to ``path``, or to stdout without one."""
-    text = json.dumps(_jsonify(obj), sort_keys=True, indent=2) + "\n"
+    _write_text(path, json.dumps(_jsonify(obj), sort_keys=True, indent=2) + "\n")
+
+
+def _write_text(path, text: str):
+    """Write ``text`` to ``path`` atomically, or to stdout without one."""
     if not path:
         sys.stdout.write(text)
     else:
@@ -154,18 +158,26 @@ def _cmd_reconnect(args):
     _save_tvol_atomic(Mask3(mask.dims, res.reconnected.astype(np.uint8),
                             mask.spacing), args.out)
     if args.report:
-        segments = [{"from": list(a), "to": list(b),
-                     "line_voxels": _line_voxels(a, b)}
-                    for a, b in res.segments]
-        n_in, n_out = mask.count(), int(res.reconnected.sum())
-        _write_json(args.report, {
-            "segments": segments,
-            "segment_count": len(res.segments),
-            "drawn_voxels": n_out - n_in,  # reconnection only adds voxels
-            "input_voxels": n_in,
-            "output_voxels": n_out,
-        })
+        _write_text(args.report, _reconnect_report(
+            res.segments, mask.count(), int(res.reconnected.sum())))
     return 0
+
+
+# One segment as json.dumps(..., indent=2) nests it in the report's list.
+_SEGMENT = ('    {{\n      "from": [\n        {},\n        {},\n        {}\n      ],\n'
+            '      "line_voxels": {},\n'
+            '      "to": [\n        {},\n        {},\n        {}\n      ]\n    }}')
+
+
+def _reconnect_report(segments, n_in: int, n_out: int) -> str:
+    """The reconnect report in the bytes ``_write_json`` would give it
+    (sorted keys, 2-space indentation), formatted directly: every value
+    in it is an integer."""
+    items = ",\n".join(_SEGMENT.format(*a, _line_voxels(a, b), *b) for a, b in segments)
+    listed = f"[\n{items}\n  ]" if segments else "[]"
+    return (f'{{\n  "drawn_voxels": {n_out - n_in},\n'  # reconnection only adds voxels
+            f'  "input_voxels": {n_in},\n  "output_voxels": {n_out},\n'
+            f'  "segment_count": {len(segments)},\n  "segments": {listed}\n}}\n')
 
 
 def _line_voxels(a, b) -> int:

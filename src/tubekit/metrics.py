@@ -101,43 +101,39 @@ def _branch_components(centerline: np.ndarray):
 
     A blob-like centerline can be all junctions; fall back to the whole
     centerline so thick degenerate skeletons still count as branches."""
-    counts = _neighbor_counts(centerline)
-    junctions = centerline & (counts >= 3)
-    comp = connected_components(centerline & ~junctions)
-    if comp.count == 0:
-        comp = connected_components(centerline)
-    return comp
+    branches = centerline & (_neighbor_counts(centerline) < 3)
+    return connected_components(branches if branches.any() else centerline)
 
 
-def _walk_lengths(coords: np.ndarray, inside: np.ndarray, spacing):
-    """(total, detected) mm length of a branch's 26-connected chain.
+def _tree_steps(coords: np.ndarray, starts: np.ndarray):
+    """(parent, child, offset) of every step of each branch's breadth-first
+    spanning tree, walked from the branch's first voxel.
 
-    Walks a BFS spanning tree from the smallest-linear-index voxel with
-    neighbors visited in linear order; for simple paths this is the path
-    itself.  A step counts as detected when both endpoints are inside."""
-    order = np.lexsort((coords[:, 0], coords[:, 1], coords[:, 2]))
-    coords = coords[order]
-    inside = inside[order]
-    index = {tuple(c): i for i, c in enumerate(map(tuple, coords))}
-    sp = np.asarray(spacing, dtype=np.float64)
-    seen = {0}
-    queue = [0]
-    total = detected = 0.0
-    while queue:
-        i = queue.pop(0)
-        ci = coords[i]
-        x, y, z = ci
-        near = ((x + dx, y + dy, z + dz) for dx, dy, dz in _window_offsets(1))
-        for j in sorted(index[t] for t in near if t in index):
-            if j in seen:
-                continue
-            seen.add(j)
-            queue.append(j)
-            step = float(np.sqrt((((coords[j] - ci) * sp) ** 2).sum()))
-            total += step
-            if inside[i] and inside[j]:
-                detected += step
-    return total, detected
+    ``coords`` holds the branches' voxels grouped by branch, each group in
+    linear order and starting at ``starts``; no two branches touch.  All
+    branches advance their frontiers together.  A frontier's voxels, in
+    order, each claim their unclaimed neighbours in linear order, which is
+    the order of ``_window_offsets``; ``offset`` indexes that list.  Within
+    a branch the steps come in the order a first-in first-out walk makes
+    them."""
+    at = np.full(tuple(coords.max(axis=0) + 3), -1, dtype=np.intp)
+    at[tuple((coords + 1).T)] = np.arange(len(coords))
+    near = np.stack([at[tuple((coords + 1 + o).T)] for o in _window_offsets(1)], axis=1)
+    seen = np.zeros(len(coords), dtype=bool)
+    seen[starts] = True
+    front, steps = starts, []
+    while front.size:
+        cand = near[front]
+        hit = cand >= 0
+        hit[hit] = ~seen[cand[hit]]
+        rows, offs = np.nonzero(hit)  # frontier order, then neighbour order
+        child = cand[rows, offs]
+        first = np.sort(np.unique(child, return_index=True)[1])
+        rows, offs, child = rows[first], offs[first], child[first]
+        seen[child] = True
+        steps.append((front[rows], child, offs))
+        front = child
+    return [np.concatenate(s) for s in zip(*steps)]
 
 
 def tree_metrics(p: np.ndarray, centerline: np.ndarray, spacing):
@@ -145,26 +141,36 @@ def tree_metrics(p: np.ndarray, centerline: np.ndarray, spacing):
     reference centerline covered by the prediction p; lengths in mm.
 
     A reference branch counts as detected when any of its centerline
-    voxels falls inside the prediction.
+    voxels falls inside the prediction.  A branch's length sums, left to
+    right, the steps of its breadth-first spanning tree from its
+    smallest-linear-index voxel, neighbours taken in linear order (for a
+    simple path, the path itself); a step is detected when both its ends
+    are inside.  Branch lengths add up in branch order.
     """
     _check_shapes(p, centerline)
     comp = _branch_components(centerline)
     if comp.count == 0:
         raise NumericDomainError("reference centerline has no branches")
-    # every branch's voxels from one scan: C-order coordinates, grouped by id
-    coords = np.argwhere(comp.labels)
-    coords = coords[np.argsort(comp.labels[tuple(coords.T)], kind="stable")]
+    # every branch's voxels from one scan: linear order, grouped by id
+    flat = comp.labels.ravel(order="F")
+    lin = np.flatnonzero(flat)
+    lin = lin[np.argsort(flat[lin], kind="stable")]
+    lab = flat[lin]
+    coords = np.stack(np.unravel_index(lin, comp.labels.shape, order="F"), axis=1)
     inside = p[tuple(coords.T)]
-    bounds = np.cumsum(comp.sizes)[:-1]
+    starts = np.cumsum(comp.sizes) - comp.sizes
+    detected_branches = int(np.count_nonzero(np.logical_or.reduceat(inside, starts)))
 
-    detected_branches = 0
-    total_len = detected_len = 0.0
-    for c, ins in zip(np.split(coords, bounds), np.split(inside, bounds)):
-        if ins.any():
-            detected_branches += 1
-        t, d = _walk_lengths(c, ins, spacing)
-        total_len += t
-        detected_len += d
+    parent, child, offs = _tree_steps(coords, starts)
+    sp = np.asarray(spacing, dtype=np.float64)
+    step = np.array([np.sqrt(((np.array(o) * sp) ** 2).sum()) for o in _window_offsets(1)])[offs]
+    # per branch, sequential sums (np.cumsum) in walk order; an undetected
+    # step adds +0.0, which leaves a non-negative sum unchanged
+    lengths = np.stack([step, np.where(inside[parent] & inside[child], step, 0.0)])
+    lengths = lengths[:, np.argsort(lab[child], kind="stable")]
+    per_branch = [np.cumsum(s, axis=1)[:, -1] if s.shape[1] else np.zeros(2)
+                  for s in np.split(lengths, np.cumsum(comp.sizes - 1)[:-1], axis=1)]
+    total_len, detected_len = (float(v) for v in np.cumsum(per_branch, axis=0)[-1])
 
     bd = 100.0 * detected_branches / comp.count
     if total_len > 0:

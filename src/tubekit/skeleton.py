@@ -16,6 +16,11 @@ requested number of erosions and stops early once an erosion leaves an
 all-zero image: every later iteration would add exactly zero to the
 skeleton and to its gradient, so the result equals the full run's.  A
 tape's ``iterations`` is the number of erosions that actually ran.
+
+``hard_skeleton`` runs the same recurrence on uint8 0/1 data, which is
+exact: an opening never exceeds its image, so ``img - opened`` cannot
+wrap; ``skel * delta <= delta``; and ``t > 0`` only where ``skel == 0``,
+so every value stays 0 or 1, as it would in float64.
 """
 
 import hashlib
@@ -75,19 +80,20 @@ def _pool3(arr, mode, record=None):
     pooled value, so the left pad wins ties at -1.
     """
     op = np.minimum if mode == "min" else np.maximum
+    zero = arr.dtype.type(0)  # the pad, in the array's own type
     offs = []
     for axis in (0, 1, 2):
         out = np.empty_like(arr)
         a, p = np.moveaxis(arr, axis, 0), np.moveaxis(out, axis, 0)
         op(a[:-1], a[1:], out=p[1:])  # p[i] = op(a[i-1], a[i])
-        op(0.0, a[0], out=p[0])
+        op(zero, a[0], out=p[0])
         op(p[:-1], a[1:], out=p[:-1])  # p[i] = op(p[i], a[i+1])
-        op(p[-1], 0.0, out=p[-1])
+        op(p[-1], zero, out=p[-1])
         if record is not None:
             off = np.not_equal(arr, out).view(np.int8)  # 0 centre, 1 right
             o = np.moveaxis(off, axis, 0)  # then -1 wherever the left wins:
             o[1:] |= -(a[:-1] == p[1:]).view(np.int8)
-            o[0] |= -(p[0] == 0.0).view(np.int8)  # the pad
+            o[0] |= -(p[0] == zero).view(np.int8)  # the pad
             offs.append(off)
         arr = out
     if record is not None:
@@ -120,7 +126,8 @@ def _scatter3(grad, offs):
 # ---------------------------------------------------------------------------
 
 def _recurrence(img, iterations, tape=None):
-    """The skeleton recurrence on a float64 array; returns the skeleton.
+    """The skeleton recurrence on a float64 array, or on a uint8 one of
+    0s and 1s; returns the skeleton in the input's type.
 
     Stage 0 opens the image; each later stage erodes it once more and
     opens the result, adding relu(delta - skel * delta) with delta =
@@ -134,15 +141,16 @@ def _recurrence(img, iterations, tape=None):
     if iterations < 1:
         raise ParameterError("iterations must be >= 1")
     pools = None if tape is None else tape.pools
+    zero = img.dtype.type(0)  # a float 0.0 would promote uint8 to float64
     skel = np.zeros_like(img)
     eroded = _pool3(img, "min", pools)
     for i in itertools.count():
-        opened = _pool3(eroded, "max", pools)
-        delta = np.maximum(img - opened, 0.0)
-        t = np.maximum(delta - skel * delta, 0.0)
+        delta = np.maximum(img - _pool3(eroded, "max", pools), zero)  # img - opened
+        t = np.maximum(delta - skel * delta, zero)
         if tape is not None:
             tape.stages.append((skel, delta, t > 0))
         skel = skel + t
+        del delta, t  # not held across the next stage's pooling
         if i >= iterations or not eroded.any():
             break
         img = eroded
@@ -209,9 +217,12 @@ def soft_skeleton_array(img: np.ndarray, iterations: int) -> np.ndarray:
 
 
 def hard_skeleton(fg: np.ndarray, k: int = DEFAULT_ITERATIONS) -> np.ndarray:
-    """Binary skeleton of a boolean array: soft recurrence on the 0/1
-    field, cut at 0.5."""
-    return soft_skeleton_array(fg, k) >= 0.5
+    """Binary skeleton of a boolean array: the soft recurrence on its 0/1
+    field, run in uint8.  Every value stays exactly 0 or 1 (see the
+    module notes), so this equals the float64 run cut at 0.5."""
+    if fg.dtype != bool:
+        raise ParameterError(f"hard_skeleton needs a boolean array, got {fg.dtype}")
+    return _recurrence(fg.astype(np.uint8), k).view(bool)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from .workers import parallel_map, thread_count
 DEFAULT_TAU = 0.5
 DEFAULT_SCALES = (1.0, 1.5, 2.0, 3.0)
 _SLAB_VOXELS = 1 << 15  # in flight across all workers; a slab is never under one plane
-EIG3_MAX_COMPONENT = 1e150  # the analytic solve squares it; float64 ends near 1.8e308
 
 
 @dataclass(frozen=True)
@@ -47,15 +46,6 @@ class JermanParams:
         if self.polarity not in ("bright", "dark"):
             raise ParameterError(f"polarity must be bright or dark, got {self.polarity!r}")
         object.__setattr__(self, "scales", scales)
-
-
-@dataclass(frozen=True)
-class EigenTriple:
-    """Eigenvalues of one symmetric 3x3 matrix, |l1| <= |l2| <= |l3|."""
-
-    l1: float
-    l2: float
-    l3: float
 
 
 def _gaussian_kernel(sigma_mm: float, spacing_mm: float) -> np.ndarray:
@@ -198,18 +188,6 @@ def eig3_symmetric_field(comps: np.ndarray):
     return l1, l2, l3
 
 
-def eig3_symmetric(comps) -> EigenTriple:
-    """Eigenvalues of one symmetric 3x3, components (xx, xy, xz, yy, yz, zz),
-    each finite and at most EIG3_MAX_COMPONENT (1e150) in magnitude."""
-    c = np.asarray(comps, dtype=np.float64)
-    if c.shape != (6,):
-        raise ParameterError("expected six components (xx, xy, xz, yy, yz, zz)")
-    if not np.all(np.abs(c) <= EIG3_MAX_COMPONENT):  # also false for NaN
-        raise ParameterError(f"Hessian components must be finite, |c| <= {EIG3_MAX_COMPONENT:g}")
-    l1, l2, l3 = eig3_symmetric_field(c)
-    return EigenTriple(float(l1), float(l2), float(l3))
-
-
 def _jerman_from_arrays(l2: np.ndarray, l3: np.ndarray, lambda3_max: float,
                         tau: float) -> np.ndarray:
     """Branchwise response; callers pass polarity-adjusted eigenvalues."""
@@ -220,22 +198,6 @@ def _jerman_from_arrays(l2: np.ndarray, l3: np.ndarray, lambda3_max: float,
     a, b = l2[mid], lp[mid]
     resp[mid] = np.clip(a ** 2 * (b - a) * (3.0 / (b + a)) ** 3, 0.0, 1.0)
     return resp
-
-
-def jerman_response(eigs: EigenTriple, lambda3_max: float, tau: float,
-                    polarity: str = "bright") -> float:
-    """Tubularity response in [0, 1] for one voxel.
-
-    lambda3_max is the volume-wide maximum of the polarity-adjusted l3 at
-    the current scale (>= 0).
-    """
-    JermanParams(tau=tau, polarity=polarity)  # validates both
-    if lambda3_max < 0:
-        raise ParameterError("lambda3_max must be non-negative")
-    sign = -1.0 if polarity == "bright" else 1.0
-    l2 = np.asarray(sign * eigs.l2, dtype=np.float64)
-    l3 = np.asarray(sign * eigs.l3, dtype=np.float64)
-    return float(_jerman_from_arrays(l2, l3, float(lambda3_max), float(tau)))
 
 
 def vesselness_multiscale(vol: Volume3, params: JermanParams) -> Volume3:

@@ -628,6 +628,67 @@ def reconnect_oracle(fg0):
 
 
 # ---------------------------------------------------------------------------
+# tree metrics: one breadth-first walk per branch
+# ---------------------------------------------------------------------------
+
+def _walk_lengths(coords, inside, spacing):
+    """(total, detected) mm length of a branch's 26-connected chain.
+
+    Walks a BFS spanning tree from the smallest-linear-index voxel with
+    neighbors visited in linear order; for simple paths this is the path
+    itself.  A step counts as detected when both endpoints are inside."""
+    order = np.lexsort((coords[:, 0], coords[:, 1], coords[:, 2]))
+    coords = coords[order]
+    inside = inside[order]
+    index = {tuple(c): i for i, c in enumerate(map(tuple, coords))}
+    sp = np.asarray(spacing, dtype=np.float64)
+    seen = {0}
+    queue = [0]
+    total = detected = 0.0
+    while queue:
+        i = queue.pop(0)
+        ci = coords[i]
+        x, y, z = ci
+        near = ((x + dx, y + dy, z + dz) for dx, dy, dz in _oracle_window_offsets(1))
+        for j in sorted(index[t] for t in near if t in index):
+            if j in seen:
+                continue
+            seen.add(j)
+            queue.append(j)
+            step = float(np.sqrt((((coords[j] - ci) * sp) ** 2).sum()))
+            total += step
+            if inside[i] and inside[j]:
+                detected += step
+    return total, detected
+
+
+def tree_metrics_oracle(p, centerline, spacing):
+    """(bd, tld) of ``metrics.tree_metrics``, one branch at a time: the
+    branches are the components of the centerline without its junctions
+    (>= 3 neighbours), or of the whole centerline when that leaves none;
+    each branch's length is ``_walk_lengths``, added in branch order."""
+    labels, sizes = _oracle_components(
+        centerline & (_oracle_neighbor_counts(centerline) < 3))
+    if len(sizes) == 0:
+        labels, sizes = _oracle_components(centerline)
+    if len(sizes) == 0:
+        raise ValueError("reference centerline has no branches")
+    detected_branches = 0
+    total_len = detected_len = 0.0
+    for c in range(1, len(sizes) + 1):
+        coords = np.argwhere(labels == c)
+        inside = p[tuple(coords.T)]
+        detected_branches += bool(inside.any())
+        t, d = _walk_lengths(coords, inside, spacing)
+        total_len += t
+        detected_len += d
+    bd = 100.0 * detected_branches / len(sizes)
+    if total_len > 0:
+        return bd, 100.0 * detected_len / total_len
+    return bd, 100.0 * int(p[labels > 0].sum()) / int(sizes.sum())
+
+
+# ---------------------------------------------------------------------------
 # phantoms: the whole volume at once
 # ---------------------------------------------------------------------------
 

@@ -22,11 +22,11 @@ from tubekit.metrics import (dice, precision_recall_f1, surface_distances,
                              surface_voxels, tree_metrics)
 from tubekit.skeleton import (bresenham_line, connected_components,
                               hard_skeleton, reconnect, soft_skeleton_array)
-from tubekit.vesselness import (EigenTriple, JermanParams, eig3_symmetric,
-                                jerman_response, vesselness_multiscale)
+from tubekit.vesselness import JermanParams, vesselness_multiscale
 
 from oracles import (brute_surface_distances, central_difference,
                      jacobi_eigenvalues)
+from single_voxel import EigenTriple, eig3_symmetric, jerman_response
 
 
 def _report(num, text):

@@ -8,10 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tubekit import Mask3, load_tvol, losses, metrics, save_tvol, vesselness
-from tubekit.cli import _build_parser, _line_voxels, main
-from tubekit.skeleton import bresenham_line
+from tubekit.cli import _build_parser, _jsonify, _line_voxels, _reconnect_report, main
+from tubekit.skeleton import bresenham_line, reconnect
 from tubekit.volume import Volume3
 
 
@@ -466,6 +468,42 @@ def test_line_voxels_counts_the_bresenham_interior():
         pairs.append((a, b))
     for a, b in pairs:
         assert _line_voxels(a, b) == len(bresenham_line(a, b)) - 2, (a, b)
+
+
+def _report_as_json(segments, n_in, n_out):
+    """The reconnect report through the generic writer's formatting."""
+    report = {"segments": [{"from": list(a), "to": list(b), "line_voxels": _line_voxels(a, b)}
+                           for a, b in segments],
+              "segment_count": len(segments), "drawn_voxels": n_out - n_in,
+              "input_voxels": n_in, "output_voxels": n_out}
+    return json.dumps(_jsonify(report), sort_keys=True, indent=2) + "\n"
+
+
+_POINTS = st.tuples(*[st.integers(0, 10 ** 6)] * 3)
+
+
+@given(st.lists(st.tuples(_POINTS, _POINTS), max_size=12),
+       st.integers(1, 10 ** 9), st.integers(0, 10 ** 6))
+def test_reconnect_report_is_the_indented_json_of_its_dict(segments, n_in, drawn):
+    assert (_reconnect_report(segments, n_in, n_in + drawn)
+            == _report_as_json(segments, n_in, n_in + drawn))
+
+
+@pytest.mark.parametrize("pieces", [1, 3])
+def test_reconnect_report_file_is_the_indented_json_of_its_dict(tmp_path, pieces):
+    # One piece is already one component: it draws nothing, "segments": [].
+    data = np.zeros((12, 12, 12), dtype=np.uint8)
+    data[2, 2, 1:10] = 1
+    if pieces == 3:
+        data[8, 9, 3:6] = data[5, 0, 11] = 1
+    skel, rec, report = tmp_path / "s.tvol", tmp_path / "r.tvol", tmp_path / "r.json"
+    save_tvol(Mask3(data.shape, data), str(skel))
+    assert _run("reconnect", "--in", str(skel), "--out", str(rec),
+                "--report", str(report)) == 0
+    res = reconnect(data > 0)
+    assert len(res.segments) == pieces - 1
+    assert report.read_text() == _report_as_json(
+        res.segments, int(data.sum()), int(res.reconnected.sum()))
 
 
 def test_metrics_spacing_mismatch_exits_2(tmp_path, capsys):

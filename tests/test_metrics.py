@@ -1,12 +1,17 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tubekit import Mask3, NumericDomainError, ParameterError, PhantomSpec, make_phantom
 from tubekit.metrics import (cldice, dice, evaluate, precision_recall_f1,
                              surface_distances, surface_voxels, tree_metrics)
 from tubekit.skeleton import hard_skeleton
 
-from oracles import brute_surface_distances, surface_voxels_bruteforce
+from oracles import (brute_surface_distances, surface_voxels_bruteforce,
+                     tree_metrics_oracle)
 
 
 def _mask(data, spacing=(1.0, 1.0, 1.0)):
@@ -248,6 +253,78 @@ def test_tree_length_uses_spacing():
     bd, tld = _tree(pred, gt, skel_k=3, spacing=(1.0, 1.0, 2.0))
     assert bd == 100.0
     assert abs(tld - 100.0 * 3.0 / 6.0) <= 1e-9
+
+
+def _put_piece(fg, kind, rng):
+    """Draw one centerline piece into fg at a random place: a ``voxel``,
+    a ``triangle`` or a ``diamond`` (cycles whose voxels have two
+    neighbours each), a ``blob`` (a box of sides 2-4, all junctions) or
+    a ``walk`` (a random 26-connected path, which may cross itself)."""
+    shape = np.array(fg.shape)
+    at = rng.integers(0, shape)
+    if kind == "voxel":
+        pts = [at]
+    elif kind == "triangle":
+        pts = [at, at + (1, 0, 0), at + (0, 1, 0)]
+    elif kind == "diamond":  # |dx| + |dy| = r in one plane, stepped diagonally
+        r = int(rng.integers(1, 4))
+        pts = [at + (dx, dy, 0) for dx in range(-r, r + 1)
+               for dy in (r - abs(dx), abs(dx) - r)]
+    elif kind == "blob":
+        pts = [at + d for d in np.ndindex(*rng.integers(2, 5, 3))]
+    else:
+        pts = [at]
+        for _ in range(int(rng.integers(1, 40))):
+            pts.append(pts[-1] + rng.integers(-1, 2, 3))
+    for q in pts:
+        if (q >= 0).all() and (q < shape).all():
+            fg[tuple(q)] = True
+
+
+def _centerline(shape, kinds, density, seed):
+    rng = np.random.default_rng(seed)
+    fg = rng.random(shape) < density
+    for kind in kinds:
+        _put_piece(fg, kind, rng)
+    if not fg.any():
+        fg[tuple(rng.integers(0, shape))] = True
+    return fg, rng
+
+
+def _bits(pair):
+    return [struct.pack("<d", v) for v in pair]
+
+
+_SPACINGS = st.tuples(*[st.floats(0.1, 4.0, allow_nan=False)] * 3) | st.just((1.0, 1.0, 1.0))
+
+
+@given(st.tuples(st.integers(1, 14), st.integers(1, 14), st.integers(1, 14)),
+       st.lists(st.sampled_from(["voxel", "triangle", "diamond", "blob", "walk"]),
+                max_size=6),
+       st.sampled_from([0.0, 0.0, 0.05, 0.2, 0.5]),
+       _SPACINGS, st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
+def test_tree_metrics_matches_the_branch_walk_oracle(shape, kinds, density, spacing,
+                                                     p_density, seed):
+    centerline, rng = _centerline(shape, kinds, density, seed)
+    p = rng.random(shape) < p_density
+    assert _bits(tree_metrics(p, centerline, spacing)) == \
+        _bits(tree_metrics_oracle(p, centerline, spacing))
+
+
+@pytest.mark.parametrize("kinds", [
+    ["triangle"], ["triangle", "triangle", "diamond"],  # cycles, no junction
+    ["blob"], ["blob", "blob"],  # all junctions: the whole-centerline fallback
+    ["voxel"] * 5,  # single-voxel branches only: the voxel-coverage fallback
+    ["walk", "diamond", "voxel", "blob"],
+])
+@pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (0.7, 1.3, 2.9)])
+def test_tree_metrics_matches_the_oracle_on_each_branch_kind(kinds, spacing):
+    for seed in range(8):
+        centerline, rng = _centerline((9, 8, 7), kinds, 0.0, seed)
+        for p in (rng.random(centerline.shape) < 0.5, centerline,
+                  np.zeros_like(centerline)):
+            assert _bits(tree_metrics(p, centerline, spacing)) == \
+                _bits(tree_metrics_oracle(p, centerline, spacing)), (kinds, seed)
 
 
 # ---------------------------------------------------------------------------

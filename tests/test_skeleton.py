@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,24 @@ def test_hard_skeleton_idempotent_on_one_wide_curves():
         twice = hard_skeleton(once, 3)
         assert np.array_equal(once, m)
         assert np.array_equal(twice, once)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+def test_hard_skeleton_rejects_a_non_boolean_array(dtype):
+    # 0.4 would be foreground as uint8 after a cast, background at >= 0.5
+    with pytest.raises(ParameterError, match="boolean"):
+        hard_skeleton(np.full((5, 5, 5), 0.4).astype(dtype), 2)
+
+
+def test_hard_skeleton_peaks_under_one_float64_volume():
+    fg = np.random.default_rng(2).random((48, 48, 48)) < 0.7
+    tracemalloc.start()
+    try:
+        hard_skeleton(fg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * fg.size, peak
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,15 @@ def test_forward_and_backward_match_oracle(case):
     assert tape.backward(g).tobytes() == oracle.backward(g).tobytes()
 
 
+@given(st.tuples(*[st.integers(1, 9)] * 3), st.floats(0.0, 1.0), st.integers(1, 12),
+       st.integers(0, 2 ** 32 - 1))
+def test_hard_skeleton_in_uint8_matches_the_float_oracle(shape, density, k, seed):
+    # Thin dims put most voxels beside the zero pad.
+    fg = np.random.default_rng(seed).random(shape) < density
+    expected = soft_skeleton_tape_oracle(fg.astype(np.float64), k).skeleton >= 0.5
+    assert hard_skeleton(fg, k).tobytes() == expected.tobytes()
+
+
 @given(cases)
 def test_tie_free_verdict_matches_oracle(case):
     kind, shape, k, seed = case

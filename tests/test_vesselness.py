@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from tubekit import ParameterError, PhantomSpec, Volume3, make_phantom, workers
-from tubekit.vesselness import (EIG3_MAX_COMPONENT, EigenTriple, JermanParams,
-                                eig3_symmetric, eig3_symmetric_field,
-                                gaussian_smooth, hessian_at_scale,
-                                jerman_response, vesselness_multiscale)
+from tubekit.vesselness import (JermanParams, eig3_symmetric_field, gaussian_smooth,
+                                hessian_at_scale, vesselness_multiscale)
 
 from oracles import dense_convolve3, gaussian_kernel_1d, jacobi_eigenvalues
+from single_voxel import EIG3_MAX_COMPONENT, EigenTriple, eig3_symmetric, jerman_response
 
 
 def _vol(data, spacing=(1.0, 1.0, 1.0)):
