@@ -99,15 +99,20 @@ def cross_attention(fq, fkv, p: AttentionParams) -> np.ndarray:
 
 def deep_mutual_query(fc4, fv4, p: AttentionParams):
     """Bidirectional cross-attention between the two deep streams, each
-    summed with the self-attention of the key/value stream."""
+    summed with the self-attention of the key/value stream, formed once
+    per direction; it is also the cross term when fc4 is fv4."""
+    same = fc4 is fv4
     fc4, fv4 = _checked_map(fc4), _checked_map(fv4)
     if len(fc4) != len(fv4):
         raise ParameterError("deep features must share channel count")
     if fc4.shape != fv4.shape:
         raise ParameterError("deep features must share spatial dims")
-    dq_v2c = cross_attention(fv4, fc4, p) + cross_attention(fc4, fc4, p)
-    dq_c2v = cross_attention(fc4, fv4, p) + cross_attention(fv4, fv4, p)
-    return dq_v2c, dq_c2v
+
+    def direction(fq, fkv):
+        self_kv = cross_attention(fkv, fkv, p)
+        return (self_kv if same else cross_attention(fq, fkv, p)) + self_kv
+
+    return direction(fv4, fc4), direction(fc4, fv4)
 
 
 # ---------------------------------------------------------------------------
@@ -226,17 +231,19 @@ class FlexConvParams:
 
 
 def _conv3d_same(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Zero-padded same convolution, x (C_in, D, H, W), w (C_out, C_in, k,k,k)."""
-    k = w.shape[2]
-    r = k // 2
+    """Zero-padded same convolution, x (C_in, D, H, W), w (C_out, C_in, k,k,k).
+
+    Taps run in (dz, dy, dx) order, skipping each whose weights are all
+    zero.  That is exact for finite x: out starts at +0.0 and a sum is
+    -0.0 only when both addends are, so out never holds -0.0, and a
+    skipped tap would have added only +-0.0."""
+    r = w.shape[2] // 2
     xp = np.pad(x, ((0, 0), (r, r), (r, r), (r, r)))
     _, d, h, wd = x.shape
     out = np.zeros((w.shape[0], d, h, wd))
-    for dz in range(k):
-        for dy in range(k):
-            for dx in range(k):
-                patch = xp[:, dz:dz + d, dy:dy + h, dx:dx + wd]
-                out += np.einsum("oc,c...->o...", w[:, :, dz, dy, dx], patch)
+    for dz, dy, dx in np.argwhere(w.any(axis=(0, 1))):
+        patch = xp[:, dz:dz + d, dy:dy + h, dx:dx + wd]
+        out += np.einsum("oc,c...->o...", w[:, :, dz, dy, dx], patch)
     return out
 
 

@@ -21,12 +21,15 @@ CON_POINTS = 20  # tie-free voxels wanted for the connectivity term
 SKEL_ITERS = 4   # skeleton iterations of the checked connectivity loss
 
 
+def _nudged(x: np.ndarray, voxel, step: float) -> np.ndarray:
+    x = x.copy()
+    x[voxel] += step  # adding -h has the bits of subtracting h
+    return x
+
+
 def central_difference(fn, x: np.ndarray, voxel) -> float:
-    xp = x.copy()
-    xp[voxel] += GRADCHECK_H
-    xm = x.copy()
-    xm[voxel] -= GRADCHECK_H
-    return (fn(xp) - fn(xm)) / (2.0 * GRADCHECK_H)
+    return (fn(_nudged(x, voxel, GRADCHECK_H))
+            - fn(_nudged(x, voxel, -GRADCHECK_H))) / (2.0 * GRADCHECK_H)
 
 
 def _rel_err(analytic: float, fd: float) -> float:
@@ -92,27 +95,18 @@ def gradcheck_report(seed: int, size: int) -> dict:
     voxels = _sample_voxels(dims, seed * 8 + 5, POINTS)
     report = {"h": GRADCHECK_H, "size": size, "seed": seed}
 
-    _, g = losses.loss_r_sup_array(y, yhat, roi, beta)
-    errs = [_rel_err(g[v], central_difference(
-        lambda x: losses.loss_r_sup_array(y, x, roi, beta)[0], yhat, v))
-        for v in voxels]
-    report["r_sup"] = {"max_rel_err": max(errs), "points": len(errs)}
-
-    _, g, _ = losses.loss_spatial_array(yhat, guide, kparams)
-    errs = [_rel_err(g[v], central_difference(
-        lambda x: losses.loss_spatial_array(x, guide, kparams)[0], yhat, v))
-        for v in voxels]
-    report["spatial"] = {"max_rel_err": max(errs), "points": len(errs)}
-
-    _, g = losses.loss_mix_array(yhat, m)
-    errs = [_rel_err(g[v], central_difference(
-        lambda x: losses.loss_mix_array(x, m)[0], yhat, v))
-        for v in voxels]
-    report["mix"] = {"max_rel_err": max(errs), "points": len(errs)}
+    smooth = (("r_sup", lambda x: losses.loss_r_sup_array(y, x, roi, beta)),
+              ("spatial", lambda x: losses.loss_spatial_array(x, guide, kparams)),
+              ("mix", lambda x: losses.loss_mix_array(x, m)))
+    for name, term in smooth:
+        g = term(yhat)[1]
+        errs = [_rel_err(g[v], central_difference(lambda x: term(x)[0], yhat, v))
+                for v in voxels]
+        report[name] = {"max_rel_err": max(errs), "points": len(errs)}
 
     tube = _tube_prediction(size, seed * 8 + 6)
     _, g = losses.loss_con_array(tube, SKEL_ITERS)
-    sig0 = losses.loss_con_signature(tube, SKEL_ITERS)
+    sig0, _ = losses.loss_con_signature(tube, SKEL_ITERS)
     errs = []
     # Check where the gradient is live, not only at inert background.
     flat = np.argsort(-np.abs(g), axis=None, kind="stable")[:CON_POINTS * 2]
@@ -121,16 +115,12 @@ def gradcheck_report(seed: int, size: int) -> dict:
     for v in candidates:
         if len(errs) >= CON_POINTS:
             break
-        xp = tube.copy()
-        xp[v] += GRADCHECK_H
-        xm = tube.copy()
-        xm[v] -= GRADCHECK_H
-        if (losses.loss_con_signature(xp, SKEL_ITERS) != sig0
-                or losses.loss_con_signature(xm, SKEL_ITERS) != sig0):
+        sig_p, f_p = losses.loss_con_signature(_nudged(tube, v, GRADCHECK_H), SKEL_ITERS)
+        if sig_p != sig0:
             continue
-        fd = central_difference(
-            lambda x: losses.loss_con_array(x, SKEL_ITERS)[0], tube, v)
-        errs.append(_rel_err(g[v], fd))
+        sig_m, f_m = losses.loss_con_signature(_nudged(tube, v, -GRADCHECK_H), SKEL_ITERS)
+        if sig_m == sig0:  # the central difference, from the two probes' values
+            errs.append(_rel_err(g[v], (f_p - f_m) / (2.0 * GRADCHECK_H)))
     report["con"] = {"max_rel_err": max(errs) if errs else 0.0,
                      "points": len(errs), "tie_free_only": True}
     return report

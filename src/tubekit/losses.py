@@ -114,36 +114,38 @@ def loss_r_sup_array(y, yhat, roi_mask, beta):
 # skeleton connectivity
 # ---------------------------------------------------------------------------
 
+def _con_forward(yhat, iterations):
+    """Tape, threshold mask, reconnected support (None when the mask is
+    empty) and value of the connectivity loss on a float64 array."""
+    tape = SoftSkeletonTape(yhat, iterations)
+    hard = tape.skeleton >= 0.5
+    if not hard.any():
+        return tape, hard, None, 0.0
+    rec = reconnect(hard).reconnected
+    value = -float(np.log(tape.skeleton[rec] + DEFAULT_EPSILON).sum()) / int(rec.sum())
+    return tape, hard, rec, value
+
+
 def loss_con_array(yhat, iterations=DEFAULT_ITERATIONS):
     """Cross entropy between the soft skeleton and its reconnected
     (constant) counterpart, averaged over the reconnected skeleton."""
     yhat = np.asarray(yhat, dtype=np.float64)
     _check_unit_range(yhat, "prediction")
-    tape = SoftSkeletonTape(yhat, iterations)
-    ys = tape.skeleton
-    hard = ys >= 0.5
-    if not hard.any():
+    tape, _, rec, value = _con_forward(yhat, iterations)
+    if rec is None:
         return 0.0, np.zeros_like(yhat)
-    rec = reconnect(hard).reconnected
-    n = int(rec.sum())
-    value = -float(np.log(ys[rec] + DEFAULT_EPSILON).sum()) / n
-    g_skel = np.where(rec, -1.0 / ((ys + DEFAULT_EPSILON) * n), 0.0)
+    g_skel = np.where(rec, -1.0 / ((tape.skeleton + DEFAULT_EPSILON) * int(rec.sum())), 0.0)
     return value, tape.backward(g_skel)
 
 
-def loss_con_signature(yhat, iterations=DEFAULT_ITERATIONS) -> bytes:
-    """Digest of every discrete choice in the connectivity loss: pooling
-    selections, relu signs, threshold mask, and reconnected support.
+def loss_con_signature(yhat, iterations=DEFAULT_ITERATIONS):
+    """(digest, value): the digest of every discrete choice in the
+    connectivity loss (pooling selections, relu signs, threshold mask,
+    reconnected support) and the value ``loss_con_array`` returns.
     Equal signatures at x-h, x, x+h certify a tie-free direction."""
-    yhat = np.asarray(yhat, dtype=np.float64)
-    tape = SoftSkeletonTape(yhat, iterations)
-    hard = tape.skeleton >= 0.5
-    h = hashlib.sha256()
-    h.update(tape.signature())
-    h.update(hard.tobytes())
-    if hard.any():
-        h.update(reconnect(hard).reconnected.tobytes())
-    return h.digest()
+    tape, hard, rec, value = _con_forward(np.asarray(yhat, dtype=np.float64), iterations)
+    parts = (tape.signature(), hard.tobytes(), b"" if rec is None else rec.tobytes())
+    return hashlib.sha256(b"".join(parts)).digest(), value
 
 
 # ---------------------------------------------------------------------------

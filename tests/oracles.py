@@ -228,6 +228,22 @@ def central_difference(fn, x, voxel, h=1e-3):
     return (fn(xp) - fn(xm)) / (2.0 * h)
 
 
+def conv3d_same_oracle(x, w):
+    """Zero-padded same convolution over every tap, in (dz, dy, dx) order,
+    x (C_in, D, H, W), w (C_out, C_in, k, k, k)."""
+    k = w.shape[2]
+    r = k // 2
+    xp = np.pad(x, ((0, 0), (r, r), (r, r), (r, r)))
+    _, d, h, wd = x.shape
+    out = np.zeros((w.shape[0], d, h, wd))
+    for dz in range(k):
+        for dy in range(k):
+            for dx in range(k):
+                patch = xp[:, dz:dz + d, dy:dy + h, dx:dx + wd]
+                out += np.einsum("oc,c...->o...", w[:, :, dz, dy, dx], patch)
+    return out
+
+
 def spatial_pair_sum_bruteforce(yhat, guide, sigma_l, sigma_c, radius):
     """Enumerate every ordered in-window pair; returns (sum, nonzero pairs)."""
     nx, ny, nz = yhat.shape

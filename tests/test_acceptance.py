@@ -87,7 +87,7 @@ def test_criterion_01_gradient_suite():
         pred = np.clip(0.12 + 0.78 * lab8
                        + rng.uniform(-0.02, 0.02, dims), 0.1, 0.9)
         _, g = loss_con_array(pred, iterations=iters)
-        sig0 = loss_con_signature(pred, iterations=iters)
+        sig0 = loss_con_signature(pred, iterations=iters)[0]
         live = np.argsort(-np.abs(g), axis=None)[:30]
         checked = 0
         for flat in live:
@@ -98,8 +98,8 @@ def test_criterion_01_gradient_suite():
             xp[v] += h
             xm = pred.copy()
             xm[v] -= h
-            if (loss_con_signature(xp, iterations=iters) != sig0
-                    or loss_con_signature(xm, iterations=iters) != sig0):
+            if (loss_con_signature(xp, iterations=iters)[0] != sig0
+                    or loss_con_signature(xm, iterations=iters)[0] != sig0):
                 continue
             fd = central_difference(
                 lambda x: loss_con_array(x, iterations=iters)[0], pred, v, h)

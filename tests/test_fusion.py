@@ -1,13 +1,22 @@
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from tubekit import ParameterError
-from tubekit.fusion import (AttentionParams, FlexConvParams, attention_rows,
-                            cross_attention, d2sd_fuse, deep_mutual_query,
+from oracles import conv3d_same_oracle
+from tubekit import ParameterError, fusion
+from tubekit.cli import main
+from tubekit.fusion import (FLEX_KERNEL_SIZES, AttentionParams, FlexConvParams, _conv3d_same,
+                            attention_rows, cross_attention, d2sd_fuse, deep_mutual_query,
                             feature_map_from_seed, flex_conv_block,
                             shallow_query, tokens, trilinear_resize)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +128,15 @@ def test_dmq_symmetric_for_equal_inputs():
     assert np.array_equal(a, b)
 
 
+def test_dmq_on_one_object_matches_two_equal_maps_bit_for_bit():
+    # One object shares each direction's self-attention as its cross
+    # term; two equal objects compute both terms.
+    p = AttentionParams.init(4, seed=7)
+    f = feature_map_from_seed(4, (3, 2, 3), 35)
+    for shared, apart in zip(deep_mutual_query(f, f, p), deep_mutual_query(f, f.copy(), p)):
+        assert _bits(shared) == _bits(apart)
+
+
 def test_dmq_zero_query_gives_uniform_average():
     p = AttentionParams.init(4, seed=8)
     fc4 = feature_map_from_seed(4, (2, 2, 2), 32)
@@ -205,6 +223,63 @@ def test_flex_conv_receptive_field_of_impulse():
     nz = np.argwhere(out != 0)
     assert nz.size > 0
     assert np.abs(nz[:, 1:] - 4).max() <= 2  # max kernel 5 -> radius 2
+
+
+@given(st.sampled_from(FLEX_KERNEL_SIZES), st.integers(1, 4), st.integers(1, 4),
+       st.tuples(*[st.integers(1, 6)] * 3), st.sampled_from(["random", "identity"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_conv3d_same_matches_the_every_tap_oracle_bit_for_bit(k, c_in, c_out, dims, kind,
+                                                              seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((c_in,) + dims)
+    zeros = rng.random(x.shape)
+    x[zeros < 0.2] = -0.0
+    x[zeros > 0.9] = 0.0
+    if kind == "identity":
+        w = FlexConvParams.identity(c_in).branch_weights[FLEX_KERNEL_SIZES.index(k)]
+    else:
+        w = rng.standard_normal((c_out, c_in, k, k, k))
+        w[rng.random(w.shape) < 0.2] = -0.0
+        # Whole taps of +0.0, of -0.0 and of both signs of zero.
+        tap_kind = rng.integers(0, 4, (k, k, k))
+        w[..., tap_kind == 1] = 0.0
+        w[..., tap_kind == 2] = -0.0
+        w[..., tap_kind == 3] = np.where(rng.random(w[..., tap_kind == 3].shape) < 0.5,
+                                         0.0, -0.0)
+    assert _bits(_conv3d_same(x, w)) == _bits(conv3d_same_oracle(x, w))
+
+
+def test_fusion_demo_skips_zero_taps_and_repeated_attention(tmp_path, monkeypatch):
+    counts = {"attention": 0, "einsum": 0}
+    per_flex_call = []
+    weights, einsum, flex = fusion._attention_weights, np.einsum, fusion.flex_conv_block
+
+    def counted(key, fn):
+        def run(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return run
+
+    def flex_counted(*args, **kwargs):
+        before = counts["einsum"]
+        out = flex(*args, **kwargs)
+        per_flex_call.append(counts["einsum"] - before)
+        return out
+
+    monkeypatch.setattr(fusion, "_attention_weights", counted("attention", weights))
+    monkeypatch.setattr(np, "einsum", counted("einsum", einsum))
+    monkeypatch.setattr(fusion, "flex_conv_block", flex_counted)
+    out = tmp_path / "demo.json"
+    assert main(["fusion-demo", "--dims", "6,6,6", "--channels", "8", "--json", str(out)]) == 0
+    # dmq(fc4, fv4) 4, dmq(fc4, fc4) 2 (4 with every term), attention_rows,
+    # the single-token check and the shallow query 1 each.
+    assert counts["attention"] == 9
+    # Random branches run all 1 + 27 + 125 taps, the identity one centre
+    # tap per branch (153 with every tap); one more for the compressor.
+    assert per_flex_call == [154, 4]
+    invariants = json.loads(out.read_text())["invariants"]
+    assert invariants["flex_conv_identity_exact"] is True
+    assert invariants["dmq_symmetric_on_equal_inputs"] is True
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tubekit import NumericDomainError, ParameterError, PhantomSpec, make_phantom
 from tubekit.losses import (DEFAULT_EPSILON, GatedKernelParams, loss_con_array,
@@ -180,7 +182,7 @@ def test_con_gradient_matches_fd_at_tie_free_voxels():
     jitter = rng.uniform(-0.02, 0.02, (size, size, size))
     pred = np.clip(0.12 + 0.78 * lab + jitter, 0.1, 0.9)
     value, grad = loss_con_array(pred, iterations=iters)
-    sig0 = loss_con_signature(pred, iterations=iters)
+    sig0 = loss_con_signature(pred, iterations=iters)[0]
     live = np.argsort(-np.abs(grad), axis=None)[:40]
     checked = 0
     worst = 0.0
@@ -190,8 +192,8 @@ def test_con_gradient_matches_fd_at_tie_free_voxels():
         xp[v] += h
         xm = pred.copy()
         xm[v] -= h
-        if (loss_con_signature(xp, iterations=iters) != sig0
-                or loss_con_signature(xm, iterations=iters) != sig0):
+        if (loss_con_signature(xp, iterations=iters)[0] != sig0
+                or loss_con_signature(xm, iterations=iters)[0] != sig0):
             continue
         fd = central_difference(lambda x: loss_con_array(x, iterations=iters)[0],
                                 pred, v, h)
@@ -201,6 +203,23 @@ def test_con_gradient_matches_fd_at_tie_free_voxels():
             break
     assert checked >= 10
     assert worst <= 1e-3
+
+
+@given(st.sampled_from(["tube", "random", "below_half"]), st.tuples(*[st.integers(1, 9)] * 3),
+       st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+def test_con_signature_value_is_the_loss_value_bit_for_bit(kind, dims, iters, seed):
+    rng = np.random.default_rng(seed)
+    pred = rng.random(dims)
+    if kind == "tube":  # a jittered cylinder, cut to dims
+        lab = _tube_pred()[:dims[0], :dims[1], :dims[2]]
+        pred = np.clip(0.12 + 0.78 * lab + 0.02 * (pred - 0.5), 0.1, 0.9)
+    elif kind == "below_half":  # the hard skeleton is empty
+        pred *= 0.49
+    value, _ = loss_con_array(pred, iterations=iters)
+    _, sig_value = loss_con_signature(pred, iterations=iters)
+    assert np.float64(sig_value).tobytes() == np.float64(value).tobytes()
+    if kind == "below_half":
+        assert np.float64(value).tobytes() == np.float64(0.0).tobytes()
 
 
 # ---------------------------------------------------------------------------
