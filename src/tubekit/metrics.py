@@ -97,12 +97,17 @@ def surface_distances(surf_a: np.ndarray, surf_b: np.ndarray, spacing):
 
 def _branch_components(centerline: np.ndarray):
     """Split a centerline into branches: junctions (>= 3 neighbors)
-    removed, remaining voxels labelled 26-wise.
+    removed, remaining voxels labelled 26-wise.  Returns the centerline's
+    bounding box (a tuple of slices) and the components of that crop;
+    cropping keeps the x-fastest order, so ids and their order are those
+    of the whole volume.
 
     A blob-like centerline can be all junctions; fall back to the whole
     centerline so thick degenerate skeletons still count as branches."""
-    branches = centerline & (_neighbor_counts(centerline) < 3)
-    return connected_components(branches if branches.any() else centerline)
+    box = (ndimage.find_objects(centerline.view(np.uint8)) or [(slice(0, 0),) * 3])[0]
+    crop = centerline[box]
+    branches = crop & (_neighbor_counts(crop) < 3)
+    return box, connected_components(branches if branches.any() else crop)
 
 
 def _tree_steps(coords: np.ndarray, starts: np.ndarray):
@@ -148,7 +153,7 @@ def tree_metrics(p: np.ndarray, centerline: np.ndarray, spacing):
     are inside.  Branch lengths add up in branch order.
     """
     _check_shapes(p, centerline)
-    comp = _branch_components(centerline)
+    box, comp = _branch_components(centerline)
     if comp.count == 0:
         raise NumericDomainError("reference centerline has no branches")
     # every branch's voxels from one scan: linear order, grouped by id
@@ -157,7 +162,7 @@ def tree_metrics(p: np.ndarray, centerline: np.ndarray, spacing):
     lin = lin[np.argsort(flat[lin], kind="stable")]
     lab = flat[lin]
     coords = np.stack(np.unravel_index(lin, comp.labels.shape, order="F"), axis=1)
-    inside = p[tuple(coords.T)]
+    inside = p[box][tuple(coords.T)]
     starts = np.cumsum(comp.sizes) - comp.sizes
     detected_branches = int(np.count_nonzero(np.logical_or.reduceat(inside, starts)))
 

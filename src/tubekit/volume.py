@@ -175,11 +175,19 @@ def _dist_to_segment(px, py, pz, a, b):
     return np.sqrt(dx ** 2 + dy ** 2 + dz ** 2)
 
 
-def _centerline_distance(spec: PhantomSpec, dims, spacing):
-    """A function of voxel-centre grids (px, py, pz) in mm, any block of
-    the volume, giving their distance (mm) to the phantom's centerline.
-    Only distances up to radius_mm matter: the helix's nearest-point
-    query stops just past it and reports inf beyond.
+def _centerline_distance(spec: PhantomSpec, dims, spacing, axes):
+    """The phantom's centerline as pieces ``(cols, near_z, dist)``, given
+    the voxel-centre coordinates (mm) ``axes`` along x, y and z.
+    ``dist`` maps voxel-centre coordinates (px, py, pz) in mm to their
+    distance (mm) from the piece, and only the voxels in the xy columns
+    ``cols`` (bool, (nx, ny)) and z planes ``near_z`` (bool, (nz,)) can
+    lie within radius_mm of it.  Each region comes from a lower bound on
+    the distance, kept with a margin of 2 * radius_mm so that rounding
+    cannot drop a voxel: the axis distance of a cylinder; |rho - amp| for
+    the helix, whose samples all lie on the cylinder of radius amp (rho:
+    a voxel's xy distance from the axis); a bifurcation segment's
+    bounding box.  Only distances up to radius_mm matter: the helix's
+    nearest-point query stops just past it and reports inf beyond.
 
     gapped_cylinder is handled by the caller via a z-index mask, so here
     it shares the cylinder geometry.
@@ -188,22 +196,28 @@ def _centerline_distance(spec: PhantomSpec, dims, spacing):
     sx, sy, sz = spacing
     cx = (nx - 1) / 2.0 * sx
     cy = (ny - 1) / 2.0 * sy
+    xs, ys, zs = axes
+    margin = 2.0 * spec.radius_mm
+    rho = np.sqrt((xs[:, None] - cx) ** 2 + (ys - cy) ** 2)
+    every_z = np.ones(nz, dtype=bool)
 
     if spec.kind in ("cylinder", "gapped_cylinder"):
-        return lambda px, py, pz: np.sqrt((px - cx) ** 2 + (py - cy) ** 2)
+        return [(rho <= margin, every_z,
+                 lambda px, py, pz: np.sqrt((px - cx) ** 2 + (py - cy) ** 2))]
 
     if spec.kind == "bifurcation":
         z_top = (nz - 1) * sz
         z_split = z_top / 2.0
         reach = z_top - z_split  # children rise at 45 degrees in the x-z plane
         fork = (cx, cy, z_split)
-        segments = (((cx, cy, 0.0), fork), (fork, (cx - reach, cy, z_top)),
-                    (fork, (cx + reach, cy, z_top)))
-
-        def bifurcation(px, py, pz):
-            trunk, left, right = (_dist_to_segment(px, py, pz, a, b) for a, b in segments)
-            return np.minimum(trunk, np.minimum(left, right))
-        return bifurcation
+        pieces = []
+        for a, b in (((cx, cy, 0.0), fork), (fork, (cx - reach, cy, z_top)),
+                     (fork, (cx + reach, cy, z_top))):
+            kx, ky, kz = ((ax >= min(u, v) - margin) & (ax <= max(u, v) + margin)
+                          for ax, u, v in zip((xs, ys, zs), a, b))
+            pieces.append((kx[:, None] & ky, kz,
+                           lambda px, py, pz, a=a, b=b: _dist_to_segment(px, py, pz, a, b)))
+        return pieces
 
     if spec.kind == "helix":
         turns = 2.0
@@ -214,9 +228,9 @@ def _centerline_distance(spec: PhantomSpec, dims, spacing):
                                         cy + amp * np.sin(theta),
                                         t * (nz - 1) * sz]))
         bound = spec.radius_mm * (1.0 + 1e-6)
-        return lambda px, py, pz: tree.query(
+        return [(np.abs(rho - amp) <= margin, every_z, lambda px, py, pz: tree.query(
             np.column_stack([px.ravel(), py.ravel(), pz.ravel()]),
-            distance_upper_bound=bound)[0].reshape(px.shape)
+            distance_upper_bound=bound)[0].reshape(px.shape))]
 
     raise ParameterError(f"unknown phantom kind {spec.kind!r}")
 
@@ -229,7 +243,11 @@ def make_phantom(spec: PhantomSpec, dims, spacing=(1.0, 1.0, 1.0)):
     i.i.d. Gaussian noise drawn from the counter-based generator, so a
     fixed (spec, dims, spacing) reproduces identical bytes.  The work
     runs in z-slabs of about ``_PHANTOM_SLAB`` voxels; the noise
-    counters, x-fastest, of a z-slab are one contiguous range.
+    counters, x-fastest, of a z-slab are one contiguous range.  Distances
+    are computed only in each centerline piece's region (see
+    ``_centerline_distance``); every other voxel is at +inf, beyond any
+    radius, and a computed voxel keeps its coordinates and ufuncs, so the
+    bytes are those of an exact distance at every voxel.
     """
     dims = tuple(int(d) for d in dims)
     if len(dims) != 3 or any(d < 16 for d in dims):
@@ -244,17 +262,21 @@ def make_phantom(spec: PhantomSpec, dims, spacing=(1.0, 1.0, 1.0)):
             raise ParameterError("gap_len_voxels must be smaller than nz")
         in_gap[(nz - gap) // 2:(nz - gap) // 2 + gap] = True
 
-    dist_to = _centerline_distance(spec, dims, spacing)
-    xs, ys = (np.arange(n, dtype=np.float64) * s for n, s in zip(dims[:2], spacing[:2]))
+    xs, ys, zs = axes = [np.arange(n, dtype=np.float64) * s for n, s in zip(dims, spacing)]
+    pieces = [(*np.nonzero(cols), near_z & ~in_gap, dist_to)
+              for cols, near_z, dist_to in _centerline_distance(spec, dims, spacing, axes)]
     image = np.empty(dims, dtype=np.float32)
     label = np.empty(dims, dtype=np.uint8)
     plane = nx * ny
     step = max(1, _PHANTOM_SLAB // plane)
     for z0 in range(0, nz, step):
         z1 = min(z0 + step, nz)
-        grid = np.meshgrid(xs, ys, np.arange(z0, z1, dtype=np.float64) * spacing[2],
-                           indexing="ij")
-        lab = (dist_to(*grid) <= spec.radius_mm) & ~in_gap[z0:z1]
+        lab = np.zeros((nx, ny, z1 - z0), dtype=bool)
+        for ix, iy, near_z, dist_to in pieces:
+            iz = np.flatnonzero(near_z[z0:z1])
+            at = (ix[:, None], iy[:, None], iz)
+            lab[at] |= dist_to(*np.broadcast_arrays(
+                xs[ix][:, None], ys[iy][:, None], zs[z0 + iz])) <= spec.radius_mm
         img = spec.background_intensity + (
             spec.foreground_intensity - spec.background_intensity) * lab.astype(np.float64)
         if spec.noise_sigma > 0:

@@ -1,9 +1,14 @@
-"""make_phantom in z-slabs against the former whole-volume code."""
+"""make_phantom in z-slabs, with distances only near the centerline,
+against the former whole-volume code."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from oracles import _oracle_centerline_distance, phantom_oracle
 from tubekit import volume
@@ -25,6 +30,46 @@ def test_slabs_match_whole_volume_oracle(kind, slab, monkeypatch):
         assert image.data.tobytes() == o_image.tobytes()
         assert label.data.tobytes() == o_label.tobytes()
         assert label.count() > 0
+
+
+_SPACINGS = st.sampled_from([0.5, 0.75, 1.0, 1.25, 2.0])
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_bytes_match_the_every_voxel_oracle(data):
+    # radii up to past the helix amplitude, so the helix's shell reaches
+    # the axis and the bifurcation's branch boxes overlap
+    kind = data.draw(st.sampled_from(PHANTOM_KINDS), "kind")
+    dims = data.draw(st.tuples(*[st.integers(16, 40)] * 3), "dims")
+    spacing = data.draw(st.tuples(*[_SPACINGS] * 3), "spacing")
+    amp = min((dims[0] - 1) * spacing[0], (dims[1] - 1) * spacing[1]) / 4.0
+    radius = data.draw(st.one_of(st.floats(0.3, 3.0),
+                                 st.floats(0.5, 1.5).map(lambda f: f * amp)), "radius")
+    spec = PhantomSpec(kind, radius, noise_sigma=data.draw(st.sampled_from([0.0, 0.25])),
+                       gap_len_voxels=data.draw(st.integers(0, dims[2] - 1), "gap"),
+                       seed=data.draw(st.integers(0, 2 ** 32 - 1), "seed"))
+    slab = data.draw(st.sampled_from([1, 5000, volume._PHANTOM_SLAB]), "slab")
+    with mock.patch.object(volume, "_PHANTOM_SLAB", slab):
+        image, label = make_phantom(spec, dims, spacing)
+    o_image, o_label = phantom_oracle(spec, dims, spacing)
+    assert image.data.tobytes() == o_image.tobytes()
+    assert label.data.tobytes() == o_label.tobytes()
+
+
+def test_helix_queries_only_voxels_near_its_cylinder(monkeypatch):
+    queried = []
+
+    class CountingTree(cKDTree):
+        def query(self, x, *args, **kwargs):
+            queried.append(len(x))
+            return super().query(x, *args, **kwargs)
+
+    monkeypatch.setattr(volume, "cKDTree", CountingTree)
+    dims = (64, 64, 64)
+    label = make_phantom(PhantomSpec("helix", 2.0, seed=4), dims)[1]
+    assert label.count() > 0
+    assert 0 < sum(queried) <= 0.2 * np.prod(dims), sum(queried)
 
 
 def test_helix_voxel_exactly_at_the_radius_is_inside():
