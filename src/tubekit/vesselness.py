@@ -7,9 +7,10 @@ negated before the response is evaluated; the regularized lp replaces l3
 with a volume-level floor tau * max(l3) to keep low-contrast vessels
 from vanishing.  Each scale is smoothed whole, then differentiated and
 eigen-solved in slabs of planes along axis 0, one slab per part of the
-``TUBEKIT_THREADS`` pool (tubekit.workers), with 2^15 voxels in flight
-across all workers: the peak memory is a few volume fields (signed l2
-and l3 in float64, the running max in float32) plus those slabs' work.
+``TUBEKIT_THREADS`` pool (tubekit.workers), with 2^16 voxels in flight
+across all workers, each slab in whole-slab ufunc calls on reused
+buffers: the peak memory is a few volume fields (signed l2 and l3 in
+float64, the running max in float32) plus those slabs' work.
 """
 
 import math
@@ -24,7 +25,7 @@ from .workers import parallel_map, thread_count
 
 DEFAULT_TAU = 0.5
 DEFAULT_SCALES = (1.0, 1.5, 2.0, 3.0)
-_SLAB_VOXELS = 1 << 15  # in flight across all workers; a slab is never under one plane
+_SLAB_VOXELS = 1 << 16  # in flight across all workers; a slab is never under one plane
 
 
 @dataclass(frozen=True)
@@ -96,65 +97,76 @@ def _correlate_pass(src: np.ndarray, out: np.ndarray, kernel: np.ndarray,
     return out
 
 
-def _second_derivatives(g: np.ndarray, spacing):
-    """Central differences in mm units inside g's 1-voxel rim: xx, xy, xz, yy, yz, zz."""
-    f, (sx, sy, sz) = g[1:-1, 1:-1, 1:-1], spacing
-
-    def sl(*shift):
-        return g[tuple(slice(1 + d, n - 1 + d) for d, n in zip(shift, g.shape))]
-
-    yield (sl(1, 0, 0) - 2.0 * f + sl(-1, 0, 0)) / (sx * sx)
-    yield (sl(1, 1, 0) - sl(1, -1, 0) - sl(-1, 1, 0) + sl(-1, -1, 0)) / (4.0 * sx * sy)
-    yield (sl(1, 0, 1) - sl(1, 0, -1) - sl(-1, 0, 1) + sl(-1, 0, -1)) / (4.0 * sx * sz)
-    yield (sl(0, 1, 0) - 2.0 * f + sl(0, -1, 0)) / (sy * sy)
-    yield (sl(0, 1, 1) - sl(0, 1, -1) - sl(0, -1, 1) + sl(0, -1, -1)) / (4.0 * sy * sz)
-    yield (sl(0, 0, 1) - 2.0 * f + sl(0, 0, -1)) / (sz * sz)
-
-
 def hessian_at_scale(smooth: np.ndarray, spacing, sigma: float,
                      planes: slice) -> np.ndarray:
     """sigma^2 times the Hessian of ``smooth`` on ``planes`` along axis 0,
     edge-replicated only at the volume's ends: float32 components
-    (..., 6), (xx, xy, xz, yy, yz, zz), mm^-2."""
+    (..., 6), (xx, xy, xz, yy, yz, zz), mm^-2, a view of six contiguous
+    planes.  Central differences in mm units, each formed in place."""
     if min(smooth.shape) < 5:
         raise ParameterError(f"dims {smooth.shape} too small for the second-derivative stencil")
     lo, hi = planes.start, planes.stop
     ends = (int(lo == 0), int(hi == smooth.shape[0]))
-    g = np.pad(smooth[max(lo - 1, 0):hi + 1], (ends, (1, 1), (1, 1)), mode="edge")
-    comps = np.empty((hi - lo,) + smooth.shape[1:] + (6,), dtype=np.float32)
+    g = np.pad(smooth[max(lo - 1, 0):hi + 1], (ends, (1, 1), (1, 1)), mode="edge").astype(float)
+
+    def sl(*shift):
+        return g[tuple(slice(1 + d, n - 1 + d) for d, n in zip(shift, g.shape))]
+
+    f2 = 2.0 * sl(0, 0, 0)
+    t, comps = np.empty(f2.shape), np.empty((6,) + f2.shape, dtype=np.float32)
     with np.errstate(over="ignore"):  # an overflow to inf is the error below
-        for i, d in enumerate(_second_derivatives(g.astype(np.float64), spacing)):
-            comps[..., i] = d * (sigma * sigma)
-    if not np.all(np.isfinite(comps)):
+        for k, (i, j) in enumerate(((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))):
+            e, u = np.eye(3, dtype=int)[[i, j]]
+            if i == j:  # (f[+e] - 2f + f[-e]) / s^2
+                np.add(np.subtract(sl(*e), f2, out=t), sl(*-e), out=t)
+                t /= spacing[i] * spacing[i]
+            else:  # (f[+e+u] - f[+e-u] - f[-e+u] + f[-e-u]) / (4 s_e s_u)
+                np.subtract(np.subtract(sl(*e + u), sl(*e - u), out=t), sl(*u - e), out=t)
+                t += sl(*-e - u)
+                t /= 4.0 * spacing[i] * spacing[j]
+            np.multiply(t, sigma * sigma, out=comps[k])
+    if not np.isfinite(comps).all():
         raise ParameterError("Hessian components must be finite")
-    return comps
+    return np.moveaxis(comps, 0, -1)
 
 
 def _by_magnitude(a: np.ndarray, b: np.ndarray, ma: np.ndarray, mb: np.ndarray):
-    """Strict compare-swap of a, b of magnitudes ma, mb: b first only if mb < ma."""
-    swap = ma > mb
-    return np.where(swap, b, a), np.where(swap, a, b)
+    """Strict compare-swap, in place, of float64 a, b of magnitudes ma, mb:
+    b first only if mb < ma.  The bits move through uint64 views."""
+    a, b = a.view(np.uint64), b.view(np.uint64)
+    x = (a ^ b) * (ma > mb)
+    a ^= x
+    b ^= x
 
 
-def _invariants(c: np.ndarray):
+def _invariants(h: np.ndarray):
     """q = tr(H)/3, p = |H - qI|/sqrt(6), the degenerate (p ~ 0) mask and
-    det(B)/2 for B = (H - qI)/p, formed in place in float64 copies."""
-    bxx, bxy, bxz, byy, byz, bzz = (c[..., i].astype(np.float64) for i in range(6))
-    q = (bxx + byy + bzz) / 3.0
-    p1 = bxy ** 2 + bxz ** 2 + byz ** 2
-    scale = np.maximum(np.abs(bxx), np.maximum(np.abs(byy), np.abs(bzz)))
-    tol = 1e-12 * (1.0 + np.maximum(scale, np.sqrt(p1)))
-    for d in (bxx, byy, bzz):
-        d -= q
-    p = np.sqrt((bxx ** 2 + byy ** 2 + bzz ** 2 + 2.0 * p1) / 6.0)
+    det(B)/2 for B = (H - qI)/p, from planes h (xx, xy, xz, yy, yz, zz),
+    formed in place in a float64 copy and three scratch rows w."""
+    b = h[[0, 3, 5, 1, 2, 4]].astype(np.float64)  # the diagonal first
+    diag, (bxx, byy, bzz, bxy, bxz, byz), w = b[:3], b, np.square(b[3:])
+    p1 = np.add(w[0], w[1])
+    p1 += w[2]
+    np.abs(diag, out=w)
+    tol = np.maximum(w[0], np.maximum(w[1], w[2], out=w[1]), out=w[1])
+    np.maximum(tol, np.sqrt(p1, out=w[0]), out=tol)
+    np.multiply(np.add(tol, 1.0, out=tol), 1e-12, out=tol)
+    q = np.add(bxx, byy)
+    np.divide(np.add(q, bzz, out=q), 3.0, out=q)
+    diag -= q
+    p = np.add(np.square(bxx, out=w[0]), np.square(byy, out=w[2]), out=w[0])
+    np.add(np.add(p, np.square(bzz, out=w[2]), out=p), np.multiply(p1, 2.0, out=p1), out=p)
+    np.sqrt(np.divide(p, 6.0, out=p), out=p)
     degenerate = p <= tol
-    p_safe = np.where(degenerate, 1.0, p)
-    for b in (bxx, byy, bzz, bxy, bxz, byz):
-        b /= p_safe
-    det_b = (bxx * (byy * bzz - byz ** 2)
-             - bxy * (bxy * bzz - byz * bxz)
-             + bxz * (bxy * byz - byy * bxz))
-    return q, p, degenerate, det_b / 2.0
+    b /= np.where(degenerate, 1.0, p) if degenerate.any() else p
+    det, u, v = p1, w[1], w[2]  # det(B) by cofactors of the first row, in the former order
+    np.subtract(np.multiply(byy, bzz, out=det), np.square(byz, out=u), out=det)
+    det *= bxx
+    np.subtract(np.multiply(bxy, bzz, out=u), np.multiply(byz, bxz, out=v), out=u)
+    det -= np.multiply(u, bxy, out=u)
+    np.subtract(np.multiply(bxy, byz, out=u), np.multiply(byy, bxz, out=v), out=u)
+    det += np.multiply(u, bxz, out=u)
+    return q, p, degenerate, np.divide(det, 2.0, out=det)
 
 
 def eig3_symmetric_field(comps: np.ndarray):
@@ -167,37 +179,45 @@ def eig3_symmetric_field(comps: np.ndarray):
     (largest, middle, smallest root), or (xx, yy, zz) when degenerate.
     """
     c = np.asarray(comps)
-    q, p, degenerate, half_det = _invariants(c)
-    phi = np.arccos(np.clip(half_det, -1.0, 1.0)) / 3.0
-    e_hi = q + 2.0 * p * np.cos(phi)
-    e_lo = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
-    e_mid = 3.0 * q - e_hi - e_lo
+    h = np.moveaxis(c.reshape(-1, 6), -1, 0)  # planes: a view of hessian_at_scale's
+    q, p, degenerate, half_det = _invariants(h)
+    lam = np.empty((3,) + q.shape)  # the roots (largest, middle, smallest)
+    np.arccos(np.clip(half_det, -1.0, 1.0, out=half_det), out=lam[0])
+    np.add(np.divide(lam[0], 3.0, out=lam[0]), 2.0 * np.pi / 3.0, out=lam[2])
+    ends = np.cos(lam[::2], out=lam[::2])
+    np.add(np.multiply(ends, np.multiply(p, 2.0, out=p), out=ends), q, out=ends)
+    np.subtract(np.multiply(q, 3.0, out=lam[1]), lam[0], out=lam[1])
+    lam[1] -= lam[2]
+    del q, p  # free their rows before the sorting network's
 
     # Degenerate (p ~ 0) matrices are q*I up to the residual tolerance.
-    l1 = np.where(degenerate, c[..., 0], e_hi)
-    l2 = np.where(degenerate, c[..., 3], e_mid)
-    l3 = np.where(degenerate, c[..., 5], e_lo)
+    if degenerate.any():
+        np.copyto(lam, h[[0, 3, 5]], where=degenerate)
 
     # Sorting network (0,1), (1,2), (0,1) of strict swaps: a stable sort.
-    m1, m2, m3 = np.abs(l1), np.abs(l2), np.abs(l3)  # min/max carry them, exact for NaN-free roots
-    l1, l2 = _by_magnitude(l1, l2, m1, m2)
-    m1, m2 = np.minimum(m1, m2), np.maximum(m1, m2)
-    l2, l3 = _by_magnitude(l2, l3, m2, m3)
-    m2 = np.minimum(m2, m3)
-    l1, l2 = _by_magnitude(l1, l2, m1, m2)
-    return l1, l2, l3
+    m = np.abs(lam)  # min/max carry them, exact for NaN-free roots
+    _by_magnitude(lam[0], lam[1], m[0], m[1])
+    m0 = np.minimum(m[0], m[1], out=half_det)
+    np.maximum(m[0], m[1], out=m[1])
+    _by_magnitude(lam[1], lam[2], m[1], m[2])
+    _by_magnitude(lam[0], lam[1], m0, np.minimum(m[1], m[2], out=m[1]))
+    return tuple(r.reshape(c.shape[:-1]) for r in lam)
 
 
-def _jerman_from_arrays(l2: np.ndarray, l3: np.ndarray, lambda3_max: float,
-                        tau: float) -> np.ndarray:
-    """Branchwise response; callers pass polarity-adjusted eigenvalues."""
-    cap = tau * lambda3_max
-    lp = np.where(l3 > cap, l3, np.where(l3 > 0.0, cap, 0.0))
-    resp = np.asarray((l2 > 0.0) & (lp > 0.0) & (l2 >= lp / 2.0), dtype=np.float64)
-    mid = (l2 > 0.0) & (l2 < lp / 2.0)  # implies lp > 0: gather, form, scatter
-    a, b = l2[mid], lp[mid]
-    resp[mid] = np.clip(a ** 2 * (b - a) * (3.0 / (b + a)) ** 3, 0.0, 1.0)
-    return resp
+def _jerman_response(l2: np.ndarray, l3: np.ndarray, lambda3_max: float,
+                     tau: float) -> np.ndarray:
+    """Branchwise response; callers pass polarity-adjusted eigenvalues.
+    The middle branch is formed everywhere, then selected; lp is read only
+    where l3 > 0, and there it equals max(l3, tau * lambda3_max)."""
+    lp = np.maximum(l3, tau * lambda3_max)
+    pos, t = (l2 > 0.0) & (l3 > 0.0), lp / 2.0
+    one, mid = (l2 >= t) & pos, (l2 < t) & pos
+    with np.errstate(all="ignore"):  # 0 * inf and the like outside the middle branch
+        r = np.multiply(np.square(l2), np.subtract(lp, l2, out=t))
+        np.divide(3.0, np.add(lp, l2, out=t), out=t)
+        # |t| changes no middle-branch bit, where lp + l2 > 0: pow is slow on negatives
+        r *= np.power(np.abs(t, out=t), 3, out=t)
+    return np.where(mid, np.clip(r, 0.0, 1.0, out=r), one)
 
 
 def vesselness_multiscale(vol: Volume3, params: JermanParams) -> Volume3:
@@ -224,7 +244,7 @@ def vesselness_multiscale(vol: Volume3, params: JermanParams) -> Volume3:
         smooth = None  # free before the next scale is smoothed
 
         def respond(s):
-            resp = _jerman_from_arrays(l2[s], l3[s], lambda3_max, params.tau)
+            resp = _jerman_response(l2[s], l3[s], lambda3_max, params.tau)
             np.maximum(best[s], resp.astype(np.float32), out=best[s])
 
         parallel_map(respond, slabs)

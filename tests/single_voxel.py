@@ -6,7 +6,7 @@ from typing import NamedTuple
 import numpy as np
 
 from tubekit import ParameterError
-from tubekit.vesselness import JermanParams, _jerman_from_arrays, eig3_symmetric_field
+from tubekit.vesselness import JermanParams, _jerman_response, eig3_symmetric_field
 
 EIG3_MAX_COMPONENT = 1e150  # the analytic solve squares it; float64 ends near 1.8e308
 
@@ -39,6 +39,6 @@ def jerman_response(eigs: EigenTriple, lambda3_max: float, tau: float,
     if lambda3_max < 0:
         raise ParameterError("lambda3_max must be non-negative")
     sign = -1.0 if polarity == "bright" else 1.0
-    l2 = np.asarray(sign * eigs.l2, dtype=np.float64)
-    l3 = np.asarray(sign * eigs.l3, dtype=np.float64)
-    return float(_jerman_from_arrays(l2, l3, float(lambda3_max), float(tau)))
+    l2 = np.array([sign * eigs.l2], dtype=np.float64)
+    l3 = np.array([sign * eigs.l3], dtype=np.float64)
+    return float(_jerman_response(l2, l3, float(lambda3_max), float(tau))[0])

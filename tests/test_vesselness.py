@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tubekit import ParameterError, PhantomSpec, Volume3, make_phantom, workers
+from tubekit import ParameterError, PhantomSpec, Volume3, make_phantom, vesselness, workers
 from tubekit.vesselness import (JermanParams, eig3_symmetric_field, gaussian_smooth,
                                 hessian_at_scale, vesselness_multiscale)
 
@@ -288,6 +288,21 @@ def test_multiscale_peak_memory_is_bounded(monkeypatch):
         if started:
             tracemalloc.stop()
     assert peak <= 10 * 64 ** 3 * 8
+
+
+def test_multiscale_makes_at_most_one_where_per_slab(monkeypatch):
+    # np.where on a random mask is the slowest call of a slab pass.  The
+    # response selects its branches with one, and the eigen-solve makes
+    # none unless its slab holds a degenerate matrix, which noise does not.
+    monkeypatch.setenv("TUBEKIT_THREADS", "2")
+    monkeypatch.setattr(workers, "_available_cores", lambda: 2)
+    monkeypatch.setattr(vesselness, "_SLAB_VOXELS", 2 * 4 * 32 * 32)  # 4-plane slabs
+    image, _ = make_phantom(PhantomSpec("helix", 2.0, noise_sigma=0.3, seed=1), (32, 32, 32))
+    calls, where = [], np.where
+    monkeypatch.setattr(np, "where", lambda *args: calls.append(args) or where(*args))
+    params = JermanParams()
+    vesselness_multiscale(image, params)
+    assert 0 < len(calls) <= (32 // 4) * len(params.scales)
 
 
 def test_multiscale_monotone_in_scale_coverage():

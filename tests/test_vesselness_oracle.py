@@ -6,8 +6,9 @@ response slab by slab; the oracle materialises every field over the whole
 volume.  Bit-equal float32 responses (compared as uint32) pin the halo,
 the edge replication at the volume's ends, the running maximum and the
 slab bounds, including 1-plane slabs, a short last slab and a single slab.
-The same bits come out at 1, 2 and 3 pool workers, and the gathered
-Jerman branch equals the response formed over every voxel.
+The same bits come out at 1, 2 and 3 pool workers, and the package's
+response, which forms the middle branch everywhere and then selects,
+equals the oracle's at every voxel, tiny and signed-zero eigenvalues too.
 """
 
 import contextlib
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 from oracles import _jerman_oracle, gaussian_smooth_oracle, vesselness_multiscale_oracle
 from tubekit import ParameterError, PhantomSpec, Volume3, make_phantom, vesselness, workers
-from tubekit.vesselness import (JermanParams, _jerman_from_arrays, gaussian_smooth,
+from tubekit.vesselness import (JermanParams, _jerman_response, gaussian_smooth,
                                 vesselness_multiscale)
 
 
@@ -154,7 +155,7 @@ def test_lean_jerman_matches_every_voxel_response(rows, lambda3_max, tau):
     l3 = np.array([cap if how == "cap" else b for a, b, how in rows])
     l2 = np.array([c / 2.0 if how != "free" else a for (a, _, how), c in zip(rows, l3)])
     with np.errstate(over="ignore", invalid="ignore"):  # tiny l2 + lp cubes to inf
-        got = _jerman_from_arrays(l2, l3, lambda3_max, tau)
+        got = _jerman_response(l2, l3, lambda3_max, tau)
         want = _jerman_oracle(l2, l3, lambda3_max, tau)
     assert got.dtype == want.dtype == np.float64
     assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
@@ -164,7 +165,7 @@ def test_lean_jerman_branch_edges():
     # l2 = 0, lp = 0 (l3 <= 0), l2 = lp/2 exactly, and one middle voxel.
     l2 = np.array([0.0, 0.3, 1.0, 0.5, -0.2])
     l3 = np.array([2.0, -1.0, 2.0, 2.0, 2.0])
-    got = _jerman_from_arrays(l2, l3, 2.0, 0.5)
+    got = _jerman_response(l2, l3, 2.0, 0.5)
     assert got.tolist()[:3] == [0.0, 0.0, 1.0] and got[4] == 0.0
     assert 0.0 < got[3] < 1.0
     want = _jerman_oracle(l2, l3, 2.0, 0.5)
