@@ -22,7 +22,7 @@ from . import fusion, gradcheck, losses, metrics, skeleton, vesselness
 from .errors import FileFormatError, NumericDomainError, ParameterError
 from .volume import (DEFAULT_ROI_MARGIN, Mask3, PhantomSpec, RoiBox, Volume3,
                      load_tvol, make_phantom, roi_from_label, save_tvol)
-from .workers import thread_count
+from .workers import parallel_map, thread_count
 
 FUSION_MAX_VOXELS = 16 ** 3  # fusion-demo's attention matrix grows as voxels^2
 FUSION_MAX_CHANNELS = 64  # its flex-conv weights grow as 153 * channels^2
@@ -210,12 +210,22 @@ def _cmd_loss(args):
     lab = np.asarray(label.data, dtype=np.float64)
 
     beta = losses.resolve_beta(lab, beta)
-    r_sup = _grad32("r_sup", *losses.loss_r_sup_array(
-        lab, yhat, roi.indicator(label.dims), beta))
-    con = _grad32("con", *losses.loss_con_array(yhat, args.skel_iters))
-    sp_value, sp_grad, n_pairs = losses.loss_spatial_array(
-        yhat, np.asarray(image.data, dtype=np.float64), kparams)
-    spatial = _grad32("spatial", sp_value, sp_grad)
+
+    # No term reads another's output, so the growth terms and the spatial
+    # term run as two pool parts; listed in the serial term order, they
+    # raise the same first error at any worker count.
+    def growth():
+        r_sup = _grad32("r_sup", *losses.loss_r_sup_array(
+            lab, yhat, roi.indicator(label.dims), beta))
+        return r_sup, _grad32("con", *losses.loss_con_array(yhat, args.skel_iters))
+
+    def suppression():
+        sp_value, sp_grad, n_pairs = losses.loss_spatial_array(
+            yhat, np.asarray(image.data, dtype=np.float64), kparams)
+        return _grad32("spatial", sp_value, sp_grad), n_pairs
+
+    (r_sup, con), (spatial, n_pairs) = parallel_map(lambda part: part(),
+                                                    [growth, suppression])
     mix = _grad32("mix", *losses.loss_mix_array(yhat, lab))
 
     terms = {"r_sup": r_sup, "con": con, "spatial": spatial, "mix": mix}

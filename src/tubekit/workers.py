@@ -5,10 +5,14 @@ caps the worker count at that many, never above the available cores; ``1``
 runs the parts in a plain loop with no pool.  Callers keep results exact:
 each part writes a disjoint region, and a float sum whose bits depend on
 order stays on the calling thread (a max may be split, it is order-free).
+A part may also be a whole computation that reads no other part's output,
+such as one loss term, with every sum of it inside the part.
 """
 
+import contextvars
 import functools
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 
 from .errors import ParameterError
@@ -30,18 +34,29 @@ def thread_count() -> int:
     return cores if int(text) == 0 else min(int(text), cores)
 
 
+_worker = threading.local()  # .busy is set on the pool's own threads
+
+
+def _mark_worker():
+    _worker.busy = True
+
+
 @functools.cache
 def _pool(workers: int) -> ThreadPoolExecutor:
-    return ThreadPoolExecutor(workers, thread_name_prefix="tubekit")
+    return ThreadPoolExecutor(workers, thread_name_prefix="tubekit",
+                              initializer=_mark_worker)
 
 
 def parallel_map(fn, parts) -> list:
     """[fn(p) for p in parts], run on the pool.  Every part finishes before
-    the first exception, in part order, reaches the caller.  A part must
-    not call parallel_map: it would wait on the workers it occupies."""
+    the first exception, in part order, reaches the caller.  Each part runs
+    in a copy of the caller's context, so ``np.errstate`` holds in it.  A
+    call from a pool thread runs its parts in a plain loop: on the pool it
+    would wait on the workers it occupies."""
     workers = thread_count()
-    if workers == 1 or len(parts) < 2:
+    if workers == 1 or len(parts) < 2 or getattr(_worker, "busy", False):
         return [fn(p) for p in parts]
-    futures = [_pool(workers).submit(fn, p) for p in parts]
+    futures = [_pool(workers).submit(contextvars.copy_context().run, fn, p)
+               for p in parts]
     wait(futures)
     return [f.result() for f in futures]

@@ -1,20 +1,28 @@
 import argparse
+import contextlib
+import io
 import json
 import math
+import os
 import shlex
 import shutil
 import struct
+import tempfile
+import threading
+import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tubekit import Mask3, load_tvol, losses, metrics, save_tvol, vesselness
+from tubekit import (Mask3, ParameterError, load_tvol, losses, metrics, save_tvol,
+                     vesselness, workers)
 from tubekit.cli import _build_parser, _jsonify, _line_voxels, _reconnect_report, main
 from tubekit.skeleton import bresenham_line, reconnect
-from tubekit.volume import Volume3
+from tubekit.volume import PHANTOM_KINDS, Volume3
 
 
 def _run(*argv):
@@ -703,6 +711,108 @@ def test_loss_gradient_beyond_float32_exits_2(tmp_path, capsys):
     assert _one_line_error(capsys) == {
         "error": "ParameterError", "message": "r_sup gradient exceeds the float32 range"}
     assert not out.exists()
+
+
+def _loss_outcome(argv, threads):
+    """(exit code, stderr, report bytes or None) of ``tubekit loss`` at
+    ``threads`` workers on a host of 2 cores; the report is removed."""
+    out = Path(argv[argv.index("--json") + 1])
+    err = io.StringIO()
+    with mock.patch.dict(os.environ, {"TUBEKIT_THREADS": threads}), \
+            mock.patch.object(workers, "_available_cores", lambda: 2), \
+            contextlib.redirect_stderr(err):
+        code = main(argv)
+    report = out.read_bytes() if out.exists() else None
+    out.unlink(missing_ok=True)
+    return code, err.getvalue(), report
+
+
+@given(kind=st.sampled_from(PHANTOM_KINDS),
+       dims=st.lists(st.integers(16, 20), min_size=3, max_size=3),
+       radius_mm=st.sampled_from([1.0, 1.5, 2.5]), noise=st.sampled_from([0.0, 0.2]),
+       seed=st.integers(0, 99), window=st.integers(1, 3))
+@settings(max_examples=25)
+def test_loss_report_is_the_same_at_one_and_two_workers(kind, dims, radius_mm, noise,
+                                                        seed, window):
+    with tempfile.TemporaryDirectory() as d:
+        img, lab = _phantom_files(Path(d), kind=kind, dims=",".join(map(str, dims)),
+                                  radius_mm=radius_mm, noise_sigma=noise, seed=seed)
+        image = load_tvol(img)
+        pred = Path(d) / "pred.tvol"
+        save_tvol(Volume3(image.dims, image.spacing, np.clip(image.data, 0.0, 1.0)), pred)
+        argv = ["loss", "--pred", str(pred), "--label", str(lab), "--image", str(img),
+                "--radius", str(window), "--json", str(Path(d) / "loss.json")]
+        serial = _loss_outcome(argv, "1")
+        assert serial[0] == 0
+        assert _loss_outcome(argv, "2") == serial
+
+
+def test_loss_report_is_the_same_at_one_and_two_workers_at_64(tmp_path):
+    # The first input of the train benchmark at seed 0.
+    img, lab = _phantom_files(tmp_path, kind="cylinder", dims="64,64,64",
+                              noise_sigma=0.1, gap=4, seed=0)
+    pred = tmp_path / "pred.tvol"
+    assert _run("vesselness", "--in", str(img), "--out", str(pred)) == 0
+    argv = ["loss", "--pred", str(pred), "--label", str(lab), "--image", str(img),
+            "--json", str(tmp_path / "loss.json")]
+    serial = _loss_outcome(argv, "1")
+    assert serial[0] == 0
+    assert _loss_outcome(argv, "2") == serial
+
+
+def test_loss_runs_the_spatial_term_beside_the_connectivity_term(tmp_path, monkeypatch):
+    # Each term waits at a barrier before its work: only terms in flight
+    # together pass it, and a serial run breaks it after 5 s.
+    barrier = threading.Barrier(2, timeout=5)
+    spans = {}
+
+    def term(name, fn):
+        def run(*args):
+            start = time.perf_counter()
+            with contextlib.suppress(threading.BrokenBarrierError):
+                barrier.wait()
+            out = fn(*args)
+            spans[name] = (threading.current_thread().name, start, time.perf_counter())
+            return out
+        return run
+
+    monkeypatch.setattr(losses, "loss_con_array", term("con", losses.loss_con_array))
+    monkeypatch.setattr(losses, "loss_spatial_array",
+                        term("spatial", losses.loss_spatial_array))
+    argv = _loss_argv(tmp_path) + ["--json", str(tmp_path / "loss.json")]
+    assert _loss_outcome(argv, "2")[0] == 0
+    (con_thread, con_start, con_end), (sp_thread, sp_start, sp_end) = (
+        spans["con"], spans["spatial"])
+    assert sp_thread.startswith("tubekit") and con_thread.startswith("tubekit")
+    assert sp_thread != con_thread
+    assert sp_start < con_end and con_start < sp_end
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("inputs, extra, code, error, message", [
+    ({"empty_label": True}, ["--beta", "0.5", "--roi", "0,0,0,3,3,3"], 4,
+     "NumericDomainError", "relaxed supervision needs at least one positive voxel"),
+    ({}, ["--skel-iters", "0"], 2, "ParameterError", "iterations must be >= 1"),
+], ids=["r_sup", "con"])
+def test_loss_growth_error_wins_over_a_spatial_error(tmp_path, monkeypatch, threads, inputs,
+                                                     extra, code, error, message):
+    # The spatial term sees a NaN image, which the .tvol reader would
+    # refuse, and fails with its own ParameterError.
+    spatial, calls = losses.loss_spatial_array, []
+
+    def nan_guide(yhat, guide, params):
+        calls.append(params)
+        return spatial(yhat, np.full_like(guide, np.nan), params)
+
+    with pytest.raises(ParameterError, match="spatial loss inputs must be finite"):
+        nan_guide(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)), losses.GatedKernelParams())
+    monkeypatch.setattr(losses, "loss_spatial_array", nan_guide)
+    argv = _loss_argv(tmp_path, **inputs) + extra + ["--json", str(tmp_path / "loss.json")]
+    got, err, report = _loss_outcome(argv, threads)
+    assert (got, json.loads(err), report) == (code, {"error": error, "message": message},
+                                              None)
+    # The plain loop stops at the growth part; the pool runs the spatial term.
+    assert len(calls) == 1 + (threads == "2")
 
 
 def _readme_cli_lines():

@@ -5,9 +5,14 @@ host has, and a huge value is only ever passed to ``thread_count``, so no
 test can start more threads than it asks for.
 """
 
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tubekit import ParameterError, workers
@@ -85,3 +90,30 @@ def test_parallel_map_reuses_one_pool_of_at_most_the_worker_count(cores):
         workers.parallel_map(fn, list(range(8)))
     assert threading.get_ident() not in seen
     assert 1 <= len(seen) <= 2
+
+
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                    reason="numpy 1 keeps errstate per thread, not in the context")
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_parallel_map_parts_keep_the_callers_errstate(cores, threads):
+    cores(threads, 2)
+    with np.errstate(divide="raise"):
+        with pytest.raises(FloatingPointError, match="divide by zero"):
+            workers.parallel_map(lambda p: np.array([p]) / 0.0, [1.0, 2.0])
+
+
+def test_a_part_may_call_parallel_map():
+    # In a child process: a deadlocked pool would keep threads that no
+    # test could free, and the child can be killed.
+    code = ("from tubekit import workers\n"
+            "workers._available_cores = lambda: 2\n"
+            "print(workers.parallel_map(lambda p: workers.parallel_map(\n"
+            "    lambda q: 10 * p + q, [0, 1, 2]), [0, 1, 2]))\n")
+    env = {**os.environ, "TUBEKIT_THREADS": "2",
+           "PYTHONPATH": str(Path(workers.__file__).parents[1])}
+    try:
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=30)
+    except subprocess.TimeoutExpired:
+        pytest.fail("the nested parallel_map deadlocked")
+    assert (run.returncode, run.stdout) == (0, "[[0, 1, 2], [10, 11, 12], [20, 21, 22]]\n")
