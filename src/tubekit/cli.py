@@ -181,8 +181,8 @@ def _reconnect_report(segments, n_in: int, n_out: int) -> str:
 
 
 def _line_voxels(a, b) -> int:
-    """Voxels strictly between a and b on ``bresenham_line(a, b)``, which
-    takes one voxel per step of the driving axis: max|b - a| - 1."""
+    """Voxels strictly between a and b on their ``skeleton._lines`` line,
+    one voxel per step of the driving axis: max|b - a| - 1."""
     return max(abs(q - p) for p, q in zip(a, b)) - 1
 
 

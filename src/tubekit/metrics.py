@@ -2,14 +2,16 @@
 
 All overlap scores are percentages in [0, 100]; distances and lengths are
 in mm, measured in the given voxel spacing.  Each metric is one function
-on boolean arrays, and every field it pairs must share one shape
-(ParameterError otherwise).  ``evaluate`` is the one entry point for a
-(prediction, reference) pair of masks: it checks that the two share dims
-and spacing and measures in that spacing.  Surfaces are foreground voxels
-with at least one background 6-neighbor, the volume border counting as
-background.  Centerline-based scores share the toolkit's skeleton
-semantics (hard_skeleton), so the same centerline feeds losses and
-evaluation.
+on boolean arrays, and every field it pairs must be boolean and share one
+shape (ParameterError otherwise).  ``evaluate`` is the one entry point
+for a (prediction, reference) pair of masks: it checks that the two share
+dims and spacing and measures in that spacing.  Surfaces are foreground
+voxels with at least one background 6-neighbor, the volume border
+counting as background.  Centerline-based scores share the toolkit's
+skeleton semantics (hard_skeleton), so the same centerline feeds losses
+and evaluation.  Tree scores use one 26-neighbour graph of the
+centerline's voxels, on which scipy.sparse.csgraph labels and walks the
+branches.
 """
 
 from typing import NamedTuple
@@ -19,8 +21,7 @@ from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from .errors import NumericDomainError, ParameterError
-from .skeleton import (DEFAULT_ITERATIONS, _neighbor_counts, _window_offsets,
-                       connected_components, hard_skeleton)
+from .skeleton import DEFAULT_ITERATIONS, _window_offsets, hard_skeleton
 from .volume import Mask3
 
 _STRUCT_6 = ndimage.generate_binary_structure(3, 1)
@@ -33,6 +34,8 @@ class PRF(NamedTuple):
 
 
 def _check_shapes(*fields):
+    if any(f.dtype != bool for f in fields):
+        raise ParameterError("not boolean: " + " vs ".join(str(f.dtype) for f in fields))
     if len({f.shape for f in fields}) > 1:
         raise ParameterError("shape mismatch: " + " vs ".join(str(f.shape) for f in fields))
 
@@ -95,50 +98,55 @@ def surface_distances(surf_a: np.ndarray, surf_b: np.ndarray, spacing):
     return hd, assd, ahd
 
 
-def _branch_components(centerline: np.ndarray):
-    """Split a centerline into branches: junctions (>= 3 neighbors)
-    removed, remaining voxels labelled 26-wise.  Returns the centerline's
-    bounding box (a tuple of slices) and the components of that crop;
-    cropping keeps the x-fastest order, so ids and their order are those
-    of the whole volume.
+def _branch_walk(centerline: np.ndarray):
+    """(coords, lab, parent, child) of the centerline's branches: the branch
+    voxels as (x, y, z) rows in linear order, each one's branch id (ids
+    follow each branch's first voxel), and the rows of every step of each
+    branch's breadth-first spanning tree from its first voxel.
 
-    A blob-like centerline can be all junctions; fall back to the whole
-    centerline so thick degenerate skeletons still count as branches."""
-    box = (ndimage.find_objects(centerline.view(np.uint8)) or [(slice(0, 0),) * 3])[0]
-    crop = centerline[box]
-    branches = crop & (_neighbor_counts(crop) < 3)
-    return box, connected_components(branches if branches.any() else crop)
-
-
-def _tree_steps(coords: np.ndarray, starts: np.ndarray):
-    """(parent, child, offset) of every step of each branch's breadth-first
-    spanning tree, walked from the branch's first voxel.
-
-    ``coords`` holds the branches' voxels grouped by branch, each group in
-    linear order and starting at ``starts``; no two branches touch.  All
-    branches advance their frontiers together.  A frontier's voxels, in
-    order, each claim their unclaimed neighbours in linear order, which is
-    the order of ``_window_offsets``; ``offset`` indexes that list.  Within
-    a branch the steps come in the order a first-in first-out walk makes
-    them."""
-    at = np.full(tuple(coords.max(axis=0) + 3), -1, dtype=np.intp)
-    at[tuple((coords + 1).T)] = np.arange(len(coords))
-    near = np.stack([at[tuple((coords + 1 + o).T)] for o in _window_offsets(1)], axis=1)
-    seen = np.zeros(len(coords), dtype=bool)
-    seen[starts] = True
-    front, steps = starts, []
-    while front.size:
-        cand = near[front]
-        hit = cand >= 0
-        hit[hit] = ~seen[cand[hit]]
-        rows, offs = np.nonzero(hit)  # frontier order, then neighbour order
-        child = cand[rows, offs]
-        first = np.sort(np.unique(child, return_index=True)[1])
-        rows, offs, child = rows[first], offs[first], child[first]
-        seen[child] = True
-        steps.append((front[rows], child, offs))
-        front = child
-    return [np.concatenate(s) for s in zip(*steps)]
+    Branches are the centerline without its junctions (>= 3 neighbours),
+    labelled 26-wise; a blob-like centerline can be all junctions, and
+    then all of it counts.  One walk from an extra root, joined to each
+    branch's first voxel, takes neighbours in linear order, first in first
+    out, so each branch's steps come in the order of its own walk."""
+    # imported on first use: csgraph and the scipy.sparse.linalg it loads
+    # take 2-3 MB resident, which the other commands need not pay
+    from scipy.sparse import csgraph, csr_matrix
+    pts = np.stack(np.unravel_index(np.flatnonzero(centerline), centerline.shape), axis=1)
+    if not len(pts):
+        raise NumericDomainError("reference centerline has no branches")
+    # a grid over the voxels' bounding box plus a margin, x fastest: sorted
+    # by grid index the voxels are in linear order, and a flat offset finds
+    # a neighbour (-1: none); only branch voxels keep a row of all 26
+    lo = pts.min(axis=0) - 1
+    dims = pts.max(axis=0) - lo + 2
+    stride = np.array([1, dims[0], dims[0] * dims[1]])
+    flat = (pts - lo) @ stride
+    rank = np.argsort(flat)
+    pts, flat = pts[rank], flat[rank]
+    at = np.full(int(np.prod(dims)), -1, dtype=np.intp)
+    at[flat] = np.arange(len(pts))
+    offs = np.array(list(_window_offsets(1))) @ stride
+    branch = sum((at[flat + o] >= 0).astype(np.uint8) for o in offs) < 3
+    if not branch.any():
+        branch[:] = True
+    remap = np.full(len(pts) + 1, -1, dtype=np.intp)  # -1 (no neighbour) reads the last -1
+    remap[np.flatnonzero(branch)] = np.arange(np.count_nonzero(branch))
+    near = remap[at[flat[branch, None] + offs]]
+    # CSR rows: the branch voxels (then the root); columns in linear order
+    cols = near[near >= 0]
+    ptr = np.concatenate([[0], np.cumsum((near >= 0).sum(axis=1))])
+    m = len(near)
+    _, comp = csgraph.connected_components(
+        csr_matrix((np.ones(len(cols)), cols, ptr), shape=(m, m)), directed=False)
+    first = np.unique(comp, return_index=True)[1]
+    starts = np.sort(first)
+    lab = np.searchsorted(starts, first)[comp]
+    walk = csr_matrix((np.ones(len(cols) + len(starts)), np.concatenate([cols, starts]),
+                       np.append(ptr, len(cols) + len(starts))), shape=(m + 1, m + 1))
+    visit, pred = csgraph.breadth_first_order(walk, m, directed=True)
+    child = visit[1:][pred[visit[1:]] != m]  # the root's own steps left out
+    return pts[branch], lab, pred[child], child
 
 
 def tree_metrics(p: np.ndarray, centerline: np.ndarray, spacing):
@@ -150,39 +158,33 @@ def tree_metrics(p: np.ndarray, centerline: np.ndarray, spacing):
     right, the steps of its breadth-first spanning tree from its
     smallest-linear-index voxel, neighbours taken in linear order (for a
     simple path, the path itself); a step is detected when both its ends
-    are inside.  Branch lengths add up in branch order.
+    are inside.  Branch lengths add up in branch order.  The branches and
+    steps come from one graph walk (``_branch_walk``).
     """
     _check_shapes(p, centerline)
-    box, comp = _branch_components(centerline)
-    if comp.count == 0:
-        raise NumericDomainError("reference centerline has no branches")
-    # every branch's voxels from one scan: linear order, grouped by id
-    flat = comp.labels.ravel(order="F")
-    lin = np.flatnonzero(flat)
-    lin = lin[np.argsort(flat[lin], kind="stable")]
-    lab = flat[lin]
-    coords = np.stack(np.unravel_index(lin, comp.labels.shape, order="F"), axis=1)
-    inside = p[box][tuple(coords.T)]
-    starts = np.cumsum(comp.sizes) - comp.sizes
-    detected_branches = int(np.count_nonzero(np.logical_or.reduceat(inside, starts)))
-
-    parent, child, offs = _tree_steps(coords, starts)
+    coords, lab, parent, child = _branch_walk(centerline)
+    inside = p[tuple(coords.T)]
+    n_steps = np.bincount(lab) - 1
     sp = np.asarray(spacing, dtype=np.float64)
-    step = np.array([np.sqrt(((np.array(o) * sp) ** 2).sum()) for o in _window_offsets(1)])[offs]
-    # per branch, sequential sums (np.cumsum) in walk order; an undetected
-    # step adds +0.0, which leaves a non-negative sum unchanged
+    step = np.sqrt((((coords[child] - coords[parent]) * sp) ** 2).sum(axis=1))
+    # per branch, sequential sums (np.cumsum along a row) in walk order, the
+    # branches of one step count at once; an undetected step adds +0.0,
+    # which leaves a non-negative sum unchanged
     lengths = np.stack([step, np.where(inside[parent] & inside[child], step, 0.0)])
     lengths = lengths[:, np.argsort(lab[child], kind="stable")]
-    per_branch = [np.cumsum(s, axis=1)[:, -1] if s.shape[1] else np.zeros(2)
-                  for s in np.split(lengths, np.cumsum(comp.sizes - 1)[:-1], axis=1)]
-    total_len, detected_len = (float(v) for v in np.cumsum(per_branch, axis=0)[-1])
+    first = np.cumsum(n_steps) - n_steps
+    sums = np.zeros((2, len(n_steps)))
+    for n in np.unique(n_steps[n_steps > 0]):
+        ids = np.flatnonzero(n_steps == n)
+        sums[:, ids] = np.cumsum(lengths[:, first[ids, None] + np.arange(n)], axis=2)[..., -1]
+    total_len, detected_len = (float(v) for v in np.cumsum(sums, axis=1)[:, -1])
 
-    bd = 100.0 * detected_branches / comp.count
+    bd = 100.0 * len(np.unique(lab[inside])) / len(n_steps)
     if total_len > 0:
         tld = 100.0 * detected_len / total_len
     else:
         # all branches are single voxels: fall back to voxel coverage
-        tld = 100.0 * int(inside.sum()) / int(comp.sizes.sum())
+        tld = 100.0 * int(inside.sum()) / len(coords)
     return bd, tld
 
 

@@ -262,13 +262,9 @@ def endpoints(fg: np.ndarray) -> np.ndarray:
     return _sort_by_linear(np.argwhere(fg & (_neighbor_counts(fg) <= 1)))
 
 
-def bresenham_line(a, b) -> np.ndarray:
-    """Integer 3D line from a to b inclusive, one voxel per driving step."""
-    return _lines(np.array([a], dtype=np.int64), np.array([b], dtype=np.int64))
-
-
 def _lines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Voxels of ``bresenham_line(a[i], b[i])`` for every row i, joined.
+    """Voxels of the integer 3D line from a[i] to b[i] inclusive, one
+    voxel per driving step, for every row i, joined.
 
     A line takes max|b - a| + 1 voxels.  After t steps, Bresenham's error
     term for an axis moving d of the driving axis's D has stepped that

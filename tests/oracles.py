@@ -1,7 +1,9 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately naive (loops, brute force) and shares no
-code with the package paths it checks.
+code with the package paths it checks.  The one exception is
+``bresenham_line``, a one-line view of the package's line drawing that
+the tests compare with ``bresenham_line_oracle``.
 """
 
 import hashlib
@@ -9,6 +11,8 @@ import math
 
 import numpy as np
 from scipy import ndimage
+
+from tubekit.skeleton import _lines
 
 
 def cylinder_voxel_count(dims, spacing, radius_mm):
@@ -586,6 +590,11 @@ def bresenham_line_oracle(a, b):
                 err[i] += 2 * d[i]
         pts.append(p.copy())
     return np.array(pts, dtype=np.int64)
+
+
+def bresenham_line(a, b):
+    """``skeleton._lines`` for the one line from a to b."""
+    return _lines(np.array([a], dtype=np.int64), np.array([b], dtype=np.int64))
 
 
 def _oracle_nearest_pair(src, dst, dims):

@@ -20,11 +20,11 @@ from tubekit.losses import (GatedKernelParams, loss_con_array,
                             loss_r_sup_array, loss_spatial_array)
 from tubekit.metrics import (dice, precision_recall_f1, surface_distances,
                              surface_voxels, tree_metrics)
-from tubekit.skeleton import (bresenham_line, connected_components,
-                              hard_skeleton, reconnect, soft_skeleton_array)
+from tubekit.skeleton import (connected_components, hard_skeleton, reconnect,
+                              soft_skeleton_array)
 from tubekit.vesselness import JermanParams, vesselness_multiscale
 
-from oracles import (brute_surface_distances, central_difference,
+from oracles import (bresenham_line, brute_surface_distances, central_difference,
                      jacobi_eigenvalues)
 from single_voxel import EigenTriple, eig3_symmetric, jerman_response
 

@@ -21,8 +21,10 @@ from hypothesis import strategies as st
 from tubekit import (Mask3, ParameterError, load_tvol, losses, metrics, save_tvol,
                      vesselness, workers)
 from tubekit.cli import _build_parser, _jsonify, _line_voxels, _reconnect_report, main
-from tubekit.skeleton import bresenham_line, reconnect
+from tubekit.skeleton import reconnect
 from tubekit.volume import PHANTOM_KINDS, Volume3
+
+from oracles import bresenham_line
 
 
 def _run(*argv):

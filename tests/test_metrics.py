@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,6 +77,11 @@ def test_dice_shape_mismatch(metric):
     a, b = np.ones((4, 4, 4), dtype=bool), np.ones((4, 4, 1), dtype=bool)
     args = {cldice: (a, b, a, b), tree_metrics: (a, b, (1.0, 1.0, 1.0))}
     with pytest.raises(ParameterError, match="shape mismatch"):
+        metric(*args.get(metric, (a, b)))
+    # a float field: `&` would raise a bare TypeError, an int field would pass
+    b = np.ones((4, 4, 4))
+    args = {cldice: (a, b, a, b), tree_metrics: (a, b, (1.0, 1.0, 1.0))}
+    with pytest.raises(ParameterError, match="not boolean"):
         metric(*args.get(metric, (a, b)))
 
 
@@ -325,6 +331,22 @@ def test_tree_metrics_matches_the_oracle_on_each_branch_kind(kinds, spacing):
                   np.zeros_like(centerline)):
             assert _bits(tree_metrics(p, centerline, spacing)) == \
                 _bits(tree_metrics_oracle(p, centerline, spacing)), (kinds, seed)
+
+
+def test_tree_metrics_memory_follows_the_centerline_not_the_volume():
+    # five voxels at the far corner of a 160^3 volume: a neighbour grid
+    # from the origin to the centerline would take 32 MB
+    centerline = np.zeros((160, 160, 160), dtype=bool)
+    centerline[155:, 159, 159] = True
+    tree_metrics(centerline, centerline, (1.0, 1.0, 1.0))  # imports scipy.sparse.csgraph
+    tracemalloc.start()
+    try:
+        got = tree_metrics(centerline, centerline, (1.0, 1.0, 1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (100.0, 100.0)
+    assert peak <= 64 * 1024, peak
 
 
 # ---------------------------------------------------------------------------

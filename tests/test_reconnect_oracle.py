@@ -13,11 +13,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import bresenham_line_oracle, reconnect_oracle
+from oracles import bresenham_line, bresenham_line_oracle, reconnect_oracle
 from tubekit import skeleton
 from tubekit.errors import NumericDomainError
-from tubekit.skeleton import (bresenham_line, connected_components, endpoints,
-                              reconnect)
+from tubekit.skeleton import connected_components, endpoints, reconnect
 
 
 def _put(fg, kind, at, rng):
