@@ -178,10 +178,12 @@ def loss_spatial_array(yhat, guide, params: GatedKernelParams):
     blocks cut to 0 <= i + s < size.  The kernel exponent takes -c1 from
     a per-plane row that holds -inf where i + s wraps into another row or
     plane, so there k is exactly 0.  Phase A adds k*y[i+s] to grad[i];
-    phase B adds k*y[i] to grad[i+s] and forms p = (k*y[i])*y[i+s].
-    Phase B of block j runs after phase A of block j+1 (in-bounds |s| is
-    under radius + 1 planes), so every voxel takes its additions in the
-    order of a pass over whole 3-D views.  A wrapped pair adds +-0.0 to a
+    phase B adds k*y[i] to grad[i+s] and forms p = (k*y[i])*y[i+s].  Each
+    block runs both phases, and the blocks go from last to first when
+    s > 0, from first to last otherwise: the source i = v - s of phase B's
+    addition to voxel v lies in a block visited no earlier than v's own,
+    so every voxel takes its additions in the order of a pass over whole
+    3-D views, phase A first.  A wrapped pair adds +-0.0 to a
     grad that starts at +0.0 and so never holds -0.0: no bit changes.
     The in-bounds p fill a buffer of the view's shape, summed per offset.
     """
@@ -204,26 +206,22 @@ def loss_spatial_array(yhat, guide, params: GatedKernelParams):
     plane = y.size // max(yhat.shape[0], 1)
     bp = min(yhat.shape[0], max(radius + 1, SPATIAL_BLOCK // max(plane, 1)))
     planes = (bp,) + yhat.shape[1:]
-    *kbufs, tbuf, row = np.empty((4, bp * plane))
+    k, tbuf, row = np.empty((3, bp * plane))
     pbuf = np.empty(y.size)
 
-    # Per-block work runs in small functions: tracemalloc finds the line
+    # Per-block work runs in a small function: tracemalloc finds the line
     # of each allocation by a scan over its function's code.
-    def kernel_and_phase_a(k, s, block):
-        i0, i1, at, _, _ = block
-        k = k[at]
-        # exp(-(c1 + diff**2*c2)) as diff*diff*(-c2) + (-c1): same bits
-        np.subtract(g[i0:i1], g[i0 + s:i1 + s], out=k)
-        np.multiply(k, k, out=k)
-        np.multiply(k, neg_inv_2sc2, out=k)
-        np.add(k, row[at], out=k)
-        np.exp(k, out=k)
-        grad[i0:i1] += np.multiply(k, y[i0 + s:i1 + s], out=tbuf[at])
-
-    def phase_b(k, s, block):
+    def block_pass(s, block):
         i0, i1, at, dst, src = block
-        t = np.multiply(k[at], y[i0:i1], out=tbuf[at])
-        grad[i0 + s:i1 + s] += t
+        kb, t = k[at], tbuf[at]
+        # exp(-(c1 + diff**2*c2)) as diff*diff*(-c2) + (-c1): same bits
+        np.subtract(g[i0:i1], g[i0 + s:i1 + s], out=kb)
+        np.multiply(kb, kb, out=kb)
+        np.multiply(kb, neg_inv_2sc2, out=kb)
+        np.add(kb, row[at], out=kb)
+        np.exp(kb, out=kb)
+        grad[i0:i1] += np.multiply(kb, y[i0 + s:i1 + s], out=t)  # phase A
+        grad[i0 + s:i1 + s] += np.multiply(kb, y[i0:i1], out=t)  # phase B
         np.multiply(t, y[i0 + s:i1 + s], out=t)
         dst[...] = src
 
@@ -237,11 +235,8 @@ def loss_spatial_array(yhat, guide, params: GatedKernelParams):
         row.reshape(planes)[:, sa[1], sa[2]] = -(sum(o * o for o in d) * inv_2sl2)
         p = pbuf[:yhat[sa].size].reshape(yhat[sa].shape)
         blocks = _plane_blocks(sa, lo, hi, plane, bp, p, tbuf.reshape(planes))
-        for j in range(len(blocks) + 1):
-            if j < len(blocks):
-                kernel_and_phase_a(kbufs[j % 2], s, blocks[j])
-            if j:  # phase B of block j - 1 runs after phase A of block j
-                phase_b(kbufs[(j - 1) % 2], s, blocks[j - 1])
+        for block in blocks[::-1] if s > 0 else blocks:
+            block_pass(s, block)
         total += float(p.sum())
     n_pairs = int(_neighbor_counts(nz, radius)[nz].sum())
     n = max(1, n_pairs)

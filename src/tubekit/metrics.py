@@ -21,7 +21,7 @@ from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from .errors import NumericDomainError, ParameterError
-from .skeleton import DEFAULT_ITERATIONS, _window_offsets, hard_skeleton
+from .skeleton import DEFAULT_ITERATIONS, _voxels, _window_offsets, hard_skeleton
 from .volume import Mask3
 
 _STRUCT_6 = ndimage.generate_binary_structure(3, 1)
@@ -79,7 +79,8 @@ def cldice(p: np.ndarray, g: np.ndarray, sp: np.ndarray, sg: np.ndarray) -> floa
 def surface_voxels(fg: np.ndarray) -> np.ndarray:
     """Coordinates of foreground voxels touching background 6-wise;
     the volume border counts as background."""
-    return np.argwhere(fg & ~ndimage.binary_erosion(fg, _STRUCT_6, border_value=0))
+    m = fg & ~ndimage.binary_erosion(fg, _STRUCT_6, border_value=0)
+    return np.stack(np.unravel_index(np.flatnonzero(m), m.shape), axis=1)
 
 
 def surface_distances(surf_a: np.ndarray, surf_b: np.ndarray, spacing):
@@ -112,18 +113,16 @@ def _branch_walk(centerline: np.ndarray):
     # imported on first use: csgraph and the scipy.sparse.linalg it loads
     # take 2-3 MB resident, which the other commands need not pay
     from scipy.sparse import csgraph, csr_matrix
-    pts = np.stack(np.unravel_index(np.flatnonzero(centerline), centerline.shape), axis=1)
+    pts = _voxels(centerline)[1]
     if not len(pts):
         raise NumericDomainError("reference centerline has no branches")
-    # a grid over the voxels' bounding box plus a margin, x fastest: sorted
-    # by grid index the voxels are in linear order, and a flat offset finds
-    # a neighbour (-1: none); only branch voxels keep a row of all 26
+    # a grid over the voxels' bounding box plus a margin, x fastest: the
+    # voxels' grid indices ascend, and a flat offset finds a neighbour
+    # (-1: none); only branch voxels keep a row of all 26
     lo = pts.min(axis=0) - 1
     dims = pts.max(axis=0) - lo + 2
     stride = np.array([1, dims[0], dims[0] * dims[1]])
     flat = (pts - lo) @ stride
-    rank = np.argsort(flat)
-    pts, flat = pts[rank], flat[rank]
     at = np.full(int(np.prod(dims)), -1, dtype=np.intp)
     at[flat] = np.arange(len(pts))
     offs = np.array(list(_window_offsets(1))) @ stride

@@ -252,14 +252,18 @@ def _neighbor_counts(fg: np.ndarray, radius: int = 1) -> np.ndarray:
     return box - fg
 
 
-def _sort_by_linear(coords: np.ndarray) -> np.ndarray:
-    return coords[np.lexsort((coords[:, 0], coords[:, 1], coords[:, 2]))]
+def _voxels(fg: np.ndarray):
+    """(linear index, (x, y, z) rows) of the foreground voxels in linear
+    order: the C-order flat indices, sorted by x-fastest linear index."""
+    x, y, z = np.unravel_index(np.flatnonzero(fg), fg.shape)
+    lin = np.sort(x + fg.shape[0] * (y + fg.shape[1] * z))
+    return lin, np.stack(np.unravel_index(lin, fg.shape, order="F"), axis=1)
 
 
 def endpoints(fg: np.ndarray) -> np.ndarray:
     """Foreground voxels with <= 1 foreground 26-neighbor: an (n, 3)
     array of (x, y, z) rows in linear order."""
-    return _sort_by_linear(np.argwhere(fg & (_neighbor_counts(fg) <= 1)))
+    return _voxels(fg & (_neighbor_counts(fg) <= 1))[1]
 
 
 def _lines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -277,11 +281,6 @@ def _lines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     big = np.maximum(n - 1, 1)[seg, None]  # D; a == b has t = 0 only
     moved = -((big - 2 * d[seg] * t) // (2 * big))
     return a[seg] + np.sign(b - a)[seg] * moved
-
-
-def _linear_of(coords: np.ndarray, dims) -> np.ndarray:
-    nx, ny, _ = dims
-    return coords[:, 0] + nx * (coords[:, 1] + ny * coords[:, 2])
 
 
 _QUERY_PAIRS = 1 << 20  # (source, neighbour) pairs held by one query
@@ -319,48 +318,44 @@ def _nearest_other(src, src_lab, tgt, tgt_lab):
     return key // n, key % n
 
 
-def _reconnect_pass(fg: np.ndarray, comp: ComponentSet, segments) -> np.ndarray:
-    """Draw one line per non-largest component; returns the line mask.
+def _reconnect_pass(fg: np.ndarray, comp: ComponentSet, segments):
+    """Draw one line per non-largest component into ``fg``, appending
+    each line's ends to ``segments``.
 
     A component's sources are its endpoints, or all its voxels when it
     has none (e.g. a ring); its targets are the endpoints of the other
     components, or all their voxels when it owns every endpoint.  It
     draws its closest (source, target) pair, ties -> smallest source,
-    then target, linear index.  Every component of a pass sees the same
-    ``fg``, so all of them are solved in one nearest-neighbour query.
+    then target, linear index.  All components are solved at once on the
+    pass's one voxel list: sources and targets are selections of it, so
+    they stay in linear order, and a stable sort by (component, distance)
+    puts each component's smallest source first.  Every pair is chosen
+    before any line is drawn.
     """
-    dims = fg.shape
     largest = int(np.argmax(comp.sizes)) + 1  # ties -> smallest id, i.e. argmax
-    ep = endpoints(fg)
-    ep_lab = comp.labels[ep[:, 0], ep[:, 1], ep[:, 2]]
-    n_ep = np.bincount(ep_lab, minlength=comp.count + 1)
+    lin, pts = _voxels(fg)
+    lab = comp.labels.T.ravel()[lin]  # the labels' transpose is C-contiguous
+    end = _neighbor_counts(fg)[tuple(pts.T)] <= 1
+    n_ep = np.bincount(lab[end], minlength=comp.count + 1)
     whole = n_ep == 0
     whole[[0, largest]] = False
-    src = np.concatenate([ep[ep_lab != largest], np.argwhere(whole[comp.labels])])
-    src_lab = comp.labels[src[:, 0], src[:, 1], src[:, 2]]
+    is_src = (end & (lab != largest)) | whole[lab]
+    src, src_lab = pts[is_src], lab[is_src]
 
     d2 = np.empty(len(src), dtype=np.int64)
     dst = np.empty_like(src)
-    fallback = (n_ep == len(ep))[src_lab]
-    for sel, tgt in ((~fallback, ep), (fallback, None)):
-        if not sel.any():
-            continue
-        if tgt is None:  # no endpoint outside the component: aim at any voxel
-            tgt = _sort_by_linear(np.argwhere(fg))
-        tgt_lab = comp.labels[tgt[:, 0], tgt[:, 1], tgt[:, 2]]
-        d2[sel], j = _nearest_other(src[sel], src_lab[sel], tgt, tgt_lab)
-        dst[sel] = tgt[j]
+    fallback = (n_ep == n_ep.sum())[src_lab]  # no endpoint outside: any voxel
+    for sel, tgt, tgt_lab in ((~fallback, pts[end], lab[end]), (fallback, pts, lab)):
+        if sel.any():
+            d2[sel], j = _nearest_other(src[sel], src_lab[sel], tgt, tgt_lab)
+            dst[sel] = tgt[j]
 
     # per component, the source with minimal (d2, linear index)
-    order = np.lexsort((_linear_of(src, dims), d2, src_lab))
-    lab = src_lab[order]
-    first = order[np.flatnonzero(np.r_[True, lab[1:] != lab[:-1]])]
+    order = np.lexsort((d2, src_lab))
+    first = order[np.flatnonzero(np.r_[True, np.diff(src_lab[order]) != 0])]
     a, b = src[first], dst[first]
     segments.extend(zip(map(tuple, a.tolist()), map(tuple, b.tolist())))
-    lines = np.zeros(dims, dtype=bool)
-    pts = _lines(a, b)
-    lines[pts[:, 0], pts[:, 1], pts[:, 2]] = True
-    return lines
+    fg[tuple(_lines(a, b).T)] = True
 
 
 def reconnect(fg: np.ndarray) -> Reconnection:
@@ -382,4 +377,4 @@ def reconnect(fg: np.ndarray) -> Reconnection:
             raise NumericDomainError(
                 f"reconnect: a pass left {comp.count} of {before} components")
         before = comp.count
-        fg |= _reconnect_pass(fg, comp, segments)
+        _reconnect_pass(fg, comp, segments)

@@ -53,7 +53,8 @@ def test_matches_former_loop_bit_for_bit(case):
     yhat, guide = _inputs(kind, shape, seed)
     o_value, o_grad, o_pairs = spatial_loss_oracle(yhat, guide, sigma_l, sigma_c, radius)
     # A block of 1 voxel means radius + 1 planes: shapes up to 12^3 then
-    # run in several blocks, so phase B lags phase A of the next block.
+    # run in several blocks, visited last to first for an offset s > 0,
+    # so phase B reaches voxels whose own block already ran phase A.
     for block in (losses.SPATIAL_BLOCK, 1):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(losses, "SPATIAL_BLOCK", block)
