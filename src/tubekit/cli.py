@@ -10,6 +10,7 @@ byte-identical artifacts.
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -164,26 +165,30 @@ def _cmd_reconnect(args):
 
 
 # One segment as json.dumps(..., indent=2) nests it in the report's list.
-_SEGMENT = ('    {{\n      "from": [\n        {},\n        {},\n        {}\n      ],\n'
-            '      "line_voxels": {},\n'
-            '      "to": [\n        {},\n        {},\n        {}\n      ]\n    }}')
+_SEGMENT = ('    {\n      "from": [\n        %d,\n        %d,\n        %d\n      ],\n'
+            '      "line_voxels": %d,\n'
+            '      "to": [\n        %d,\n        %d,\n        %d\n      ]\n    }')
 
 
 def _reconnect_report(segments, n_in: int, n_out: int) -> str:
     """The reconnect report in the bytes ``_write_json`` would give it
     (sorted keys, 2-space indentation), formatted directly: every value
-    in it is an integer."""
-    items = ",\n".join(_SEGMENT.format(*a, _line_voxels(a, b), *b) for a, b in segments)
-    listed = f"[\n{items}\n  ]" if segments else "[]"
+    in it is an integer, so one repeated template takes them all."""
+    listed = "[]"
+    if segments:
+        ab = np.array(segments, dtype=np.int64)
+        row = np.concatenate([ab[:, 0], _line_voxels(ab)[:, None], ab[:, 1]], axis=1)
+        listed = "[\n%s\n  ]" % (",\n".join([_SEGMENT] * len(ab)) % tuple(row.ravel().tolist()))
     return (f'{{\n  "drawn_voxels": {n_out - n_in},\n'  # reconnection only adds voxels
             f'  "input_voxels": {n_in},\n  "output_voxels": {n_out},\n'
             f'  "segment_count": {len(segments)},\n  "segments": {listed}\n}}\n')
 
 
-def _line_voxels(a, b) -> int:
-    """Voxels strictly between a and b on their ``skeleton._lines`` line,
-    one voxel per step of the driving axis: max|b - a| - 1."""
-    return max(abs(q - p) for p, q in zip(a, b)) - 1
+def _line_voxels(ab: np.ndarray) -> np.ndarray:
+    """Per (from, to) row pair of ``ab``, the voxels strictly between
+    them on their ``skeleton._lines`` line, one voxel per step of the
+    driving axis: max|b - a| - 1."""
+    return np.abs(ab[:, 1] - ab[:, 0]).max(axis=1) - 1
 
 
 def _parse_roi(args, label: Mask3) -> RoiBox:
@@ -329,6 +334,7 @@ def _cmd_gradcheck(args):
 # parser / entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache  # parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tubekit",

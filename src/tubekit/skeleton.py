@@ -26,6 +26,7 @@ so every value stays 0 or 1, as it would in float64.
 import hashlib
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -59,7 +60,12 @@ class ComponentSet:
 
     labels: np.ndarray
     count: int
-    sizes: np.ndarray  # sizes[i-1] = voxels in component i
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        """sizes[i-1] = voxels in component i; counted on first use."""
+        return np.bincount(self.labels.ravel(order="K"),
+                           minlength=self.count + 1)[1:].astype(np.int64)
 
 
 class Reconnection(NamedTuple):
@@ -234,8 +240,7 @@ def connected_components(fg: np.ndarray) -> ComponentSet:
     # Labelling the transpose scans x fastest, so ids follow each
     # component's first voxel in linear order.
     raw, n = ndimage.label(fg.T, structure=_STRUCT_26)
-    sizes = np.bincount(raw.ravel(), minlength=n + 1)[1:].astype(np.int64)
-    return ComponentSet(raw.T, n, sizes)
+    return ComponentSet(raw.T, n)
 
 
 def _neighbor_counts(fg: np.ndarray, radius: int = 1) -> np.ndarray:
@@ -318,25 +323,22 @@ def _nearest_other(src, src_lab, tgt, tgt_lab):
     return key // n, key % n
 
 
-def _reconnect_pass(fg: np.ndarray, comp: ComponentSet, segments):
-    """Draw one line per non-largest component into ``fg``, appending
-    each line's ends to ``segments``.
+def _reconnect_pass(pts, lab, end, sizes):
+    """The (from, to) rows of one line per non-largest component, given
+    the foreground voxels ``pts`` in linear order, their component ids
+    ``lab`` (1..len(sizes)), their endpoint flags and the sizes.
 
     A component's sources are its endpoints, or all its voxels when it
     has none (e.g. a ring); its targets are the endpoints of the other
     components, or all their voxels when it owns every endpoint.  It
     draws its closest (source, target) pair, ties -> smallest source,
     then target, linear index.  All components are solved at once on the
-    pass's one voxel list: sources and targets are selections of it, so
-    they stay in linear order, and a stable sort by (component, distance)
-    puts each component's smallest source first.  Every pair is chosen
-    before any line is drawn.
+    one voxel list: sources and targets are selections of it, so they
+    stay in linear order, and a stable sort by (component, distance)
+    puts each component's smallest source first.
     """
-    largest = int(np.argmax(comp.sizes)) + 1  # ties -> smallest id, i.e. argmax
-    lin, pts = _voxels(fg)
-    lab = comp.labels.T.ravel()[lin]  # the labels' transpose is C-contiguous
-    end = _neighbor_counts(fg)[tuple(pts.T)] <= 1
-    n_ep = np.bincount(lab[end], minlength=comp.count + 1)
+    largest = int(np.argmax(sizes)) + 1  # ties -> smallest id, i.e. argmax
+    n_ep = np.bincount(lab[end], minlength=len(sizes) + 1)
     whole = n_ep == 0
     whole[[0, largest]] = False
     is_src = (end & (lab != largest)) | whole[lab]
@@ -353,9 +355,44 @@ def _reconnect_pass(fg: np.ndarray, comp: ComponentSet, segments):
     # per component, the source with minimal (d2, linear index)
     order = np.lexsort((d2, src_lab))
     first = order[np.flatnonzero(np.r_[True, np.diff(src_lab[order]) != 0])]
-    a, b = src[first], dst[first]
-    segments.extend(zip(map(tuple, a.tolist()), map(tuple, b.tolist())))
-    fg[tuple(_lines(a, b).T)] = True
+    return src[first], dst[first]
+
+
+def _min_roots(n, u, v):
+    """Per node of the n-node graph with edges (u, v), the smallest node
+    of its connected component: each root joined by an edge to a smaller
+    root is hooked to one of them, then pointers jump to their roots,
+    until no edge joins two roots.  Hooks only ever point to a smaller
+    node, so the smallest node of a component stays its root."""
+    p = np.arange(n)
+    while True:
+        pu, pv = p[u], p[v]
+        cross = pu != pv
+        if not cross.any():
+            return p
+        p[np.maximum(pu, pv)[cross]] = np.minimum(pu, pv)[cross]  # any one hook wins
+        while (p[p] != p).any():
+            p = p[p]
+
+
+def _merge(drawn, stamp, counts, root, first, steps):
+    """Add the drawn voxels (sorted padded linear indices, repeats
+    allowed) to ``stamp`` and ``counts`` in place; returns the new
+    ``root`` and the voxels that were new.  The merge graph's nodes are
+    the components and the new voxels, ordered by first voxel, each new
+    voxel joined to its foreground 26-neighbours; the roots of its
+    components, in node order, are the merged components in id order."""
+    new = drawn[np.r_[True, np.diff(drawn) > 0] & (stamp[drawn] == 0)]
+    key = np.sort(np.concatenate([first, new]))
+    stamp[new] = np.arange(len(root), len(root) + len(new))
+    own = np.searchsorted(key, new)
+    node = np.r_[np.r_[0, np.searchsorted(key, first) + 1][root], own + 1]  # node + 1 by stamp
+    near = node[stamp[new[:, None] + steps]]
+    i, j = np.nonzero(near)
+    p = _min_roots(len(key), own[i], near[i, j] - 1)
+    for s in steps:
+        counts[new + s] += 1
+    return np.r_[0, np.cumsum(p == np.arange(len(key)))[p]][node], new
 
 
 def reconnect(fg: np.ndarray) -> Reconnection:
@@ -363,18 +400,38 @@ def reconnect(fg: np.ndarray) -> Reconnection:
     between nearest endpoints, repeating passes until a single component
     remains; the input is not modified.  Every pass joins each
     non-largest component to another, so the component count falls
-    strictly; a pass that fails to lower it is an error."""
+    strictly; a pass that fails to lower it is an error.
+
+    The volume is labelled once.  Each voxel of the zero-padded, x-fastest
+    flat volume keeps a stamp: its first component id, or a fresh id when
+    a line adds it; ``root`` maps stamps to the current ids, which stay
+    ranked by each component's first voxel in linear order.
+    """
     if not fg.any():
         raise NumericDomainError("reconnect: empty skeleton")
     fg = fg.copy()
-    segments = []
-    before = None
-    while True:
-        comp = connected_components(fg)
-        if comp.count <= 1:
-            return Reconnection(fg, segments)
-        if before is not None and comp.count >= before:
+    stamp = np.pad(connected_components(fg).labels.T, 1).ravel()
+    root = np.arange(stamp.max() + 1)
+    counts = _neighbor_counts(np.pad(fg.T, 1)).ravel()
+    dims = tuple(n + 2 for n in fg.shape)
+    stride = np.array([1, dims[0], dims[0] * dims[1]])
+    steps = np.array(list(_window_offsets(1))) @ stride
+    lin = np.flatnonzero(stamp)  # the voxel list, in linear order
+    count, segments = len(root) - 1, []
+    while count > 1:
+        lab = root[stamp[lin]]
+        a, b = _reconnect_pass(
+            np.stack(np.unravel_index(lin, dims, order="F"), axis=1) - 1,
+            lab, counts[lin] <= 1, np.bincount(lab)[1:])
+        segments.extend(zip(map(tuple, a.tolist()), map(tuple, b.tolist())))
+        line = _lines(a, b)
+        fg[tuple(line.T)] = True
+        # ids follow first voxels, so the running max of the ids steps up at each
+        first = lin[np.diff(np.maximum.accumulate(lab), prepend=0) > 0]
+        root, new = _merge(np.sort((line + 1) @ stride), stamp, counts, root, first, steps)
+        if root.max() >= count:
             raise NumericDomainError(
-                f"reconnect: a pass left {comp.count} of {before} components")
-        before = comp.count
-        _reconnect_pass(fg, comp, segments)
+                f"reconnect: a pass left {root.max()} of {count} components")
+        count = int(root.max())
+        lin = np.sort(np.concatenate([lin, new]))
+    return Reconnection(fg, segments)

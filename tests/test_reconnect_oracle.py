@@ -4,6 +4,8 @@ The package solves all components of a pass with one cKDTree query over
 the pass's endpoints; the oracle builds a dense distance matrix per
 component, as the loop did before.  Byte-equal masks and equal segment
 lists pin the sources, the targets, the fallback and both tie rules.
+The labels, endpoint flags and sizes that ``reconnect`` carries from
+pass to pass are checked against a fresh labelling before every pass.
 """
 
 import tracemalloc
@@ -16,7 +18,8 @@ from hypothesis import strategies as st
 from oracles import bresenham_line, bresenham_line_oracle, reconnect_oracle
 from tubekit import skeleton
 from tubekit.errors import NumericDomainError
-from tubekit.skeleton import connected_components, endpoints, reconnect
+from tubekit.skeleton import (_neighbor_counts, _voxels, connected_components, endpoints,
+                              reconnect)
 
 
 def _put(fg, kind, at, rng):
@@ -133,12 +136,86 @@ def test_lines_match_the_stepping_loop():
 def test_a_pass_that_joins_nothing_raises(monkeypatch):
     passes = []
 
-    def draw_nothing(fg, comp, segments):
-        passes.append(comp.count)
+    def draw_nothing(pts, lab, end, sizes):
+        passes.append(len(sizes))
         assert len(passes) < 5, "the loop did not stop"
+        return np.empty((0, 3), dtype=np.int64), np.empty((0, 3), dtype=np.int64)
 
     monkeypatch.setattr(skeleton, "_reconnect_pass", draw_nothing)
     fg = np.zeros((6, 6, 6), dtype=bool)
     fg[0, 0, 0] = fg[5, 5, 5] = True
     with pytest.raises(NumericDomainError, match="a pass left 2 of 2 components"):
         reconnect(fg)
+
+
+def _reconnect_checking_every_pass(fg):
+    """``reconnect(fg)``, checking that every pass sees the voxel list,
+    labels, endpoint flags and sizes that labelling and counting the
+    drawn mask from scratch would give; returns the component count each
+    pass saw."""
+    seen = []
+    pass_ = skeleton._reconnect_pass
+
+    def checked(pts, lab, end, sizes):
+        drawn = np.zeros(fg.shape, dtype=bool)
+        drawn[tuple(pts.T)] = True
+        assert np.array_equal(pts, _voxels(drawn)[1])
+        comp = connected_components(drawn)
+        assert np.array_equal(lab, comp.labels[tuple(pts.T)])
+        assert np.array_equal(sizes, comp.sizes)
+        assert np.array_equal(end, _neighbor_counts(drawn)[tuple(pts.T)] <= 1)
+        seen.append(len(sizes))
+        return pass_(pts, lab, end, sizes)
+
+    skeleton._reconnect_pass = checked  # by hand: a @given test takes no monkeypatch
+    try:
+        got, _ = reconnect(fg)
+    finally:
+        skeleton._reconnect_pass = pass_
+    assert connected_components(got).count == 1
+    return seen
+
+
+@given(fields)
+def test_carried_state_matches_a_fresh_labelling_every_pass(case):
+    fg = _field(*case)
+    fg.flat[0] = True
+    seen = _reconnect_checking_every_pass(fg)
+    assert seen == sorted(set(seen), reverse=True)
+
+
+def test_merged_ids_follow_each_first_voxel():
+    # A and B join each other; C's line to D's end passes (3, 5, 0), before
+    # A's first voxel (29, 6, 0) in linear order, so the merged {C, D} must
+    # take id 1 although A had the smaller id before the pass.
+    fg = np.zeros((30, 10, 4), dtype=bool)
+    fg[29, 6, 0] = fg[29, 8, 0] = fg[3, 9, 0] = True  # A, B, C
+    fg[3, 0, 1:4] = True  # D, the largest
+    assert _reconnect_checking_every_pass(fg) == [4, 2]
+
+
+def test_reconnect_labels_the_volume_once(monkeypatch):
+    fg = np.random.default_rng(2).random((24, 20, 16)) < 0.02
+    pieces = connected_components(fg).count
+    calls = []
+    label = skeleton.ndimage.label
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return label(*args, **kwargs)
+
+    monkeypatch.setattr(skeleton.ndimage, "label", counted)
+    res = reconnect(fg)
+    assert len(calls) == 1
+    assert len(res.segments) > pieces - 1  # more than one pass
+
+
+@given(st.integers(1, 60), st.lists(st.tuples(st.integers(0, 59), st.integers(0, 59)),
+                                    max_size=120))
+def test_min_roots_give_each_component_its_smallest_node(n, edges):
+    from scipy.sparse import coo_matrix, csgraph
+    u, v = (np.array([e[k] % n for e in edges], dtype=np.intp) for k in (0, 1))
+    _, comp = csgraph.connected_components(
+        coo_matrix((np.ones(len(u)), (u, v)), shape=(n, n)), directed=False)
+    smallest = np.array([np.flatnonzero(comp == c).min() for c in comp])
+    assert np.array_equal(skeleton._min_roots(n, u, v), smallest)
