@@ -26,6 +26,7 @@ from scipy.spatial import cKDTree
 
 from .errors import FileFormatError, NumericDomainError, ParameterError
 from .rng import normal
+from .workers import parallel_map, thread_count
 
 _MAGIC = b"TVOL1"
 _HEAD = struct.Struct("<B3I3f")  # dtype code, dims, spacing
@@ -178,16 +179,19 @@ def _dist_to_segment(px, py, pz, a, b):
 def _centerline_distance(spec: PhantomSpec, dims, spacing, axes):
     """The phantom's centerline as pieces ``(cols, near_z, dist)``, given
     the voxel-centre coordinates (mm) ``axes`` along x, y and z.
-    ``dist`` maps voxel-centre coordinates (px, py, pz) in mm to their
-    distance (mm) from the piece, and only the voxels in the xy columns
-    ``cols`` (bool, (nx, ny)) and z planes ``near_z`` (bool, (nz,)) can
-    lie within radius_mm of it.  Each region comes from a lower bound on
-    the distance, kept with a margin of 2 * radius_mm so that rounding
-    cannot drop a voxel: the axis distance of a cylinder; |rho - amp| for
-    the helix, whose samples all lie on the cylinder of radius amp (rho:
-    a voxel's xy distance from the axis); a bifurcation segment's
-    bounding box.  Only distances up to radius_mm matter: the helix's
-    nearest-point query stops just past it and reports inf beyond.
+    ``dist`` maps voxel-centre coordinates (px, py, pz) in mm, x and y as
+    columns of shape (n, 1) and z of shape (m,), to their distances (mm)
+    from the piece, broadcastable to (n, m); only the voxels in the xy
+    columns ``cols`` (bool, (nx, ny)) and z planes ``near_z`` (bool,
+    (nz,)) can lie within radius_mm of it.  Each region comes from a
+    lower bound on the distance, kept with a margin of 2 * radius_mm so
+    that rounding cannot drop a voxel: the axis distance of a cylinder;
+    |rho - amp| for the helix, whose samples all lie on the cylinder of
+    radius amp (rho: a voxel's xy distance from the axis); a bifurcation
+    segment's bounding box.  Only distances up to radius_mm matter: the
+    helix's nearest-point query stops just past it and reports inf
+    beyond; it skips, as inf, voxels whose angle about the axis cannot be
+    near a sample's at their height (see its ``dist``).
 
     gapped_cylinder is handled by the caller via a z-index mask, so here
     it shares the cylinder geometry.
@@ -228,9 +232,23 @@ def _centerline_distance(spec: PhantomSpec, dims, spacing, axes):
                                         cy + amp * np.sin(theta),
                                         t * (nz - 1) * sz]))
         bound = spec.radius_mm * (1.0 + 1e-6)
-        return [(np.abs(rho - amp) <= margin, every_z, lambda px, py, pz: tree.query(
-            np.column_stack([px.ravel(), py.ravel(), pz.ravel()]),
-            distance_upper_bound=bound)[0].reshape(px.shape))]
+        climb = 2.0 * np.pi * turns / ((nz - 1) * sz)  # helix angle per mm of z
+
+        def dist(px, py, pz):
+            # A sample within ``bound`` of a voxel is within it in z too, so its angle
+            # is within climb * bound of the helix's at the voxel's height; and in xy,
+            # so seen from the axis it is within arcsin(bound / r) of the voxel's angle
+            # (r: the voxel's rho), any angle if r <= bound.  1e-9 covers rounding.
+            r = np.hypot(px - cx, py - cy)
+            spread = np.where(r > bound, np.arcsin(bound / np.maximum(r, bound)), np.pi)
+            turn = np.arctan2(py - cy, px - cx) - climb * pz
+            near = np.abs((turn + np.pi) % (2.0 * np.pi) - np.pi) <= spread + climb * bound + 1e-9
+            d = np.full(near.shape, np.inf)
+            at = np.column_stack([a[near] for a in np.broadcast_arrays(px, py, pz)])
+            d[near] = tree.query(at, distance_upper_bound=bound)[0]
+            return d
+
+        return [(np.abs(rho - amp) <= margin, every_z, dist)]
 
     raise ParameterError(f"unknown phantom kind {spec.kind!r}")
 
@@ -242,9 +260,12 @@ def make_phantom(spec: PhantomSpec, dims, spacing=(1.0, 1.0, 1.0)):
     analytic centerline; the image is background + (fg-bg)*label plus
     i.i.d. Gaussian noise drawn from the counter-based generator, so a
     fixed (spec, dims, spacing) reproduces identical bytes.  The work
-    runs in z-slabs of about ``_PHANTOM_SLAB`` voxels; the noise
-    counters, x-fastest, of a z-slab are one contiguous range.  Distances
-    are computed only in each centerline piece's region (see
+    runs in z-slabs of about ``_PHANTOM_SLAB`` voxels, every k-th slab in
+    one of k pool parts (``tubekit.workers``); a slab writes only its own
+    z-range, reads no other slab's output, and its noise counters,
+    x-fastest, are one contiguous range, so the worker count changes no
+    bit.  Distances are computed only in each centerline piece's region
+    and, for the helix, near its angle at each height (see
     ``_centerline_distance``); every other voxel is at +inf, beyond any
     radius, and a computed voxel keeps its coordinates and ufuncs, so the
     bytes are those of an exact distance at every voxel.
@@ -269,23 +290,29 @@ def make_phantom(spec: PhantomSpec, dims, spacing=(1.0, 1.0, 1.0)):
     label = np.empty(dims, dtype=np.uint8)
     plane = nx * ny
     step = max(1, _PHANTOM_SLAB // plane)
-    for z0 in range(0, nz, step):
-        z1 = min(z0 + step, nz)
-        lab = np.zeros((nx, ny, z1 - z0), dtype=bool)
-        for ix, iy, near_z, dist_to in pieces:
-            iz = np.flatnonzero(near_z[z0:z1])
-            at = (ix[:, None], iy[:, None], iz)
-            lab[at] |= dist_to(*np.broadcast_arrays(
-                xs[ix][:, None], ys[iy][:, None], zs[z0 + iz])) <= spec.radius_mm
-        img = spec.background_intensity + (
-            spec.foreground_intensity - spec.background_intensity) * lab.astype(np.float64)
-        if spec.noise_sigma > 0:
-            counters = np.arange(z0 * plane, z1 * plane, dtype=np.uint64)
-            noise = normal(spec.seed, counters).reshape((nx, ny, z1 - z0), order="F")
-            img = img + spec.noise_sigma * noise
-        image[:, :, z0:z1] = img
-        label[:, :, z0:z1] = lab
+    starts = range(0, nz, step)
+    k = min(thread_count(), len(starts))
 
+    def part(i):
+        # every k-th slab in one loop: a slab's arrays live until the next slab's
+        # replace them, so the allocator reuses their pages instead of freeing them
+        for z0 in starts[i::k]:
+            z1 = min(z0 + step, nz)
+            lab = np.zeros((nx, ny, z1 - z0), dtype=bool)
+            for ix, iy, near_z, dist_to in pieces:
+                iz = np.flatnonzero(near_z[z0:z1])
+                lab[ix[:, None], iy[:, None], iz] |= dist_to(
+                    xs[ix][:, None], ys[iy][:, None], zs[z0 + iz]) <= spec.radius_mm
+            img = spec.background_intensity + (
+                spec.foreground_intensity - spec.background_intensity) * lab.astype(np.float64)
+            if spec.noise_sigma > 0:
+                counters = np.arange(z0 * plane, z1 * plane, dtype=np.uint64)
+                noise = normal(spec.seed, counters).reshape((nx, ny, z1 - z0), order="F")
+                img = img + spec.noise_sigma * noise
+            image[:, :, z0:z1] = img
+            label[:, :, z0:z1] = lab
+
+    parallel_map(part, list(range(k)))
     return Volume3(dims, spacing, image), Mask3(dims, label, spacing)
 
 
