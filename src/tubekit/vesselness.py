@@ -5,12 +5,16 @@ The response of a voxel is driven by the magnitude-ordered eigenvalues
 background produce l2 ~ l3 << 0, so for that polarity l2 and l3 are
 negated before the response is evaluated; the regularized lp replaces l3
 with a volume-level floor tau * max(l3) to keep low-contrast vessels
-from vanishing.  Each scale is smoothed whole, then differentiated and
-eigen-solved in slabs of planes along axis 0, one slab per part of the
-``TUBEKIT_THREADS`` pool (tubekit.workers), with 2^16 voxels in flight
-across all workers, each slab in whole-slab ufunc calls on reused
-buffers: the peak memory is a few volume fields (signed l2 and l3 in
-float64, the running max in float32) plus those slabs' work.
+from vanishing.  Each scale is smoothed in blocks into one float64 field,
+then differentiated and eigen-solved in slabs of planes along axis 0, one
+slab per part of the ``TUBEKIT_THREADS`` pool (tubekit.workers), with
+2^16 voxels in flight across all workers, each slab in whole-slab ufunc
+calls on reused buffers.  A slab keeps a mask of the voxels where the
+signed l2 and l3 are both > 0, the only ones that respond, and their l2
+and l3: the peak memory is about two float64 volume fields (the
+smoothing's float64 field, the smoothed scale and the running max in
+float32) plus the slabs' work, and where every voxel responds, the kept
+eigenvalues add 2.1 fields while the slabs run.
 """
 
 import math
@@ -69,32 +73,34 @@ def gaussian_smooth(data: np.ndarray, spacing, sigma: float) -> np.ndarray:
     """Separable Gaussian smoothing with replicate boundaries, rounded to
     float32.  Kernel radius is ceil(3*sigma/spacing) per axis, at most the
     largest dimension; each 1D kernel sums to 1, so constants are
-    preserved exactly."""
+    preserved exactly.  The x then y passes run per z-block into one
+    float64 field, the z pass per x-block straight into the float32
+    result: every line is still filtered whole, in x, y, z order."""
     if not sigma > 0:
         raise ParameterError(f"sigma must be positive, got {sigma}")
     _check_kernel_radius(data.shape, spacing, sigma)
-    src = np.asarray(data)  # the first pass reads it as is
-    bufs = (np.empty(src.shape), np.empty(src.shape))
-    for axis in range(3):
-        src = _correlate_pass(src, bufs[axis % 2], _gaussian_kernel(sigma, spacing[axis]), axis)
-    del bufs  # the last pass wrote bufs[0]; free the other before rounding
-    return src.astype(np.float32)
+    src = np.asarray(data)
+    kx, ky, kz = (_gaussian_kernel(sigma, s) for s in spacing)
+    mid, out = np.empty(src.shape), np.empty(src.shape, dtype=np.float32)
 
+    def xy(z):
+        t = correlate1d(src[:, :, z], kx, axis=0, output=float, mode="nearest")
+        correlate1d(t, ky, axis=1, output=mid[:, :, z], mode="nearest")
 
-def _correlate_pass(src: np.ndarray, out: np.ndarray, kernel: np.ndarray,
-                    axis: int) -> np.ndarray:
-    """correlate1d along ``axis`` into float64 ``out``, one pool part per
-    block of an axis it does not filter: every line is computed whole."""
-    other = 1 if axis == 0 else 0
-    n = src.shape[other]
-    k = min(thread_count(), n)
+    def zpass(x):
+        correlate1d(mid[x], kz, axis=2, output=out[x], mode="nearest")
 
-    def part(i):
-        idx = (slice(None),) * other + (slice(i * n // k, (i + 1) * n // k),)
-        correlate1d(src[idx], kernel, axis=axis, output=out[idx], mode="nearest")
-
-    parallel_map(part, list(range(k)))
+    nx, ny, nz = src.shape
+    parallel_map(xy, _slabs(nz, nx * ny))
+    parallel_map(zpass, _slabs(nx, ny * nz))
     return out
+
+
+def _slabs(n: int, plane: int) -> list:
+    """Slices of an axis of n planes of ``plane`` voxels each, with
+    _SLAB_VOXELS voxels in flight across all workers."""
+    step = max(1, _SLAB_VOXELS // thread_count() // plane)
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
 def hessian_at_scale(smooth: np.ndarray, spacing, sigma: float,
@@ -222,30 +228,34 @@ def _jerman_response(l2: np.ndarray, l3: np.ndarray, lambda3_max: float,
 
 def vesselness_multiscale(vol: Volume3, params: JermanParams) -> Volume3:
     """Maximum Jerman response over the configured scales, in [0, 1].  Slabs
-    fill the signed l2/l3; the response, needing max(l3), follows the last.
-    The largest scale's kernel is checked before any scale runs."""
+    keep the signed l2/l3 of only the voxels where both are > 0, the only
+    ones that respond; the response, needing max(l3), follows the last
+    slab.  The largest scale's kernel is checked before any scale runs."""
     _check_kernel_radius(vol.dims, vol.spacing, params.scales[-1])  # scales increase
     sign = -1.0 if params.polarity == "bright" else 1.0
-    n, plane = vol.dims[0], vol.dims[1] * vol.dims[2]
-    step = max(1, _SLAB_VOXELS // thread_count() // plane)
-    slabs = [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
-    l2, l3 = np.empty(vol.dims), np.empty(vol.dims)
+    slabs = _slabs(vol.dims[0], vol.dims[1] * vol.dims[2])
     best = np.zeros(vol.dims, dtype=np.float32)  # rounding is monotone: max commutes
     for sigma in params.scales:
         smooth = gaussian_smooth(vol.data, vol.spacing, sigma)
 
         def eigen(s):
             _, e2, e3 = eig3_symmetric_field(hessian_at_scale(smooth, vol.spacing, sigma, s))
-            np.multiply(sign, e2, out=l2[s])
-            np.multiply(sign, e3, out=l3[s])
-            return float(l3[s].max())
+            np.multiply(sign, e2, out=e2)
+            np.multiply(sign, e3, out=e3)
+            keep = (e2 > 0.0) & (e3 > 0.0)
+            return float(e3.max()), s, keep, e2[keep], e3[keep]
 
-        lambda3_max = max([0.0] + parallel_map(eigen, slabs))
-        smooth = None  # free before the next scale is smoothed
+        kept = parallel_map(eigen, slabs)
+        lambda3_max = max([0.0] + [k[0] for k in kept])
+        smooth = None  # free before the responses
 
-        def respond(s):
-            resp = _jerman_response(l2[s], l3[s], lambda3_max, params.tau)
-            np.maximum(best[s], resp.astype(np.float32), out=best[s])
+        def respond(k):
+            # Elsewhere the response is +0.0, which leaves best's bits as they are.
+            _, s, keep, e2, e3 = k
+            resp = _jerman_response(e2, e3, lambda3_max, params.tau).astype(np.float32)
+            slab = best[s]
+            slab[keep] = np.maximum(slab[keep], resp)
 
-        parallel_map(respond, slabs)
+        parallel_map(respond, kept)
+        kept = None  # free before the next scale is smoothed
     return Volume3(vol.dims, vol.spacing, best)

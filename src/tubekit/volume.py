@@ -159,7 +159,7 @@ class PhantomSpec:
             raise ParameterError("gap_len_voxels must be a non-negative integer")
 
 
-_PHANTOM_SLAB = 1 << 16  # voxels per z-slab in make_phantom
+_PHANTOM_SLAB = 1 << 16  # voxels per z-slab in make_phantom and save_tvol
 
 
 def _dist_to_segment(px, py, pz, a, b):
@@ -318,17 +318,21 @@ def make_phantom(spec: PhantomSpec, dims, spacing=(1.0, 1.0, 1.0)):
 
 def save_tvol(obj, path) -> None:
     """Write a Volume3 or Mask3, spacing included, to the .tvol format
-    (bit-exact round trip)."""
+    (bit-exact round trip), in z-chunks of about ``_PHANTOM_SLAB`` voxels
+    so that no whole-volume copy of the payload is made."""
     if isinstance(obj, Volume3):
-        code, payload = _DTYPE_VOLUME, obj.data.astype("<f4").ravel(order="F")
+        code, dtype = _DTYPE_VOLUME, np.dtype("<f4")
     elif isinstance(obj, Mask3):
-        code, payload = _DTYPE_MASK, obj.data.astype(np.uint8).ravel(order="F")
+        code, dtype = _DTYPE_MASK, np.dtype(np.uint8)
     else:
         raise ParameterError(f"cannot save object of type {type(obj).__name__}")
     header = _MAGIC + _HEAD.pack(code, *obj.dims, *obj.spacing)
+    nx, ny, nz = obj.dims
+    step = max(1, _PHANTOM_SLAB // (nx * ny))
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload.tobytes())
+        for z0 in range(0, nz, step):  # (z, y, x) in C order is x-fastest
+            fh.write(np.ascontiguousarray(obj.data[:, :, z0:z0 + step].T, dtype))
 
 
 def _read_header(fh, path):

@@ -1,11 +1,12 @@
 """Slab-by-slab vesselness against the whole-volume oracle.
 
-The package differentiates and eigen-solves each scale in slabs of planes
-along axis 0, keeps the signed l2/l3 and a running max(l3), and forms the
-response slab by slab; the oracle materialises every field over the whole
-volume.  Bit-equal float32 responses (compared as uint32) pin the halo,
-the edge replication at the volume's ends, the running maximum and the
-slab bounds, including 1-plane slabs, a short last slab and a single slab.
+The package smooths each scale in blocks, differentiates and eigen-solves
+it in slabs of planes along axis 0, keeps the signed l2/l3 of the voxels
+that can respond and a running max(l3), and forms the response slab by
+slab; the oracle materialises every field over the whole volume.
+Bit-equal float32 responses (compared as uint32) pin the halo, the edge
+replication at the volume's ends, the running maximum and the slab and
+block bounds, including 1-plane slabs, a short last slab and a single slab.
 The same bits come out at 1, 2 and 3 pool workers, and the package's
 response, which forms the middle branch everywhere and then selects,
 equals the oracle's at every voxel, tiny and signed-zero eigenvalues too.
@@ -124,6 +125,22 @@ def test_worker_count_changes_no_bit(kind, shape, spacing, scales, polarity, pla
         assert smooth.dtype == got.dtype == np.float32
         assert _bits(smooth) == _bits(want_smooth), n
         assert _bits(got) == _bits(want), n
+
+
+@pytest.mark.parametrize("slab_voxels", [1, 420])
+def test_smoothing_blocks_match_whole_volume_oracle(slab_voxels):
+    # (7, 10, 11): z-blocks of 70-voxel planes, x-blocks of 110-voxel ones.
+    # 1 voxel gives 1-plane blocks; 420 at 1, 2 and 3 workers gives z-blocks
+    # of 6, 3 and 2 planes and x-blocks of 3, 1 and 1, each with a short last
+    # block where the axis is not a multiple of the step.
+    vol = _volume("noise", (7, 10, 11), (0.6, 1.0, 1.7), seed=9)
+    for sigma in (0.7, 2.0):
+        want = _bits(gaussian_smooth_oracle(vol.data, vol.spacing, sigma))
+        for n in (1, 2, 3):
+            with _workers(n), mock.patch.object(vesselness, "_SLAB_VOXELS", slab_voxels):
+                got = gaussian_smooth(vol.data, vol.spacing, sigma)
+            assert got.dtype == np.float32
+            assert _bits(got) == want, (sigma, n)
 
 
 def test_non_finite_hessian_raises_from_a_worker():

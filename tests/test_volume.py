@@ -1,12 +1,13 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from tubekit import (FileFormatError, Mask3, NumericDomainError, ParameterError,
                      PhantomSpec, RoiBox, Volume3, load_tvol, make_phantom,
-                     roi_from_label, save_tvol)
+                     roi_from_label, save_tvol, volume)
 
 from oracles import cylinder_voxel_count
 
@@ -156,6 +157,37 @@ def test_tvol_round_trip_masks(tmp_path):
         assert isinstance(w, Mask3)
         assert w == m
         assert w.spacing == (1.0, 2.0, 3.0)
+
+
+@pytest.mark.parametrize("dims, slab", [((1, 1, 1), 16), ((3, 5, 7), 16), ((4, 2, 9), 16),
+                                        ((64, 64, 21), volume._PHANTOM_SLAB)])
+def test_tvol_chunks_write_the_whole_volume_payload(tmp_path, monkeypatch, dims, slab):
+    # Chunks of 16 voxels: 3x5 planes go one at a time, 4x2 planes two at a
+    # time with a short last chunk of one; 64x64 planes go 16 at a time, 21
+    # leaving a short last chunk of 5.
+    monkeypatch.setattr(volume, "_PHANTOM_SLAB", slab)
+    rng = np.random.default_rng(11)
+    vol = Volume3(dims, (1.0, 0.5, 2.0), rng.standard_normal(dims).astype(np.float32))
+    mask = Mask3(dims, (rng.random(dims) < 0.5).astype(np.uint8), (1.0, 0.5, 2.0))
+    for obj, dtype in ((vol, "<f4"), (mask, np.uint8)):
+        path = tmp_path / "chunked.tvol"
+        save_tvol(obj, path)
+        # the payload as one whole-volume Fortran ravel, after the 30-byte header
+        assert path.read_bytes()[30:] == obj.data.astype(dtype).ravel(order="F").tobytes()
+
+
+def test_tvol_save_makes_no_whole_volume_copy(tmp_path):
+    # A chunk of 2^16 float32 voxels is a quarter of this 1 MiB payload; a
+    # whole-volume astype, ravel or tobytes copy is one payload each.
+    dims = (64, 64, 64)
+    v = Volume3(dims, (1.0, 1.0, 1.0), np.ones(dims, dtype=np.float32))
+    tracemalloc.start()
+    try:
+        save_tvol(v, tmp_path / "v.tvol")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * 4 * np.prod(dims)
 
 
 def test_tvol_bad_magic(tmp_path):
