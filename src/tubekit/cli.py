@@ -170,15 +170,16 @@ _SEGMENT = ('    {\n      "from": [\n        %d,\n        %d,\n        %d\n     
             '      "to": [\n        %d,\n        %d,\n        %d\n      ]\n    }')
 
 
-def _reconnect_report(segments, n_in: int, n_out: int) -> str:
-    """The reconnect report in the bytes ``_write_json`` would give it
-    (sorted keys, 2-space indentation), formatted directly: every value
-    in it is an integer, so one repeated template takes them all."""
+def _reconnect_report(segments: np.ndarray, n_in: int, n_out: int) -> str:
+    """The reconnect report of ``segments``, reconnect's (n, 2, 3) array,
+    in the bytes ``_write_json`` would give it (sorted keys, 2-space
+    indentation), formatted directly: every value in it is an integer, so
+    one repeated template takes them all."""
     listed = "[]"
-    if segments:
-        ab = np.array(segments, dtype=np.int64)
-        row = np.concatenate([ab[:, 0], _line_voxels(ab)[:, None], ab[:, 1]], axis=1)
-        listed = "[\n%s\n  ]" % (",\n".join([_SEGMENT] * len(ab)) % tuple(row.ravel().tolist()))
+    if len(segments):
+        row = np.concatenate([segments[:, 0], _line_voxels(segments)[:, None],
+                              segments[:, 1]], axis=1)
+        listed = "[\n%s\n  ]" % (",\n".join([_SEGMENT] * len(row)) % tuple(row.ravel().tolist()))
     return (f'{{\n  "drawn_voxels": {n_out - n_in},\n'  # reconnection only adds voxels
             f'  "input_voxels": {n_in},\n  "output_voxels": {n_out},\n'
             f'  "segment_count": {len(segments)},\n  "segments": {listed}\n}}\n')

@@ -70,7 +70,7 @@ class ComponentSet:
 
 class Reconnection(NamedTuple):
     reconnected: np.ndarray  # bool, the input plus every drawn line
-    segments: list  # [( (x,y,z) from, (x,y,z) to ), ...] in drawing order
+    segments: np.ndarray  # (n, 2, 3) int64: (from, to) voxels, in drawing order
 
 
 # ---------------------------------------------------------------------------
@@ -417,13 +417,13 @@ def reconnect(fg: np.ndarray) -> Reconnection:
     stride = np.array([1, dims[0], dims[0] * dims[1]])
     steps = np.array(list(_window_offsets(1))) @ stride
     lin = np.flatnonzero(stamp)  # the voxel list, in linear order
-    count, segments = len(root) - 1, []
+    count, segments = len(root) - 1, [np.empty((0, 2, 3), dtype=np.int64)]
     while count > 1:
         lab = root[stamp[lin]]
         a, b = _reconnect_pass(
             np.stack(np.unravel_index(lin, dims, order="F"), axis=1) - 1,
             lab, counts[lin] <= 1, np.bincount(lab)[1:])
-        segments.extend(zip(map(tuple, a.tolist()), map(tuple, b.tolist())))
+        segments.append(np.stack([a, b], axis=1))
         line = _lines(a, b)
         fg[tuple(line.T)] = True
         # ids follow first voxels, so the running max of the ids steps up at each
@@ -434,4 +434,4 @@ def reconnect(fg: np.ndarray) -> Reconnection:
                 f"reconnect: a pass left {root.max()} of {count} components")
         count = int(root.max())
         lin = np.sort(np.concatenate([lin, new]))
-    return Reconnection(fg, segments)
+    return Reconnection(fg, np.concatenate(segments))

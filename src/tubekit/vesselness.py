@@ -8,13 +8,18 @@ with a volume-level floor tau * max(l3) to keep low-contrast vessels
 from vanishing.  Each scale is smoothed in blocks into one float64 field,
 then differentiated and eigen-solved in slabs of planes along axis 0, one
 slab per part of the ``TUBEKIT_THREADS`` pool (tubekit.workers), with
-2^16 voxels in flight across all workers, each slab in whole-slab ufunc
-calls on reused buffers.  A slab keeps a mask of the voxels where the
-signed l2 and l3 are both > 0, the only ones that respond, and their l2
-and l3: the peak memory is about two float64 volume fields (the
-smoothing's float64 field, the smoothed scale and the running max in
-float32) plus the slabs' work, and where every voxel responds, the kept
-eigenvalues add 2.1 fields while the slabs run.
+2^16 voxels in flight across all workers.  A voxel can respond only if
+sign*tr(H) >= |H|_F / sqrt(3), up to the margin ``_cut`` proves, and
+only such voxels are eigen-solved: about a third of a noisy volume.  A
+slab keeps a mask of the voxels where the signed l2 and l3 are both > 0
+and their l2 and l3, its candidates' max(l3) and the largest bound
+|H|_F >= sign*l3 of the voxels it ruled out.  A second pass, one slab at
+a time, differentiates again only the slabs whose bound exceeds the
+candidates' max, and solves there the ruled-out voxels above it.  The
+peak memory is about two float64 volume fields (the smoothing's float64
+field, the smoothed scale and the running max in float32) plus the
+slabs' work, and where every voxel responds, the kept eigenvalues add
+2.1 fields while the slabs run.
 """
 
 import math
@@ -30,6 +35,7 @@ from .workers import parallel_map, thread_count
 DEFAULT_TAU = 0.5
 DEFAULT_SCALES = (1.0, 1.5, 2.0, 3.0)
 _SLAB_VOXELS = 1 << 16  # in flight across all workers; a slab is never under one plane
+_MARGIN = 1e-9  # of _cut, relative to |H|_F
 
 
 @dataclass(frozen=True)
@@ -226,11 +232,43 @@ def _jerman_response(l2: np.ndarray, l3: np.ndarray, lambda3_max: float,
     return np.where(mid, np.clip(r, 0.0, 1.0, out=r), one)
 
 
+def _cut(h: np.ndarray, sign: float):
+    """(keep, bound) for the float32 Hessian planes h (xx, xy, xz, yy, yz,
+    zz): keep holds every voxel that can respond, bound >= sign*l3 at each.
+
+    With mu = sign * the magnitude-ordered roots, a responding voxel has
+    mu2, mu3 > 0 and |mu1| <= mu2, so sum(mu) >= mu3 > 0 and
+    sum(mu^2) <= 3 mu3^2.  The trig solve's roots are q + 2p cos(phi +
+    2k pi/3) for its angle phi, however inexact: they sum to tr(H), their
+    squares to |H|_F^2, each within a few ulps of |H|_F, so none exceeds
+    (1 + m) |H|_F.  The q*I fallback's roots are the diagonal, each at
+    most |H|_F: sum tr(H), squares within 6 tol^2 of |H|_F^2, where
+    tol = 1e-12 (1 + max|.|).  So a responding voxel has sign*tr(H) > 0
+    and sign*tr(H) + sqrt(2) tol >= (1 - m) |H|_F / sqrt(3), for
+    m = _MARGIN far above the rounding and 2e-12 above tol's absolute
+    part.  The bound is formed in float64, where the squares of float32
+    components are exact and finite."""
+    n = np.square(h[1], dtype=np.float64)
+    t = np.empty_like(n)
+    for k in (2, 4, 0, 3, 5):
+        if k == 0:
+            n *= 2.0  # each off-diagonal counts twice
+        n += np.square(h[k], out=t, dtype=np.float64)
+    np.sqrt(n, out=n)
+    np.add(h[0], h[3], out=t, dtype=np.float64)
+    t += h[5]
+    t *= sign
+    keep = t > 0.0
+    t += 2e-12  # above sqrt(2) times the fallback's absolute tolerance
+    t *= math.sqrt(3.0) / (1.0 - _MARGIN)
+    keep &= t > n
+    return keep, np.multiply(n, 1.0 + _MARGIN, out=n)
+
+
 def vesselness_multiscale(vol: Volume3, params: JermanParams) -> Volume3:
-    """Maximum Jerman response over the configured scales, in [0, 1].  Slabs
-    keep the signed l2/l3 of only the voxels where both are > 0, the only
-    ones that respond; the response, needing max(l3), follows the last
-    slab.  The largest scale's kernel is checked before any scale runs."""
+    """Maximum Jerman response over the configured scales, in [0, 1]; the
+    slabs, the cut and the second pass are as the module describes.  The
+    largest scale's kernel is checked before any scale runs."""
     _check_kernel_radius(vol.dims, vol.spacing, params.scales[-1])  # scales increase
     sign = -1.0 if params.polarity == "bright" else 1.0
     slabs = _slabs(vol.dims[0], vol.dims[1] * vol.dims[2])
@@ -238,23 +276,40 @@ def vesselness_multiscale(vol: Volume3, params: JermanParams) -> Volume3:
     for sigma in params.scales:
         smooth = gaussian_smooth(vol.data, vol.spacing, sigma)
 
+        def planes(s):
+            h = hessian_at_scale(smooth, vol.spacing, sigma, s)
+            return np.moveaxis(h, -1, 0).reshape(6, -1)
+
         def eigen(s):
-            _, e2, e3 = eig3_symmetric_field(hessian_at_scale(smooth, vol.spacing, sigma, s))
+            h = planes(s)
+            keep, bound = _cut(h, sign)
+            out = float(np.multiply(bound, ~keep, out=bound).max())
+            h, bound = np.compress(keep, h, axis=1), None  # frees the slab's planes
+            _, e2, e3 = eig3_symmetric_field(h.T)
             np.multiply(sign, e2, out=e2)
             np.multiply(sign, e3, out=e3)
-            keep = (e2 > 0.0) & (e3 > 0.0)
-            return float(e3.max()), s, keep, e2[keep], e3[keep]
+            pos = (e2 > 0.0) & (e3 > 0.0)
+            keep[np.flatnonzero(keep)] = pos
+            return float(e3.max(initial=0.0)), out, s, keep, e2.compress(pos), e3.compress(pos)
+
+        def rest(s, top):  # max(l3) of the ruled-out voxels whose bound exceeds top
+            h = planes(s)
+            keep, bound = _cut(h, sign)
+            _, _, e3 = eig3_symmetric_field(np.compress(~keep & (bound > top), h, axis=1).T)
+            return float(np.multiply(sign, e3, out=e3).max(initial=0.0))
 
         kept = parallel_map(eigen, slabs)
-        lambda3_max = max([0.0] + [k[0] for k in kept])
+        top = max(k[0] for k in kept)
+        # One slab at a time: every kept eigenvalue is held while it runs.
+        lambda3_max = max([top] + [rest(k[2], top) for k in kept if k[1] > top])
         smooth = None  # free before the responses
 
         def respond(k):
             # Elsewhere the response is +0.0, which leaves best's bits as they are.
-            _, s, keep, e2, e3 = k
+            _, _, s, keep, e2, e3 = k
             resp = _jerman_response(e2, e3, lambda3_max, params.tau).astype(np.float32)
-            slab = best[s]
-            slab[keep] = np.maximum(slab[keep], resp)
+            slab, idx = best[s].reshape(-1), np.flatnonzero(keep)
+            slab[idx] = np.maximum(slab.take(idx), resp)
 
         parallel_map(respond, kept)
         kept = None  # free before the next scale is smoothed

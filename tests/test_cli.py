@@ -496,7 +496,8 @@ _POINTS = st.tuples(*[st.integers(0, 10 ** 6)] * 3)
 @given(st.lists(st.tuples(_POINTS, _POINTS), max_size=12),
        st.integers(1, 10 ** 9), st.integers(0, 10 ** 6))
 def test_reconnect_report_is_the_indented_json_of_its_dict(segments, n_in, drawn):
-    assert (_reconnect_report(segments, n_in, n_in + drawn)
+    ab = np.array(segments, dtype=np.int64).reshape(-1, 2, 3)  # as reconnect returns them
+    assert (_reconnect_report(ab, n_in, n_in + drawn)
             == _report_as_json(segments, n_in, n_in + drawn))
 
 

@@ -46,6 +46,12 @@ def _field(shape, kinds, density, lattice, seed):
     return fg
 
 
+def _listed(segments):
+    """The oracle's ((x, y, z), (x, y, z)) segments as ``tolist`` gives
+    reconnect's (n, 2, 3) array."""
+    return [[list(a), list(b)] for a, b in segments]
+
+
 fields = st.tuples(
     st.tuples(*[st.integers(3, 16)] * 3),
     st.lists(st.sampled_from(["voxel", "blob", "ring", "line"]), max_size=8),
@@ -64,7 +70,7 @@ def test_reconnect_matches_oracle(case):
     assert fg.tobytes() == given_bytes  # the passes draw into a copy
     want, want_segments = reconnect_oracle(fg)
     assert got.tobytes() == want.tobytes()
-    assert segments == want_segments
+    assert segments.tolist() == _listed(want_segments)
 
 
 @given(st.tuples(
@@ -81,7 +87,7 @@ def test_fallback_matches_oracle(case):
     got, segments = reconnect(fg)
     want, want_segments = reconnect_oracle(fg)
     assert got.tobytes() == want.tobytes()
-    assert segments == want_segments
+    assert segments.tolist() == _listed(want_segments)
 
 
 @pytest.mark.parametrize("pairs", [1 << 20, 5])
@@ -100,14 +106,14 @@ def test_endpoint_free_components_fall_back_to_all_voxels(monkeypatch, with_line
         _put(fg, kind, at, rng)
     if with_line:
         fg[12:14, 1, 5] = True
-    ends = list(map(tuple, endpoints(fg).tolist()))
+    ends = endpoints(fg).tolist()
     assert len(ends) == (2 if with_line else 0)
     got, segments = reconnect(fg)
     want, want_segments = reconnect_oracle(fg)
     assert got.tobytes() == want.tobytes()
-    assert segments == want_segments
+    assert segments.tolist() == _listed(want_segments)
     if with_line:
-        assert any(a in ends and b not in ends for a, b in segments)
+        assert any(a in ends and b not in ends for a, b in segments.tolist())
 
 
 def test_many_isolated_fragments_reconnect_in_bounded_memory():

@@ -2,12 +2,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tubekit import ParameterError, PhantomSpec, Volume3, make_phantom, vesselness, workers
-from tubekit.vesselness import (JermanParams, eig3_symmetric_field, gaussian_smooth,
+from tubekit.vesselness import (JermanParams, _cut, eig3_symmetric_field, gaussian_smooth,
                                 hessian_at_scale, vesselness_multiscale)
 
-from oracles import dense_convolve3, gaussian_kernel_1d, jacobi_eigenvalues
+from oracles import (dense_convolve3, gaussian_kernel_1d, jacobi_eigenvalues,
+                     vesselness_multiscale_oracle)
 from single_voxel import EIG3_MAX_COMPONENT, EigenTriple, eig3_symmetric, jerman_response
 
 
@@ -328,3 +331,133 @@ def test_multiscale_monotone_in_scale_coverage():
     small = vesselness_multiscale(v, JermanParams(scales=(1.0, 2.0)))
     full = vesselness_multiscale(v, JermanParams(scales=(1.0, 2.0, 3.0)))
     assert (full.data >= small.data - 1e-7).all()
+
+
+# ---------------------------------------------------------------------------
+# the candidate cut and the second pass
+# ---------------------------------------------------------------------------
+
+def _assert_cut_holds(comps):
+    """Every matrix of comps (n, 6) whose computed sign*l2 and sign*l3 are
+    both > 0 passes the cut, and every bound is at least sign*l3."""
+    comps = np.asarray(comps, dtype=np.float32)
+    _, l2, l3 = eig3_symmetric_field(comps)
+    for sign in (-1.0, 1.0):
+        keep, bound = _cut(comps.T, sign)
+        respond = (sign * l2 > 0.0) & (sign * l3 > 0.0)
+        assert not (respond & ~keep).any(), comps[respond & ~keep]
+        assert (bound >= sign * l3).all(), comps[bound < sign * l3]
+
+
+# Spectra at and near the cut's edge: (-a, a, a) meets sign*tr = |H|_F/sqrt(3).
+_SPECTRA = {"boundary": (-1.0, 1.0, 1.0), "scalar": (1.0, 1.0, 1.0),
+            "double": (0.0, 1.0, 1.0), "near_double": (0.3, 1.0, 1.0 + 1e-7),
+            "saddle": (1.0, -0.9, 0.2), "rank_one": (0.0, 0.0, 1.0),  # l3 = |H|_F
+            "zero": (0.0, 0.0, 0.0)}
+
+
+def _matrices(kind, scale, seed, n=64):
+    """n float32 Hessians (n, 6) of one family, scaled by ``scale``."""
+    rng = np.random.default_rng(seed)
+    if kind == "fallback":  # q*I plus off-diagonals inside the q*I fallback's tolerance
+        c = np.zeros((n, 6))
+        c[:, [0, 3, 5]] = rng.choice([0.0, 1.0, -1.0], (n, 3)) * scale
+        c[:, [1, 2, 4]] = rng.uniform(-3e-13, 3e-13, (n, 3))
+        return c.astype(np.float32)
+    lam = np.array(_SPECTRA[kind]) * rng.choice([-1.0, 1.0], (n, 1))
+    lam *= 1.0 + 1e-7 * rng.standard_normal((n, 3)) * rng.integers(0, 2, (n, 1))
+    rot, _ = np.linalg.qr(rng.standard_normal((n, 3, 3)))
+    rot[rng.random(n) < 0.25] = np.eye(3)  # diagonal matrices, the fallback's form
+    h = np.einsum("nij,nj,nkj->nik", rot, lam * scale, rot)
+    return h[:, [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]].astype(np.float32)
+
+
+@given(st.sampled_from(sorted(_SPECTRA) + ["fallback"]),
+       st.sampled_from([1e-40, 1e-14, 1e-6, 1.0, 1e6, 1e30, 1e38]),
+       st.integers(0, 2 ** 32 - 1))
+def test_cut_keeps_every_responding_voxel(kind, scale, seed):
+    # 1e38 puts components at float32's finite limit, 3.4e38; 1e-14 with
+    # the fallback's off-diagonals gives matrices it reads as q*I.
+    _assert_cut_holds(_matrices(kind, scale, seed))
+
+
+_F32 = st.one_of(st.sampled_from([3.4028235e38, -3.4028235e38, 1e-45, -1e-45, 0.0, -0.0, 1.0]),
+                 st.floats(width=32, allow_nan=False, allow_infinity=False))
+
+
+@given(st.lists(st.tuples(*[_F32] * 6), min_size=1, max_size=16))
+def test_cut_keeps_every_responding_voxel_of_any_float32_matrix(rows):
+    _assert_cut_holds(rows)
+
+
+def test_cut_of_the_zero_matrix_rules_it_out_with_bound_zero():
+    keep, bound = _cut(np.zeros((6, 4), dtype=np.float32), -1.0)
+    assert not keep.any() and (bound == 0.0).all()
+
+
+def _solved(monkeypatch):
+    """Per scale, the voxels each eigen-solve gets; hessian_at_scale calls."""
+    solved, calls = [], []
+    smooth, hessian, eig = (vesselness.gaussian_smooth, vesselness.hessian_at_scale,
+                            vesselness.eig3_symmetric_field)
+
+    def smooth_then_count(*args):
+        solved.append([])
+        return smooth(*args)
+
+    def eig_counted(comps):
+        solved[-1].append(len(comps))
+        return eig(comps)
+
+    monkeypatch.setattr(vesselness, "gaussian_smooth", smooth_then_count)
+    monkeypatch.setattr(vesselness, "hessian_at_scale",
+                        lambda *args: calls.append(args[-1]) or hessian(*args))
+    monkeypatch.setattr(vesselness, "eig3_symmetric_field", eig_counted)
+    return solved, calls
+
+
+def test_second_pass_finds_lambda3_max_at_a_ruled_out_voxel(monkeypatch):
+    # A dark blob under bright polarity: around it the Hessian has one
+    # strong bright direction and two dark ones, so sign*tr < 0 rules the
+    # voxels out while their sign*l3 is the volume's largest.  A faint
+    # bright bar responds, and its response reads max(l3) through tau.
+    n = 24
+    x, y, z = np.meshgrid(*[np.arange(n) - 11.5] * 3, indexing="ij")
+    data = -8.0 * np.exp(-(x ** 2 + y ** 2 + z ** 2) / 8.0)
+    data += 0.2 * np.exp(-((x - 6) ** 2 + (y - 6) ** 2) / 2.0)
+    vol = _vol(data)
+    params = JermanParams(scales=(1.0, 2.0))
+    for sigma in params.scales:
+        h = np.moveaxis(_hessian(vol, sigma), -1, 0).reshape(6, -1)
+        keep, _ = _cut(h, -1.0)
+        l3 = -eig3_symmetric_field(h.T)[2]
+        assert l3[~keep].max() > max(l3[keep].max(), 0.0)
+    solved, calls = _solved(monkeypatch)
+    got = vesselness_multiscale(vol, params).data
+    assert np.array_equal(got.view(np.uint32),
+                          vesselness_multiscale_oracle(vol, params).view(np.uint32))
+    assert got.max() > 0.0
+    slabs = len(vesselness._slabs(n, n * n))
+    assert all(len(s) > slabs for s in solved)  # each scale ran the second pass
+    assert len(calls) > slabs * len(params.scales)
+
+
+def test_constant_volume_runs_no_second_pass(monkeypatch):
+    vol = _vol(np.full((20, 16, 12), 2.5))
+    solved, calls = _solved(monkeypatch)
+    params = JermanParams()
+    assert not vesselness_multiscale(vol, params).data.any()
+    slabs = len(vesselness._slabs(20, 16 * 12))
+    assert solved == [[0] * slabs] * len(params.scales)
+    assert len(calls) == slabs * len(params.scales)
+
+
+def test_cut_solves_at_most_four_tenths_of_the_noisy_helix(monkeypatch):
+    # About a third of this helix's voxels pass the cut at each scale; the
+    # whole-volume solve took them all.
+    image, _ = make_phantom(PhantomSpec("helix", 2.0, noise_sigma=0.3, seed=1), (64, 64, 64))
+    solved, _ = _solved(monkeypatch)
+    vesselness_multiscale(image, JermanParams())
+    assert len(solved) == 4
+    for per_scale in solved:
+        assert 0 < sum(per_scale) <= 0.4 * 64 ** 3
