@@ -99,17 +99,12 @@ def _parse_list(text: str, cast, name: str, count: int = None) -> tuple:
         raise ParameterError(f"{name}: {exc}") from None
 
 
-def _load_volume(path) -> Volume3:
+def _load(path, kind):
+    """The ``kind`` (Volume3 or Mask3) that the file at ``path`` holds."""
     obj = load_tvol(path)
-    if not isinstance(obj, Volume3):
-        raise ParameterError(f"{path} holds a mask, expected a volume")
-    return obj
-
-
-def _load_mask(path) -> Mask3:
-    obj = load_tvol(path)
-    if not isinstance(obj, Mask3):
-        raise ParameterError(f"{path} holds a volume, expected a mask")
+    if not isinstance(obj, kind):
+        held, want = ("mask", "volume") if kind is Volume3 else ("volume", "mask")
+        raise ParameterError(f"{path} holds a {held}, expected a {want}")
     return obj
 
 
@@ -132,7 +127,7 @@ def _cmd_phantom(args):
 
 
 def _cmd_vesselness(args):
-    vol = _load_volume(args.infile)
+    vol = _load(args.infile, Volume3)
     scales = _parse_list(args.scales, float, "--scales")
     params = vesselness.JermanParams(tau=args.tau, scales=scales,
                                      polarity=args.polarity)
@@ -154,7 +149,7 @@ def _cmd_skeleton(args):
 
 
 def _cmd_reconnect(args):
-    mask = _load_mask(args.infile)
+    mask = _load(args.infile, Mask3)
     res = skeleton.reconnect(mask.data > 0)
     _save_tvol_atomic(Mask3(mask.dims, res.reconnected.astype(np.uint8),
                             mask.spacing), args.out)
@@ -201,9 +196,9 @@ def _parse_roi(args, label: Mask3) -> RoiBox:
 
 def _cmd_loss(args):
     lam = losses._checked_lambda(args.lam)
-    pred = _load_volume(args.pred)
-    label = _load_mask(args.label)
-    image = _load_volume(args.image)
+    pred = _load(args.pred, Volume3)
+    label = _load(args.label, Mask3)
+    image = _load(args.image, Volume3)
     if pred.dims != label.dims or pred.dims != image.dims:
         raise ParameterError("pred, label and image must share dims")
     if pred.spacing != label.spacing or pred.spacing != image.spacing:
@@ -257,8 +252,8 @@ def _grad32(name: str, value: float, grad: np.ndarray):
 
 
 def _cmd_metrics(args):
-    pred = _load_mask(args.pred)
-    gt = _load_mask(args.gt)
+    pred = _load(args.pred, Mask3)
+    gt = _load(args.gt, Mask3)
     _write_json(args.json, metrics.evaluate(pred, gt, skel_k=args.skel_iters))
     return 0
 

@@ -25,8 +25,6 @@ so every value stays 0 or 1, as it would in float64.
 
 import hashlib
 import itertools
-from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -51,21 +49,6 @@ def _window_offsets(radius: int):
             for dx in range(-radius, radius + 1):
                 if dx or dy or dz:
                     yield dx, dy, dz
-
-
-@dataclass(frozen=True, eq=False)
-class ComponentSet:
-    """26-connected component labelling: ids 1..count ordered by each
-    component's minimum linear voxel index; 0 is background."""
-
-    labels: np.ndarray
-    count: int
-
-    @cached_property
-    def sizes(self) -> np.ndarray:
-        """sizes[i-1] = voxels in component i; counted on first use."""
-        return np.bincount(self.labels.ravel(order="K"),
-                           minlength=self.count + 1)[1:].astype(np.int64)
 
 
 class Reconnection(NamedTuple):
@@ -232,15 +215,16 @@ def hard_skeleton(fg: np.ndarray, k: int = DEFAULT_ITERATIONS) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# components / endpoints / reconnection
+# components / reconnection
 # ---------------------------------------------------------------------------
 
-def connected_components(fg: np.ndarray) -> ComponentSet:
-    """26-connected components of a boolean array."""
-    # Labelling the transpose scans x fastest, so ids follow each
-    # component's first voxel in linear order.
+def connected_components(fg: np.ndarray) -> tuple[np.ndarray, int]:
+    """26-connected components of a boolean array: (labels, count), ids
+    1..count ordered by each component's first voxel in x-fastest linear
+    order; 0 is background."""
+    # Labelling the transpose scans x fastest.
     raw, n = ndimage.label(fg.T, structure=_STRUCT_26)
-    return ComponentSet(raw.T, n)
+    return raw.T, n
 
 
 def _neighbor_counts(fg: np.ndarray, radius: int = 1) -> np.ndarray:
@@ -263,12 +247,6 @@ def _voxels(fg: np.ndarray):
     x, y, z = np.unravel_index(np.flatnonzero(fg), fg.shape)
     lin = np.sort(x + fg.shape[0] * (y + fg.shape[1] * z))
     return lin, np.stack(np.unravel_index(lin, fg.shape, order="F"), axis=1)
-
-
-def endpoints(fg: np.ndarray) -> np.ndarray:
-    """Foreground voxels with <= 1 foreground 26-neighbor: an (n, 3)
-    array of (x, y, z) rows in linear order."""
-    return _voxels(fg & (_neighbor_counts(fg) <= 1))[1]
 
 
 def _lines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -410,7 +388,7 @@ def reconnect(fg: np.ndarray) -> Reconnection:
     if not fg.any():
         raise NumericDomainError("reconnect: empty skeleton")
     fg = fg.copy()
-    stamp = np.pad(connected_components(fg).labels.T, 1).ravel()
+    stamp = np.pad(connected_components(fg)[0].T, 1).ravel()
     root = np.arange(stamp.max() + 1)
     counts = _neighbor_counts(np.pad(fg.T, 1)).ravel()
     dims = tuple(n + 2 for n in fg.shape)

@@ -546,21 +546,19 @@ def _oracle_components(fg):
 def components_oracle(fg):
     """Labels 26-connected ids 1..n by each component's first voxel in
     x-fastest order, renumbering ndimage.label's C-order ids through a sort of the
-    whole volume; returns (labels, count, sizes by id - 1)."""
+    whole volume; returns (labels, count)."""
     from scipy import ndimage
 
     raw, n = ndimage.label(fg, structure=np.ones((3, 3, 3), dtype=bool))
     if n == 0:
-        return raw.astype(np.int32), 0, np.zeros(0, dtype=np.int64)
+        return raw.astype(np.int32), 0
     flat = raw.ravel(order="F")
     ids, first = np.unique(flat, return_index=True)
     keep = ids != 0
     order = np.argsort(first[keep], kind="stable")
     remap = np.zeros(n + 1, dtype=np.int32)
     remap[ids[keep][order]] = np.arange(1, n + 1, dtype=np.int32)
-    labels = remap[raw]
-    sizes = np.bincount(labels.ravel(), minlength=n + 1)[1:].astype(np.int64)
-    return labels, n, sizes
+    return remap[raw], n
 
 
 def _oracle_neighbor_counts(fg):

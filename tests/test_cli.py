@@ -460,6 +460,23 @@ def test_mask_volume_type_confusion_exits_2(tmp_path, capsys):
     assert err["error"] == "ParameterError"
 
 
+@pytest.mark.parametrize("argv", [
+    "vesselness --in {lab} --out {out}",
+    "loss --pred {lab} --label {lab} --image {img} --json {out}",
+    "loss --pred {img} --label {lab} --image {lab} --json {out}",
+], ids=["vesselness-in", "loss-pred", "loss-image"])
+def test_mask_where_a_volume_is_expected_exits_2(tmp_path, capsys, argv):
+    img, lab = _phantom_files(tmp_path, dims="16,16,16")
+    capsys.readouterr()
+    assert _run(*argv.format(img=img, lab=lab, out=tmp_path / "out").split()) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ParameterError"
+    assert err["message"] == f"{lab} holds a mask, expected a volume"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["img.tvol", "lab.tvol"]
+
+
 def test_reports_have_sorted_keys(tmp_path):
     _, lab = _phantom_files(tmp_path, dims="16,16,16")
     report = tmp_path / "m.json"

@@ -30,13 +30,11 @@ masks = (st.tuples(*[st.integers(1, 16)] * 3),
 @given(*masks)
 def test_components_match_renumbering_oracle(shape, density, seed):
     fg = _fg(shape, density, seed)
-    comp = connected_components(fg)
-    labels, count, sizes = components_oracle(fg)
-    assert comp.count == count
-    assert comp.labels.dtype == labels.dtype
-    assert comp.labels.tobytes() == labels.tobytes()
-    assert comp.sizes.dtype == sizes.dtype
-    assert comp.sizes.tolist() == sizes.tolist()
+    got, got_count = connected_components(fg)
+    labels, count = components_oracle(fg)
+    assert got_count == count
+    assert got.dtype == labels.dtype
+    assert got.tobytes() == labels.tobytes()
 
 
 @given(*masks)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from tubekit import NumericDomainError, ParameterError
-from tubekit.skeleton import (connected_components, endpoints, hard_skeleton,
-                              reconnect, soft_skeleton_array)
+from tubekit.skeleton import (connected_components, hard_skeleton, reconnect,
+                              soft_skeleton_array)
 
 from oracles import bresenham_line
 
@@ -119,15 +119,14 @@ def test_diagonal_pair_connectivity():
     data = np.zeros((5, 5, 5), dtype=np.uint8)
     data[1, 1, 1] = 1
     data[2, 2, 2] = 1
-    assert connected_components(_mask(data)).count == 1
+    assert connected_components(_mask(data))[1] == 1
 
 
 def test_components_empty_and_full():
-    empty = connected_components(_mask(np.zeros((4, 4, 4), dtype=np.uint8)))
-    assert empty.count == 0 and len(empty.sizes) == 0
-    full = connected_components(_mask(np.ones((3, 4, 5), dtype=np.uint8)))
-    assert full.count == 1
-    assert full.sizes.tolist() == [60]
+    labels, count = connected_components(_mask(np.zeros((4, 4, 4), dtype=np.uint8)))
+    assert count == 0 and not labels.any()
+    labels, count = connected_components(_mask(np.ones((3, 4, 5), dtype=np.uint8)))
+    assert count == 1 and (labels == 1).all()
 
 
 def test_component_ids_ordered_by_linear_index():
@@ -135,36 +134,11 @@ def test_component_ids_ordered_by_linear_index():
     data[6, 6, 6] = 1  # high linear index
     data[1, 0, 0] = 1  # low linear index
     data[0, 0, 4] = 1  # middle
-    comp = connected_components(_mask(data))
-    assert comp.count == 3
-    assert comp.labels[1, 0, 0] == 1
-    assert comp.labels[0, 0, 4] == 2
-    assert comp.labels[6, 6, 6] == 3
-    assert comp.sizes.sum() == 3
-
-
-# ---------------------------------------------------------------------------
-# endpoints
-# ---------------------------------------------------------------------------
-
-def test_endpoints_of_straight_line():
-    line = _line_mask((9, 9, 9), 2, 2, 5, (4, 4))
-    eps = endpoints(_mask(line))
-    assert eps.tolist() == [[4, 4, 2], [4, 4, 6]]
-
-
-def test_endpoint_isolated_voxel():
-    data = np.zeros((5, 5, 5), dtype=np.uint8)
-    data[2, 2, 2] = 1
-    assert endpoints(_mask(data)).tolist() == [[2, 2, 2]]
-
-
-def test_ring_has_no_endpoints():
-    data = np.zeros((6, 6, 3), dtype=np.uint8)
-    ring = [(1, 1), (2, 1), (3, 1), (3, 2), (3, 3), (2, 3), (1, 3), (1, 2)]
-    for x, y in ring:
-        data[x, y, 1] = 1
-    assert endpoints(_mask(data)).shape == (0, 3)
+    labels, count = connected_components(_mask(data))
+    assert count == 3
+    assert labels[1, 0, 0] == 1
+    assert labels[0, 0, 4] == 2
+    assert labels[6, 6, 6] == 3
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +175,7 @@ def test_reconnect_collinear_gap_of_three():
     data[1:6, 3, 3] = 1    # voxels x=1..5
     data[9:14, 3, 3] = 1   # voxels x=9..13, gap x=6,7,8
     res = reconnect(_mask(data))
-    assert connected_components(res.reconnected).count == 1
+    assert connected_components(res.reconnected)[1] == 1
     assert (res.reconnected & ~_mask(data)).sum() == 3
     assert res.segments.tolist() == [[[9, 3, 3], [5, 3, 3]]]
     drawn = np.argwhere(res.reconnected & ~_mask(data))
@@ -222,7 +196,7 @@ def test_reconnect_three_fragments_single_component():
     data[17:21, 4, 4] = 1
     res = reconnect(_mask(data))
     assert len(res.segments) >= 2
-    assert connected_components(res.reconnected).count == 1
+    assert connected_components(res.reconnected)[1] == 1
 
 
 def test_reconnect_never_removes_voxels():
@@ -233,7 +207,7 @@ def test_reconnect_never_removes_voxels():
             data[4, 4, 4] = 1
         res = reconnect(_mask(data))
         assert (res.reconnected >= data).all()
-        assert connected_components(res.reconnected).count == 1
+        assert connected_components(res.reconnected)[1] == 1
 
 
 def test_reconnect_endpoint_free_components():
@@ -244,7 +218,7 @@ def test_reconnect_endpoint_free_components():
         data[x, y, 2] = 1
         data[x + 8, y, 2] = 1
     res = reconnect(_mask(data))
-    assert connected_components(res.reconnected).count == 1
+    assert connected_components(res.reconnected)[1] == 1
 
 
 def test_reconnect_empty_is_error():

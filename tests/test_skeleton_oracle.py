@@ -13,10 +13,10 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import (neighbor_counts_bruteforce, pool3_scipy_oracle,
-                     scatter3_padded_oracle, soft_skeleton_tape_oracle)
-from tubekit.skeleton import (SoftSkeletonTape, _pool3, _scatter3, endpoints,
-                              hard_skeleton, soft_skeleton_array)
+from oracles import (pool3_scipy_oracle, scatter3_padded_oracle,
+                     soft_skeleton_tape_oracle)
+from tubekit.skeleton import (SoftSkeletonTape, _pool3, _scatter3, hard_skeleton,
+                              soft_skeleton_array)
 
 H = 1e-3
 
@@ -116,16 +116,3 @@ def test_stops_once_the_erosion_is_empty():
     tape = SoftSkeletonTape(x, 10)
     assert tape.iterations == 2
     assert tape.skeleton.tobytes() == soft_skeleton_tape_oracle(x, 10).skeleton.tobytes()
-
-
-def test_endpoints_match_bruteforce_neighbor_counts():
-    rng = np.random.default_rng(11)
-    for p in (0.05, 0.15, 0.3):
-        for _ in range(4):
-            shape = tuple(int(n) for n in rng.integers(3, 10, 3))
-            fg = rng.random(shape) < p
-            counts = neighbor_counts_bruteforce(fg)
-            ends = np.argwhere(fg & (counts <= 1))
-            expected = sorted((tuple(int(c) for c in v) for v in ends),
-                              key=lambda c: (c[2], c[1], c[0]))  # x fastest
-            assert list(map(tuple, endpoints(fg).tolist())) == expected
