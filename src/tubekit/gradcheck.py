@@ -1,8 +1,9 @@
-"""Finite-difference audit of the loss gradients.
+"""Finite-difference checks of the loss gradients.
 
-Each loss term's analytic gradient is compared with a central difference
-of step ``GRADCHECK_H`` at seeded voxels of seeded inputs, so a fixed
-(seed, size) gives a fixed report.
+``rel_errors`` and ``tie_free_rel_errors`` are the one harness that the
+audit and the gradient tests share: central differences of step
+``GRADCHECK_H``.  The audit runs them at seeded voxels of seeded inputs,
+so a fixed (seed, size) gives a fixed report.
 """
 
 import itertools
@@ -27,13 +28,38 @@ def _nudged(x: np.ndarray, voxel, step: float) -> np.ndarray:
     return x
 
 
-def central_difference(fn, x: np.ndarray, voxel) -> float:
-    return (fn(_nudged(x, voxel, GRADCHECK_H))
-            - fn(_nudged(x, voxel, -GRADCHECK_H))) / (2.0 * GRADCHECK_H)
-
-
-def _rel_err(analytic: float, fd: float) -> float:
+def _rel_err(analytic: float, f_plus: float, f_minus: float) -> float:
+    fd = (f_plus - f_minus) / (2.0 * GRADCHECK_H)
     return abs(analytic - fd) / max(abs(fd), 1e-8)
+
+
+def rel_errors(value, grad: np.ndarray, x, voxels) -> list:
+    """|grad[v] - fd| / max(|fd|, 1e-8) at each voxel v, fd the central
+    difference of the scalar function ``value`` at x (as float64)."""
+    x = np.asarray(x, dtype=np.float64)
+    return [_rel_err(grad[v], value(_nudged(x, v, GRADCHECK_H)),
+                     value(_nudged(x, v, -GRADCHECK_H))) for v in voxels]
+
+
+def tie_free_rel_errors(x, grad: np.ndarray, iterations: int, candidates,
+                        want: int) -> list:
+    """The connectivity loss's ``rel_errors`` at the first ``want``
+    candidates whose +h and -h probes both leave every pooling/relu/
+    threshold selection as at x (``losses.loss_con_signature``); the
+    difference is taken from the two probes' values."""
+    x = np.asarray(x, dtype=np.float64)
+    sig0, _ = losses.loss_con_signature(x, iterations)
+    errs = []
+    for v in candidates:
+        if len(errs) >= want:
+            break
+        sig_p, f_p = losses.loss_con_signature(_nudged(x, v, GRADCHECK_H), iterations)
+        if sig_p != sig0:
+            continue
+        sig_m, f_m = losses.loss_con_signature(_nudged(x, v, -GRADCHECK_H), iterations)
+        if sig_m == sig0:
+            errs.append(_rel_err(grad[v], f_p, f_m))
+    return errs
 
 
 def _sample_voxels(dims, seed, count, interior=0):
@@ -99,28 +125,16 @@ def gradcheck_report(seed: int, size: int) -> dict:
               ("spatial", lambda x: losses.loss_spatial_array(x, guide, kparams)),
               ("mix", lambda x: losses.loss_mix_array(x, m)))
     for name, term in smooth:
-        g = term(yhat)[1]
-        errs = [_rel_err(g[v], central_difference(lambda x: term(x)[0], yhat, v))
-                for v in voxels]
+        errs = rel_errors(lambda x: term(x)[0], term(yhat)[1], yhat, voxels)
         report[name] = {"max_rel_err": max(errs), "points": len(errs)}
 
     tube = _tube_prediction(size, seed * 8 + 6)
     _, g = losses.loss_con_array(tube, SKEL_ITERS)
-    sig0, _ = losses.loss_con_signature(tube, SKEL_ITERS)
-    errs = []
     # Check where the gradient is live, not only at inert background.
     flat = np.argsort(-np.abs(g), axis=None, kind="stable")[:CON_POINTS * 2]
     candidates = [tuple(int(c) for c in np.unravel_index(i, dims)) for i in flat]
     candidates += _sample_voxels(dims, seed * 8 + 7, CON_POINTS * 2, interior=1)
-    for v in candidates:
-        if len(errs) >= CON_POINTS:
-            break
-        sig_p, f_p = losses.loss_con_signature(_nudged(tube, v, GRADCHECK_H), SKEL_ITERS)
-        if sig_p != sig0:
-            continue
-        sig_m, f_m = losses.loss_con_signature(_nudged(tube, v, -GRADCHECK_H), SKEL_ITERS)
-        if sig_m == sig0:  # the central difference, from the two probes' values
-            errs.append(_rel_err(g[v], (f_p - f_m) / (2.0 * GRADCHECK_H)))
+    errs = tie_free_rel_errors(tube, g, SKEL_ITERS, candidates, CON_POINTS)
     report["con"] = {"max_rel_err": max(errs) if errs else 0.0,
                      "points": len(errs), "tie_free_only": True}
     return report

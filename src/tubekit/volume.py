@@ -352,7 +352,8 @@ def load_tvol(path):
     """Read a .tvol file back into a Volume3 or Mask3.
 
     The header is checked before any payload byte is read: dims, spacing,
-    and the payload length the dims imply against the file's size."""
+    and the payload length the dims imply against the file's size.  The
+    container checks the values; its ParameterError becomes a FileFormatError."""
     with open(path, "rb") as fh:
         kind, dims, spacing = _read_header(fh, path)
         if min(dims) < 1:
@@ -368,13 +369,12 @@ def load_tvol(path):
                 f"but payload holds {held // dtype.itemsize}")
         raw = fh.read(held)
     data = np.frombuffer(raw, dtype=dtype).reshape(dims, order="F")
-    if kind == "volume":
-        if not np.all(np.isfinite(data)):
-            raise FileFormatError(f"{path}: non-finite data in payload")
-        return Volume3(dims, spacing, data)
-    if data.max(initial=0) > 1:
-        raise FileFormatError(f"{path}: mask payload holds values outside {{0,1}}")
-    return Mask3(dims, data, spacing)
+    try:
+        if kind == "volume":
+            return Volume3(dims, spacing, data)
+        return Mask3(dims, data, spacing)
+    except ParameterError as exc:
+        raise FileFormatError(f"{path}: {exc}") from None
 
 
 def roi_from_label(y: Mask3, margin: int = DEFAULT_ROI_MARGIN) -> RoiBox:

@@ -223,15 +223,6 @@ def surface_voxels_bruteforce(mask):
     return np.array(out, dtype=np.int64).reshape(-1, 3)
 
 
-def central_difference(fn, x, voxel, h=1e-3):
-    """Two-sided finite difference of a scalar function at one voxel."""
-    xp = np.array(x, dtype=np.float64)
-    xp[voxel] += h
-    xm = np.array(x, dtype=np.float64)
-    xm[voxel] -= h
-    return (fn(xp) - fn(xm)) / (2.0 * h)
-
-
 def conv3d_same_oracle(x, w):
     """Zero-padded same convolution over every tap, in (dz, dy, dx) order,
     x (C_in, D, H, W), w (C_out, C_in, k, k, k)."""

@@ -15,17 +15,16 @@ from tubekit.cli import main as cli_main
 from tubekit.fusion import (AttentionParams, FlexConvParams, attention_rows,
                             cross_attention, d2sd_fuse, feature_map_from_seed,
                             flex_conv_block, tokens)
-from tubekit.losses import (GatedKernelParams, loss_con_array,
-                            loss_con_signature, loss_gsb, loss_mix_array,
-                            loss_r_sup_array, loss_spatial_array)
+from tubekit.gradcheck import rel_errors, tie_free_rel_errors
+from tubekit.losses import (GatedKernelParams, loss_con_array, loss_gsb,
+                            loss_mix_array, loss_r_sup_array, loss_spatial_array)
 from tubekit.metrics import (dice, precision_recall_f1, surface_distances,
                              surface_voxels, tree_metrics)
 from tubekit.skeleton import (connected_components, hard_skeleton, reconnect,
                               soft_skeleton_array)
 from tubekit.vesselness import JermanParams, vesselness_multiscale
 
-from oracles import (bresenham_line, brute_surface_distances, central_difference,
-                     jacobi_eigenvalues)
+from oracles import bresenham_line, brute_surface_distances, jacobi_eigenvalues
 from single_voxel import EigenTriple, eig3_symmetric, jerman_response
 
 
@@ -60,25 +59,15 @@ def test_criterion_01_gradient_suite():
             m[0, 0, 0] = 1.0
         points = [tuple(rng.integers(0, size, 3)) for _ in range(8)]
 
-        _, g = loss_r_sup_array(y, yhat, roi, beta)
-        for v in points:
-            fd = central_difference(
-                lambda x: loss_r_sup_array(y, x, roi, beta)[0], yhat, v)
-            worst["r_sup"] = max(worst["r_sup"], abs(g[v] - fd) / max(abs(fd), 1e-8))
-
-        _, g, _ = loss_spatial_array(yhat, guide, kparams)
-        for v in points:
-            fd = central_difference(
-                lambda x: loss_spatial_array(x, guide, kparams)[0], yhat, v)
-            worst["spatial"] = max(worst["spatial"], abs(g[v] - fd) / max(abs(fd), 1e-8))
-
-        _, g = loss_mix_array(yhat, m)
-        for v in points:
-            fd = central_difference(lambda x: loss_mix_array(x, m)[0], yhat, v)
-            worst["mix"] = max(worst["mix"], abs(g[v] - fd) / max(abs(fd), 1e-8))
+        smooth = (("r_sup", lambda x: loss_r_sup_array(y, x, roi, beta)),
+                  ("spatial", lambda x: loss_spatial_array(x, guide, kparams)),
+                  ("mix", lambda x: loss_mix_array(x, m)))
+        for name, term in smooth:
+            errs = rel_errors(lambda x: term(x)[0], term(yhat)[1], yhat, points)
+            worst[name] = max([worst[name], *errs])
 
     # connectivity: tie-free voxels on jittered connected tubes
-    iters, h = 3, 1e-3
+    iters = 3
     _, label = make_phantom(PhantomSpec("cylinder", radius_mm=1.5), (17, 17, 17))
     lab8 = label.data[:size, :size, :size].astype(np.float64)
     checked_total = 0
@@ -87,25 +76,11 @@ def test_criterion_01_gradient_suite():
         pred = np.clip(0.12 + 0.78 * lab8
                        + rng.uniform(-0.02, 0.02, dims), 0.1, 0.9)
         _, g = loss_con_array(pred, iterations=iters)
-        sig0 = loss_con_signature(pred, iterations=iters)[0]
         live = np.argsort(-np.abs(g), axis=None)[:30]
-        checked = 0
-        for flat in live:
-            if checked >= 10:
-                break
-            v = tuple(int(c) for c in np.unravel_index(flat, dims))
-            xp = pred.copy()
-            xp[v] += h
-            xm = pred.copy()
-            xm[v] -= h
-            if (loss_con_signature(xp, iterations=iters)[0] != sig0
-                    or loss_con_signature(xm, iterations=iters)[0] != sig0):
-                continue
-            fd = central_difference(
-                lambda x: loss_con_array(x, iterations=iters)[0], pred, v, h)
-            worst["con"] = max(worst["con"], abs(g[v] - fd) / max(abs(fd), 1e-8))
-            checked += 1
-        checked_total += checked
+        candidates = [tuple(int(c) for c in np.unravel_index(f, dims)) for f in live]
+        errs = tie_free_rel_errors(pred, g, iters, candidates, 10)
+        worst["con"] = max([worst["con"], *errs])
+        checked_total += len(errs)
 
     elapsed = time.perf_counter() - t0
     assert worst["r_sup"] <= 1e-4, worst

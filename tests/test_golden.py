@@ -5,6 +5,9 @@ kinds at 33x30x28 with anisotropic spacing and noise, and covers every
 command: vesselness bright and dark, skeleton of a mask and of a volume,
 reconnect with its report, loss with the defaults and with non-default
 --beta, --radius and an explicit --roi, metrics, fusion-demo and gradcheck.
+Those inputs are too small to split into slabs, so the script also makes
+the helix phantom at 64x64x40 (three z-slabs) and its bright vesselness
+(three slabs at one worker, six at two).
 It runs at one and at two workers, and both must give the hashes in
 ``golden.json``.  A change that moves a bit of any artifact fails here; one
 that means to change the numerics re-records the file and says by how much.
@@ -60,6 +63,11 @@ def artifacts(out: Path) -> dict:
         mask = out / f"{kind}-mask.tvol"
         save_tvol(Mask3(resp.dims, (resp.data > 0.5).astype(np.uint8), resp.spacing), mask)
         _run("metrics", "--pred", mask, "--gt", lab, "--json", out / f"{kind}-metrics.json")
+    img = out / "helix-slabs-img.tvol"
+    _run("phantom", "--kind", "helix", "--dims", "64,64,40", "--noise-sigma", 0.3,
+         "--seed", 5, "--out-image", img, "--out-label", out / "helix-slabs-lab.tvol")
+    _run("vesselness", "--in", img, "--polarity", "bright",
+         "--out", out / "helix-slabs-vess-bright.tvol")
     _run("fusion-demo", "--json", out / "fusion.json")
     _run("gradcheck", "--json", out / "gradcheck.json")
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()

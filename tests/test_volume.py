@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 import tracemalloc
 
@@ -229,6 +230,15 @@ def test_tvol_rejects_non_finite_payload(tmp_path):
     header = b"TVOL1" + struct.pack("<B3I3f", 0, 1, 1, 2, 1.0, 1.0, 1.0)
     path.write_bytes(header + struct.pack("<2f", 1.0, float("nan")))
     with pytest.raises(FileFormatError, match="non-finite"):
+        load_tvol(path)
+
+
+def test_tvol_rejects_mask_payload_above_one(tmp_path):
+    path = tmp_path / "two.tvol"
+    header = b"TVOL1" + struct.pack("<B3I3f", 1, 1, 1, 2, 1.0, 1.0, 1.0)
+    path.write_bytes(header + bytes([1, 2]))
+    with pytest.raises(FileFormatError,
+                       match=rf"^{re.escape(str(path))}: mask values must be exactly 0 or 1$"):
         load_tvol(path)
 
 
