@@ -5,10 +5,11 @@ The response of a voxel is driven by the magnitude-ordered eigenvalues
 background produce l2 ~ l3 << 0, so for that polarity l2 and l3 are
 negated before the response is evaluated; the regularized lp replaces l3
 with a volume-level floor tau * max(l3) to keep low-contrast vessels
-from vanishing.  Each scale is smoothed in blocks into one float64 field,
-then differentiated and eigen-solved in slabs of planes along axis 0, one
-slab per part of the ``TUBEKIT_THREADS`` pool (tubekit.workers), with
-2^16 voxels in flight across all workers.  A voxel can respond only if
+from vanishing.  Each scale is smoothed one x-block at a time straight
+into the float32 scale, then differentiated on flat runs of one float64
+buffer per slab and eigen-solved in slabs of planes along axis 0; blocks
+and slabs are parts of the ``TUBEKIT_THREADS`` pool (tubekit.workers),
+with 2^16 voxels in flight across all workers.  A voxel can respond only if
 sign*tr(H) >= |H|_F / sqrt(3), up to the margin ``_cut`` proves, and
 only such voxels are eigen-solved: about a third of a noisy volume.  A
 slab keeps a mask of the voxels where the signed l2 and l3 are both > 0
@@ -16,10 +17,9 @@ and their l2 and l3, its candidates' max(l3) and the largest bound
 |H|_F >= sign*l3 of the voxels it ruled out.  A second pass, one slab at
 a time, differentiates again only the slabs whose bound exceeds the
 candidates' max, and solves there the ruled-out voxels above it.  The
-peak memory is about two float64 volume fields (the smoothing's float64
-field, the smoothed scale and the running max in float32) plus the
-slabs' work, and where every voxel responds, the kept eigenvalues add
-2.1 fields while the slabs run.
+peak memory is about one float64 volume field (the smoothed scale and
+the running max in float32) plus the slabs' work, and where every voxel
+responds, the kept eigenvalues add 2.1 fields while the slabs run.
 """
 
 import math
@@ -79,26 +79,31 @@ def gaussian_smooth(data: np.ndarray, spacing, sigma: float) -> np.ndarray:
     """Separable Gaussian smoothing with replicate boundaries, rounded to
     float32.  Kernel radius is ceil(3*sigma/spacing) per axis, at most the
     largest dimension; each 1D kernel sums to 1, so constants are
-    preserved exactly.  The x then y passes run per z-block into one
-    float64 field, the z pass per x-block straight into the float32
-    result: every line is still filtered whole, in x, y, z order."""
+    preserved exactly.  Per x-block, the x pass sums shifted planes in
+    float64 in correlate1d's symmetric-kernel order (the centre, then each
+    pair j = r..1 apart), then the y pass and the z pass, straight into
+    the float32 result: every line is filtered whole, in x, y, z order."""
     if not sigma > 0:
         raise ParameterError(f"sigma must be positive, got {sigma}")
     _check_kernel_radius(data.shape, spacing, sigma)
     src = np.asarray(data)
     kx, ky, kz = (_gaussian_kernel(sigma, s) for s in spacing)
-    mid, out = np.empty(src.shape), np.empty(src.shape, dtype=np.float32)
+    out, (nx, ny, nz), r = np.empty(src.shape, dtype=np.float32), src.shape, len(kx) // 2
 
-    def xy(z):
-        t = correlate1d(src[:, :, z], kx, axis=0, output=float, mode="nearest")
-        correlate1d(t, ky, axis=1, output=mid[:, :, z], mode="nearest")
+    def block(s):
+        lo, hi = s.start, s.stop
+        # planes lo - r .. hi + r - 1; only blocks near an end gather clamped ones
+        ext = (src[lo - r:hi + r] if r <= lo and hi + r <= nx
+               else src[np.clip(np.arange(lo - r, hi + r), 0, nx - 1)])
+        acc = np.multiply(ext[r:r + hi - lo], kx[r], dtype=np.float64)
+        t = np.empty_like(acc)
+        for j in range(r, 0, -1):
+            np.add(ext[r - j:r - j + hi - lo], ext[r + j:r + j + hi - lo], out=t, dtype=np.float64)
+            acc += np.multiply(t, kx[r - j], out=t)
+        correlate1d(acc, ky, axis=1, output=t, mode="nearest")
+        correlate1d(t, kz, axis=2, output=out[s], mode="nearest")
 
-    def zpass(x):
-        correlate1d(mid[x], kz, axis=2, output=out[x], mode="nearest")
-
-    nx, ny, nz = src.shape
-    parallel_map(xy, _slabs(nz, nx * ny))
-    parallel_map(zpass, _slabs(nx, ny * nz))
+    parallel_map(block, _slabs(nx, ny * nz))
     return out
 
 
@@ -109,34 +114,55 @@ def _slabs(n: int, plane: int) -> list:
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
+def _divide(t: np.ndarray, d: float):
+    """t /= d in place for d > 0, bit for bit.  t / 2^k and t * 2^-k round
+    the same real number once, so a power of two whose reciprocal is
+    finite is a multiply, and 1 is nothing."""
+    m, e = math.frexp(d)
+    if m != 0.5 or e < -1022:
+        t /= d
+    elif d != 1.0:
+        t *= math.ldexp(1.0, 1 - e)
+
+
 def hessian_at_scale(smooth: np.ndarray, spacing, sigma: float,
                      planes: slice) -> np.ndarray:
     """sigma^2 times the Hessian of ``smooth`` on ``planes`` along axis 0,
     edge-replicated only at the volume's ends: float32 components
     (..., 6), (xx, xy, xz, yy, yz, zz), mm^-2, a view of six contiguous
-    planes.  Central differences in mm units, each formed in place."""
+    planes.  Central differences in mm units, each formed in place on
+    flat runs of one float64 buffer: the slab with its edge-replicated rim
+    between zeroed margins of a row + 1; the rim's results are dropped."""
     if min(smooth.shape) < 5:
         raise ParameterError(f"dims {smooth.shape} too small for the second-derivative stencil")
     lo, hi = planes.start, planes.stop
-    ends = (int(lo == 0), int(hi == smooth.shape[0]))
-    g = np.pad(smooth[max(lo - 1, 0):hi + 1], (ends, (1, 1), (1, 1)), mode="edge").astype(float)
+    nx, ny, nz = smooth.shape
+    row, plane, n = nz + 2, (ny + 2) * (nz + 2), (hi - lo) * (ny + 2) * (nz + 2)
+    buf = np.empty(n + 2 * plane + 2 * (row + 1))
+    buf[:row + 1] = buf[-row - 1:] = 0.0
+    g = buf[row + 1:-row - 1].reshape(hi - lo + 2, ny + 2, nz + 2)
+    g[:, 1:-1, 1:-1] = smooth[np.clip(np.arange(lo - 1, hi + 1), 0, nx - 1)]
+    g[:, 1:-1, [0, -1]] = g[:, 1:-1, [1, -2]]  # the edge mode of np.pad, axis by axis
+    g[:, [0, -1]] = g[:, [1, -2]]
 
-    def sl(*shift):
-        return g[tuple(slice(1 + d, n - 1 + d) for d, n in zip(shift, g.shape))]
+    def sl(dx, dy, dz):
+        o = row + 1 + plane * (1 + dx) + row * dy + dz
+        return buf[o:o + n]
 
     f2 = 2.0 * sl(0, 0, 0)
-    t, comps = np.empty(f2.shape), np.empty((6,) + f2.shape, dtype=np.float32)
+    t, comps = np.empty(n), np.empty((6, hi - lo, ny, nz), dtype=np.float32)
     with np.errstate(over="ignore"):  # an overflow to inf is the error below
         for k, (i, j) in enumerate(((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))):
             e, u = np.eye(3, dtype=int)[[i, j]]
             if i == j:  # (f[+e] - 2f + f[-e]) / s^2
                 np.add(np.subtract(sl(*e), f2, out=t), sl(*-e), out=t)
-                t /= spacing[i] * spacing[i]
+                _divide(t, spacing[i] * spacing[i])
             else:  # (f[+e+u] - f[+e-u] - f[-e+u] + f[-e-u]) / (4 s_e s_u)
                 np.subtract(np.subtract(sl(*e + u), sl(*e - u), out=t), sl(*u - e), out=t)
                 t += sl(*-e - u)
-                t /= 4.0 * spacing[i] * spacing[j]
-            np.multiply(t, sigma * sigma, out=comps[k])
+                _divide(t, 4.0 * spacing[i] * spacing[j])
+            np.multiply(t.reshape(hi - lo, ny + 2, nz + 2)[:, 1:-1, 1:-1], sigma * sigma,
+                        out=comps[k])
     if not np.isfinite(comps).all():
         raise ParameterError("Hessian components must be finite")
     return np.moveaxis(comps, 0, -1)

@@ -353,7 +353,9 @@ def load_tvol(path):
 
     The header is checked before any payload byte is read: dims, spacing,
     and the payload length the dims imply against the file's size.  The
-    container checks the values; its ParameterError becomes a FileFormatError."""
+    payload is read in z-chunks of about ``_PHANTOM_SLAB`` voxels straight
+    into one C-order array, so one payload is held.  The container checks
+    the values; its ParameterError becomes a FileFormatError."""
     with open(path, "rb") as fh:
         kind, dims, spacing = _read_header(fh, path)
         if min(dims) < 1:
@@ -367,8 +369,14 @@ def load_tvol(path):
             raise FileFormatError(
                 f"{path}: length mismatch, header says {count} voxels "
                 f"but payload holds {held // dtype.itemsize}")
-        raw = fh.read(held)
-    data = np.frombuffer(raw, dtype=dtype).reshape(dims, order="F")
+        nx, ny, nz = dims
+        data, step = np.empty(dims, dtype), max(1, _PHANTOM_SLAB // (nx * ny))
+        chunk = np.empty((min(step, nz), ny, nx), dtype)  # (z, y, x) in C order is x-fastest
+        for z0 in range(0, nz, step):
+            part = chunk[:min(step, nz - z0)]
+            if fh.readinto(part) != part.nbytes:
+                raise FileFormatError(f"{path}: truncated payload")
+            data[:, :, z0:z0 + step] = part.T
     try:
         if kind == "volume":
             return Volume3(dims, spacing, data)

@@ -272,10 +272,12 @@ def test_multiscale_rotation_covariance():
     assert np.abs(back - resp_z.data).mean() <= 1e-3
 
 
-def _peak_volumes(image, monkeypatch):
-    """tracemalloc's peak over one default vesselness run at two workers, in
-    float64 volumes.  Two workers, on any host, keep two slabs in flight."""
-    monkeypatch.setenv("TUBEKIT_THREADS", "2")
+def _peak_volumes(image, monkeypatch, threads=2,
+                  run=lambda image: vesselness_multiscale(image, JermanParams())):
+    """tracemalloc's peak over ``run(image)``, one default vesselness run
+    unless given, at two workers unless given, in float64 volumes.  Two
+    workers, on any host, keep two slabs in flight."""
+    monkeypatch.setenv("TUBEKIT_THREADS", str(threads))
     monkeypatch.setattr(workers, "_available_cores", lambda: 2)
     started = not tracemalloc.is_tracing()
     if started:
@@ -283,7 +285,7 @@ def _peak_volumes(image, monkeypatch):
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        vesselness_multiscale(image, JermanParams())
+        run(image)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         if started:
@@ -298,6 +300,14 @@ def test_multiscale_peak_memory_is_bounded(monkeypatch):
     # 64^3 the 2^16 voxels in flight are a quarter of the volume.
     image, _ = make_phantom(PhantomSpec("helix", 2.0, noise_sigma=0.3, seed=1), (64, 64, 64))
     assert _peak_volumes(image, monkeypatch) <= 5.5
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_smoothing_peak_memory_is_under_one_volume(monkeypatch, threads):
+    # Each x-block is smoothed on its own into the float32 result, half a
+    # float64 volume; a whole-volume float64 field beside it read 1.53.
+    image = _vol(np.random.default_rng(5).random((128, 128, 128), dtype=np.float32))
+    assert _peak_volumes(image, monkeypatch, threads, lambda image: _smooth(image, 3.0)) <= 1.0
 
 
 def test_multiscale_peak_memory_when_most_voxels_respond(monkeypatch):

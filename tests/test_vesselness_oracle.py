@@ -10,6 +10,9 @@ block bounds, including 1-plane slabs, a short last slab and a single slab.
 The same bits come out at 1, 2 and 3 pool workers, and the package's
 response, which forms the middle branch everywhere and then selects,
 equals the oracle's at every voxel, tiny and signed-zero eigenvalues too.
+The smoothing's x-blocks and the Hessian's slabs, each against the
+oracle's whole-volume passes, and the Hessian's divisions by a power of
+two, against true division, are pinned on their own as well.
 """
 
 import contextlib
@@ -21,10 +24,11 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from oracles import _jerman_oracle, gaussian_smooth_oracle, vesselness_multiscale_oracle
+from oracles import (_hessian_whole_volume_oracle, _jerman_oracle, gaussian_kernel_1d,
+                     gaussian_smooth_oracle, vesselness_multiscale_oracle)
 from tubekit import ParameterError, PhantomSpec, Volume3, make_phantom, vesselness, workers
-from tubekit.vesselness import (JermanParams, _jerman_response, gaussian_smooth,
-                                vesselness_multiscale)
+from tubekit.vesselness import (JermanParams, _divide, _jerman_response, gaussian_smooth,
+                                hessian_at_scale, vesselness_multiscale)
 
 
 def _volume(kind, shape, spacing, seed):
@@ -129,18 +133,72 @@ def test_worker_count_changes_no_bit(kind, shape, spacing, scales, polarity, pla
 
 @pytest.mark.parametrize("slab_voxels", [1, 420])
 def test_smoothing_blocks_match_whole_volume_oracle(slab_voxels):
-    # (7, 10, 11): z-blocks of 70-voxel planes, x-blocks of 110-voxel ones.
-    # 1 voxel gives 1-plane blocks; 420 at 1, 2 and 3 workers gives z-blocks
-    # of 6, 3 and 2 planes and x-blocks of 3, 1 and 1, each with a short last
-    # block where the axis is not a multiple of the step.
-    vol = _volume("noise", (7, 10, 11), (0.6, 1.0, 1.7), seed=9)
-    for sigma in (0.7, 2.0):
-        want = _bits(gaussian_smooth_oracle(vol.data, vol.spacing, sigma))
-        for n in (1, 2, 3):
-            with _workers(n), mock.patch.object(vesselness, "_SLAB_VOXELS", slab_voxels):
-                got = gaussian_smooth(vol.data, vol.spacing, sigma)
-            assert got.dtype == np.float32
-            assert _bits(got) == want, (sigma, n)
+    # x-blocks of 110-voxel planes: 1 voxel gives 1-plane blocks; 420 at 1,
+    # 2 and 3 workers gives 3, 1 and 1 planes, with a short last block where
+    # the axis is not a multiple of the step.  The x kernel's radius is 4
+    # planes at sigma 0.7 and 10 at 2.0: at 7 planes every block gathers
+    # clamped planes, at 40 the blocks between read the source's own.
+    for shape in ((7, 10, 11), (40, 10, 11)):
+        vol = _volume("noise", shape, (0.6, 1.0, 1.7), seed=9)
+        for sigma in (0.7, 2.0):
+            want = _bits(gaussian_smooth_oracle(vol.data, vol.spacing, sigma))
+            for n in (1, 2, 3):
+                with _workers(n), mock.patch.object(vesselness, "_SLAB_VOXELS", slab_voxels):
+                    got = gaussian_smooth(vol.data, vol.spacing, sigma)
+                assert got.dtype == np.float32
+                assert _bits(got) == want, (shape, sigma, n)
+
+
+def test_smoothing_sums_x_taps_in_correlate1d_order():
+    # An x-line (0, c, a, a, 1, a, a, c, 0) whose pair terms cancel to far
+    # below their size: at its middle the float64 sum rounds differently
+    # with the taps added 3, 2, 1 after the centre, as correlate1d does for
+    # a symmetric kernel, than 1, 2, 3.  The float32 result keeps the
+    # difference; the lines along y and z are constant.
+    w = gaussian_kernel_1d(0.7, 1.0)[3:]  # the centre tap, then taps 1..3 planes away
+    a = (2.0 ** 44 + np.arange(4096) * 2.0 ** 21).astype(np.float32).astype(float)
+    c = (-a * (w[1] + w[2]) / w[3]).astype(np.float32).astype(float)
+    down = ((w[0] + 2 * c * w[3]) + 2 * a * w[2]) + 2 * a * w[1]
+    up = ((w[0] + 2 * a * w[1]) + 2 * a * w[2]) + 2 * c * w[3]
+    k = np.flatnonzero(down.astype(np.float32) != up.astype(np.float32))[0]
+    line = np.zeros(9, dtype=np.float32)
+    line[[2, 3, 5, 6]], line[[1, 7]], line[4] = a[k], c[k], 1.0
+    data = np.broadcast_to(line[:, None, None], (9, 6, 7))
+    got = gaussian_smooth(data, (1.0, 1.0, 1.0), 0.7)
+    assert got[4, 0, 0] == np.float32(down[k]) != np.float32(up[k])
+    assert _bits(got) == _bits(gaussian_smooth_oracle(data, (1.0, 1.0, 1.0), 0.7))
+
+
+@pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (0.5, 0.25, 2.0), (0.6, 0.9, 1.7)])
+def test_hessian_slabs_match_whole_volume_oracle(spacing):
+    # Unit spacing skips the diagonal divisions, (0.5, 0.25, 2) multiplies by
+    # every divisor's reciprocal and (0.6, 0.9, 1.7) divides by each.  The
+    # slabs: every 1-plane slab, both ends among them, interior and end
+    # slabs of several planes, and the whole volume.
+    vol = _volume("noise", (9, 7, 8), spacing, seed=2)
+    smooth = gaussian_smooth_oracle(vol.data, spacing, 1.3)
+    want = _hessian_whole_volume_oracle(vol.data, spacing, 1.3)
+    for lo, hi in [(i, i + 1) for i in range(9)] + [(0, 4), (4, 7), (7, 9), (2, 9), (0, 9)]:
+        got = hessian_at_scale(smooth, spacing, 1.3, slice(lo, hi))
+        assert got.dtype == np.float32 and got.shape == want[lo:hi].shape
+        assert _bits(got) == _bits(want[lo:hi]), (lo, hi)
+
+
+_DIVIDEND = st.one_of(st.floats(allow_nan=False),
+                      st.sampled_from([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324,
+                                       2.2250738585072014e-308, 1.5e-310]))
+
+
+@given(st.lists(_DIVIDEND, min_size=1, max_size=32),
+       st.one_of(st.integers(-30, 30).map(lambda k: 2.0 ** k),
+                 st.floats(min_value=5e-324, allow_infinity=False)))
+def test_divide_matches_true_division(dividends, d):
+    # d = 2^k (1 at k = 0) takes the reciprocal or no step; any other d divides.
+    t = np.array(dividends)
+    with np.errstate(all="ignore"):  # overflow and underflow, the same on both paths
+        want = t / d
+        _divide(t, d)
+    assert t.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
 
 
 def test_non_finite_hessian_raises_from_a_worker():

@@ -165,7 +165,7 @@ def test_tvol_round_trip_masks(tmp_path):
 def test_tvol_chunks_write_the_whole_volume_payload(tmp_path, monkeypatch, dims, slab):
     # Chunks of 16 voxels: 3x5 planes go one at a time, 4x2 planes two at a
     # time with a short last chunk of one; 64x64 planes go 16 at a time, 21
-    # leaving a short last chunk of 5.
+    # leaving a short last chunk of 5.  load_tvol reads back in the same chunks.
     monkeypatch.setattr(volume, "_PHANTOM_SLAB", slab)
     rng = np.random.default_rng(11)
     vol = Volume3(dims, (1.0, 0.5, 2.0), rng.standard_normal(dims).astype(np.float32))
@@ -175,6 +175,9 @@ def test_tvol_chunks_write_the_whole_volume_payload(tmp_path, monkeypatch, dims,
         save_tvol(obj, path)
         # the payload as one whole-volume Fortran ravel, after the 30-byte header
         assert path.read_bytes()[30:] == obj.data.astype(dtype).ravel(order="F").tobytes()
+        back = load_tvol(path)
+        assert back.data.flags.c_contiguous and back.data.dtype == dtype
+        assert back.data.tobytes() == obj.data.tobytes()
 
 
 def test_tvol_save_makes_no_whole_volume_copy(tmp_path):
@@ -189,6 +192,42 @@ def test_tvol_save_makes_no_whole_volume_copy(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 0.5 * 4 * np.prod(dims)
+
+
+@pytest.mark.parametrize("kind, bound", [("volume", 1.35), ("mask", 1.15)])
+def test_tvol_load_holds_one_payload(tmp_path, kind, bound):
+    # The payload goes in z-chunks straight into the C-order array; a whole
+    # read, a Fortran view and its C-order copy held two payloads.  The
+    # volume's finiteness check adds a bool array of a quarter payload.
+    dims = (128, 128, 128)
+    rng = np.random.default_rng(3)
+    if kind == "volume":
+        obj, size = Volume3(dims, (1.0, 1.0, 1.0), rng.random(dims, dtype=np.float32)), 4
+    else:
+        obj, size = Mask3(dims, (rng.random(dims, dtype=np.float32) < 0.5).astype(np.uint8)), 1
+    path = tmp_path / "big.tvol"
+    save_tvol(obj, path)
+    obj = None
+    tracemalloc.start()
+    try:
+        back = load_tvol(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.dims == dims
+    assert peak <= bound * size * np.prod(dims)
+
+
+def test_tvol_short_payload_read(tmp_path, monkeypatch):
+    # The file shrinks between the length check and the read: the header
+    # promises 8 voxels, fstat reports their 32 bytes, 7 are there.
+    path = tmp_path / "shrunk.tvol"
+    header = b"TVOL1" + struct.pack("<B3I3f", 0, 2, 2, 2, 1.0, 1.0, 1.0)
+    path.write_bytes(header + struct.pack("<7f", *range(7)))
+    stat = volume.os.fstat
+    monkeypatch.setattr(volume.os, "fstat", lambda fd: type("S", (), {"st_size": stat(fd).st_size + 4}))
+    with pytest.raises(FileFormatError, match=rf"^{re.escape(str(path))}: truncated payload$"):
+        load_tvol(path)
 
 
 def test_tvol_bad_magic(tmp_path):
