@@ -8,18 +8,19 @@ with a volume-level floor tau * max(l3) to keep low-contrast vessels
 from vanishing.  Each scale is smoothed one x-block at a time straight
 into the float32 scale, then differentiated on flat runs of one float64
 buffer per slab and eigen-solved in slabs of planes along axis 0; blocks
-and slabs are parts of the ``TUBEKIT_THREADS`` pool (tubekit.workers),
-with 2^16 voxels in flight across all workers.  A voxel can respond only if
-sign*tr(H) >= |H|_F / sqrt(3), up to the margin ``_cut`` proves, and
-only such voxels are eigen-solved: about a third of a noisy volume.  A
-slab keeps a mask of the voxels where the signed l2 and l3 are both > 0
-and their l2 and l3, its candidates' max(l3) and the largest bound
-|H|_F >= sign*l3 of the voxels it ruled out.  A second pass, one slab at
-a time, differentiates again only the slabs whose bound exceeds the
-candidates' max, and solves there the ruled-out voxels above it.  The
-peak memory is about one float64 volume field (the smoothed scale and
-the running max in float32) plus the slabs' work, and where every voxel
-responds, the kept eigenvalues add 2.1 fields while the slabs run.
+and slabs hold 2^16 voxels each, parts of the ``TUBEKIT_THREADS`` pool
+(tubekit.workers), so each worker has one in flight.  A voxel can respond
+only if sign*tr(H) >= |H|_F / sqrt(3), up to the margin ``_cut`` proves,
+and only such voxels are eigen-solved, at most a quarter slab at a time:
+about a third of a noisy volume.  A slab keeps a bit mask of the voxels
+where the signed l2 and l3 are both > 0 and their l2 and l3, its
+candidates' max(l3) and the largest bound |H|_F >= sign*l3 of the voxels
+it ruled out.  A second pass, one plane at a time, differentiates again
+only the slabs whose bound exceeds the candidates' max, and solves there
+the ruled-out voxels above it.  The peak memory is about one float64
+volume field (the smoothed scale and the running max in float32) plus,
+per worker, a slab's work of up to 5.6 float64 per slab voxel, and where
+every voxel responds, the kept eigenvalues add 2 fields.
 """
 
 import math
@@ -30,11 +31,11 @@ from scipy.ndimage import correlate1d
 
 from .errors import ParameterError
 from .volume import Volume3
-from .workers import parallel_map, thread_count
+from .workers import parallel_map
 
 DEFAULT_TAU = 0.5
 DEFAULT_SCALES = (1.0, 1.5, 2.0, 3.0)
-_SLAB_VOXELS = 1 << 16  # in flight across all workers; a slab is never under one plane
+_SLAB_VOXELS = 1 << 16  # per slab and smoothing block; a slab is never under one plane
 _MARGIN = 1e-9  # of _cut, relative to |H|_F
 
 
@@ -108,9 +109,9 @@ def gaussian_smooth(data: np.ndarray, spacing, sigma: float) -> np.ndarray:
 
 
 def _slabs(n: int, plane: int) -> list:
-    """Slices of an axis of n planes of ``plane`` voxels each, with
-    _SLAB_VOXELS voxels in flight across all workers."""
-    step = max(1, _SLAB_VOXELS // thread_count() // plane)
+    """Slices of an axis of n planes of ``plane`` voxels each: _SLAB_VOXELS
+    voxels a slab, or one plane if larger; the same at every worker count."""
+    step = max(1, _SLAB_VOXELS // plane)
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
@@ -141,7 +142,8 @@ def hessian_at_scale(smooth: np.ndarray, spacing, sigma: float,
     buf = np.empty(n + 2 * plane + 2 * (row + 1))
     buf[:row + 1] = buf[-row - 1:] = 0.0
     g = buf[row + 1:-row - 1].reshape(hi - lo + 2, ny + 2, nz + 2)
-    g[:, 1:-1, 1:-1] = smooth[np.clip(np.arange(lo - 1, hi + 1), 0, nx - 1)]
+    g[1:-1, 1:-1, 1:-1] = smooth[lo:hi]
+    g[0, 1:-1, 1:-1], g[-1, 1:-1, 1:-1] = smooth[max(lo - 1, 0)], smooth[min(hi, nx - 1)]
     g[:, 1:-1, [0, -1]] = g[:, 1:-1, [1, -2]]  # the edge mode of np.pad, axis by axis
     g[:, [0, -1]] = g[:, [1, -2]]
 
@@ -149,21 +151,21 @@ def hessian_at_scale(smooth: np.ndarray, spacing, sigma: float,
         o = row + 1 + plane * (1 + dx) + row * dy + dz
         return buf[o:o + n]
 
-    f2 = 2.0 * sl(0, 0, 0)
     t, comps = np.empty(n), np.empty((6, hi - lo, ny, nz), dtype=np.float32)
     with np.errstate(over="ignore"):  # an overflow to inf is the error below
         for k, (i, j) in enumerate(((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))):
             e, u = np.eye(3, dtype=int)[[i, j]]
-            if i == j:  # (f[+e] - 2f + f[-e]) / s^2
-                np.add(np.subtract(sl(*e), f2, out=t), sl(*-e), out=t)
+            if i == j:  # (f[+e] - 2f + f[-e]) / s^2, 2f formed in t
+                np.multiply(sl(0, 0, 0), 2.0, out=t)
+                np.add(np.subtract(sl(*e), t, out=t), sl(*-e), out=t)
                 _divide(t, spacing[i] * spacing[i])
             else:  # (f[+e+u] - f[+e-u] - f[-e+u] + f[-e-u]) / (4 s_e s_u)
                 np.subtract(np.subtract(sl(*e + u), sl(*e - u), out=t), sl(*u - e), out=t)
                 t += sl(*-e - u)
                 _divide(t, 4.0 * spacing[i] * spacing[j])
-            np.multiply(t.reshape(hi - lo, ny + 2, nz + 2)[:, 1:-1, 1:-1], sigma * sigma,
-                        out=comps[k])
-    if not np.isfinite(comps).all():
+            t *= sigma * sigma
+            comps[k] = t.reshape(hi - lo, ny + 2, nz + 2)[:, 1:-1, 1:-1]
+    if not np.isfinite([comps.min(), comps.max()]).all():  # NaN propagates
         raise ParameterError("Hessian components must be finite")
     return np.moveaxis(comps, 0, -1)
 
@@ -172,37 +174,46 @@ def _by_magnitude(a: np.ndarray, b: np.ndarray, ma: np.ndarray, mb: np.ndarray):
     """Strict compare-swap, in place, of float64 a, b of magnitudes ma, mb:
     b first only if mb < ma.  The bits move through uint64 views."""
     a, b = a.view(np.uint64), b.view(np.uint64)
-    x = (a ^ b) * (ma > mb)
+    x = np.bitwise_xor(a, b)
+    x *= ma > mb
     a ^= x
     b ^= x
 
 
 def _invariants(h: np.ndarray):
     """q = tr(H)/3, p = |H - qI|/sqrt(6), the degenerate (p ~ 0) mask and
-    det(B)/2 for B = (H - qI)/p, from planes h (xx, xy, xz, yy, yz, zz),
-    formed in place in a float64 copy and three scratch rows w."""
-    b = h[[0, 3, 5, 1, 2, 4]].astype(np.float64)  # the diagonal first
-    diag, (bxx, byy, bzz, bxy, bxz, byz), w = b[:3], b, np.square(b[3:])
-    p1 = np.add(w[0], w[1])
-    p1 += w[2]
-    np.abs(diag, out=w)
-    tol = np.maximum(w[0], np.maximum(w[1], w[2], out=w[1]), out=w[1])
-    np.maximum(tol, np.sqrt(p1, out=w[0]), out=tol)
+    det(B)/2 for B = (H - qI)/p, from float32 planes h (xx, xy, xz, yy, yz,
+    zz).  The diagonal is cast to float64 once, and each off-diagonal row
+    of B is formed from h when first read, in a row no longer read, so at
+    most eight rows are live; bxz is formed twice, with the same bits."""
+    xx, xy, xz, yy, yz, zz = h
+    p1, t = np.square(xy, dtype=float), np.square(xz, dtype=float)
+    p1 += t
+    p1 += np.square(yz, out=t, dtype=float)
+    tol = np.maximum(np.sqrt(p1, out=t), np.abs(h[[0, 3, 5]]).max(axis=0), out=t)
     np.multiply(np.add(tol, 1.0, out=tol), 1e-12, out=tol)
+    bxx, byy, bzz = diag = np.array((xx, yy, zz), dtype=float)
     q = np.add(bxx, byy)
     np.divide(np.add(q, bzz, out=q), 3.0, out=q)
     diag -= q
-    p = np.add(np.square(bxx, out=w[0]), np.square(byy, out=w[2]), out=w[0])
-    np.add(np.add(p, np.square(bzz, out=w[2]), out=p), np.multiply(p1, 2.0, out=p1), out=p)
+    p, u = np.square(bxx), np.square(byy)
+    p += u
+    p += np.square(bzz, out=u)
+    p += np.multiply(p1, 2.0, out=p1)
     np.sqrt(np.divide(p, 6.0, out=p), out=p)
     degenerate = p <= tol
-    b /= np.where(degenerate, 1.0, p) if degenerate.any() else p
-    det, u, v = p1, w[1], w[2]  # det(B) by cofactors of the first row, in the former order
+    d = np.where(degenerate, 1.0, p) if degenerate.any() else p
+    diag /= d
+    det, byz = p1, np.divide(yz, d, out=tol, dtype=float)  # det(B) by cofactors of the first row
     np.subtract(np.multiply(byy, bzz, out=det), np.square(byz, out=u), out=det)
     det *= bxx
-    np.subtract(np.multiply(bxy, bzz, out=u), np.multiply(byz, bxz, out=v), out=u)
-    det -= np.multiply(u, bxy, out=u)
-    np.subtract(np.multiply(bxy, byz, out=u), np.multiply(byy, bxz, out=v), out=u)
+    bxy = np.divide(xy, d, out=bxx, dtype=float)
+    np.multiply(bxy, bzz, out=u)
+    v = np.multiply(np.divide(xz, d, out=bzz, dtype=float), byz, out=bzz)
+    det -= np.multiply(np.subtract(u, v, out=u), bxy, out=u)
+    np.multiply(bxy, byz, out=u)
+    bxz = np.divide(xz, d, out=byz, dtype=float)
+    np.subtract(u, np.multiply(byy, bxz, out=bxy), out=u)
     det += np.multiply(u, bxz, out=u)
     return q, p, degenerate, np.divide(det, 2.0, out=det)
 
@@ -306,17 +317,23 @@ def vesselness_multiscale(vol: Volume3, params: JermanParams) -> Volume3:
             h = hessian_at_scale(smooth, vol.spacing, sigma, s)
             return np.moveaxis(h, -1, 0).reshape(6, -1)
 
+        def signed(c):  # max signed l3 of candidates c; where signed l2, l3 > 0, both
+            _, l2, l3 = eig3_symmetric_field(c.T)
+            np.multiply(sign, l2, out=l2)
+            np.multiply(sign, l3, out=l3)
+            pos = (l2 > 0.0) & (l3 > 0.0)
+            return float(l3.max(initial=0.0)), pos, l2.compress(pos), l3.compress(pos)
+
         def eigen(s):
             h = planes(s)
             keep, bound = _cut(h, sign)
-            out = float(np.multiply(bound, ~keep, out=bound).max())
-            h, bound = np.compress(keep, h, axis=1), None  # frees the slab's planes
-            _, e2, e3 = eig3_symmetric_field(h.T)
-            np.multiply(sign, e2, out=e2)
-            np.multiply(sign, e3, out=e3)
-            pos = (e2 > 0.0) & (e3 > 0.0)
+            out, bound = float(np.multiply(bound, ~keep, out=bound).max()), None
+            h = np.compress(keep, h, axis=1)  # frees the slab's planes
+            parts = max(1, -(-4 * h.shape[1] // keep.size))  # at most a quarter slab at once
+            tops, pos, e2, e3 = zip(*map(signed, np.array_split(h, parts, axis=1)))
+            pos, e2, e3 = (x[0] if len(x) == 1 else np.concatenate(x) for x in (pos, e2, e3))
             keep[np.flatnonzero(keep)] = pos
-            return float(e3.max(initial=0.0)), out, s, keep, e2.compress(pos), e3.compress(pos)
+            return max(tops), out, s, np.packbits(keep), e2, e3
 
         def rest(s, top):  # max(l3) of the ruled-out voxels whose bound exceeds top
             h = planes(s)
@@ -326,15 +343,16 @@ def vesselness_multiscale(vol: Volume3, params: JermanParams) -> Volume3:
 
         kept = parallel_map(eigen, slabs)
         top = max(k[0] for k in kept)
-        # One slab at a time: every kept eigenvalue is held while it runs.
-        lambda3_max = max([top] + [rest(k[2], top) for k in kept if k[1] > top])
+        # One plane at a time: every kept eigenvalue is held while it runs.
+        lambda3_max = max([top] + [rest(slice(x, x + 1), top) for k in kept if k[1] > top
+                                   for x in range(k[2].start, k[2].stop)])
         smooth = None  # free before the responses
 
         def respond(k):
             # Elsewhere the response is +0.0, which leaves best's bits as they are.
-            _, _, s, keep, e2, e3 = k
+            _, _, s, bits, e2, e3 = k
             resp = _jerman_response(e2, e3, lambda3_max, params.tau).astype(np.float32)
-            slab, idx = best[s].reshape(-1), np.flatnonzero(keep)
+            slab, idx = best[s].reshape(-1), np.flatnonzero(np.unpackbits(bits).view(bool))
             slab[idx] = np.maximum(slab.take(idx), resp)
 
         parallel_map(respond, kept)

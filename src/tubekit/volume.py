@@ -68,7 +68,7 @@ class Volume3:
         data = np.asarray(self.data, dtype=np.float32)
         dims, spacing = _check_grid(self.dims, self.spacing, data.size)
         data = data.reshape(dims)
-        if not np.all(np.isfinite(data)):
+        if not np.isfinite([data.min(), data.max()]).all():  # NaN propagates; no bool payload
             raise ParameterError("volume data contains non-finite values")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "spacing", spacing)
@@ -90,7 +90,8 @@ class Mask3:
         dims, spacing = _check_grid(self.dims, self.spacing, data.size)
         data = data.reshape(dims)
         if data.dtype != np.uint8:
-            if not np.isin(np.unique(data), (0, 1)).all():
+            parts = np.array_split(data, max(1, data.size // _PHANTOM_SLAB))  # no payload copy
+            if not all(np.isin(part, (0, 1)).all() for part in parts):
                 raise ParameterError("mask values must be exactly 0 or 1")
             data = data.astype(np.uint8)
         elif data.max(initial=0) > 1:

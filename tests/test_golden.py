@@ -7,7 +7,8 @@ reconnect with its report, loss with the defaults and with non-default
 --beta, --radius and an explicit --roi, metrics, fusion-demo and gradcheck.
 Those inputs are too small to split into slabs, so the script also makes
 the helix phantom at 64x64x40 (three z-slabs) and its bright vesselness
-(three slabs at one worker, six at two).
+(three slabs, of 25, 25 and 14 planes, at any worker count; the oracle
+tests in test_vesselness_oracle.py cover other splits).
 It runs at one and at two workers, and both must give the hashes in
 ``golden.json``.  A change that moves a bit of any artifact fails here; one
 that means to change the numerics re-records the file and says by how much.

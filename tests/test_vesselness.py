@@ -297,7 +297,8 @@ def test_multiscale_peak_memory_is_bounded(monkeypatch):
     # Slabs keep the peak to a few float64 volume fields: the whole-volume
     # Hessian and eigen-solve peaked at about 22 of them, and whole-volume
     # signed l2/l3 fields beside two float64 smoothing fields at 6.5.  At
-    # 64^3 the 2^16 voxels in flight are a quarter of the volume.
+    # 64^3 a slab of 2^16 voxels is a quarter of the volume, and two
+    # workers hold two.
     image, _ = make_phantom(PhantomSpec("helix", 2.0, noise_sigma=0.3, seed=1), (64, 64, 64))
     assert _peak_volumes(image, monkeypatch) <= 5.5
 
@@ -320,13 +321,43 @@ def test_multiscale_peak_memory_when_most_voxels_respond(monkeypatch):
     assert _peak_volumes(_vol(ridge), monkeypatch) <= 4.0
 
 
+def test_hessian_slab_peak_memory_is_bounded(monkeypatch):
+    # A 4-plane slab of 128^2 planes: the float64 buffer with its rim
+    # (1.55 per slab voxel), one float64 term (1.03) and the float32
+    # components (3.0).  A float64 2f, a gathered copy of the slab and a
+    # bool array of every component's finiteness made it read 7.4.
+    image, _ = make_phantom(PhantomSpec("helix", 2.0, noise_sigma=0.3, seed=1), (128,) * 3)
+    smooth = _smooth(image, 1.5)
+    peak = _peak_volumes(image, monkeypatch, 1,
+                         lambda image: hessian_at_scale(smooth, image.spacing, 1.5, slice(64, 68)))
+    assert peak * 128 / 4 <= 6.0  # in float64 per slab voxel
+
+
+@pytest.mark.parametrize("plane", [2000, 128 * 128, 300 * 300])
+def test_slab_plan_is_the_same_at_every_worker_count(monkeypatch, plane):
+    # _SLAB_VOXELS per slab, one slab in flight on each worker: 32-plane
+    # slabs with a short last one, 4-plane slabs, and a plane larger than
+    # a slab, which is a slab of its own.
+    monkeypatch.setattr(workers, "_available_cores", lambda: 3)
+    plans = []
+    for n in (1, 2, 3):
+        monkeypatch.setenv("TUBEKIT_THREADS", str(n))
+        plans.append(vesselness._slabs(40, plane))
+    assert plans[0] == plans[1] == plans[2]
+    slabs = plans[0]
+    assert [s.start for s in slabs] == [0] + [s.stop for s in slabs[:-1]] and slabs[-1].stop == 40
+    for s in slabs:
+        assert 1 <= s.stop - s.start
+        assert (s.stop - s.start) * plane <= max(vesselness._SLAB_VOXELS, plane)
+
+
 def test_multiscale_makes_at_most_one_where_per_slab(monkeypatch):
     # np.where on a random mask is the slowest call of a slab pass.  The
     # response selects its branches with one, and the eigen-solve makes
     # none unless its slab holds a degenerate matrix, which noise does not.
     monkeypatch.setenv("TUBEKIT_THREADS", "2")
     monkeypatch.setattr(workers, "_available_cores", lambda: 2)
-    monkeypatch.setattr(vesselness, "_SLAB_VOXELS", 2 * 4 * 32 * 32)  # 4-plane slabs
+    monkeypatch.setattr(vesselness, "_SLAB_VOXELS", 4 * 32 * 32)  # 4-plane slabs
     image, _ = make_phantom(PhantomSpec("helix", 2.0, noise_sigma=0.3, seed=1), (32, 32, 32))
     calls, where = [], np.where
     monkeypatch.setattr(np, "where", lambda *args: calls.append(args) or where(*args))

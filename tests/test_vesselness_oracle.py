@@ -118,7 +118,7 @@ def test_worker_count_changes_no_bit(kind, shape, spacing, scales, polarity, pla
     assume(3.0 * max(scales) / min(spacing) <= max(shape))
     vol = _volume(kind, shape, spacing, seed)
     params = JermanParams(scales=scales, polarity=polarity)
-    # planes * plane voxels in flight: from 1-plane slabs to one slab for all.
+    # planes * plane voxels per slab: from 1-plane slabs to one slab for all.
     slab_voxels = max(planes * shape[1] * shape[2], 1)
     want_smooth = gaussian_smooth_oracle(vol.data, spacing, scales[0])
     want = vesselness_multiscale_oracle(vol, params)
@@ -133,8 +133,8 @@ def test_worker_count_changes_no_bit(kind, shape, spacing, scales, polarity, pla
 
 @pytest.mark.parametrize("slab_voxels", [1, 420])
 def test_smoothing_blocks_match_whole_volume_oracle(slab_voxels):
-    # x-blocks of 110-voxel planes: 1 voxel gives 1-plane blocks; 420 at 1,
-    # 2 and 3 workers gives 3, 1 and 1 planes, with a short last block where
+    # x-blocks of 110-voxel planes: 1 voxel gives 1-plane blocks; 420 gives
+    # 3 planes at 1, 2 and 3 workers, with a short last block where
     # the axis is not a multiple of the step.  The x kernel's radius is 4
     # planes at sigma 0.7 and 10 at 2.0: at 7 planes every block gathers
     # clamped planes, at 40 the blocks between read the source's own.
@@ -207,7 +207,7 @@ def test_non_finite_hessian_raises_from_a_worker():
     data = np.zeros((24, 12, 12), dtype=np.float32)
     data[16:] = np.where(np.arange(12) % 8 < 4, 3e38, -3e38)[:, None]
     vol = Volume3(data.shape, (1.0, 1.0, 1.0), data)
-    with _workers(2), mock.patch.object(vesselness, "_SLAB_VOXELS", 2 * 4 * 12 * 12):
+    with _workers(2), mock.patch.object(vesselness, "_SLAB_VOXELS", 4 * 12 * 12):
         with pytest.raises(ParameterError) as info:
             vesselness_multiscale(vol, JermanParams(scales=(3.0,)))
     assert type(info.value) is ParameterError

@@ -194,11 +194,12 @@ def test_tvol_save_makes_no_whole_volume_copy(tmp_path):
     assert peak <= 0.5 * 4 * np.prod(dims)
 
 
-@pytest.mark.parametrize("kind, bound", [("volume", 1.35), ("mask", 1.15)])
+@pytest.mark.parametrize("kind, bound", [("volume", 1.1), ("mask", 1.15)])
 def test_tvol_load_holds_one_payload(tmp_path, kind, bound):
     # The payload goes in z-chunks straight into the C-order array; a whole
     # read, a Fortran view and its C-order copy held two payloads.  The
-    # volume's finiteness check adds a bool array of a quarter payload.
+    # containers check their values by reductions or in slabs (1.03 read
+    # for both); a whole-payload bool array made a volume read 1.28.
     dims = (128, 128, 128)
     rng = np.random.default_rng(3)
     if kind == "volume":
