@@ -381,7 +381,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=losses.DEFAULT_LAMBDA)
     p.add_argument("--beta", default="auto")
     p.add_argument("--skel-iters", type=int, default=skeleton.DEFAULT_ITERATIONS)
-    p.add_argument("--radius", type=int, default=losses.GatedKernelParams.radius)
+    p.add_argument("--radius", type=int, default=losses.GatedKernelParams.radius,
+                   help="spatial window radius, cut to max(dims) - 1; above "
+                        f"{losses.SPATIAL_MAX_RADIUS} after the cut it exits 2")
     p.add_argument("--sigma-l", type=float, default=losses.GatedKernelParams.sigma_l)
     p.add_argument("--sigma-c", type=float, default=losses.GatedKernelParams.sigma_c)
     p.add_argument("--json", required=True)

@@ -29,6 +29,7 @@ DEFAULT_LAMBDA = 1.0
 SPATIAL_MIN_MAGNITUDE = 2.0 ** -537  # the square of this is the smallest subnormal
 SIGMA_MIN, SIGMA_MAX = 1e-150, 1e150  # 2*sigma^2 and its reciprocal stay finite, nonzero
 SPATIAL_BLOCK = 2 ** 14  # voxels per block of the spatial loss, in whole x-planes
+SPATIAL_MAX_RADIUS = 8  # (17^3 - 1) / 2 = 2456 unordered offsets, each a pass over the volume
 
 
 @dataclass(frozen=True)
@@ -152,45 +153,35 @@ def loss_con_signature(yhat, iterations=DEFAULT_ITERATIONS):
 # spatial similarity suppression
 # ---------------------------------------------------------------------------
 
-def _plane_blocks(sa, lo, hi, plane, bp, p, tplanes):
-    """Per block of bp planes from sa's first: its flat range i0:i1, its
-    slice of the flat block buffers, and the part of p with its source,
-    the in-bounds part of tplanes (the product buffer as planes)."""
-    x0, x1 = sa[0].start, sa[0].stop
-    return [(i0, i1, slice(i0 - x * plane, i1 - x * plane),
-             p[x - x0:x - x0 + bp], tplanes[:x1 - x, sa[1], sa[2]])
-            for x in range(x0, x1, bp)
-            for i0, i1 in [(max(lo, x * plane), min(hi, (x + bp) * plane))]]
-
-
 def loss_spatial_array(yhat, guide, params: GatedKernelParams):
     """Mean pairwise activation penalty over the cube window.
 
     Returns (value, grad, n_pairs).  The window is cut to radius
-    max(dims) - 1, beyond which no offset pairs voxels.  n_pairs counts
-    the ordered in-bounds pairs with a nonzero term (the normalizer N) by
-    one (2r+1)^3 box count of the nonzero predictions.  That holds while
-    no y_i*y_j underflows, so inputs must be finite and each nonzero |y|
+    max(dims) - 1, beyond which no offset pairs voxels; a cut radius above
+    ``SPATIAL_MAX_RADIUS`` is a ``ParameterError``.  n_pairs counts the
+    ordered in-bounds pairs with a nonzero term (the normalizer N) by one
+    (2r+1)^3 box count of the nonzero predictions.  That holds while no
+    y_i*y_j underflows, so inputs must be finite and each nonzero |y|
     >= ``SPATIAL_MIN_MAGNITUDE`` (float32-born values are >= 1.4e-45).
 
-    Offset d pairs flat index i with i + s in blocks of whole x-planes
-    (``SPATIAL_BLOCK`` voxels, at least radius + 1 planes), the end
-    blocks cut to 0 <= i + s < size.  The kernel exponent takes -c1 from
-    a per-plane row that holds -inf where i + s wraps into another row or
-    plane, so there k is exactly 0.  Phase A adds k*y[i+s] to grad[i];
-    phase B adds k*y[i] to grad[i+s] and forms p = (k*y[i])*y[i+s].  Each
-    block runs both phases, and the blocks go from last to first when
-    s > 0, from first to last otherwise: the source i = v - s of phase B's
-    addition to voxel v lies in a block visited no earlier than v's own,
-    so every voxel takes its additions in the order of a pass over whole
-    3-D views, phase A first.  A wrapped pair adds +-0.0 to a
-    grad that starts at +0.0 and so never holds -0.0: no bit changes.
-    The in-bounds p fill a buffer of the view's shape, summed per offset.
+    The kernel is symmetric, so each unordered pair is visited once: only
+    the offsets d whose flat shift s is positive run, over the flat
+    indices i < size - max(s, d[0] * plane) in blocks of whole x-planes
+    (``SPATIAL_BLOCK`` voxels).  A block adds k*y[i+s] to grad[i] and
+    k*y[i] to grad[i+s], and the sum of its k*y[i]*y[i+s] to the value;
+    both are then divided by N/2.  The kernel exponent takes -c1 from a
+    per-plane row that holds -inf where i + s wraps into another row or
+    plane, so there k is exactly 0.  The sums run in another order than
+    a pass over the whole window: value and gradient stay within 1e-14
+    of the same sums over |y|.
     """
     yhat = np.asarray(yhat, dtype=np.float64)
     guide = np.asarray(guide, dtype=np.float64)
     if yhat.shape != guide.shape:
         raise ParameterError("prediction and guide shapes differ")
+    radius = min(params.radius, max(yhat.shape) - 1)
+    if radius > SPATIAL_MAX_RADIUS:
+        raise ParameterError(f"spatial window radius {radius} exceeds {SPATIAL_MAX_RADIUS}")
     nz = yhat != 0.0
     if (not (np.isfinite(yhat).all() and np.isfinite(guide).all())
             or (nz & (np.abs(yhat) < SPATIAL_MIN_MAGNITUDE)).any()):
@@ -202,45 +193,38 @@ def loss_spatial_array(yhat, guide, params: GatedKernelParams):
     grad = np.zeros(y.size)
     inv_2sl2 = 1.0 / (2.0 * params.sigma_l ** 2)
     neg_inv_2sc2 = -1.0 / (2.0 * params.sigma_c ** 2)
-    radius = min(params.radius, max(yhat.shape) - 1)
     plane = y.size // max(yhat.shape[0], 1)
-    bp = min(yhat.shape[0], max(radius + 1, SPATIAL_BLOCK // max(plane, 1)))
-    planes = (bp,) + yhat.shape[1:]
-    k, tbuf, row = np.empty((3, bp * plane))
-    pbuf = np.empty(y.size)
+    bp = min(yhat.shape[0], max(1, SPATIAL_BLOCK // max(plane, 1)))
+    k, t, row = np.empty((3, bp * plane))
 
     # Per-block work runs in a small function: tracemalloc finds the line
     # of each allocation by a scan over its function's code.
-    def block_pass(s, block):
-        i0, i1, at, dst, src = block
-        kb, t = k[at], tbuf[at]
+    def block_pass(s, i0, i1):
+        kb, tb = k[:i1 - i0], t[:i1 - i0]
         # exp(-(c1 + diff**2*c2)) as diff*diff*(-c2) + (-c1): same bits
         np.subtract(g[i0:i1], g[i0 + s:i1 + s], out=kb)
         np.multiply(kb, kb, out=kb)
         np.multiply(kb, neg_inv_2sc2, out=kb)
-        np.add(kb, row[at], out=kb)
+        np.add(kb, row[:i1 - i0], out=kb)
         np.exp(kb, out=kb)
-        grad[i0:i1] += np.multiply(kb, y[i0 + s:i1 + s], out=t)  # phase A
-        grad[i0 + s:i1 + s] += np.multiply(kb, y[i0:i1], out=t)  # phase B
-        np.multiply(t, y[i0 + s:i1 + s], out=t)
-        dst[...] = src
+        grad[i0:i1] += np.multiply(kb, y[i0 + s:i1 + s], out=tb)
+        grad[i0 + s:i1 + s] += np.multiply(kb, y[i0:i1], out=tb)
+        return float(np.multiply(tb, y[i0 + s:i1 + s], out=tb).sum())
 
     for d in _window_offsets(radius):
-        if any(abs(o) >= n for o, n in zip(d, yhat.shape)):
-            continue  # pairs no voxels
-        sa = tuple(slice(max(0, -o), n - max(0, o)) for o, n in zip(d, yhat.shape))
         s = (d[0] * yhat.shape[1] + d[1]) * yhat.shape[2] + d[2]
-        lo, hi = max(sa[0].start * plane, -s), min(sa[0].stop * plane, y.size - s)
+        if s <= 0 or any(abs(o) >= n for o, n in zip(d, yhat.shape)):
+            continue  # the pair's visit from -d, or pairs no voxels
+        sy, sz = (slice(max(0, -o), n - max(0, o)) for o, n in zip(d[1:], yhat.shape[1:]))
         row.fill(-np.inf)
-        row.reshape(planes)[:, sa[1], sa[2]] = -(sum(o * o for o in d) * inv_2sl2)
-        p = pbuf[:yhat[sa].size].reshape(yhat[sa].shape)
-        blocks = _plane_blocks(sa, lo, hi, plane, bp, p, tbuf.reshape(planes))
-        for block in blocks[::-1] if s > 0 else blocks:
-            block_pass(s, block)
-        total += float(p.sum())
+        row.reshape((bp,) + yhat.shape[1:])[:, sy, sz] = -(sum(o * o for o in d) * inv_2sl2)
+        hi = y.size - max(s, d[0] * plane)
+        for i0 in range(0, hi, bp * plane):
+            total += block_pass(s, i0, min(i0 + bp * plane, hi))
     n_pairs = int(_neighbor_counts(nz, radius)[nz].sum())
-    n = max(1, n_pairs)
-    return total / n, (grad / n).reshape(yhat.shape), n_pairs
+    half = max(1, n_pairs) / 2  # exact
+    grad /= half
+    return total / half, grad.reshape(yhat.shape), n_pairs
 
 
 # ---------------------------------------------------------------------------
