@@ -135,7 +135,8 @@ def loss_con_array(yhat, iterations=DEFAULT_ITERATIONS):
     tape, _, rec, value = _con_forward(yhat, iterations)
     if rec is None:
         return 0.0, np.zeros_like(yhat)
-    g_skel = np.where(rec, -1.0 / ((tape.skeleton + DEFAULT_EPSILON) * int(rec.sum())), 0.0)
+    g_skel = np.zeros_like(yhat)
+    g_skel[rec] = -1.0 / ((tape.skeleton[rec] + DEFAULT_EPSILON) * int(rec.sum()))
     return value, tape.backward(g_skel)
 
 

@@ -2,10 +2,15 @@
 
 Morphology is built from 3x3x3 min/max pooling with zero padding, the
 differentiable erosion/dilation surrogates behind centerline losses.
-The forward pass can record a tape of pooling selections so a loss can
-backpropagate through the skeleton recurrence: each min/max routes its
-gradient to the unique winning voxel, ties resolved toward the smallest
-x-fastest linear index (pads count as off-volume and absorb nothing).
+The forward pass can record a tape so a loss can backpropagate through
+the skeleton recurrence.  The tape keeps per stage the incoming skeleton
+(none at stage 0, where it is all zero) and delta, and per pooling one
+byte per voxel coding the winning source of each axis pass.  The
+backward carries the gradient as (flat index, value) pairs, since the
+connectivity loss's is nonzero on under 1% of the voxels: each min/max
+routes its gradient to the unique winning voxel, ties resolved toward
+the smallest x-fastest linear index (pads count as off-volume and absorb
+nothing).
 
 Pooling passes run per axis in x, y, z order; because each 1D pass
 prefers the lower index on ties, the composed selection is the window
@@ -64,50 +69,51 @@ def _pool3(arr, mode, record=None):
     """3x3x3 min/max pool with zero padding, one 1D pass per axis in
     x, y, z order on the shifted views ``a[:-1]``, ``a[1:]``, the zero
     pad folded into the two edge planes.  With a ``record`` list,
-    appends the per-axis offsets in {-1, 0, +1} naming each pass's
-    winning source cell: the first of (left, centre, right) equal to the
-    pooled value, so the left pad wins ties at -1.
+    appends one uint8 selection code per voxel, (ox+1) + 3(oy+1) +
+    9(oz+1), where each pass's offset in {-1, 0, +1} names its winning
+    source cell: the first of (left, centre, right) equal to the pooled
+    value, so the left pad wins ties at -1.
     """
     op = np.minimum if mode == "min" else np.maximum
     zero = arr.dtype.type(0)  # the pad, in the array's own type
-    offs = []
     for axis in (0, 1, 2):
+        a = np.moveaxis(arr, axis, 0)  # frees the pass before last first
         out = np.empty_like(arr)
-        a, p = np.moveaxis(arr, axis, 0), np.moveaxis(out, axis, 0)
+        p = np.moveaxis(out, axis, 0)
         op(a[:-1], a[1:], out=p[1:])  # p[i] = op(a[i-1], a[i])
         op(zero, a[0], out=p[0])
         op(p[:-1], a[1:], out=p[:-1])  # p[i] = op(p[i], a[i+1])
         op(p[-1], zero, out=p[-1])
         if record is not None:
-            off = np.not_equal(arr, out).view(np.int8)  # 0 centre, 1 right
-            o = np.moveaxis(off, axis, 0)  # then -1 wherever the left wins:
-            o[1:] |= -(a[:-1] == p[1:]).view(np.int8)
-            o[0] |= -(p[0] == zero).view(np.int8)  # the pad
-            offs.append(off)
+            c = np.not_equal(arr, out).view(np.uint8)
+            c += 1  # offset + 1: 1 centre, 2 right, then 0 wherever the left wins:
+            m = np.moveaxis(c, axis, 0)
+            m[1:] *= np.not_equal(a[:-1], p[1:])
+            m[0] *= np.not_equal(p[0], zero)  # the pad
+            code = c if axis == 0 else np.add(code, c * 3 ** axis, out=code)
         arr = out
     if record is not None:
-        record.append(offs)
+        record.append(code)
     return arr
 
 
-def _scatter3(grad, offs):
-    """Adjoint of ``_pool3``: route grad to each pass's winning source,
-    last pass first; gradient routed into the pad is dropped.  Only the
-    k nonzero entries move (one scan, then O(k log k)); each target sums
-    its left, centre, right sources in that order from +0.0, as a padded
-    accumulator would, by ``np.bincount`` over descending source index."""
-    idx = np.flatnonzero(grad)
-    val = grad.ravel()[idx]
+def _scatter3(idx, val, code, shape):
+    """Adjoint of ``_pool3`` on a gradient given as ascending flat
+    indices and their values; returns the routed gradient in that form.
+    Each value goes to each pass's winning source, last pass first; one
+    routed into the pad is dropped.  Each target sums its left, centre,
+    right sources in that order from +0.0, as a padded accumulator would,
+    by ``np.bincount`` over descending source index, so zero values that
+    ride along change no sum."""
+    code = code.ravel()
     for axis in (2, 1, 0):
-        n, stride = grad.shape[axis], int(np.prod(grad.shape[axis + 1:]))
-        o = offs[axis].ravel()[idx].astype(np.intp)
+        n, stride = shape[axis], int(np.prod(shape[axis + 1:]))
+        o = (code[idx] // 3 ** axis % 3).astype(np.intp) - 1
         pos = idx // stride % n + o
         keep = (0 <= pos) & (pos < n)  # a pad winner takes nothing
         idx, inv = np.unique((idx + o * stride)[keep][::-1], return_inverse=True)
         val = np.bincount(inv, val[keep][::-1], len(idx))
-    out = np.zeros(grad.size)
-    out[idx] = val
-    return out.reshape(grad.shape)
+    return idx, val
 
 
 # ---------------------------------------------------------------------------
@@ -123,22 +129,25 @@ def _recurrence(img, iterations, tape=None):
     relu(img - opened).  The erosion inside one stage's opening is the
     next stage's image.  The loop stops once that erosion is all zero:
     every further stage would add exactly zero to the skeleton and, in
-    the adjoint, scatter an all-zero gradient.  With a ``tape``, each
-    stage's adjoint inputs go to ``tape.stages`` and the pooling offsets
-    to ``tape.pools`` (erosion, then dilation, per stage).
+    the adjoint, scatter an all-zero gradient.  Stage 0's skeleton is
+    the scalar 0.  With a ``tape``, each stage's (skeleton in, delta)
+    goes to ``tape.stages`` and the pooling codes to ``tape.pools``
+    (erosion, then dilation, per stage).
     """
     if iterations < 1:
         raise ParameterError("iterations must be >= 1")
     pools = None if tape is None else tape.pools
     zero = img.dtype.type(0)  # a float 0.0 would promote uint8 to float64
-    skel = np.zeros_like(img)
+    skel = zero
     eroded = _pool3(img, "min", pools)
     for i in itertools.count():
-        delta = np.maximum(img - _pool3(eroded, "max", pools), zero)  # img - opened
-        t = np.maximum(delta - skel * delta, zero)
+        delta = _pool3(eroded, "max", pools)  # the opening, then in place:
+        np.maximum(np.subtract(img, delta, out=delta), zero, out=delta)
+        t = skel * delta
+        np.maximum(np.subtract(delta, t, out=t), zero, out=t)
         if tape is not None:
-            tape.stages.append((skel, delta, t > 0))
-        skel = skel + t
+            tape.stages.append((skel, delta))
+        skel = np.add(skel, t, out=t)
         del delta, t  # not held across the next stage's pooling
         if i >= iterations or not eroded.any():
             break
@@ -153,35 +162,51 @@ class SoftSkeletonTape:
     ``iterations`` is the number of erosions actually run: at most the
     requested count, fewer when an erosion leaves an all-zero image,
     after which the recurrence stops (further iterations change neither
-    the skeleton nor the gradient).  Per stage 0..iterations the tape
-    holds the skeleton entering the stage, its relu output and mask, and
-    the pooling selections of its opening.  ``signature()`` digests all
-    discrete choices; two inputs with equal signatures lie in the same
-    smooth region of the piecewise-linear recurrence.
+    the skeleton nor the gradient).  The tape holds only what the
+    adjoint reads: per stage 0..iterations the skeleton entering it (the
+    scalar 0 at stage 0) and its delta, and the selection codes of the
+    stage's poolings.  ``backward`` forms the relu mask of t again on
+    the gradient's support, by the forward's arithmetic.  ``signature()``
+    digests all discrete choices; two inputs with equal signatures lie in
+    the same smooth region of the piecewise-linear recurrence.
     """
 
     def __init__(self, img: np.ndarray, iterations: int):
-        self.stages = []  # (skeleton in, delta, relu mask of t) per stage
-        self.pools = []   # erosion offs, dilation offs, per stage
+        self.stages = []  # (skeleton in, delta) per stage
+        self.pools = []   # erosion code, dilation code, per stage
         self.skeleton = _recurrence(np.asarray(img, dtype=np.float64),
                                     iterations, self)
         self.iterations = len(self.stages) - 1
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        """Gradient of sum(grad_out * skeleton) w.r.t. the input image."""
-        g_skel = np.asarray(grad_out, dtype=np.float64).copy()
-        g_img = np.zeros_like(g_skel)
+        """Gradient of sum(grad_out * skeleton) w.r.t. the input image,
+        carried as (flat index, value) pairs from grad_out's nonzeros.
+        Each sum adds the terms a dense adjoint adds, in its order and
+        from +0.0, so the bits are the same."""
+        grad_out = np.asarray(grad_out, dtype=np.float64)
+        shape = self.skeleton.shape
+        if grad_out.shape != shape:
+            raise ParameterError(f"gradient shape {grad_out.shape} is not {shape}")
+        idx = np.flatnonzero(grad_out)  # the support of d/d skeleton
+        g_skel = grad_out.ravel()[idx]
+        img_idx, g_img = np.empty(0, dtype=np.intp), np.empty(0)
         for i in range(self.iterations, -1, -1):
-            skel, delta, mask_t = self.stages[i]
-            g_t = np.where(mask_t, g_skel, 0.0)
-            g_skel = g_skel - g_t * delta
-            g_din = np.where(delta > 0, g_t * (1.0 - skel), 0.0)
-            g_img += g_din
-            g_er = _scatter3(-g_din, self.pools[2 * i + 1])
-            g_img += _scatter3(g_er, self.pools[2 * i])
+            skel, delta = self.stages[i]
+            d = delta.ravel()[idx]
+            s = skel.ravel()[idx] if i else skel
+            on = d - s * d > 0  # the relu mask of t; it implies delta > 0
+            g_t, g_din = g_skel[on], (g_skel * (1.0 - s))[on]
+            g_skel[on] = g_t - g_t * d[on]
+            er_idx, g_er = _scatter3(idx[on], -g_din, self.pools[2 * i + 1], shape)
+            op_idx, g_op = _scatter3(er_idx, g_er, self.pools[2 * i], shape)
+            img_idx, inv = np.unique(np.concatenate([img_idx, idx[on], op_idx]),
+                                     return_inverse=True)
+            g_img = np.bincount(inv, np.concatenate([g_img, g_din, g_op]), len(img_idx))
             if i:  # this stage's image is the previous stage's erosion
-                g_img = _scatter3(g_img, self.pools[2 * i - 2])
-        return g_img
+                img_idx, g_img = _scatter3(img_idx, g_img, self.pools[2 * i - 2], shape)
+        out = np.zeros(grad_out.size)
+        out[img_idx] = g_img
+        return out.reshape(shape)
 
     def signature(self) -> bytes:
         """Digest of the iteration count, then every discrete selection
@@ -189,12 +214,12 @@ class SoftSkeletonTape:
         the stopping point always changes the signature."""
         h = hashlib.sha256()
         h.update(self.iterations.to_bytes(4, "little"))
-        for _, delta, mask_t in self.stages:
+        for skel, delta in self.stages:
             h.update((delta > 0).tobytes())
-            h.update(mask_t.tobytes())
-        for offs in self.pools:
-            for o in offs:
-                h.update(o.tobytes())
+            h.update((delta - skel * delta > 0).tobytes())
+        for code in self.pools:
+            for axis in range(3):  # each pass's offsets, as int8
+                h.update((code // 3 ** axis % 3).astype(np.int8) - 1)
         return h.digest()
 
 

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from tubekit import (Mask3, ParameterError, load_tvol, losses, metrics, save_tvol,
                      vesselness, workers)
 from tubekit.cli import _build_parser, _jsonify, _line_voxels, _reconnect_report, main
-from tubekit.skeleton import reconnect
+from tubekit.skeleton import DEFAULT_ITERATIONS, SoftSkeletonTape, reconnect
 from tubekit.volume import PHANTOM_KINDS, Volume3
 
 from oracles import bresenham_line
@@ -788,13 +788,10 @@ def test_loss_report_is_the_same_at_one_and_two_workers_at_64(tmp_path):
     assert _loss_outcome(argv, "2") == serial
 
 
-def test_loss_peak_memory_at_64(tmp_path):
-    # In float64 volumes, measured at 21.64 at 1 worker and 23.95 at 2:
-    # the connectivity tape sets the peak, and at 2 workers the spatial
-    # term's guide and gradient are held beside it.
-    argv = _train_loss_argv(tmp_path)
-    volume = 8 * 64 ** 3
-    for threads, bound in (("1", 22.5), ("2", 24.5)):
+def _assert_loss_peaks(argv, n, bounds):
+    """tracemalloc's peak over ``tubekit loss`` at each worker count, in
+    float64 volumes of n^3 voxels, is within its bound."""
+    for threads, bound in bounds:
         tracemalloc.start()
         try:
             code = _loss_outcome(argv, threads)[0]
@@ -802,7 +799,47 @@ def test_loss_peak_memory_at_64(tmp_path):
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert peak <= bound * volume, (threads, peak / volume)
+        assert peak <= bound * 8 * n ** 3, (threads, peak / (8 * n ** 3))
+
+
+def test_loss_peak_memory_at_64(tmp_path):
+    # Measured at 12.74 volumes at 1 worker and 15.02 at 2: the
+    # connectivity tape's forward sets the peak, and at 2 workers the
+    # spatial term's guide and gradient are held beside it.
+    _assert_loss_peaks(_train_loss_argv(tmp_path), 64, (("1", 15.0), ("2", 17.0)))
+
+
+@pytest.fixture(scope="module")
+def helix_128(tmp_path_factory):
+    """A 128^3 helix at noise 0.1 and its vesselness: (image, label, pred)."""
+    tmp = tmp_path_factory.mktemp("helix_128")
+    img, lab = _phantom_files(tmp, kind="helix", dims="128,128,128", noise_sigma=0.1)
+    pred = tmp / "pred.tvol"
+    assert _run("vesselness", "--in", str(img), "--out", str(pred)) == 0
+    return img, lab, pred
+
+
+def test_loss_peak_memory_at_128(helix_128, tmp_path):
+    # Measured at 12.65 volumes at 1 worker and 14.80 at 2.
+    img, lab, pred = helix_128
+    argv = ["loss", "--pred", str(pred), "--label", str(lab), "--image", str(img),
+            "--json", str(tmp_path / "loss.json")]
+    _assert_loss_peaks(argv, 128, (("1", 16.0), ("2", 18.0)))
+
+
+def test_tape_holds_under_seven_volumes_after_its_forward_at_128(helix_128):
+    # Two erosions run: the skeleton, stage 0's delta, stages 1 and 2's
+    # skeleton and delta, and one selection byte per voxel and pooling
+    # make 6.75 float64 volumes.
+    yhat = np.asarray(load_tvol(helix_128[2]).data, dtype=np.float64)
+    tracemalloc.start()
+    try:
+        tape = SoftSkeletonTape(yhat, DEFAULT_ITERATIONS)
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert tape.iterations == 2
+    assert size <= 7 * yhat.nbytes, size / yhat.nbytes
 
 
 def test_loss_runs_the_spatial_term_beside_the_connectivity_term(tmp_path, monkeypatch):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from tubekit import NumericDomainError, ParameterError
-from tubekit.skeleton import (connected_components, hard_skeleton, reconnect,
-                              soft_skeleton_array)
+from tubekit.skeleton import (SoftSkeletonTape, connected_components, hard_skeleton,
+                              reconnect, soft_skeleton_array)
 
 from oracles import bresenham_line
 
@@ -62,6 +62,15 @@ def test_soft_skeleton_rejects_out_of_range():
         soft_skeleton_array(np.full((5, 5, 5), 1.5), 2)
     with pytest.raises(ParameterError, match="iterations must be >= 1"):
         soft_skeleton_array(np.full((5, 5, 5), 0.5), 0)
+
+
+@pytest.mark.parametrize("shape", [(4, 4, 5), (2, 8, 4), (64,)])
+def test_tape_backward_rejects_a_gradient_of_another_shape(shape):
+    # (2, 8, 4) and (64,) hold as many voxels as the 4^3 skeleton: read as
+    # flat indices, they would be routed to the wrong voxels.
+    tape = SoftSkeletonTape(np.random.default_rng(5).random((4, 4, 4)), 3)
+    with pytest.raises(ParameterError, match="shape"):
+        tape.backward(np.ones(shape))
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,13 @@ def _field(kind, shape, seed):
         return rng.random(shape)
     if kind == "mask":
         return (rng.random(shape) < 0.6).astype(np.float64)
+    if kind == "wide":  # beyond [0, 1] the skeleton passes 1, where t's relu cuts
+        return 3.0 * rng.random(shape)
     return rng.integers(0, 5, shape) / 4.0  # quantised: ties everywhere
 
 
 cases = st.tuples(
-    st.sampled_from(["uniform", "mask", "quantised"]),
+    st.sampled_from(["uniform", "mask", "quantised", "wide"]),
     st.tuples(*[st.integers(3, 12)] * 3),
     st.integers(1, 10),
     st.integers(0, 2 ** 32 - 1),
@@ -46,13 +48,25 @@ def test_forward_and_backward_match_oracle(case):
     tape = SoftSkeletonTape(x, k)
     assert tape.iterations <= k
     assert tape.skeleton.tobytes() == oracle.skeleton.tobytes()
-    assert soft_skeleton_array(x, k).tobytes() == oracle.skeleton.tobytes()
+    if kind != "wide":  # soft_skeleton_array takes [0, 1] only
+        assert soft_skeleton_array(x, k).tobytes() == oracle.skeleton.tobytes()
 
     mask = (x >= 0.5).astype(np.uint8)
     expected = soft_skeleton_tape_oracle(mask, k).skeleton >= 0.5
     assert hard_skeleton(mask > 0, k).tobytes() == expected.tobytes()
 
-    g = np.random.default_rng(seed + 1).standard_normal(shape)
+    rng = np.random.default_rng(seed + 1)
+    g = rng.standard_normal(shape)
+    assert tape.backward(g).tobytes() == oracle.backward(g).tobytes()
+
+    # A sparse gradient, as the connectivity loss gives: signed zeros
+    # almost everywhere, nonzeros beside the zero pad.
+    g = np.where(rng.random(shape) < 0.5, 0.0, -0.0)
+    edge = np.zeros(shape, dtype=bool)
+    for axis in range(3):
+        np.moveaxis(edge, axis, 0)[[0, -1]] = True
+    edge &= rng.random(shape) < 0.3
+    g[edge] = rng.standard_normal(int(edge.sum()))
     assert tape.backward(g).tobytes() == oracle.backward(g).tobytes()
 
 
@@ -98,7 +112,8 @@ def test_pool_and_scatter_match_former_code_bitwise(shape, mode, seed):
     x[rng.random(shape) < 0.3] = -0.0
     rec, old = [], []
     assert _bits(_pool3(x, mode, rec)) == _bits(pool3_scipy_oracle(x, mode, old))
-    assert [o.tobytes() for o in rec[0]] == [o.tobytes() for o in old[0]]
+    offs = [(rec[0] // 3 ** axis % 3).astype(np.int8) - 1 for axis in range(3)]
+    assert [o.tobytes() for o in offs] == [o.tobytes() for o in old[0]]
     assert _bits(_pool3(x, mode)) == _bits(pool3_scipy_oracle(x, mode))
 
     g = rng.standard_normal(shape)
@@ -106,8 +121,12 @@ def test_pool_and_scatter_match_former_code_bitwise(shape, mode, seed):
     g[rng.random(shape) < 0.2] = 0.0
     g[rng.random(shape) < 0.05] = np.inf
     g[rng.random(shape) < 0.05] = -np.inf
+    idx = np.flatnonzero(g)
+    out = np.zeros(g.size)
     with np.errstate(invalid="ignore"):
-        assert _bits(_scatter3(g, rec[0])) == _bits(scatter3_padded_oracle(g, old[0]))
+        routed_idx, routed = _scatter3(idx, g.ravel()[idx], rec[0], shape)
+        out[routed_idx] = routed
+        assert _bits(out.reshape(shape)) == _bits(scatter3_padded_oracle(g, old[0]))
 
 
 def test_stops_once_the_erosion_is_empty():
