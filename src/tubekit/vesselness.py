@@ -8,8 +8,8 @@ with a volume-level floor tau * max(l3) to keep low-contrast vessels
 from vanishing.  Each scale is smoothed one x-block at a time straight
 into the float32 scale, then differentiated on flat runs of one float64
 buffer per slab and eigen-solved in slabs of planes along axis 0; blocks
-and slabs hold 2^16 voxels each, parts of the ``TUBEKIT_THREADS`` pool
-(tubekit.workers), so each worker has one in flight.  A voxel can respond
+and slabs follow the slab plan of ``tubekit.workers`` and are parts of its
+pool, so each worker has one in flight.  A voxel can respond
 only if sign*tr(H) >= |H|_F / sqrt(3), up to the margin ``_cut`` proves,
 and only such voxels are eigen-solved, at most a quarter slab at a time:
 about a third of a noisy volume.  A slab keeps a bit mask of the voxels
@@ -31,11 +31,10 @@ from scipy.ndimage import correlate1d
 
 from .errors import ParameterError
 from .volume import Volume3
-from .workers import parallel_map
+from .workers import parallel_map, slabs
 
 DEFAULT_TAU = 0.5
 DEFAULT_SCALES = (1.0, 1.5, 2.0, 3.0)
-_SLAB_VOXELS = 1 << 16  # per slab and smoothing block; a slab is never under one plane
 _MARGIN = 1e-9  # of _cut, relative to |H|_F
 
 
@@ -63,7 +62,8 @@ class JermanParams:
 def _gaussian_kernel(sigma_mm: float, spacing_mm: float) -> np.ndarray:
     radius = math.ceil(3.0 * sigma_mm / spacing_mm)
     x = np.arange(-radius, radius + 1, dtype=np.float64) * spacing_mm
-    k = np.exp(-0.5 * (x / sigma_mm) ** 2)
+    with np.errstate(over="ignore"):  # a tiny sigma's outer taps are exp(-inf) = 0
+        k = np.exp(-0.5 * (x / sigma_mm) ** 2)
     return k / k.sum()
 
 
@@ -104,15 +104,8 @@ def gaussian_smooth(data: np.ndarray, spacing, sigma: float) -> np.ndarray:
         correlate1d(acc, ky, axis=1, output=t, mode="nearest")
         correlate1d(t, kz, axis=2, output=out[s], mode="nearest")
 
-    parallel_map(block, _slabs(nx, ny * nz))
+    parallel_map(block, slabs(nx, ny * nz))
     return out
-
-
-def _slabs(n: int, plane: int) -> list:
-    """Slices of an axis of n planes of ``plane`` voxels each: _SLAB_VOXELS
-    voxels a slab, or one plane if larger; the same at every worker count."""
-    step = max(1, _SLAB_VOXELS // plane)
-    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
 def _divide(t: np.ndarray, d: float):
@@ -308,7 +301,6 @@ def vesselness_multiscale(vol: Volume3, params: JermanParams) -> Volume3:
     largest scale's kernel is checked before any scale runs."""
     _check_kernel_radius(vol.dims, vol.spacing, params.scales[-1])  # scales increase
     sign = -1.0 if params.polarity == "bright" else 1.0
-    slabs = _slabs(vol.dims[0], vol.dims[1] * vol.dims[2])
     best = np.zeros(vol.dims, dtype=np.float32)  # rounding is monotone: max commutes
     for sigma in params.scales:
         smooth = gaussian_smooth(vol.data, vol.spacing, sigma)
@@ -341,7 +333,7 @@ def vesselness_multiscale(vol: Volume3, params: JermanParams) -> Volume3:
             _, _, e3 = eig3_symmetric_field(np.compress(~keep & (bound > top), h, axis=1).T)
             return float(np.multiply(sign, e3, out=e3).max(initial=0.0))
 
-        kept = parallel_map(eigen, slabs)
+        kept = parallel_map(eigen, slabs(vol.dims[0], vol.dims[1] * vol.dims[2]))
         top = max(k[0] for k in kept)
         # One plane at a time: every kept eigenvalue is held while it runs.
         lambda3_max = max([top] + [rest(slice(x, x + 1), top) for k in kept if k[1] > top

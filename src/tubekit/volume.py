@@ -26,7 +26,7 @@ from scipy.spatial import cKDTree
 
 from .errors import FileFormatError, NumericDomainError, ParameterError
 from .rng import normal
-from .workers import parallel_map, thread_count
+from .workers import parallel_map, slabs, thread_count
 
 _MAGIC = b"TVOL1"
 _HEAD = struct.Struct("<B3I3f")  # dtype code, dims, spacing
@@ -90,8 +90,8 @@ class Mask3:
         dims, spacing = _check_grid(self.dims, self.spacing, data.size)
         data = data.reshape(dims)
         if data.dtype != np.uint8:
-            parts = np.array_split(data, max(1, data.size // _PHANTOM_SLAB))  # no payload copy
-            if not all(np.isin(part, (0, 1)).all() for part in parts):
+            parts = slabs(dims[0], dims[1] * dims[2])  # no payload copy
+            if not all(np.isin(data[s], (0, 1)).all() for s in parts):
                 raise ParameterError("mask values must be exactly 0 or 1")
             data = data.astype(np.uint8)
         elif data.max(initial=0) > 1:
@@ -150,17 +150,14 @@ class PhantomSpec:
     def __post_init__(self):
         if self.kind not in PHANTOM_KINDS:
             raise ParameterError(f"unknown phantom kind {self.kind!r}")
-        if not self.radius_mm > 0:
-            raise ParameterError("radius_mm must be positive")
+        if not 0 < self.radius_mm < np.inf:  # NaN fails too
+            raise ParameterError("radius_mm must be positive and finite")
         if not self.foreground_intensity > self.background_intensity:
             raise ParameterError("foreground_intensity must exceed background_intensity")
         if not self.noise_sigma >= 0:  # NaN fails too
             raise ParameterError("noise_sigma must be non-negative")
         if self.gap_len_voxels < 0 or int(self.gap_len_voxels) != self.gap_len_voxels:
             raise ParameterError("gap_len_voxels must be a non-negative integer")
-
-
-_PHANTOM_SLAB = 1 << 16  # voxels per z-slab in make_phantom and save_tvol
 
 
 def _dist_to_segment(px, py, pz, a, b):
@@ -261,8 +258,8 @@ def make_phantom(spec: PhantomSpec, dims, spacing=(1.0, 1.0, 1.0)):
     analytic centerline; the image is background + (fg-bg)*label plus
     i.i.d. Gaussian noise drawn from the counter-based generator, so a
     fixed (spec, dims, spacing) reproduces identical bytes.  The work
-    runs in z-slabs of about ``_PHANTOM_SLAB`` voxels, every k-th slab in
-    one of k pool parts (``tubekit.workers``); a slab writes only its own
+    runs in the z-slabs of the slab plan, every k-th slab in one of k
+    parts of the pool (both ``tubekit.workers``); a slab writes only its own
     z-range, reads no other slab's output, and its noise counters,
     x-fastest, are one contiguous range, so the worker count changes no
     bit.  Distances are computed only in each centerline piece's region
@@ -290,15 +287,14 @@ def make_phantom(spec: PhantomSpec, dims, spacing=(1.0, 1.0, 1.0)):
     image = np.empty(dims, dtype=np.float32)
     label = np.empty(dims, dtype=np.uint8)
     plane = nx * ny
-    step = max(1, _PHANTOM_SLAB // plane)
-    starts = range(0, nz, step)
-    k = min(thread_count(), len(starts))
+    parts = slabs(nz, plane)
+    k = min(thread_count(), len(parts))
 
     def part(i):
         # every k-th slab in one loop: a slab's arrays live until the next slab's
         # replace them, so the allocator reuses their pages instead of freeing them
-        for z0 in starts[i::k]:
-            z1 = min(z0 + step, nz)
+        for s in parts[i::k]:
+            z0, z1 = s.start, s.stop
             lab = np.zeros((nx, ny, z1 - z0), dtype=bool)
             for ix, iy, near_z, dist_to in pieces:
                 iz = np.flatnonzero(near_z[z0:z1])
@@ -319,7 +315,7 @@ def make_phantom(spec: PhantomSpec, dims, spacing=(1.0, 1.0, 1.0)):
 
 def save_tvol(obj, path) -> None:
     """Write a Volume3 or Mask3, spacing included, to the .tvol format
-    (bit-exact round trip), in z-chunks of about ``_PHANTOM_SLAB`` voxels
+    (bit-exact round trip), in the z-slabs of ``tubekit.workers.slabs``
     so that no whole-volume copy of the payload is made."""
     if isinstance(obj, Volume3):
         code, dtype = _DTYPE_VOLUME, np.dtype("<f4")
@@ -329,11 +325,10 @@ def save_tvol(obj, path) -> None:
         raise ParameterError(f"cannot save object of type {type(obj).__name__}")
     header = _MAGIC + _HEAD.pack(code, *obj.dims, *obj.spacing)
     nx, ny, nz = obj.dims
-    step = max(1, _PHANTOM_SLAB // (nx * ny))
     with open(path, "wb") as fh:
         fh.write(header)
-        for z0 in range(0, nz, step):  # (z, y, x) in C order is x-fastest
-            fh.write(np.ascontiguousarray(obj.data[:, :, z0:z0 + step].T, dtype))
+        for s in slabs(nz, nx * ny):  # (z, y, x) in C order is x-fastest
+            fh.write(np.ascontiguousarray(obj.data[:, :, s].T, dtype))
 
 
 def _read_header(fh, path):
@@ -354,7 +349,7 @@ def load_tvol(path):
 
     The header is checked before any payload byte is read: dims, spacing,
     and the payload length the dims imply against the file's size.  The
-    payload is read in z-chunks of about ``_PHANTOM_SLAB`` voxels straight
+    payload is read in the z-slabs of ``tubekit.workers.slabs`` straight
     into one C-order array, so one payload is held.  The container checks
     the values; its ParameterError becomes a FileFormatError."""
     with open(path, "rb") as fh:
@@ -371,13 +366,13 @@ def load_tvol(path):
                 f"{path}: length mismatch, header says {count} voxels "
                 f"but payload holds {held // dtype.itemsize}")
         nx, ny, nz = dims
-        data, step = np.empty(dims, dtype), max(1, _PHANTOM_SLAB // (nx * ny))
-        chunk = np.empty((min(step, nz), ny, nx), dtype)  # (z, y, x) in C order is x-fastest
-        for z0 in range(0, nz, step):
-            part = chunk[:min(step, nz - z0)]
+        data, parts = np.empty(dims, dtype), slabs(nz, nx * ny)
+        chunk = np.empty((parts[0].stop, ny, nx), dtype)  # (z, y, x) in C order is x-fastest
+        for s in parts:
+            part = chunk[:s.stop - s.start]
             if fh.readinto(part) != part.nbytes:
                 raise FileFormatError(f"{path}: truncated payload")
-            data[:, :, z0:z0 + step] = part.T
+            data[:, :, s] = part.T
     try:
         if kind == "volume":
             return Volume3(dims, spacing, data)

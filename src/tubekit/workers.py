@@ -7,6 +7,10 @@ each part writes a disjoint region, and a float sum whose bits depend on
 order stays on the calling thread (a max may be split, it is order-free).
 A part may also be a whole computation that reads no other part's output,
 such as one loss term, with every sum of it inside the part.
+
+The slab plan: every stage that cuts a volume into slabs takes them from
+``slabs``, ``SLAB_VOXELS`` voxels a slab or one plane if a plane is
+larger, the same at every worker count.
 """
 
 import contextvars
@@ -16,6 +20,8 @@ import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 
 from .errors import ParameterError
+
+SLAB_VOXELS = 1 << 16
 
 
 def _available_cores() -> int:
@@ -32,6 +38,12 @@ def thread_count() -> int:
         raise ParameterError(f"TUBEKIT_THREADS must be an integer >= 0, got {text!r}")
     cores = _available_cores()
     return cores if int(text) == 0 else min(int(text), cores)
+
+
+def slabs(n: int, plane: int) -> list:
+    """The slab plan's slices of an axis of n planes of ``plane`` voxels."""
+    step = max(1, SLAB_VOXELS // plane)
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
 _worker = threading.local()  # .busy is set on the pool's own threads

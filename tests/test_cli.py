@@ -10,7 +10,6 @@ import struct
 import tempfile
 import threading
 import time
-import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -25,6 +24,7 @@ from tubekit.cli import _build_parser, _jsonify, _line_voxels, _reconnect_report
 from tubekit.skeleton import DEFAULT_ITERATIONS, SoftSkeletonTape, reconnect
 from tubekit.volume import PHANTOM_KINDS, Volume3
 
+from memory import traced
 from oracles import bresenham_line
 
 
@@ -343,9 +343,10 @@ def test_parameter_error_exits_2(tmp_path, capsys):
     ["fusion-demo", "--dims", "17,16,16"],
     ["fusion-demo", "--dims", "32,32,32"],
     ["phantom", "--noise-sigma", "nan"],
+    ["phantom", "--kind", "helix", "--radius-mm", "inf"],
 ], ids=[*(f"gradcheck-size-{n}" for n in range(6)),
         "fusion-channels-0", "fusion-channels-over-64", "fusion-dims-0", "fusion-dims-over-16^3",
-        "fusion-dims-32^3", "phantom-noise-nan"])
+        "fusion-dims-32^3", "phantom-noise-nan", "phantom-radius-inf"])
 def test_out_of_domain_arguments_exit_2(tmp_path, capsys, argv):
     # gradcheck below size 6 cannot draw its 20 voxels and 40 interior ones
     if argv[0] == "phantom":
@@ -585,6 +586,17 @@ def test_vesselness_kernel_wider_than_volume_exits_2(tmp_path, capsys, tiny):
     assert not out.exists()
 
 
+def test_vesselness_tiny_scale_runs_without_a_warning(tmp_path, capsys):
+    # sigma 1e-200: the kernel's taps off the centre overflow in the square
+    # to exp(-inf) = 0.  Warnings are errors here, so a warning would fail it.
+    img, _ = _phantom_files(tmp_path, dims="16,16,16", noise_sigma=0.2)
+    out = tmp_path / "v.tvol"
+    capsys.readouterr()
+    assert _run("vesselness", "--in", str(img), "--out", str(out), "--scales", "1e-200") == 0
+    assert capsys.readouterr().err == ""
+    assert out.exists()
+
+
 def test_vesselness_hessian_overflow_exits_2(tmp_path, capsys):
     # Finite float32 slabs of +-3e38, four voxels thick along x: at the
     # default scales their scaled second differences overflow float32.
@@ -792,12 +804,7 @@ def _assert_loss_peaks(argv, n, bounds):
     """tracemalloc's peak over ``tubekit loss`` at each worker count, in
     float64 volumes of n^3 voxels, is within its bound."""
     for threads, bound in bounds:
-        tracemalloc.start()
-        try:
-            code = _loss_outcome(argv, threads)[0]
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (code, *_), _, peak = traced(_loss_outcome, argv, threads)
         assert code == 0
         assert peak <= bound * 8 * n ** 3, (threads, peak / (8 * n ** 3))
 
@@ -832,12 +839,7 @@ def test_tape_holds_under_seven_volumes_after_its_forward_at_128(helix_128):
     # skeleton and delta, and one selection byte per voxel and pooling
     # make 6.75 float64 volumes.
     yhat = np.asarray(load_tvol(helix_128[2]).data, dtype=np.float64)
-    tracemalloc.start()
-    try:
-        tape = SoftSkeletonTape(yhat, DEFAULT_ITERATIONS)
-        size = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
+    tape, size, _ = traced(SoftSkeletonTape, yhat, DEFAULT_ITERATIONS)
     assert tape.iterations == 2
     assert size <= 7 * yhat.nbytes, size / yhat.nbytes
 

@@ -1,11 +1,11 @@
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from memory import traced
 from oracles import conv3d_same_oracle
 from tubekit import ParameterError, fusion
 from tubekit.cli import main
@@ -60,12 +60,7 @@ def test_cross_attention_holds_one_logits_matrix():
     p = AttentionParams.init(8, seed=7)
     f = feature_map_from_seed(8, (12, 12, 12), 31)
     t = 12 ** 3
-    tracemalloc.start()
-    try:
-        out = cross_attention(f, f, p)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, _, peak = traced(cross_attention, f, f, p)
     assert out.shape == f.shape
     assert peak < 2 * t * t * 8, peak / (t * t * 8)
 

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ from tubekit.losses import (DEFAULT_EPSILON, GatedKernelParams, loss_con_array,
                             loss_spatial_array, resolve_beta,
                             uncertain_prediction_array)
 
+from memory import traced
 from oracles import spatial_loss_oracle, spatial_pair_sum_bruteforce
 
 
@@ -265,12 +265,7 @@ def test_spatial_peak_memory_is_bounded():
     yhat = rng.random((48, 48, 48))
     yhat[rng.random(yhat.shape) < 0.5] = 0.0
     guide = rng.random(yhat.shape)
-    tracemalloc.start()
-    try:
-        n_pairs = loss_spatial_array(yhat, guide, GatedKernelParams())[2]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (_, _, n_pairs), _, peak = traced(loss_spatial_array, yhat, guide, GatedKernelParams())
     assert n_pairs > 0
     assert peak <= 2.5 * 8 * yhat.size, peak / (8 * yhat.size)
 

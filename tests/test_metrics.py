@@ -1,5 +1,4 @@
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from tubekit.metrics import (cldice, dice, evaluate, precision_recall_f1,
                              surface_distances, surface_voxels, tree_metrics)
 from tubekit.skeleton import hard_skeleton
 
+from memory import traced
 from oracles import (brute_surface_distances, surface_voxels_bruteforce,
                      tree_metrics_oracle)
 
@@ -339,12 +339,7 @@ def test_tree_metrics_memory_follows_the_centerline_not_the_volume():
     centerline = np.zeros((160, 160, 160), dtype=bool)
     centerline[155:, 159, 159] = True
     tree_metrics(centerline, centerline, (1.0, 1.0, 1.0))  # imports scipy.sparse.csgraph
-    tracemalloc.start()
-    try:
-        got = tree_metrics(centerline, centerline, (1.0, 1.0, 1.0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    got, _, peak = traced(tree_metrics, centerline, centerline, (1.0, 1.0, 1.0))
     assert got == (100.0, 100.0)
     assert peak <= 64 * 1024, peak
 

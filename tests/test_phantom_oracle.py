@@ -3,7 +3,6 @@ against the former whole-volume code."""
 
 import itertools
 import os
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -12,16 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+from memory import traced
 from oracles import _oracle_centerline_distance, phantom_oracle
-from tubekit import volume
+from tubekit import volume, workers
 from tubekit.volume import PHANTOM_KINDS, PhantomSpec, make_phantom
 
 
 @pytest.mark.parametrize("kind", PHANTOM_KINDS)
-@pytest.mark.parametrize("slab", [1, 5000, volume._PHANTOM_SLAB])
+@pytest.mark.parametrize("slab", [1, 5000, workers.SLAB_VOXELS])
 def test_slabs_match_whole_volume_oracle(kind, slab, monkeypatch):
     # the slabs run on the pool: the bytes are the same at 1 and 2 workers
-    monkeypatch.setattr(volume, "_PHANTOM_SLAB", slab)
+    monkeypatch.setattr(workers, "SLAB_VOXELS", slab)
     for threads, (dims, spacing, spec) in itertools.product(("1", "2"), (
             ((33, 30, 41), (0.5, 0.75, 1.25),
              PhantomSpec(kind, 2.0, noise_sigma=0.3, gap_len_voxels=5, seed=7)),
@@ -53,9 +53,9 @@ def test_bytes_match_the_every_voxel_oracle(data):
     spec = PhantomSpec(kind, radius, noise_sigma=data.draw(st.sampled_from([0.0, 0.25])),
                        gap_len_voxels=data.draw(st.integers(0, dims[2] - 1), "gap"),
                        seed=data.draw(st.integers(0, 2 ** 32 - 1), "seed"))
-    slab = data.draw(st.sampled_from([1, 5000, volume._PHANTOM_SLAB]), "slab")
+    slab = data.draw(st.sampled_from([1, 5000, workers.SLAB_VOXELS]), "slab")
     threads = data.draw(st.sampled_from(["1", "2"]), "threads")
-    with mock.patch.object(volume, "_PHANTOM_SLAB", slab), \
+    with mock.patch.object(workers, "SLAB_VOXELS", slab), \
             mock.patch.dict(os.environ, {"TUBEKIT_THREADS": threads}):
         image, label = make_phantom(spec, dims, spacing)
     o_image, o_label = phantom_oracle(spec, dims, spacing)
@@ -114,10 +114,5 @@ def test_peak_memory_is_bounded_in_volumes(kind, monkeypatch):
     dims = (128, 128, 128)
     for threads in ("1", "2"):
         monkeypatch.setenv("TUBEKIT_THREADS", threads)
-        tracemalloc.start()
-        try:
-            make_phantom(PhantomSpec(kind, 2.0, noise_sigma=0.3, seed=3), dims)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, _, peak = traced(make_phantom, PhantomSpec(kind, 2.0, noise_sigma=0.3, seed=3), dims)
         assert peak <= 1.5 * 8 * np.prod(dims), (threads, peak)

@@ -8,13 +8,12 @@ The labels, endpoint flags and sizes that ``reconnect`` carries from
 pass to pass are checked against a fresh labelling before every pass.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from memory import traced
 from oracles import bresenham_line, bresenham_line_oracle, reconnect_oracle
 from tubekit import skeleton
 from tubekit.errors import NumericDomainError
@@ -119,12 +118,7 @@ def test_many_isolated_fragments_reconnect_in_bounded_memory():
     # 1334 voxels, mostly isolated, joined by 1553 segments.  One float64
     # distance matrix over all fragment pairs would take 16 volumes.
     fg = np.random.default_rng(5).random((48, 48, 48)) < 0.012
-    tracemalloc.start()
-    try:
-        res = reconnect(fg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    res, _, peak = traced(reconnect, fg)
     assert connected_components(res.reconnected)[1] == 1
     assert peak <= 8 * 8 * fg.size, peak  # 8 float64 volumes
 

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -7,6 +5,7 @@ from tubekit import NumericDomainError, ParameterError
 from tubekit.skeleton import (SoftSkeletonTape, connected_components, hard_skeleton,
                               reconnect, soft_skeleton_array)
 
+from memory import traced
 from oracles import bresenham_line
 
 
@@ -111,12 +110,7 @@ def test_hard_skeleton_rejects_a_non_boolean_array(dtype):
 
 def test_hard_skeleton_peaks_under_one_float64_volume():
     fg = np.random.default_rng(2).random((48, 48, 48)) < 0.7
-    tracemalloc.start()
-    try:
-        hard_skeleton(fg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, _, peak = traced(hard_skeleton, fg)
     assert peak < 8 * fg.size, peak
 
 

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,6 +7,7 @@ from tubekit import ParameterError, PhantomSpec, Volume3, make_phantom, vesselne
 from tubekit.vesselness import (JermanParams, _cut, eig3_symmetric_field, gaussian_smooth,
                                 hessian_at_scale, vesselness_multiscale)
 
+from memory import traced
 from oracles import (dense_convolve3, gaussian_kernel_1d, jacobi_eigenvalues,
                      vesselness_multiscale_oracle)
 from single_voxel import EIG3_MAX_COMPONENT, EigenTriple, eig3_symmetric, jerman_response
@@ -67,6 +66,15 @@ def test_smooth_preserves_mass_of_interior_support():
     data[9:15, 9:15, 9:15] = rng.random((6, 6, 6))
     out = _smooth(_vol(data), 1.0)
     assert abs(out.sum() - data.sum()) / data.sum() <= 1e-3
+
+
+@pytest.mark.parametrize("sigma", [1e-200, 5e-324])
+def test_tiny_sigma_smooths_with_the_unit_kernel(sigma):
+    # The taps off the centre overflow to exp(-inf) = 0, in the square
+    # (1e-200) or the division (5e-324), and raise no warning: the kernel
+    # is its limit [0, 1, 0], and the smoothing changes no bit.
+    data = np.random.default_rng(7).random((6, 7, 8)).astype(np.float32)
+    assert _smooth(_vol(data), sigma).tobytes() == data.tobytes()
 
 
 def test_smooth_rejects_bad_sigma():
@@ -279,18 +287,7 @@ def _peak_volumes(image, monkeypatch, threads=2,
     workers, on any host, keep two slabs in flight."""
     monkeypatch.setenv("TUBEKIT_THREADS", str(threads))
     monkeypatch.setattr(workers, "_available_cores", lambda: 2)
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        run(image)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if started:
-            tracemalloc.stop()
-    return peak / (np.prod(image.dims) * 8)
+    return traced(run, image)[2] / (np.prod(image.dims) * 8)
 
 
 def test_multiscale_peak_memory_is_bounded(monkeypatch):
@@ -333,31 +330,13 @@ def test_hessian_slab_peak_memory_is_bounded(monkeypatch):
     assert peak * 128 / 4 <= 6.0  # in float64 per slab voxel
 
 
-@pytest.mark.parametrize("plane", [2000, 128 * 128, 300 * 300])
-def test_slab_plan_is_the_same_at_every_worker_count(monkeypatch, plane):
-    # _SLAB_VOXELS per slab, one slab in flight on each worker: 32-plane
-    # slabs with a short last one, 4-plane slabs, and a plane larger than
-    # a slab, which is a slab of its own.
-    monkeypatch.setattr(workers, "_available_cores", lambda: 3)
-    plans = []
-    for n in (1, 2, 3):
-        monkeypatch.setenv("TUBEKIT_THREADS", str(n))
-        plans.append(vesselness._slabs(40, plane))
-    assert plans[0] == plans[1] == plans[2]
-    slabs = plans[0]
-    assert [s.start for s in slabs] == [0] + [s.stop for s in slabs[:-1]] and slabs[-1].stop == 40
-    for s in slabs:
-        assert 1 <= s.stop - s.start
-        assert (s.stop - s.start) * plane <= max(vesselness._SLAB_VOXELS, plane)
-
-
 def test_multiscale_makes_at_most_one_where_per_slab(monkeypatch):
     # np.where on a random mask is the slowest call of a slab pass.  The
     # response selects its branches with one, and the eigen-solve makes
     # none unless its slab holds a degenerate matrix, which noise does not.
     monkeypatch.setenv("TUBEKIT_THREADS", "2")
     monkeypatch.setattr(workers, "_available_cores", lambda: 2)
-    monkeypatch.setattr(vesselness, "_SLAB_VOXELS", 4 * 32 * 32)  # 4-plane slabs
+    monkeypatch.setattr(workers, "SLAB_VOXELS", 4 * 32 * 32)  # 4-plane slabs
     image, _ = make_phantom(PhantomSpec("helix", 2.0, noise_sigma=0.3, seed=1), (32, 32, 32))
     calls, where = [], np.where
     monkeypatch.setattr(np, "where", lambda *args: calls.append(args) or where(*args))
@@ -478,7 +457,7 @@ def test_second_pass_finds_lambda3_max_at_a_ruled_out_voxel(monkeypatch):
     assert np.array_equal(got.view(np.uint32),
                           vesselness_multiscale_oracle(vol, params).view(np.uint32))
     assert got.max() > 0.0
-    slabs = len(vesselness._slabs(n, n * n))
+    slabs = len(workers.slabs(n, n * n))
     assert all(len(s) > slabs for s in solved)  # each scale ran the second pass
     assert len(calls) > slabs * len(params.scales)
 
@@ -488,7 +467,7 @@ def test_constant_volume_runs_no_second_pass(monkeypatch):
     solved, calls = _solved(monkeypatch)
     params = JermanParams()
     assert not vesselness_multiscale(vol, params).data.any()
-    slabs = len(vesselness._slabs(20, 16 * 12))
+    slabs = len(workers.slabs(20, 16 * 12))
     assert solved == [[0] * slabs] * len(params.scales)
     assert len(calls) == slabs * len(params.scales)
 

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from oracles import (_hessian_whole_volume_oracle, _jerman_oracle, gaussian_kernel_1d,
                      gaussian_smooth_oracle, vesselness_multiscale_oracle)
-from tubekit import ParameterError, PhantomSpec, Volume3, make_phantom, vesselness, workers
+from tubekit import ParameterError, PhantomSpec, Volume3, make_phantom, workers
 from tubekit.vesselness import (JermanParams, _divide, _jerman_response, gaussian_smooth,
                                 hessian_at_scale, vesselness_multiscale)
 
@@ -50,7 +50,7 @@ def _volume(kind, shape, spacing, seed):
 
 
 def _assert_bit_equal(vol, params, slab_voxels):
-    with mock.patch.object(vesselness, "_SLAB_VOXELS", slab_voxels):
+    with mock.patch.object(workers, "SLAB_VOXELS", slab_voxels):
         got = vesselness_multiscale(vol, params).data
     want = vesselness_multiscale_oracle(vol, params)
     assert got.dtype == want.dtype == np.float32
@@ -92,7 +92,7 @@ def test_default_slabs_match_whole_volume_oracle():
     image, _ = make_phantom(PhantomSpec("helix", 2.0, noise_sigma=0.3, seed=1),
                             (40, 36, 32), (0.9, 1.0, 1.1))
     params = JermanParams()
-    _assert_bit_equal(image, params, vesselness._SLAB_VOXELS)
+    _assert_bit_equal(image, params, workers.SLAB_VOXELS)
 
 
 @contextlib.contextmanager
@@ -123,7 +123,7 @@ def test_worker_count_changes_no_bit(kind, shape, spacing, scales, polarity, pla
     want_smooth = gaussian_smooth_oracle(vol.data, spacing, scales[0])
     want = vesselness_multiscale_oracle(vol, params)
     for n in (1, 2, 3):
-        with _workers(n), mock.patch.object(vesselness, "_SLAB_VOXELS", slab_voxels):
+        with _workers(n), mock.patch.object(workers, "SLAB_VOXELS", slab_voxels):
             smooth = gaussian_smooth(vol.data, spacing, scales[0])
             got = vesselness_multiscale(vol, params).data
         assert smooth.dtype == got.dtype == np.float32
@@ -143,7 +143,7 @@ def test_smoothing_blocks_match_whole_volume_oracle(slab_voxels):
         for sigma in (0.7, 2.0):
             want = _bits(gaussian_smooth_oracle(vol.data, vol.spacing, sigma))
             for n in (1, 2, 3):
-                with _workers(n), mock.patch.object(vesselness, "_SLAB_VOXELS", slab_voxels):
+                with _workers(n), mock.patch.object(workers, "SLAB_VOXELS", slab_voxels):
                     got = gaussian_smooth(vol.data, vol.spacing, sigma)
                 assert got.dtype == np.float32
                 assert _bits(got) == want, (shape, sigma, n)
@@ -207,7 +207,7 @@ def test_non_finite_hessian_raises_from_a_worker():
     data = np.zeros((24, 12, 12), dtype=np.float32)
     data[16:] = np.where(np.arange(12) % 8 < 4, 3e38, -3e38)[:, None]
     vol = Volume3(data.shape, (1.0, 1.0, 1.0), data)
-    with _workers(2), mock.patch.object(vesselness, "_SLAB_VOXELS", 4 * 12 * 12):
+    with _workers(2), mock.patch.object(workers, "SLAB_VOXELS", 4 * 12 * 12):
         with pytest.raises(ParameterError) as info:
             vesselness_multiscale(vol, JermanParams(scales=(3.0,)))
     assert type(info.value) is ParameterError

@@ -1,15 +1,15 @@
 import math
 import re
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from tubekit import (FileFormatError, Mask3, NumericDomainError, ParameterError,
                      PhantomSpec, RoiBox, Volume3, load_tvol, make_phantom,
-                     roi_from_label, save_tvol, volume)
+                     roi_from_label, save_tvol, volume, workers)
 
+from memory import traced
 from oracles import cylinder_voxel_count
 
 
@@ -105,8 +105,9 @@ def test_other_phantom_kinds_produce_tubes(kind):
 def test_phantom_parameter_errors():
     with pytest.raises(ParameterError):
         make_phantom(PhantomSpec("cylinder", radius_mm=2.0), (8, 32, 32))
-    with pytest.raises(ParameterError):
-        PhantomSpec("cylinder", radius_mm=0.0)
+    for radius in (0.0, math.inf, math.nan):
+        with pytest.raises(ParameterError, match="radius_mm must be positive and finite"):
+            PhantomSpec("cylinder", radius_mm=radius)
     with pytest.raises(ParameterError):
         PhantomSpec("cylinder", radius_mm=1.0,
                     foreground_intensity=0.0, background_intensity=0.0)
@@ -161,12 +162,12 @@ def test_tvol_round_trip_masks(tmp_path):
 
 
 @pytest.mark.parametrize("dims, slab", [((1, 1, 1), 16), ((3, 5, 7), 16), ((4, 2, 9), 16),
-                                        ((64, 64, 21), volume._PHANTOM_SLAB)])
+                                        ((64, 64, 21), workers.SLAB_VOXELS)])
 def test_tvol_chunks_write_the_whole_volume_payload(tmp_path, monkeypatch, dims, slab):
     # Chunks of 16 voxels: 3x5 planes go one at a time, 4x2 planes two at a
     # time with a short last chunk of one; 64x64 planes go 16 at a time, 21
     # leaving a short last chunk of 5.  load_tvol reads back in the same chunks.
-    monkeypatch.setattr(volume, "_PHANTOM_SLAB", slab)
+    monkeypatch.setattr(workers, "SLAB_VOXELS", slab)
     rng = np.random.default_rng(11)
     vol = Volume3(dims, (1.0, 0.5, 2.0), rng.standard_normal(dims).astype(np.float32))
     mask = Mask3(dims, (rng.random(dims) < 0.5).astype(np.uint8), (1.0, 0.5, 2.0))
@@ -185,12 +186,7 @@ def test_tvol_save_makes_no_whole_volume_copy(tmp_path):
     # whole-volume astype, ravel or tobytes copy is one payload each.
     dims = (64, 64, 64)
     v = Volume3(dims, (1.0, 1.0, 1.0), np.ones(dims, dtype=np.float32))
-    tracemalloc.start()
-    try:
-        save_tvol(v, tmp_path / "v.tvol")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, _, peak = traced(save_tvol, v, tmp_path / "v.tvol")
     assert peak <= 0.5 * 4 * np.prod(dims)
 
 
@@ -209,12 +205,7 @@ def test_tvol_load_holds_one_payload(tmp_path, kind, bound):
     path = tmp_path / "big.tvol"
     save_tvol(obj, path)
     obj = None
-    tracemalloc.start()
-    try:
-        back = load_tvol(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    back, _, peak = traced(load_tvol, path)
     assert back.dims == dims
     assert peak <= bound * size * np.prod(dims)
 

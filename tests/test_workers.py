@@ -1,4 +1,5 @@
-"""The ``TUBEKIT_THREADS`` pool: the environment contract and ``parallel_map``.
+"""The ``TUBEKIT_THREADS`` pool: the environment contract, ``parallel_map``
+and the slab plan.
 
 The core count is patched wherever a test needs more workers than the
 host has, and a huge value is only ever passed to ``thread_count``, so no
@@ -50,6 +51,23 @@ def test_huge_value_never_exceeds_the_host_cores(monkeypatch):
     # Only the count is asked for: no pool is started.
     monkeypatch.setenv("TUBEKIT_THREADS", "1000000")
     assert 1 <= workers.thread_count() <= workers._available_cores()
+
+
+@pytest.mark.parametrize("plane", [2000, 128 * 128, 300 * 300])
+def test_slab_plan_is_the_same_at_every_worker_count(cores, plane):
+    # SLAB_VOXELS per slab, one slab in flight on each worker: 32-plane
+    # slabs with a short last one, 4-plane slabs, and a plane larger than
+    # a slab, which is a slab of its own.
+    plans = []
+    for n in ("1", "2", "3"):
+        cores(n, 3)
+        plans.append(workers.slabs(40, plane))
+    assert plans[0] == plans[1] == plans[2]
+    slabs = plans[0]
+    assert [s.start for s in slabs] == [0] + [s.stop for s in slabs[:-1]] and slabs[-1].stop == 40
+    for s in slabs:
+        assert 1 <= s.stop - s.start
+        assert (s.stop - s.start) * plane <= max(workers.SLAB_VOXELS, plane)
 
 
 @pytest.mark.parametrize("threads", ["1", "2", "3"])
