@@ -37,6 +37,7 @@ from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from .errors import NumericDomainError, ParameterError
+from .workers import parallel_map, thread_count
 
 _STRUCT_26 = np.ones((3, 3, 3), dtype=bool)
 DEFAULT_ITERATIONS = 10  # erosions of the skeleton recurrence
@@ -291,7 +292,7 @@ def _lines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[seg] + np.sign(b - a)[seg] * moved
 
 
-_QUERY_PAIRS = 1 << 20  # (source, neighbour) pairs held by one query
+_QUERY_PAIRS = 1 << 20  # (source, neighbour) pairs held by the queries at once
 
 
 def _nearest_other(src, src_lab, tgt, tgt_lab):
@@ -300,28 +301,37 @@ def _nearest_other(src, src_lab, tgt, tgt_lab):
     order, so that is the smallest target linear index; it must hold a
     point of another label for every source.
 
-    Each round queries the k nearest targets, in chunks of at most
-    ``_QUERY_PAIRS`` pairs; k doubles for the sources whose k-th
-    neighbour is not strictly farther than their best hit, since an
-    equally near target might then be missing from the k returned."""
+    Each round queries the k nearest targets; k doubles for the sources
+    whose k-th neighbour is not strictly farther than their best hit,
+    since an equally near target might then be missing from the k
+    returned.  A round's rows are cut into pool parts, at least one per
+    worker, each of at most ``_QUERY_PAIRS`` / workers pairs (or one
+    row), so the parts in flight hold at most ``_QUERY_PAIRS``.  A
+    source's answer depends only on it and the tree: each part writes
+    its own rows of ``key`` and returns the rows left for the next
+    round, in order."""
     n = len(tgt)
     tree = cKDTree(tgt)
     none = np.iinfo(np.int64).max
     key = np.full(len(src), none)  # d2 * n + row of the best hit
     todo = np.arange(len(src))
     k = min(4, n)
+    workers = thread_count()
+
+    def part(rows):
+        _, idx = tree.query(src[rows], k=k)
+        idx = idx.reshape(len(rows), k)
+        d2 = ((tgt[idx] - src[rows, None, :]) ** 2).sum(axis=2)
+        best = np.where(tgt_lab[idx] != src_lab[rows, None],
+                        d2 * n + idx, none).min(axis=1)
+        done = (k == n) | ((best < none) & (d2[:, -1] > best // n))
+        key[rows[done]] = best[done]
+        return rows[~done]
+
     while todo.size:
-        left = []
-        for rows in np.array_split(todo, -(-todo.size * k // _QUERY_PAIRS)):
-            _, idx = tree.query(src[rows], k=k)
-            idx = idx.reshape(len(rows), k)
-            d2 = ((tgt[idx] - src[rows, None, :]) ** 2).sum(axis=2)
-            best = np.where(tgt_lab[idx] != src_lab[rows, None],
-                            d2 * n + idx, none).min(axis=1)
-            done = (k == n) | ((best < none) & (d2[:, -1] > best // n))
-            key[rows[done]] = best[done]
-            left.append(rows[~done])
-        todo = np.concatenate(left)
+        per = max(1, _QUERY_PAIRS // (k * workers))  # rows a part
+        cuts = min(todo.size, max(workers, -(-todo.size // per)))
+        todo = np.concatenate(parallel_map(part, np.array_split(todo, cuts)))
         k = min(2 * k, n)
     return key // n, key % n
 

@@ -49,8 +49,11 @@ def _check_grid(dims, spacing, size):
     sp = tuple(float(s) for s in spacing)
     if len(grid) != 3 or any(d < 1 for d in grid):
         raise ParameterError(f"dims must be three counts >= 1, got {dims}")
-    if len(sp) != 3 or any(not np.isfinite(s) or s <= 0 for s in sp):
-        raise ParameterError(f"spacing must be three finite positives, got {spacing}")
+    with np.errstate(over="ignore", under="ignore"):
+        header = np.array(sp, dtype=np.float32)  # as a .tvol header stores it
+    if len(sp) != 3 or not (np.isfinite(header).all() and (header > 0).all()):
+        raise ParameterError(
+            f"spacing must be three finite positives, also in float32, got {spacing}")
     if size != grid[0] * grid[1] * grid[2]:
         raise ParameterError(f"data length {size} does not match dims {grid}")
     return grid, sp

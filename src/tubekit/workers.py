@@ -6,7 +6,12 @@ runs the parts in a plain loop with no pool.  Callers keep results exact:
 each part writes a disjoint region, and a float sum whose bits depend on
 order stays on the calling thread (a max may be split, it is order-free).
 A part may also be a whole computation that reads no other part's output,
-such as one loss term, with every sum of it inside the part.
+such as one loss term or ``metrics.evaluate``'s centerline scores, with
+every sum of it inside the part.  Or it may answer one range of query
+points against a shared kd-tree (``metrics.surface_distances``, the
+nearest-endpoint search of ``skeleton.reconnect``): a point's nearest
+neighbours depend only on the point and the tree, so the ranges, joined
+in part order, are one query's result.
 
 The slab plan: every stage that cuts a volume into slabs takes them from
 ``slabs``, ``SLAB_VOXELS`` voxels a slab or one plane if a plane is

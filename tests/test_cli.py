@@ -344,9 +344,12 @@ def test_parameter_error_exits_2(tmp_path, capsys):
     ["fusion-demo", "--dims", "32,32,32"],
     ["phantom", "--noise-sigma", "nan"],
     ["phantom", "--kind", "helix", "--radius-mm", "inf"],
+    ["phantom", "--spacing", "1e300,1e300,1e300"],
+    ["phantom", "--spacing", "1e-300,1,1"],
 ], ids=[*(f"gradcheck-size-{n}" for n in range(6)),
         "fusion-channels-0", "fusion-channels-over-64", "fusion-dims-0", "fusion-dims-over-16^3",
-        "fusion-dims-32^3", "phantom-noise-nan", "phantom-radius-inf"])
+        "fusion-dims-32^3", "phantom-noise-nan", "phantom-radius-inf",
+        "phantom-spacing-over-float32", "phantom-spacing-under-float32"])
 def test_out_of_domain_arguments_exit_2(tmp_path, capsys, argv):
     # gradcheck below size 6 cannot draw its 20 voxels and 40 interior ones
     if argv[0] == "phantom":
@@ -414,6 +417,33 @@ def test_skeleton_iterations_below_one_exit_2(tmp_path, capsys, argv):
     err = _one_line_error(capsys)
     assert err["error"] == "ParameterError"
     assert err["message"] == "iterations must be >= 1"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("empty", ["pred", "gt", "both"])
+def test_empty_masks_exit_4_with_one_line_at_any_worker_count(tmp_path, capsys, empty,
+                                                              threads):
+    # metrics and reconnect query their kd-trees on the pool; an empty
+    # input still gives the serial run's one error line and exit code,
+    # and writes nothing.
+    _, lab = _phantom_files(tmp_path, dims="16,16,16", radius_mm=1.5)
+    blank = tmp_path / "empty.tvol"
+    save_tvol(Mask3((16, 16, 16), np.zeros(16 ** 3, dtype=np.uint8)), blank)
+    pred = blank if empty in ("pred", "both") else lab
+    gt = blank if empty in ("gt", "both") else lab
+    out = tmp_path / "out"
+    out.mkdir()
+    with mock.patch.dict(os.environ, {"TUBEKIT_THREADS": threads}), \
+            mock.patch.object(workers, "_available_cores", lambda: 2):
+        assert _run("metrics", "--pred", str(pred), "--gt", str(gt),
+                    "--json", str(out / "m.json")) == 4
+        assert _one_line_error(capsys) == {
+            "error": "NumericDomainError", "message": "undefined distance: empty mask"}
+        assert _run("reconnect", "--in", str(blank), "--out", str(out / "r.tvol"),
+                    "--report", str(out / "r.json")) == 4
+        assert _one_line_error(capsys) == {
+            "error": "NumericDomainError", "message": "reconnect: empty skeleton"}
+    assert not list(out.iterdir())
 
 
 @pytest.mark.parametrize("command", ["metrics", "skeleton", "reconnect"])

@@ -162,12 +162,14 @@ def test_surface_single_voxel_pair_is_euclidean():
 
 
 def test_surface_extraction_matches_bruteforce():
+    # Same voxels in the same (C) order; dense fills have interior voxels,
+    # and thin shapes are all border.
     rng = np.random.default_rng(4)
-    for _ in range(10):
-        m = _blob(rng, p=0.3)
-        got = sorted(map(tuple, surface_voxels(m)))
-        expected = sorted(map(tuple, surface_voxels_bruteforce(m)))
-        assert got == expected
+    masks = [_blob(rng, p=0.3) for _ in range(10)]
+    masks += [rng.random(shape) < p for shape in [(1, 1, 1), (1, 5, 4), (2, 3, 7), (6, 1, 6),
+                                                 (7, 6, 5)] for p in (0.5, 0.9, 1.0)]
+    for m in masks:
+        assert np.array_equal(surface_voxels(m), surface_voxels_bruteforce(m))
 
 
 def test_surface_distances_match_bruteforce_oracle():

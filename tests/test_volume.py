@@ -124,6 +124,24 @@ def test_phantom_rejects_bad_spacing(spacing):
         make_phantom(PhantomSpec("helix", radius_mm=2.0), (16, 16, 16), spacing)
 
 
+@pytest.mark.parametrize("container", ["volume", "mask"])
+def test_containers_take_only_spacings_a_tvol_header_holds(tmp_path, container):
+    # The header stores the spacing as float32: one that overflows to inf
+    # or rounds to 0 there is a ParameterError; float32's largest and
+    # smallest positives still save and load.
+    def make(spacing):
+        if container == "volume":
+            return Volume3((2, 2, 2), spacing, np.zeros(8, dtype=np.float32))
+        return Mask3((2, 2, 2), np.ones(8, dtype=np.uint8), spacing)
+
+    for bad in ((1e300, 1e300, 1e300), (1e-300, 1, 1), (1, 3.5e38, 1), (1, 1, 1e-46)):
+        with pytest.raises(ParameterError, match="finite positives, also in float32"):
+            make(bad)
+    edge = (float(np.finfo(np.float32).max), float(np.finfo(np.float32).smallest_subnormal), 1)
+    save_tvol(make(edge), tmp_path / "edge.tvol")
+    assert load_tvol(tmp_path / "edge.tvol").spacing == edge
+
+
 # ---------------------------------------------------------------------------
 # .tvol round trips
 # ---------------------------------------------------------------------------
