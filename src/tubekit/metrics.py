@@ -11,13 +11,12 @@ counting as background.  Centerline-based scores share the toolkit's
 skeleton semantics (hard_skeleton), so the same centerline feeds losses
 and evaluation.  Tree scores use one 26-neighbour graph of the
 centerline's voxels, on which scipy.sparse.csgraph labels and walks the
-branches.  The surface distances' kd-tree queries run on the worker pool
-(``tubekit.workers``), the larger query cut into one row range of points
-per worker; in ``evaluate`` the centerline scores run as one more part
-beside them.
+branches.  ``surface_distances`` runs its two directions as parts on
+the worker pool (``tubekit.workers``), each cut into one row range of
+query points per worker, and ``evaluate`` runs it and the centerline
+scores as two parts, the nested calls joining the same pool.
 """
 
-import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -94,54 +93,30 @@ def surface_voxels(fg: np.ndarray) -> np.ndarray:
     return np.stack(np.unravel_index(np.flatnonzero(surface), fg.shape), axis=1)
 
 
-def _distance_parts(surf_a, surf_b, spacing):
-    """The parts of ``surface_distances``: (a to b, b to a), each a list
-    of parts whose results, joined in order, are the nearest distances
-    from each point of one surface to the other."""
-    if not (len(surf_a) and len(surf_b)):
-        raise NumericDomainError("undefined distance: empty mask")
-    sp = np.asarray(spacing, dtype=np.float64)
-    a = surf_a * sp
-    b = surf_b * sp
-    return _direction_parts(a, b), _direction_parts(b, a)
-
-
-def _direction_parts(pts, other):
-    """Parts for the distances from each of ``pts`` to the nearest of
-    ``other``.  Points at least as many as the tree's are cut into one
-    row range per worker (some may be empty), all querying one tree
-    built here.  Fewer points into a larger tree are one part that
-    builds its tree too: the build holds the GIL, so on the pool it
-    overlaps the other parts' queries.  A point's nearest neighbour
-    depends only on the point and the tree, so the ranges, joined in
-    order, hold the bits of one query of all the points."""
-    if len(pts) < len(other):
-        return [lambda: _nearest_distances(cKDTree(other), pts)]
+def _nearest_distances(pts, other):
+    """Distances from each of ``pts`` to the nearest of ``other``: one
+    tree built here, the points cut into one row range per worker, each
+    range a pool part.  A point's nearest neighbour depends only on the
+    point and the tree, so the ranges, joined in order, hold the bits of
+    one query of all the points."""
     tree = cKDTree(other)
-    return [functools.partial(_nearest_distances, tree, rows)
-            for rows in np.array_split(pts, thread_count())]
-
-
-def _nearest_distances(tree, pts):
-    return tree.query(pts)[0]
-
-
-def _distance_scores(ranges, n_ab):
-    """(hd, assd, ahd) of the results of ``_distance_parts``' parts, in
-    order, the first ``n_ab`` of them a to b."""
-    d_ab, d_ba = np.concatenate(ranges[:n_ab]), np.concatenate(ranges[n_ab:])
-    hd = max(float(d_ab.max()), float(d_ba.max()))
-    assd = (float(d_ab.sum()) + float(d_ba.sum())) / (len(d_ab) + len(d_ba))
-    ahd = (float(d_ab.mean()) + float(d_ba.mean())) / 2.0
-    return hd, assd, ahd
+    return np.concatenate(parallel_map(lambda rows: tree.query(rows)[0],
+                                       np.array_split(pts, thread_count())))
 
 
 def surface_distances(surf_a: np.ndarray, surf_b: np.ndarray, spacing):
     """(hd, assd, ahd) in mm between two surfaces' voxel coordinates; a
-    non-empty mask always has surface voxels.  The nearest-neighbour
-    queries run on the worker pool (``_distance_parts``)."""
-    ab, ba = _distance_parts(surf_a, surf_b, spacing)
-    return _distance_scores(parallel_map(_run, ab + ba), len(ab))
+    non-empty mask always has surface voxels.  The two directions, a to
+    b and b to a, run as two pool parts (``_nearest_distances``)."""
+    if not (len(surf_a) and len(surf_b)):
+        raise NumericDomainError("undefined distance: empty mask")
+    sp = np.asarray(spacing, dtype=np.float64)
+    a, b = surf_a * sp, surf_b * sp
+    d_ab, d_ba = parallel_map(lambda pair: _nearest_distances(*pair), [(a, b), (b, a)])
+    hd = max(float(d_ab.max()), float(d_ba.max()))
+    assd = (float(d_ab.sum()) + float(d_ba.sum())) / (len(d_ab) + len(d_ba))
+    ahd = (float(d_ab.mean()) + float(d_ba.mean())) / 2.0
+    return hd, assd, ahd
 
 
 def _branch_walk(centerline: np.ndarray):
@@ -250,12 +225,9 @@ def evaluate(pred: Mask3, gt: Mask3, skel_k: int = DEFAULT_ITERATIONS) -> dict:
         sp = sg if np.array_equal(p, g) else hard_skeleton(p, skel_k)
         return sp, sg, bd, tld
 
-    # One flat list: a pool thread would run nested parts in a plain
-    # loop.  The centerline part comes last, so the parts raise in the
-    # serial order; an empty surface raises before any part runs.
-    ab, ba = _distance_parts(surf_p, surf_g, gt.spacing)
-    *ranges, (sp, sg, bd, tld) = parallel_map(_run, ab + ba + [centerlines])
-    hd, assd, ahd = _distance_scores(ranges, len(ab))
+    # The surface part comes first, so the parts raise in the serial order.
+    (hd, assd, ahd), (sp, sg, bd, tld) = parallel_map(_run, [
+        lambda: surface_distances(surf_p, surf_g, gt.spacing), centerlines])
     return {
         "dice": dice(p, g), "cldice": cldice(p, g, sp, sg),
         "f1": prf.f1, "precision": prf.precision, "recall": prf.recall,

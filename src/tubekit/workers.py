@@ -13,6 +13,12 @@ nearest-endpoint search of ``skeleton.reconnect``): a point's nearest
 neighbours depend only on the point and the tree, so the ranges, joined
 in part order, are one query's result.
 
+The calling thread is one of the workers, beside the pool's
+``thread_count() - 1`` threads, so a part may call ``parallel_map`` in
+turn (``metrics.evaluate`` runs ``surface_distances`` as a part) and a
+free pool thread joins the nested call; ``parallel_map`` says why it
+cannot deadlock.
+
 The slab plan: every stage that cuts a volume into slabs takes them from
 ``slabs``, ``SLAB_VOXELS`` voxels a slab or one plane if a plane is
 larger, the same at every worker count.
@@ -21,8 +27,7 @@ larger, the same at every worker count.
 import contextvars
 import functools
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 
 from .errors import ParameterError
 
@@ -51,29 +56,36 @@ def slabs(n: int, plane: int) -> list:
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-_worker = threading.local()  # .busy is set on the pool's own threads
-
-
-def _mark_worker():
-    _worker.busy = True
-
-
 @functools.cache
 def _pool(workers: int) -> ThreadPoolExecutor:
-    return ThreadPoolExecutor(workers, thread_name_prefix="tubekit",
-                              initializer=_mark_worker)
+    return ThreadPoolExecutor(workers - 1, thread_name_prefix="tubekit")
+
+
+def _run_here(call) -> Future:
+    done = Future()
+    try:
+        done.set_result(call())
+    except Exception as error:  # raised in part order, after every part ends
+        done.set_exception(error)
+    return done
 
 
 def parallel_map(fn, parts) -> list:
-    """[fn(p) for p in parts], run on the pool.  Every part finishes before
-    the first exception, in part order, reaches the caller.  Each part runs
-    in a copy of the caller's context, so ``np.errstate`` holds in it.  A
-    call from a pool thread runs its parts in a plain loop: on the pool it
-    would wait on the workers it occupies."""
+    """[fn(p) for p in parts], on the calling thread and the pool.  Every
+    part finishes before the first exception, in part order, reaches the
+    caller.  Each part runs in a copy of the caller's context, so
+    ``np.errstate`` holds in it.
+
+    The caller runs, in part order, every part no pool thread has started
+    (its future can still be cancelled), then waits on the parts that are
+    running.  A thread thus waits only on parts of its own call that other
+    threads run, and those wait only on parts nested deeper still, so a
+    nested call cannot deadlock."""
     workers = thread_count()
-    if workers == 1 or len(parts) < 2 or getattr(_worker, "busy", False):
+    if workers == 1 or len(parts) < 2:
         return [fn(p) for p in parts]
-    futures = [_pool(workers).submit(contextvars.copy_context().run, fn, p)
-               for p in parts]
+    calls = [functools.partial(contextvars.copy_context().run, fn, p) for p in parts]
+    futures = [_pool(workers).submit(call) for call in calls]
+    futures = [_run_here(call) if f.cancel() else f for call, f in zip(calls, futures)]
     wait(futures)
     return [f.result() for f in futures]

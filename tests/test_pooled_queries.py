@@ -1,8 +1,10 @@
 """The kd-tree queries on the worker pool against the one-call form.
 
-``surface_distances`` cuts each direction's query points into one row
-range per worker, and ``reconnect``'s nearest-endpoint search cuts each
-k-doubling round's rows into parts of at most ``_QUERY_PAIRS`` / workers
+``surface_distances`` runs its two directions as parts, each cutting its
+query points into one row range per worker (``evaluate`` runs it as a
+part beside the centerline scores, so the call nests), and
+``reconnect``'s nearest-endpoint search cuts each k-doubling round's
+rows into parts of at most ``_QUERY_PAIRS`` / workers
 (source, neighbour) pairs.  A point's neighbours depend only on the point
 and the tree, so the joined results must be those of one query, bit for
 bit, at 1, 2 and 4 workers: the surface distances against the all-pairs
@@ -66,20 +68,24 @@ def _masks(case):
 @pytest.mark.parametrize("threads", THREADS)
 @pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (0.7, 1.3, 2.9)])
 @pytest.mark.parametrize("case", range(5))
-def test_surface_distances_match_the_oracle_bit_for_bit(case, spacing, threads):
+def test_surface_distances_match_the_oracle_bit_for_bit(monkeypatch, case, spacing, threads):
     surf_p, surf_g = (surface_voxels(m) for m in _masks(case))
     want = brute_surface_distances(surf_p, surf_g, spacing)
     sp = np.asarray(spacing)
-    one_call = [cKDTree(b * sp).query(a * sp)[0] for a, b in ((surf_p, surf_g), (surf_g, surf_p))]
+    pairs = [(surf_p * sp, surf_g * sp), (surf_g * sp, surf_p * sp)]
+    one_call = [cKDTree(b).query(a)[0] for a, b in pairs]
+    monkeypatch.setattr(metrics, "cKDTree", _RecordingTree)
+    monkeypatch.setattr(_RecordingTree, "queries", [])
     with _workers(threads):
         got = surface_distances(surf_p, surf_g, spacing)
-        directions = metrics._distance_parts(surf_p, surf_g, spacing)
-        joined = [np.concatenate(workers.parallel_map(metrics._run, parts))
-                  for parts in directions]
+        joined = [metrics._nearest_distances(a, b) for a, b in pairs]
     assert got == want
-    # the direction with more query points is cut into one range per worker
-    assert sorted(map(len, directions)) in ([1, threads], [threads, threads])
     assert [j.tobytes() for j in joined] == [w.tobytes() for w in one_call]
+    # each direction's points are cut into one range per worker (some may
+    # be empty), in both the nested and the direct calls
+    queries = _RecordingTree.queries
+    assert len(queries) == 4 * threads
+    assert sum(rows for rows, _ in queries) == 2 * (len(surf_p) + len(surf_g))
 
 
 def test_evaluate_reports_the_same_at_every_worker_count():

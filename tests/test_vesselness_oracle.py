@@ -203,7 +203,7 @@ def test_divide_matches_true_division(dividends, d):
 
 def test_non_finite_hessian_raises_from_a_worker():
     # Only the last two of six 4-plane slabs overflow float32 at sigma 3:
-    # their parts run on pool threads, and the error reaches the caller.
+    # their parts run on either worker, and the error reaches the caller.
     data = np.zeros((24, 12, 12), dtype=np.float32)
     data[16:] = np.where(np.arange(12) % 8 < 4, 3e38, -3e38)[:, None]
     vol = Volume3(data.shape, (1.0, 1.0, 1.0), data)

@@ -6,6 +6,7 @@ host has, and a huge value is only ever passed to ``thread_count``, so no
 test can start more threads than it asks for.
 """
 
+import collections
 import os
 import subprocess
 import sys
@@ -96,6 +97,49 @@ def test_parallel_map_finishes_every_part_then_raises_the_first_error(cores, thr
     assert sorted(done) == ([0] if threads == "1" else [0, 2, 4, 5])
 
 
+def test_a_part_the_caller_runs_raises_after_every_part_ends(cores):
+    # Parts fail only on the calling thread, which runs at least one: it
+    # takes every part the pool's one thread has not started.
+    cores("2", 2)
+    caller, ran = threading.get_ident(), []
+
+    def fn(p):
+        time.sleep(0.01)
+        ran.append((p, threading.get_ident()))
+        if threading.get_ident() == caller:
+            raise ParameterError(f"part {p}")
+        return p
+
+    with pytest.raises(ParameterError) as info:
+        workers.parallel_map(fn, list(range(4)))
+    assert sorted(p for p, _ in ran) == [0, 1, 2, 3]
+    mine = sorted(p for p, thread in ran if thread == caller)
+    assert mine and str(info.value) == f"part {mine[0]}"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_part_failing_inside_a_nested_call_raises_after_every_part_ends(cores, threads):
+    cores(threads, 2)
+    done = []
+
+    def inner(q):
+        if q == (1, 1):
+            raise ParameterError(f"part {q}")
+        time.sleep(0.01)
+        done.append(q)
+
+    def outer(p):
+        workers.parallel_map(inner, [(p, 0), (p, 1), (p, 2)])
+        done.append(p)
+
+    with pytest.raises(ParameterError, match=r"part \(1, 1\)"):
+        workers.parallel_map(outer, [0, 1, 2])
+    expected = [0, (0, 0), (0, 1), (0, 2), (1, 0)]
+    if threads == "2":  # every part ends, the failing one's siblings too
+        expected += [2, (1, 2), (2, 0), (2, 1), (2, 2)]
+    assert sorted(done, key=str) == sorted(expected, key=str)
+
+
 def test_parallel_map_reuses_one_pool_of_at_most_the_worker_count(cores):
     cores("2", 2)
     seen = set()
@@ -106,8 +150,65 @@ def test_parallel_map_reuses_one_pool_of_at_most_the_worker_count(cores):
 
     for _ in range(3):
         workers.parallel_map(fn, list(range(8)))
-    assert threading.get_ident() not in seen
+    # the caller counted: it is one of the workers
     assert 1 <= len(seen) <= 2
+
+
+def test_a_nested_call_runs_on_a_free_worker(cores):
+    # The sub-parts of every nested call meet at one barrier: only
+    # sub-parts in flight together pass it, so a nested call run in a
+    # plain loop breaks it after 5 s.  Part 0 nests, and so does a part
+    # the calling thread runs: a thread that waits on its own call's parts
+    # joins no nested call, so at 2 workers a nested call made on the
+    # pool's one thread has no free worker but the caller's own nested
+    # call, and one made on the caller has the pool's thread.
+    cores("2", 2)
+    caller, barrier = threading.get_ident(), threading.Barrier(2, timeout=5)
+
+    def meet(q):
+        barrier.wait()
+        return q
+
+    def fn(p):
+        if p == 0 or threading.get_ident() == caller:
+            return workers.parallel_map(meet, [0, 1])
+        time.sleep(0.05)
+        return [0, 1]
+
+    assert workers.parallel_map(fn, [0, 1]) == [[0, 1], [0, 1]]
+
+
+def test_every_part_runs_once_while_the_caller_races_the_pool(cores):
+    # More workers than cores and a short switch interval: the caller's
+    # cancel() races a pool thread's start of the same part.  A part run
+    # twice, or by no one, changes the counts; a deadlock leaves the
+    # driving thread alive.
+    cores("4", 4)
+    runs, lock, results = collections.Counter(), threading.Lock(), []
+
+    def leaf(key):
+        with lock:
+            runs[key] += 1
+        return key
+
+    def drive():
+        for _ in range(40):
+            results.append(workers.parallel_map(
+                lambda p: workers.parallel_map(leaf, [(p, q) for q in range(5)]),
+                list(range(6))))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        driver = threading.Thread(target=drive)
+        driver.start()
+        driver.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not driver.is_alive()
+    keys = [(p, q) for p in range(6) for q in range(5)]
+    assert results == [[keys[5 * p:5 * p + 5] for p in range(6)]] * 40
+    assert runs == collections.Counter({key: 40 for key in keys})
 
 
 @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
@@ -120,18 +221,30 @@ def test_parallel_map_parts_keep_the_callers_errstate(cores, threads):
             workers.parallel_map(lambda p: np.array([p]) / 0.0, [1.0, 2.0])
 
 
+# (depth, workers, the outer part, the child's printed result): a part
+# calls parallel_map, and at depth 3 a part of that call calls it again
+NESTED = [
+    (2, 2, "lambda p: workers.parallel_map(lambda q: 10 * p + q, [0, 1, 2])",
+     [[0, 1, 2], [10, 11, 12], [20, 21, 22]]),
+    *((3, n, "lambda p: workers.parallel_map(lambda q: workers.parallel_map(\n"
+             "    lambda r: 100 * p + 10 * q + r, [0, 1]), [0, 1])",
+       [[[0, 1], [10, 11]], [[100, 101], [110, 111]], [[200, 201], [210, 211]]])
+      for n in (2, 4)),
+]
+
+
 def test_a_part_may_call_parallel_map():
     # In a child process: a deadlocked pool would keep threads that no
     # test could free, and the child can be killed.
-    code = ("from tubekit import workers\n"
-            "workers._available_cores = lambda: 2\n"
-            "print(workers.parallel_map(lambda p: workers.parallel_map(\n"
-            "    lambda q: 10 * p + q, [0, 1, 2]), [0, 1, 2]))\n")
-    env = {**os.environ, "TUBEKIT_THREADS": "2",
-           "PYTHONPATH": str(Path(workers.__file__).parents[1])}
-    try:
-        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, timeout=30)
-    except subprocess.TimeoutExpired:
-        pytest.fail("the nested parallel_map deadlocked")
-    assert (run.returncode, run.stdout) == (0, "[[0, 1, 2], [10, 11, 12], [20, 21, 22]]\n")
+    for depth, n, fn, expected in NESTED:
+        code = ("from tubekit import workers\n"
+                f"workers._available_cores = lambda: {n}\n"
+                f"print(workers.parallel_map({fn}, [0, 1, 2]))\n")
+        env = {**os.environ, "TUBEKIT_THREADS": str(n),
+               "PYTHONPATH": str(Path(workers.__file__).parents[1])}
+        try:
+            run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                 text=True, timeout=30)
+        except subprocess.TimeoutExpired:
+            pytest.fail(f"the parallel_map nested {depth} deep at {n} workers deadlocked")
+        assert (run.returncode, run.stdout) == (0, f"{expected}\n"), (depth, n)
