@@ -3,7 +3,6 @@ import contextlib
 import io
 import json
 import math
-import os
 import shlex
 import shutil
 import struct
@@ -11,21 +10,20 @@ import tempfile
 import threading
 import time
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tubekit import (Mask3, ParameterError, load_tvol, losses, metrics, save_tvol,
-                     vesselness, workers)
+from tubekit import Mask3, ParameterError, load_tvol, losses, metrics, save_tvol, vesselness
 from tubekit.cli import _build_parser, _jsonify, _line_voxels, _reconnect_report, main
 from tubekit.skeleton import DEFAULT_ITERATIONS, SoftSkeletonTape, reconnect
 from tubekit.volume import PHANTOM_KINDS, Volume3
 
 from memory import traced
 from oracles import bresenham_line
+from pool import at_workers
 
 
 def _run(*argv):
@@ -419,7 +417,7 @@ def test_skeleton_iterations_below_one_exit_2(tmp_path, capsys, argv):
     assert err["message"] == "iterations must be >= 1"
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("empty", ["pred", "gt", "both"])
 def test_empty_masks_exit_4_with_one_line_at_any_worker_count(tmp_path, capsys, empty,
                                                               threads):
@@ -433,8 +431,7 @@ def test_empty_masks_exit_4_with_one_line_at_any_worker_count(tmp_path, capsys, 
     gt = blank if empty in ("gt", "both") else lab
     out = tmp_path / "out"
     out.mkdir()
-    with mock.patch.dict(os.environ, {"TUBEKIT_THREADS": threads}), \
-            mock.patch.object(workers, "_available_cores", lambda: 2):
+    with at_workers(threads):
         assert _run("metrics", "--pred", str(pred), "--gt", str(gt),
                     "--json", str(out / "m.json")) == 4
         assert _one_line_error(capsys) == {
@@ -781,12 +778,10 @@ def test_loss_gradient_beyond_float32_exits_2(tmp_path, capsys):
 
 def _loss_outcome(argv, threads):
     """(exit code, stderr, report bytes or None) of ``tubekit loss`` at
-    ``threads`` workers on a host of 2 cores; the report is removed."""
+    ``threads`` workers; the report is removed."""
     out = Path(argv[argv.index("--json") + 1])
     err = io.StringIO()
-    with mock.patch.dict(os.environ, {"TUBEKIT_THREADS": threads}), \
-            mock.patch.object(workers, "_available_cores", lambda: 2), \
-            contextlib.redirect_stderr(err):
+    with at_workers(threads), contextlib.redirect_stderr(err):
         code = main(argv)
     report = out.read_bytes() if out.exists() else None
     out.unlink(missing_ok=True)
@@ -808,9 +803,9 @@ def test_loss_report_is_the_same_at_one_and_two_workers(kind, dims, radius_mm, n
         save_tvol(Volume3(image.dims, image.spacing, np.clip(image.data, 0.0, 1.0)), pred)
         argv = ["loss", "--pred", str(pred), "--label", str(lab), "--image", str(img),
                 "--radius", str(window), "--json", str(Path(d) / "loss.json")]
-        serial = _loss_outcome(argv, "1")
+        serial = _loss_outcome(argv, 1)
         assert serial[0] == 0
-        assert _loss_outcome(argv, "2") == serial
+        assert _loss_outcome(argv, 2) == serial
 
 
 def _train_loss_argv(tmp_path):
@@ -825,9 +820,9 @@ def _train_loss_argv(tmp_path):
 
 def test_loss_report_is_the_same_at_one_and_two_workers_at_64(tmp_path):
     argv = _train_loss_argv(tmp_path)
-    serial = _loss_outcome(argv, "1")
+    serial = _loss_outcome(argv, 1)
     assert serial[0] == 0
-    assert _loss_outcome(argv, "2") == serial
+    assert _loss_outcome(argv, 2) == serial
 
 
 def _assert_loss_peaks(argv, n, bounds):
@@ -843,7 +838,7 @@ def test_loss_peak_memory_at_64(tmp_path):
     # Measured at 12.74 volumes at 1 worker and 15.02 at 2: the
     # connectivity tape's forward sets the peak, and at 2 workers the
     # spatial term's guide and gradient are held beside it.
-    _assert_loss_peaks(_train_loss_argv(tmp_path), 64, (("1", 15.0), ("2", 17.0)))
+    _assert_loss_peaks(_train_loss_argv(tmp_path), 64, ((1, 15.0), (2, 17.0)))
 
 
 @pytest.fixture(scope="module")
@@ -861,7 +856,7 @@ def test_loss_peak_memory_at_128(helix_128, tmp_path):
     img, lab, pred = helix_128
     argv = ["loss", "--pred", str(pred), "--label", str(lab), "--image", str(img),
             "--json", str(tmp_path / "loss.json")]
-    _assert_loss_peaks(argv, 128, (("1", 16.0), ("2", 18.0)))
+    _assert_loss_peaks(argv, 128, ((1, 16.0), (2, 18.0)))
 
 
 def test_tape_holds_under_seven_volumes_after_its_forward_at_128(helix_128):
@@ -894,14 +889,14 @@ def test_loss_runs_the_spatial_term_beside_the_connectivity_term(tmp_path, monke
     monkeypatch.setattr(losses, "loss_spatial_array",
                         term("spatial", losses.loss_spatial_array))
     argv = _loss_argv(tmp_path) + ["--json", str(tmp_path / "loss.json")]
-    assert _loss_outcome(argv, "2")[0] == 0
+    assert _loss_outcome(argv, 2)[0] == 0
     (con_thread, con_start, con_end), (sp_thread, sp_start, sp_end) = (
         spans["con"], spans["spatial"])
     assert sp_thread != con_thread
     assert sp_start < con_end and con_start < sp_end
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("inputs, extra, code, error, message", [
     ({"empty_label": True}, ["--beta", "0.5", "--roi", "0,0,0,3,3,3"], 4,
      "NumericDomainError", "relaxed supervision needs at least one positive voxel"),
@@ -925,7 +920,7 @@ def test_loss_growth_error_wins_over_a_spatial_error(tmp_path, monkeypatch, thre
     assert (got, json.loads(err), report) == (code, {"error": error, "message": message},
                                               None)
     # The plain loop stops at the growth part; the pool runs the spatial term.
-    assert len(calls) == 1 + (threads == "2")
+    assert len(calls) == 1 + (threads == 2)
 
 
 def _readme_cli_lines():

@@ -6,27 +6,32 @@ command: vesselness bright and dark, skeleton of a mask and of a volume,
 reconnect with its report, loss with the defaults and with non-default
 --beta, --radius and an explicit --roi, metrics, fusion-demo and gradcheck.
 Those inputs are too small to split into slabs, so the script also makes
-the helix phantom at 64x64x40 (three z-slabs) and its bright vesselness
-(three slabs, of 25, 25 and 14 planes, at any worker count; the oracle
-tests in test_vesselness_oracle.py cover other splits).
-It runs at one and at two workers, and both must give the hashes in
-``golden.json``.  A change that moves a bit of any artifact fails here; one
-that means to change the numerics re-records the file and says by how much.
+the bifurcation and helix phantoms at 64x64x40 (three z-slabs), runs
+skeleton, reconnect with its report and metrics against the label on
+both, and the helix's bright and dark vesselness (three slabs, of 25, 25
+and 14 planes, at any worker count; the oracle tests in
+test_vesselness_oracle.py cover other splits).  The bifurcation label is
+its own hard skeleton, so its reconnect draws no segment; the helix's
+draws 114.  It runs at one, two and four workers, each through
+``pool.at_workers`` (a host that appears to have that many cores, and a
+check that ``thread_count()`` is that many), and every run must give the
+hashes in ``golden.json``.  A change that moves a bit of any artifact
+fails here; one that means to change the numerics re-records the file
+and says by how much.
 
 Record the hashes with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import hashlib
 import json
-import os
 import sys
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 
-from tubekit import Mask3, load_tvol, save_tvol, workers
+from pool import at_workers
+from tubekit import Mask3, load_tvol, save_tvol
 from tubekit.cli import main
 from tubekit.volume import PHANTOM_KINDS
 
@@ -64,33 +69,34 @@ def artifacts(out: Path) -> dict:
         mask = out / f"{kind}-mask.tvol"
         save_tvol(Mask3(resp.dims, (resp.data > 0.5).astype(np.uint8), resp.spacing), mask)
         _run("metrics", "--pred", mask, "--gt", lab, "--json", out / f"{kind}-metrics.json")
-    img = out / "helix-slabs-img.tvol"
-    _run("phantom", "--kind", "helix", "--dims", "64,64,40", "--noise-sigma", 0.3,
-         "--seed", 5, "--out-image", img, "--out-label", out / "helix-slabs-lab.tvol")
-    _run("vesselness", "--in", img, "--polarity", "bright",
-         "--out", out / "helix-slabs-vess-bright.tvol")
+    for kind in ("bifurcation", "helix"):
+        img, lab = out / f"{kind}-slabs-img.tvol", out / f"{kind}-slabs-lab.tvol"
+        skel, rec = out / f"{kind}-slabs-skel.tvol", out / f"{kind}-slabs-rec.tvol"
+        _run("phantom", "--kind", kind, "--dims", "64,64,40", "--noise-sigma", 0.3,
+             "--seed", 5, "--out-image", img, "--out-label", lab)
+        _run("skeleton", "--in", lab, "--out", skel)
+        _run("reconnect", "--in", skel, "--out", rec, "--report", out / f"{kind}-slabs-rec.json")
+        _run("metrics", "--pred", rec, "--gt", lab, "--json", out / f"{kind}-slabs-metrics.json")
+    for polarity in ("bright", "dark"):
+        _run("vesselness", "--in", out / "helix-slabs-img.tvol", "--polarity", polarity,
+             "--out", out / f"helix-slabs-vess-{polarity}.tvol")
     _run("fusion-demo", "--json", out / "fusion.json")
     _run("gradcheck", "--json", out / "gradcheck.json")
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(out.iterdir())}
 
 
-def _artifacts_at(n: int, out: Path) -> dict:
-    """The script at TUBEKIT_THREADS=n on a host that appears to have two cores."""
-    with mock.patch.dict(os.environ, {"TUBEKIT_THREADS": str(n)}), \
-            mock.patch.object(workers, "_available_cores", return_value=2):
-        return artifacts(out)
-
-
-def test_artifacts_match_golden_at_one_and_two_workers(tmp_path):
+def test_artifacts_match_golden_at_one_two_and_four_workers(tmp_path):
     want = json.loads(GOLDEN.read_text())
-    for n in (1, 2):
+    for n in (1, 2, 4):
         (tmp_path / str(n)).mkdir()
-        assert _artifacts_at(n, tmp_path / str(n)) == want, n
+        with at_workers(n):
+            assert artifacts(tmp_path / str(n)) == want, n
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        got = _artifacts_at(1, Path(tmp))
+        with at_workers(1):
+            got = artifacts(Path(tmp))
     GOLDEN.write_text(json.dumps(got, indent=2, sort_keys=True) + "\n")
     sys.stdout.write(f"{len(got)} artifacts recorded in {GOLDEN}\n")

@@ -2,7 +2,6 @@
 against the former whole-volume code."""
 
 import itertools
-import os
 from unittest import mock
 
 import numpy as np
@@ -13,6 +12,7 @@ from scipy.spatial import cKDTree
 
 from memory import traced
 from oracles import _oracle_centerline_distance, phantom_oracle
+from pool import at_workers
 from tubekit import volume, workers
 from tubekit.volume import PHANTOM_KINDS, PhantomSpec, make_phantom
 
@@ -22,14 +22,14 @@ from tubekit.volume import PHANTOM_KINDS, PhantomSpec, make_phantom
 def test_slabs_match_whole_volume_oracle(kind, slab, monkeypatch):
     # the slabs run on the pool: the bytes are the same at 1 and 2 workers
     monkeypatch.setattr(workers, "SLAB_VOXELS", slab)
-    for threads, (dims, spacing, spec) in itertools.product(("1", "2"), (
+    for threads, (dims, spacing, spec) in itertools.product((1, 2), (
             ((33, 30, 41), (0.5, 0.75, 1.25),
              PhantomSpec(kind, 2.0, noise_sigma=0.3, gap_len_voxels=5, seed=7)),
             ((20, 16, 70), (1.0, 1.0, 1.0),
              PhantomSpec(kind, 3.5, foreground_intensity=2.0, background_intensity=-1.0,
                          gap_len_voxels=9, seed=1)))):
-        monkeypatch.setenv("TUBEKIT_THREADS", threads)
-        image, label = make_phantom(spec, dims, spacing)
+        with at_workers(threads):
+            image, label = make_phantom(spec, dims, spacing)
         o_image, o_label = phantom_oracle(spec, dims, spacing)
         assert image.data.tobytes() == o_image.tobytes()
         assert label.data.tobytes() == o_label.tobytes()
@@ -54,9 +54,8 @@ def test_bytes_match_the_every_voxel_oracle(data):
                        gap_len_voxels=data.draw(st.integers(0, dims[2] - 1), "gap"),
                        seed=data.draw(st.integers(0, 2 ** 32 - 1), "seed"))
     slab = data.draw(st.sampled_from([1, 5000, workers.SLAB_VOXELS]), "slab")
-    threads = data.draw(st.sampled_from(["1", "2"]), "threads")
-    with mock.patch.object(workers, "SLAB_VOXELS", slab), \
-            mock.patch.dict(os.environ, {"TUBEKIT_THREADS": threads}):
+    threads = data.draw(st.sampled_from([1, 2]), "threads")
+    with mock.patch.object(workers, "SLAB_VOXELS", slab), at_workers(threads):
         image, label = make_phantom(spec, dims, spacing)
     o_image, o_label = phantom_oracle(spec, dims, spacing)
     assert image.data.tobytes() == o_image.tobytes()
@@ -108,11 +107,11 @@ def test_helix_voxel_exactly_at_the_radius_is_inside():
 
 
 @pytest.mark.parametrize("kind", ["bifurcation", "helix"])
-def test_peak_memory_is_bounded_in_volumes(kind, monkeypatch):
+def test_peak_memory_is_bounded_in_volumes(kind):
     # the whole-volume code peaked at 14 float64 volumes (bifurcation);
     # tracemalloc counts every thread, so at 2 workers both slabs in flight count
-    dims = (128, 128, 128)
-    for threads in ("1", "2"):
-        monkeypatch.setenv("TUBEKIT_THREADS", threads)
-        _, _, peak = traced(make_phantom, PhantomSpec(kind, 2.0, noise_sigma=0.3, seed=3), dims)
+    dims, spec = (128, 128, 128), PhantomSpec(kind, 2.0, noise_sigma=0.3, seed=3)
+    for threads in (1, 2):
+        with at_workers(threads):
+            _, _, peak = traced(make_phantom, spec, dims)
         assert peak <= 1.5 * 8 * np.prod(dims), (threads, peak)

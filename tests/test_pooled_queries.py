@@ -14,28 +14,17 @@ distance, so the search doubles k up to 16; a budget of 64 pairs cuts a
 round into a few rows a part, and one of 5 into single rows.
 """
 
-import contextlib
-import os
-from unittest import mock
-
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
 from oracles import brute_surface_distances, reconnect_oracle
-from tubekit import Mask3, PhantomSpec, make_phantom, metrics, skeleton, workers
+from pool import at_workers
+from tubekit import Mask3, PhantomSpec, make_phantom, metrics, skeleton
 from tubekit.metrics import evaluate, surface_distances, surface_voxels
 from tubekit.skeleton import reconnect
 
 THREADS = [1, 2, 4]
-
-
-@contextlib.contextmanager
-def _workers(n):
-    """TUBEKIT_THREADS=n on a host that appears to have four cores."""
-    with mock.patch.dict(os.environ, {"TUBEKIT_THREADS": str(n)}), \
-            mock.patch.object(workers, "_available_cores", return_value=4):
-        yield
 
 
 def _lattice(kind, shape):
@@ -76,7 +65,7 @@ def test_surface_distances_match_the_oracle_bit_for_bit(monkeypatch, case, spaci
     one_call = [cKDTree(b).query(a)[0] for a, b in pairs]
     monkeypatch.setattr(metrics, "cKDTree", _RecordingTree)
     monkeypatch.setattr(_RecordingTree, "queries", [])
-    with _workers(threads):
+    with at_workers(threads):
         got = surface_distances(surf_p, surf_g, spacing)
         joined = [metrics._nearest_distances(a, b) for a, b in pairs]
     assert got == want
@@ -94,7 +83,7 @@ def test_evaluate_reports_the_same_at_every_worker_count():
     pred = Mask3(gt.dims, (np.asarray(image.data) > 0.5).astype(np.uint8), gt.spacing)
     reports = []
     for n in THREADS:
-        with _workers(n):
+        with at_workers(n):
             reports.append(evaluate(pred, gt, skel_k=6))
     assert reports[1] == reports[0] and reports[2] == reports[0]
 
@@ -111,10 +100,10 @@ def test_evaluate_parts_raise_in_the_serial_order(monkeypatch, threads):
         return raising
 
     monkeypatch.setattr(metrics, "tree_metrics", fail("centerline"))
-    with _workers(threads), pytest.raises(RuntimeError, match="centerline"):
+    with at_workers(threads), pytest.raises(RuntimeError, match="centerline"):
         evaluate(gt, gt)
     monkeypatch.setattr(metrics, "_nearest_distances", fail("surface"))
-    with _workers(threads), pytest.raises(RuntimeError, match="surface"):
+    with at_workers(threads), pytest.raises(RuntimeError, match="surface"):
         evaluate(gt, gt)
 
 
@@ -146,7 +135,7 @@ def test_reconnect_matches_the_oracle_at_every_worker_count(monkeypatch, name, p
     monkeypatch.setattr(skeleton, "_QUERY_PAIRS", pairs)
     monkeypatch.setattr(skeleton, "cKDTree", _RecordingTree)
     monkeypatch.setattr(_RecordingTree, "queries", [])
-    with _workers(threads):
+    with at_workers(threads):
         got, segments = reconnect(fg)
     assert got.tobytes() == want.tobytes()
     assert segments.tolist() == [[list(a), list(b)] for a, b in want_segments]

@@ -8,9 +8,6 @@ The labels, endpoint flags and sizes that ``reconnect`` carries from
 pass to pass are checked against a fresh labelling before every pass.
 """
 
-import os
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -18,7 +15,8 @@ from hypothesis import strategies as st
 
 from memory import traced
 from oracles import bresenham_line, bresenham_line_oracle, reconnect_oracle
-from tubekit import skeleton, workers
+from pool import at_workers
+from tubekit import skeleton
 from tubekit.errors import NumericDomainError
 from tubekit.skeleton import _neighbor_counts, _voxels, connected_components, reconnect
 
@@ -122,9 +120,8 @@ def test_many_isolated_fragments_reconnect_in_bounded_memory():
     # distance matrix over all fragment pairs would take 16 volumes.  The
     # bound holds with the queries cut into pool parts as well.
     fg = np.random.default_rng(5).random((48, 48, 48)) < 0.012
-    for threads in ("1", "2"):
-        with mock.patch.dict(os.environ, {"TUBEKIT_THREADS": threads}), \
-                mock.patch.object(workers, "_available_cores", return_value=2):
+    for threads in (1, 2):
+        with at_workers(threads):
             res, _, peak = traced(reconnect, fg)
         assert connected_components(res.reconnected)[1] == 1
         assert peak <= 8 * 8 * fg.size, (threads, peak)  # 8 float64 volumes

@@ -10,6 +10,7 @@ from tubekit.vesselness import (JermanParams, _cut, eig3_symmetric_field, gaussi
 from memory import traced
 from oracles import (dense_convolve3, gaussian_kernel_1d, jacobi_eigenvalues,
                      vesselness_multiscale_oracle)
+from pool import at_workers
 from single_voxel import EIG3_MAX_COMPONENT, EigenTriple, eig3_symmetric, jerman_response
 
 
@@ -280,52 +281,51 @@ def test_multiscale_rotation_covariance():
     assert np.abs(back - resp_z.data).mean() <= 1e-3
 
 
-def _peak_volumes(image, monkeypatch, threads=2,
+def _peak_volumes(image, threads=2,
                   run=lambda image: vesselness_multiscale(image, JermanParams())):
     """tracemalloc's peak over ``run(image)``, one default vesselness run
     unless given, at two workers unless given, in float64 volumes.  Two
     workers, on any host, keep two slabs in flight."""
-    monkeypatch.setenv("TUBEKIT_THREADS", str(threads))
-    monkeypatch.setattr(workers, "_available_cores", lambda: 2)
-    return traced(run, image)[2] / (np.prod(image.dims) * 8)
+    with at_workers(threads):
+        return traced(run, image)[2] / (np.prod(image.dims) * 8)
 
 
-def test_multiscale_peak_memory_is_bounded(monkeypatch):
+def test_multiscale_peak_memory_is_bounded():
     # Slabs keep the peak to a few float64 volume fields: the whole-volume
     # Hessian and eigen-solve peaked at about 22 of them, and whole-volume
     # signed l2/l3 fields beside two float64 smoothing fields at 6.5.  At
     # 64^3 a slab of 2^16 voxels is a quarter of the volume, and two
     # workers hold two.
     image, _ = make_phantom(PhantomSpec("helix", 2.0, noise_sigma=0.3, seed=1), (64, 64, 64))
-    assert _peak_volumes(image, monkeypatch) <= 5.5
+    assert _peak_volumes(image) <= 5.5
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_smoothing_peak_memory_is_under_one_volume(monkeypatch, threads):
+def test_smoothing_peak_memory_is_under_one_volume(threads):
     # Each x-block is smoothed on its own into the float32 result, half a
     # float64 volume; a whole-volume float64 field beside it read 1.53.
     image = _vol(np.random.default_rng(5).random((128, 128, 128), dtype=np.float32))
-    assert _peak_volumes(image, monkeypatch, threads, lambda image: _smooth(image, 3.0)) <= 1.0
+    assert _peak_volumes(image, threads, lambda image: _smooth(image, 3.0)) <= 1.0
 
 
-def test_multiscale_peak_memory_when_most_voxels_respond(monkeypatch):
+def test_multiscale_peak_memory_when_most_voxels_respond():
     # A bright ridge along z: about 88% of its voxels have l2, l3 > 0, so
     # nearly every eigenvalue is kept.  The kept ones must still cost less
     # than the whole-volume l2/l3 fields did, which peaked at 4.5 volumes.
     c = (96 - 1) / 2.0
     x, y = np.meshgrid(np.arange(96) - c, np.arange(96) - c, indexing="ij")
     ridge = np.repeat(-(x ** 2 + y ** 2)[:, :, None], 96, axis=2)
-    assert _peak_volumes(_vol(ridge), monkeypatch) <= 4.0
+    assert _peak_volumes(_vol(ridge)) <= 4.0
 
 
-def test_hessian_slab_peak_memory_is_bounded(monkeypatch):
+def test_hessian_slab_peak_memory_is_bounded():
     # A 4-plane slab of 128^2 planes: the float64 buffer with its rim
     # (1.55 per slab voxel), one float64 term (1.03) and the float32
     # components (3.0).  A float64 2f, a gathered copy of the slab and a
     # bool array of every component's finiteness made it read 7.4.
     image, _ = make_phantom(PhantomSpec("helix", 2.0, noise_sigma=0.3, seed=1), (128,) * 3)
     smooth = _smooth(image, 1.5)
-    peak = _peak_volumes(image, monkeypatch, 1,
+    peak = _peak_volumes(image, 1,
                          lambda image: hessian_at_scale(smooth, image.spacing, 1.5, slice(64, 68)))
     assert peak * 128 / 4 <= 6.0  # in float64 per slab voxel
 
@@ -334,14 +334,13 @@ def test_multiscale_makes_at_most_one_where_per_slab(monkeypatch):
     # np.where on a random mask is the slowest call of a slab pass.  The
     # response selects its branches with one, and the eigen-solve makes
     # none unless its slab holds a degenerate matrix, which noise does not.
-    monkeypatch.setenv("TUBEKIT_THREADS", "2")
-    monkeypatch.setattr(workers, "_available_cores", lambda: 2)
     monkeypatch.setattr(workers, "SLAB_VOXELS", 4 * 32 * 32)  # 4-plane slabs
     image, _ = make_phantom(PhantomSpec("helix", 2.0, noise_sigma=0.3, seed=1), (32, 32, 32))
     calls, where = [], np.where
     monkeypatch.setattr(np, "where", lambda *args: calls.append(args) or where(*args))
     params = JermanParams()
-    vesselness_multiscale(image, params)
+    with at_workers(2):
+        vesselness_multiscale(image, params)
     assert 0 < len(calls) <= (32 // 4) * len(params.scales)
 
 

@@ -15,8 +15,6 @@ oracle's whole-volume passes, and the Hessian's divisions by a power of
 two, against true division, are pinned on their own as well.
 """
 
-import contextlib
-import os
 from unittest import mock
 
 import numpy as np
@@ -26,6 +24,7 @@ from hypothesis import strategies as st
 
 from oracles import (_hessian_whole_volume_oracle, _jerman_oracle, gaussian_kernel_1d,
                      gaussian_smooth_oracle, vesselness_multiscale_oracle)
+from pool import at_workers
 from tubekit import ParameterError, PhantomSpec, Volume3, make_phantom, workers
 from tubekit.vesselness import (JermanParams, _divide, _jerman_response, gaussian_smooth,
                                 hessian_at_scale, vesselness_multiscale)
@@ -95,14 +94,6 @@ def test_default_slabs_match_whole_volume_oracle():
     _assert_bit_equal(image, params, workers.SLAB_VOXELS)
 
 
-@contextlib.contextmanager
-def _workers(n):
-    """TUBEKIT_THREADS=n on a host that appears to have three cores."""
-    with mock.patch.dict(os.environ, {"TUBEKIT_THREADS": str(n)}), \
-            mock.patch.object(workers, "_available_cores", return_value=3):
-        yield
-
-
 def _bits(a):
     return a.view(np.uint32).tobytes()
 
@@ -123,7 +114,7 @@ def test_worker_count_changes_no_bit(kind, shape, spacing, scales, polarity, pla
     want_smooth = gaussian_smooth_oracle(vol.data, spacing, scales[0])
     want = vesselness_multiscale_oracle(vol, params)
     for n in (1, 2, 3):
-        with _workers(n), mock.patch.object(workers, "SLAB_VOXELS", slab_voxels):
+        with at_workers(n), mock.patch.object(workers, "SLAB_VOXELS", slab_voxels):
             smooth = gaussian_smooth(vol.data, spacing, scales[0])
             got = vesselness_multiscale(vol, params).data
         assert smooth.dtype == got.dtype == np.float32
@@ -143,7 +134,7 @@ def test_smoothing_blocks_match_whole_volume_oracle(slab_voxels):
         for sigma in (0.7, 2.0):
             want = _bits(gaussian_smooth_oracle(vol.data, vol.spacing, sigma))
             for n in (1, 2, 3):
-                with _workers(n), mock.patch.object(workers, "SLAB_VOXELS", slab_voxels):
+                with at_workers(n), mock.patch.object(workers, "SLAB_VOXELS", slab_voxels):
                     got = gaussian_smooth(vol.data, vol.spacing, sigma)
                 assert got.dtype == np.float32
                 assert _bits(got) == want, (shape, sigma, n)
@@ -207,7 +198,7 @@ def test_non_finite_hessian_raises_from_a_worker():
     data = np.zeros((24, 12, 12), dtype=np.float32)
     data[16:] = np.where(np.arange(12) % 8 < 4, 3e38, -3e38)[:, None]
     vol = Volume3(data.shape, (1.0, 1.0, 1.0), data)
-    with _workers(2), mock.patch.object(workers, "SLAB_VOXELS", 4 * 12 * 12):
+    with at_workers(2), mock.patch.object(workers, "SLAB_VOXELS", 4 * 12 * 12):
         with pytest.raises(ParameterError) as info:
             vesselness_multiscale(vol, JermanParams(scales=(3.0,)))
     assert type(info.value) is ParameterError
