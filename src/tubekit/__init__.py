@@ -6,6 +6,12 @@ growth/suppression segmentation losses with analytic gradients (losses),
 evaluation metrics (metrics), attention-fusion forward blocks (fusion),
 the finite-difference gradient audit (gradcheck) and the command-line
 front end (cli).
+
+The containers (``Volume3``, ``Mask3``, ``RoiBox``, ``PhantomSpec``,
+``JermanParams``, ``GatedKernelParams``, ``AttentionParams``,
+``FlexConvParams``, and the ``Reconnection`` and ``PRF`` results) are
+frozen after construction, and operations are pure functions, so shared
+read-only inputs are safe to use concurrently.
 """
 
 from .errors import (FileFormatError, NumericDomainError, ParameterError,

@@ -1,11 +1,20 @@
 """Command-line front end: scriptable pipelines over .tvol files.
 
-Exit codes: 0 success, 2 parameter error (or a size that cannot be
-allocated), 3 I/O error, 4 numeric-domain error.  Failures print a
-one-line JSON error object to stderr.  All file outputs are written
-atomically (temp file + rename) and JSON reports use sorted keys with
-floats rounded to 9 significant digits, so fixed seeds give
-byte-identical artifacts.
+An argparse front end: parsing, input checks, atomic writes and JSON
+reports.  Exit codes: 0 success, 2 parameter error, 3 I/O error, 4
+numeric-domain error (for example an all-positive label makes the
+automatic uncertainty ratio undefined).  A size that numpy refuses to
+allocate (say ``phantom --dims 100000,100000,100000``, 3.55 PiB) is exit 2
+with ``"error": "MemoryError"``.  Every command runs under
+``np.errstate(over="raise", divide="raise", invalid="raise")``, so a float
+overflow, division by zero or invalid operation that no stage handles in
+a local ``np.errstate`` is exit 2 with ``"error": "ArithmeticError"``
+instead of a warning or a traceback.  Failures print a one-line JSON
+error object to stderr.  All file outputs are written atomically (temp
+file + rename) and JSON reports use sorted keys with floats rounded to 9
+significant digits, so fixed seeds give byte-identical artifacts.  Every
+command that turns a mask into a mask (``skeleton``, ``reconnect``) keeps
+the input's spacing.
 """
 
 import argparse
@@ -169,7 +178,9 @@ def _reconnect_report(segments: np.ndarray, n_in: int, n_out: int) -> str:
     """The reconnect report of ``segments``, reconnect's (n, 2, 3) array,
     in the bytes ``_write_json`` would give it (sorted keys, 2-space
     indentation), formatted directly: every value in it is an integer, so
-    one repeated template takes them all."""
+    one repeated ``%d`` template takes them all, filled in one call from a
+    flat integer list of the segments and their ``_line_voxels``, computed
+    by numpy."""
     listed = "[]"
     if len(segments):
         row = np.concatenate([segments[:, 0], _line_voxels(segments)[:, None],
@@ -195,6 +206,10 @@ def _parse_roi(args, label: Mask3) -> RoiBox:
 
 
 def _cmd_loss(args):
+    """Lambda is checked before any file is read.  No term reads another's
+    output, so the growth terms and the spatial term run as two pool
+    parts; listed in the serial term order, they raise the same first
+    error, and give the same report bits, at any worker count."""
     lam = losses._checked_lambda(args.lam)
     pred = _load(args.pred, Volume3)
     label = _load(args.label, Mask3)
@@ -212,9 +227,6 @@ def _cmd_loss(args):
 
     beta = losses.resolve_beta(lab, beta)
 
-    # No term reads another's output, so the growth terms and the spatial
-    # term run as two pool parts; listed in the serial term order, they
-    # raise the same first error at any worker count.
     def growth():
         r_sup = _grad32("r_sup", *losses.loss_r_sup_array(
             lab, yhat, roi.indicator(label.dims), beta))
@@ -234,21 +246,21 @@ def _cmd_loss(args):
     report.update({
         "lambda": lam, "beta": beta, "spatial_pairs": n_pairs,
         "total": losses.loss_gsb(r_sup[0], con[0], spatial[0], mix[0], lam),
-        "grad_norms": {name: float(np.linalg.norm(g)) for name, (_, g) in terms.items()},
+        "grad_norms": {name: norm for name, (_, norm) in terms.items()},
     })
     _write_json(args.json, report)
     return 0
 
 
 def _grad32(name: str, value: float, grad: np.ndarray):
-    """(value, grad) with the gradient rounded to float32, the precision
-    of a stored volume, which also halves what each kept gradient holds;
-    a gradient beyond float32's range is rejected."""
+    """(value, norm): the norm of the gradient rounded to float32, the
+    precision of a stored volume, computed in float32.  A norm that is
+    not finite is rejected; a finite one means every entry is finite."""
     with np.errstate(over="ignore"):
-        grad = grad.astype(np.float32)
-    if not np.isfinite(grad).all():
+        norm = np.linalg.norm(grad.astype(np.float32))
+    if not np.isfinite(norm):
         raise ParameterError(f"{name} gradient exceeds the float32 range")
-    return value, grad
+    return value, float(norm)
 
 
 def _cmd_metrics(args):
@@ -332,6 +344,7 @@ def _cmd_gradcheck(args):
 
 @functools.cache  # parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``tubekit`` parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="tubekit",
         description="Volumetric tubular-structure toolkit (.tvol pipelines).")
@@ -425,7 +438,8 @@ def main(argv=None) -> int:
         return int(code) if code else 0
     try:
         thread_count()  # a bad TUBEKIT_THREADS exits 2 before any file is read
-        return int(args.func(args) or 0)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return int(args.func(args) or 0)
     except ParameterError as exc:
         _emit_error(exc)
         return 2
@@ -437,6 +451,9 @@ def main(argv=None) -> int:
         return 4
     except MemoryError as exc:  # numpy's refusal of an impossible size
         _emit_error(MemoryError(str(exc)))
+        return 2
+    except ArithmeticError as exc:  # a float overflow no stage handles
+        _emit_error(ArithmeticError(str(exc)))
         return 2
 
 

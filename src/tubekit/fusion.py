@@ -89,7 +89,8 @@ def attention_rows(fq, fkv, p: AttentionParams) -> np.ndarray:
 
 
 def cross_attention(fq, fkv, p: AttentionParams) -> np.ndarray:
-    """Tokens of fq attend over tokens of fkv; output on fq's grid."""
+    """Tokens of fq attend over tokens of fkv; output on fq's grid.  Self
+    attention is ``cross_attention(f, f, p)``."""
     fq, fkv = _checked_map(fq), _checked_map(fkv)
     a = attention_rows(fq, fkv, p)
     v = tokens(fkv) @ p.wv
@@ -100,7 +101,8 @@ def cross_attention(fq, fkv, p: AttentionParams) -> np.ndarray:
 def deep_mutual_query(fc4, fv4, p: AttentionParams):
     """Bidirectional cross-attention between the two deep streams, each
     summed with the self-attention of the key/value stream, formed once
-    per direction; it is also the cross term when fc4 is fv4."""
+    per direction; it is also the cross term when fc4 is fv4, and the two
+    directions are still computed apart."""
     same = fc4 is fv4
     fc4, fv4 = _checked_map(fc4), _checked_map(fv4)
     if len(fc4) != len(fv4):
@@ -236,7 +238,8 @@ def _conv3d_same(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     Taps run in (dz, dy, dx) order, skipping each whose weights are all
     zero.  That is exact for finite x: out starts at +0.0 and a sum is
     -0.0 only when both addends are, so out never holds -0.0, and a
-    skipped tap would have added only +-0.0."""
+    skipped tap would have added only +-0.0.  The identity block's
+    branches run 3 of their 153 taps."""
     r = w.shape[2] // 2
     xp = np.pad(x, ((0, 0), (r, r), (r, r), (r, r)))
     _, d, h, wd = x.shape

@@ -1,8 +1,10 @@
 """Finite-difference checks of the loss gradients.
 
 ``rel_errors`` and ``tie_free_rel_errors`` are the one harness that the
-audit and the gradient tests share: central differences of step
-``GRADCHECK_H``.  The audit runs them at seeded voxels of seeded inputs,
+audit and every gradient test, acceptance criterion 01 among them, share
+rather than a finite-difference loop of their own: central differences
+of step ``GRADCHECK_H``.  ``tests/test_gradcheck.py`` tests the harness
+itself.  The audit runs them at seeded voxels of seeded inputs,
 so a fixed (seed, size) gives a fixed report.
 """
 
@@ -45,8 +47,10 @@ def tie_free_rel_errors(x, grad: np.ndarray, iterations: int, candidates,
                         want: int) -> list:
     """The connectivity loss's ``rel_errors`` at the first ``want``
     candidates whose +h and -h probes both leave every pooling/relu/
-    threshold selection as at x (``losses.loss_con_signature``); the
-    difference is taken from the two probes' values."""
+    threshold selection as at x (``losses.loss_con_signature``, one
+    connectivity forward per probe that returns the signature and the
+    value together); the difference is taken from the two probes'
+    values."""
     x = np.asarray(x, dtype=np.float64)
     sig0, _ = losses.loss_con_signature(x, iterations)
     errs = []
@@ -85,7 +89,10 @@ def _tube_prediction(size: int, seed: int) -> np.ndarray:
 
 
 def gradcheck_report(seed: int, size: int) -> dict:
-    """Max relative error of each analytic gradient vs central FD.
+    """Max relative error of each analytic gradient vs central FD:
+    ``rel_errors`` at ``POINTS`` seeded voxels for each smooth term
+    (relaxed supervision, spatial, mix), ``tie_free_rel_errors`` for up
+    to ``CON_POINTS`` tie-free voxels of the connectivity term.
 
     The connectivity loss is checked only at tie-free voxels: candidate
     perturbations must leave every pooling/relu/threshold selection

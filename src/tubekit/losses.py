@@ -36,7 +36,8 @@ SPATIAL_MAX_RADIUS = 8  # (17^3 - 1) / 2 = 2456 unordered offsets, each a pass o
 class GatedKernelParams:
     """Gaussian pair kernel: location bandwidth (voxels), intensity
     bandwidth (image units), cube window radius; self-pairs excluded.
-    A pair (i, j) contributes k*y_i*y_j."""
+    A pair (i, j) contributes k*y_i*y_j.  Both sigmas must lie in
+    [SIGMA_MIN, SIGMA_MAX] = [1e-150, 1e150]."""
 
     sigma_l: float = 1.5
     sigma_c: float = 0.1
@@ -157,24 +158,30 @@ def loss_con_signature(yhat, iterations=DEFAULT_ITERATIONS):
 def loss_spatial_array(yhat, guide, params: GatedKernelParams):
     """Mean pairwise activation penalty over the cube window.
 
-    Returns (value, grad, n_pairs).  The window is cut to radius
-    max(dims) - 1, beyond which no offset pairs voxels; a cut radius above
-    ``SPATIAL_MAX_RADIUS`` is a ``ParameterError``.  n_pairs counts the
-    ordered in-bounds pairs with a nonzero term (the normalizer N) by one
-    (2r+1)^3 box count of the nonzero predictions.  That holds while no
-    y_i*y_j underflows, so inputs must be finite and each nonzero |y|
-    >= ``SPATIAL_MIN_MAGNITUDE`` (float32-born values are >= 1.4e-45).
+    Returns (value, grad, n_pairs), on the calling thread.  The window is
+    cut to radius max(dims) - 1, beyond which no offset pairs voxels; a
+    cut radius above ``SPATIAL_MAX_RADIUS`` = 8 (2456 unordered offsets,
+    each a pass over the volume) is a ``ParameterError``, so ``tubekit
+    loss --radius`` exits 2 there.  n_pairs counts the ordered in-bounds
+    pairs with a nonzero term (the normalizer N) by one (2r+1)^3 box count
+    of the nonzero predictions.  That holds while no y_i*y_j underflows,
+    so inputs must be finite and each nonzero |y| >=
+    ``SPATIAL_MIN_MAGNITUDE`` (float32-born values are >= 1.4e-45).
 
     The kernel is symmetric, so each unordered pair is visited once: only
     the offsets d whose flat shift s is positive run, over the flat
     indices i < size - max(s, d[0] * plane) in blocks of whole x-planes
-    (``SPATIAL_BLOCK`` voxels).  A block adds k*y[i+s] to grad[i] and
-    k*y[i] to grad[i+s], and the sum of its k*y[i]*y[i+s] to the value;
-    both are then divided by N/2.  The kernel exponent takes -c1 from a
-    per-plane row that holds -inf where i + s wraps into another row or
-    plane, so there k is exactly 0.  The sums run in another order than
-    a pass over the whole window: value and gradient stay within 1e-14
-    of the same sums over |y|.
+    (about ``SPATIAL_BLOCK`` = 2^14 voxels).  A block adds k*y[i+s] to
+    grad[i] and k*y[i] to grad[i+s], and the sum of its k*y[i]*y[i+s] to
+    the value; both are then divided by N/2.  The kernel exponent takes -c1
+    from a per-plane row that holds -inf where i + s wraps into another
+    row or plane, so there k is exactly 0, as it is where the exponent
+    overflows to -inf; overflow is not reported in this pass, where a sum
+    can overflow only for |y| above about 1e154.  The sums run in another
+    order than a pass over the whole window, which ``spatial_loss_oracle``
+    in ``tests/oracles.py`` keeps: value and gradient stay within 1e-14 of
+    the same sums over |y| (3.9e-15 at most, measured), while n_pairs
+    keeps its bits.
     """
     yhat = np.asarray(yhat, dtype=np.float64)
     guide = np.asarray(guide, dtype=np.float64)
@@ -212,16 +219,17 @@ def loss_spatial_array(yhat, guide, params: GatedKernelParams):
         grad[i0 + s:i1 + s] += np.multiply(kb, y[i0:i1], out=tb)
         return float(np.multiply(tb, y[i0 + s:i1 + s], out=tb).sum())
 
-    for d in _window_offsets(radius):
-        s = (d[0] * yhat.shape[1] + d[1]) * yhat.shape[2] + d[2]
-        if s <= 0 or any(abs(o) >= n for o, n in zip(d, yhat.shape)):
-            continue  # the pair's visit from -d, or pairs no voxels
-        sy, sz = (slice(max(0, -o), n - max(0, o)) for o, n in zip(d[1:], yhat.shape[1:]))
-        row.fill(-np.inf)
-        row.reshape((bp,) + yhat.shape[1:])[:, sy, sz] = -(sum(o * o for o in d) * inv_2sl2)
-        hi = y.size - max(s, d[0] * plane)
-        for i0 in range(0, hi, bp * plane):
-            total += block_pass(s, i0, min(i0 + bp * plane, hi))
+    with np.errstate(over="ignore"):  # an exponent of -inf: k = exp(-inf) = 0
+        for d in _window_offsets(radius):
+            s = (d[0] * yhat.shape[1] + d[1]) * yhat.shape[2] + d[2]
+            if s <= 0 or any(abs(o) >= n for o, n in zip(d, yhat.shape)):
+                continue  # the pair's visit from -d, or pairs no voxels
+            sy, sz = (slice(max(0, -o), n - max(0, o)) for o, n in zip(d[1:], yhat.shape[1:]))
+            row.fill(-np.inf)
+            row.reshape((bp,) + yhat.shape[1:])[:, sy, sz] = -(sum(o * o for o in d) * inv_2sl2)
+            hi = y.size - max(s, d[0] * plane)
+            for i0 in range(0, hi, bp * plane):
+                total += block_pass(s, i0, min(i0 + bp * plane, hi))
     n_pairs = int(_neighbor_counts(nz, radius)[nz].sum())
     half = max(1, n_pairs) / 2  # exact
     grad /= half

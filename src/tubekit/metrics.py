@@ -5,7 +5,9 @@ in mm, measured in the given voxel spacing.  Each metric is one function
 on boolean arrays, and every field it pairs must be boolean and share one
 shape (ParameterError otherwise).  ``evaluate`` is the one entry point
 for a (prediction, reference) pair of masks: it checks that the two share
-dims and spacing and measures in that spacing.  Surfaces are foreground
+dims and spacing (a pair whose spacings differ is a ParameterError) and
+measures in that spacing; ``surface_distances`` and ``tree_metrics``
+take a required spacing, with no default.  Surfaces are foreground
 voxels with at least one background 6-neighbor, the volume border
 counting as background.  Centerline-based scores share the toolkit's
 skeleton semantics (hard_skeleton), so the same centerline feeds losses
@@ -81,8 +83,9 @@ def cldice(p: np.ndarray, g: np.ndarray, sp: np.ndarray, sg: np.ndarray) -> floa
 
 
 def surface_voxels(fg: np.ndarray) -> np.ndarray:
-    """Coordinates of foreground voxels touching background 6-wise;
-    the volume border counts as background."""
+    """Coordinates of foreground voxels touching background 6-wise: the
+    foreground less its 6-neighbour interior, formed by ANDs of shifted
+    views; the volume border counts as background."""
     inner = fg.copy()  # foreground whose six neighbours are all foreground
     for axis in range(3):
         f, i = np.moveaxis(fg, axis, 0), np.moveaxis(inner, axis, 0)
@@ -106,8 +109,10 @@ def _nearest_distances(pts, other):
 
 def surface_distances(surf_a: np.ndarray, surf_b: np.ndarray, spacing):
     """(hd, assd, ahd) in mm between two surfaces' voxel coordinates; a
-    non-empty mask always has surface voxels.  The two directions, a to
-    b and b to a, run as two pool parts (``_nearest_distances``)."""
+    non-empty mask always has surface voxels, and an empty surface is a
+    NumericDomainError.  The two directions, a to b and b to a, run as
+    two pool parts (``_nearest_distances``), each building its own tree;
+    every sum runs on their distances on the calling thread."""
     if not (len(surf_a) and len(surf_b)):
         raise NumericDomainError("undefined distance: empty mask")
     sp = np.asarray(spacing, dtype=np.float64)
@@ -126,8 +131,10 @@ def _branch_walk(centerline: np.ndarray):
     branch's breadth-first spanning tree from its first voxel.
 
     Branches are the centerline without its junctions (>= 3 neighbours),
-    labelled 26-wise; a blob-like centerline can be all junctions, and
-    then all of it counts.  One walk from an extra root, joined to each
+    labelled 26-wise by ``csgraph.connected_components``; a blob-like
+    centerline can be all junctions, and then all of it counts.  The graph
+    is indexed over the voxels' bounding box only.  One
+    ``breadth_first_order`` walk from an extra root, joined to each
     branch's first voxel, takes neighbours in linear order, first in first
     out, so each branch's steps come in the order of its own walk."""
     # imported on first use: csgraph and the scipy.sparse.linalg it loads
@@ -177,8 +184,9 @@ def tree_metrics(p: np.ndarray, centerline: np.ndarray, spacing):
     right, the steps of its breadth-first spanning tree from its
     smallest-linear-index voxel, neighbours taken in linear order (for a
     simple path, the path itself); a step is detected when both its ends
-    are inside.  Branch lengths add up in branch order.  The branches and
-    steps come from one graph walk (``_branch_walk``).
+    are inside.  The steps add up with ``np.cumsum``, and branch lengths
+    in branch order.  The branches and steps come from one graph walk
+    (``_branch_walk``).
     """
     _check_shapes(p, centerline)
     coords, lab, parent, child = _branch_walk(centerline)
@@ -208,10 +216,13 @@ def tree_metrics(p: np.ndarray, centerline: np.ndarray, spacing):
 
 
 def evaluate(pred: Mask3, gt: Mask3, skel_k: int = DEFAULT_ITERATIONS) -> dict:
-    """Full metric panel, as a dict of 14 scores and counts, for one
-    prediction/reference pair of masks that share dims and spacing,
-    measured in that spacing.  Each skeleton and surface is computed once
-    and shared by the scores."""
+    """Full metric panel, as a dict of 14 scores and counts (the report
+    ``tubekit metrics`` writes), for one prediction/reference pair of
+    masks that share dims and spacing, measured in that spacing.  Each
+    skeleton and surface is computed once and shared by the scores.
+    ``surface_distances`` and then the centerline scores (both skeletons
+    and ``tree_metrics``) run as two pool parts, so the parts raise in
+    the serial order."""
     if pred.spacing != gt.spacing:
         raise ParameterError(
             f"pred and gt must share spacing, got {pred.spacing} vs {gt.spacing}")

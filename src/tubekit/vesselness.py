@@ -6,21 +6,26 @@ background produce l2 ~ l3 << 0, so for that polarity l2 and l3 are
 negated before the response is evaluated; the regularized lp replaces l3
 with a volume-level floor tau * max(l3) to keep low-contrast vessels
 from vanishing.  Each scale is smoothed one x-block at a time straight
-into the float32 scale, then differentiated on flat runs of one float64
-buffer per slab and eigen-solved in slabs of planes along axis 0; blocks
-and slabs follow the slab plan of ``tubekit.workers`` and are parts of its
-pool, so each worker has one in flight.  A voxel can respond
-only if sign*tr(H) >= |H|_F / sqrt(3), up to the margin ``_cut`` proves,
-and only such voxels are eigen-solved, at most a quarter slab at a time:
+into the float32 scale, with no float64 volume field, then
+differentiated on flat runs of one float64 buffer per slab and
+eigen-solved in slabs of planes along axis 0, one slab per pool part;
+blocks and slabs follow the slab plan of ``tubekit.workers`` and are
+parts of its pool, so each worker has one in flight.  A slab runs in
+whole-slab ufunc calls on reused buffers.  A voxel can respond only if
+sign*tr(H) >= |H|_F / sqrt(3), up to the margin ``_cut`` proves, and
+only such voxels are eigen-solved, at most a quarter slab at a time:
 about a third of a noisy volume.  A slab keeps a bit mask of the voxels
 where the signed l2 and l3 are both > 0 and their l2 and l3, its
 candidates' max(l3) and the largest bound |H|_F >= sign*l3 of the voxels
 it ruled out.  A second pass, one plane at a time, differentiates again
 only the slabs whose bound exceeds the candidates' max, and solves there
-the ruled-out voxels above it.  The peak memory is about one float64
-volume field (the smoothed scale and the running max in float32) plus,
-per worker, a slab's work of up to 5.6 float64 per slab voxel, and where
-every voxel responds, the kept eigenvalues add 2 fields.
+the ruled-out voxels above it.  The response is written at the kept
+voxels alone: everywhere else it is +0.0, which leaves the running max's
+bits as they are.  The peak memory is about one float64 volume field
+(the smoothed scale and the running max in float32) plus, per worker, a
+slab's work of up to 5.6 float64 per slab voxel (the Hessian's), and
+where every voxel responds, the kept eigenvalues add 2 fields while the
+slabs run.
 """
 
 import math
@@ -69,7 +74,8 @@ def _gaussian_kernel(sigma_mm: float, spacing_mm: float) -> np.ndarray:
 
 def _check_kernel_radius(dims, spacing, sigma: float):
     """The kernel radius 3*sigma/spacing of every axis is at most the
-    largest dimension."""
+    largest dimension, else a ParameterError (``tubekit vesselness`` exits
+    2): a spacing too small for the scale."""
     limit = max(dims)
     for s in spacing:
         if 3.0 * sigma / s > limit:  # as floats: a tiny spacing never reaches arange
@@ -82,8 +88,10 @@ def gaussian_smooth(data: np.ndarray, spacing, sigma: float) -> np.ndarray:
     largest dimension; each 1D kernel sums to 1, so constants are
     preserved exactly.  Per x-block, the x pass sums shifted planes in
     float64 in correlate1d's symmetric-kernel order (the centre, then each
-    pair j = r..1 apart), then the y pass and the z pass, straight into
-    the float32 result: every line is filtered whole, in x, y, z order."""
+    pair j = r..1 apart; only blocks within the kernel radius of an end
+    gather clamped planes), then the y pass into a scratch block and the
+    z pass straight into the float32 result: every line is filtered
+    whole, in x, y, z order.  The blocks are parts of the worker pool."""
     if not sigma > 0:
         raise ParameterError(f"sigma must be positive, got {sigma}")
     _check_kernel_radius(data.shape, spacing, sigma)
@@ -216,7 +224,8 @@ def eig3_symmetric_field(comps: np.ndarray):
 
     comps: (..., 6) ordered (xx, xy, xz, yy, yz, zz).  Uses the analytic
     trigonometric solution; near-multiple spectra fall back to the
-    diagonal, which is exact in that limit.  Returns (l1, l2, l3) arrays
+    diagonal, which is exact in that limit; that fallback runs only for a
+    field that holds such a matrix.  Returns (l1, l2, l3) arrays
     with |l1| <= |l2| <= |l3|; equal magnitudes keep the order
     (largest, middle, smallest root), or (xx, yy, zz) when degenerate.
     """
@@ -249,8 +258,9 @@ def eig3_symmetric_field(comps: np.ndarray):
 def _jerman_response(l2: np.ndarray, l3: np.ndarray, lambda3_max: float,
                      tau: float) -> np.ndarray:
     """Branchwise response; callers pass polarity-adjusted eigenvalues.
-    The middle branch is formed everywhere, then selected; lp is read only
-    where l3 > 0, and there it equals max(l3, tau * lambda3_max)."""
+    The middle branch is formed at every voxel given (a slab's kept ones),
+    then selected with one ``np.where``; lp is read only where l3 > 0, and
+    there it equals max(l3, tau * lambda3_max)."""
     lp = np.maximum(l3, tau * lambda3_max)
     pos, t = (l2 > 0.0) & (l3 > 0.0), lp / 2.0
     one, mid = (l2 >= t) & pos, (l2 < t) & pos
@@ -296,9 +306,10 @@ def _cut(h: np.ndarray, sign: float):
 
 
 def vesselness_multiscale(vol: Volume3, params: JermanParams) -> Volume3:
-    """Maximum Jerman response over the configured scales, in [0, 1]; the
-    slabs, the cut and the second pass are as the module describes.  The
-    largest scale's kernel is checked before any scale runs."""
+    """Maximum Jerman response over the configured scales, float32 in
+    [0, 1]: the one ``Volume3`` entry point.  The slabs, the cut and the
+    second pass are as the module describes.  The largest scale's kernel
+    is checked before any scale runs."""
     _check_kernel_radius(vol.dims, vol.spacing, params.scales[-1])  # scales increase
     sign = -1.0 if params.polarity == "bright" else 1.0
     best = np.zeros(vol.dims, dtype=np.float32)  # rounding is monotone: max commutes

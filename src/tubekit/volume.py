@@ -7,7 +7,10 @@ Conventions shared by every module:
   is the Fortran ravel of the array above (used for file payloads and
   every deterministic tie-break in the toolkit);
 * volumes are float32, masks are uint8 holding exactly {0, 1}; both
-  carry their voxel spacing in mm, which every .tvol header stores;
+  carry their voxel spacing in mm, which every .tvol header stores:
+  ``load_tvol`` returns it on the container and ``save_tvol`` writes the
+  object's own, so a container takes only a spacing that stays finite
+  and positive in float32 (``ParameterError`` otherwise);
 * containers are frozen after construction (numpy buffers are marked
   read-only), so instances are safe to share across threads.
 
@@ -26,7 +29,7 @@ from scipy.spatial import cKDTree
 
 from .errors import FileFormatError, NumericDomainError, ParameterError
 from .rng import normal
-from .workers import parallel_map, slabs, thread_count
+from .workers import parallel_map, slabs
 
 _MAGIC = b"TVOL1"
 _HEAD = struct.Struct("<B3I3f")  # dtype code, dims, spacing
@@ -236,10 +239,12 @@ def _centerline_distance(spec: PhantomSpec, dims, spacing, axes):
         climb = 2.0 * np.pi * turns / ((nz - 1) * sz)  # helix angle per mm of z
 
         def dist(px, py, pz):
-            # A sample within ``bound`` of a voxel is within it in z too, so its angle
-            # is within climb * bound of the helix's at the voxel's height; and in xy,
-            # so seen from the axis it is within arcsin(bound / r) of the voxel's angle
-            # (r: the voxel's rho), any angle if r <= bound.  1e-9 covers rounding.
+            """Only voxels near the helix's angle at their height are queried.
+            A sample within ``bound`` of a voxel is within it in z too, so its
+            angle is within climb * bound (2 pi turns bound / z_top) of the
+            helix's at the voxel's height; and in xy, so seen from the axis it
+            is within arcsin(bound / r) of the voxel's angle (r: the voxel's
+            rho), any angle if r <= bound.  1e-9 covers rounding."""
             r = np.hypot(px - cx, py - cy)
             spread = np.where(r > bound, np.arcsin(bound / np.maximum(r, bound)), np.pi)
             turn = np.arctan2(py - cy, px - cx) - climb * pz
@@ -260,16 +265,17 @@ def make_phantom(spec: PhantomSpec, dims, spacing=(1.0, 1.0, 1.0)):
     The label marks voxels whose centre lies within radius_mm of the
     analytic centerline; the image is background + (fg-bg)*label plus
     i.i.d. Gaussian noise drawn from the counter-based generator, so a
-    fixed (spec, dims, spacing) reproduces identical bytes.  The work
-    runs in the z-slabs of the slab plan, every k-th slab in one of k
-    parts of the pool (both ``tubekit.workers``); a slab writes only its own
-    z-range, reads no other slab's output, and its noise counters,
-    x-fastest, are one contiguous range, so the worker count changes no
-    bit.  Distances are computed only in each centerline piece's region
-    and, for the helix, near its angle at each height (see
-    ``_centerline_distance``); every other voxel is at +inf, beyond any
-    radius, and a computed voxel keeps its coordinates and ufuncs, so the
-    bytes are those of an exact distance at every voxel.
+    fixed (spec, dims, spacing) reproduces identical bytes.  The work runs
+    in the z-slabs of the slab plan, one pool part a slab (both
+    ``tubekit.workers``), so the working memory beyond the output does not
+    grow with the volume; a slab writes only its own z-range, reads no
+    other slab's output, and its noise counters, x-fastest, are one
+    contiguous range, so the worker count changes no bit.  Distances are
+    computed only in each centerline piece's region and, for the helix,
+    near its angle at each height (see ``_centerline_distance``); every
+    other voxel is at +inf, beyond any radius, and a computed voxel keeps
+    its coordinates and ufuncs, so the bytes are those of an exact
+    distance at every voxel.
     """
     dims = tuple(int(d) for d in dims)
     if len(dims) != 3 or any(d < 16 for d in dims):
@@ -290,36 +296,32 @@ def make_phantom(spec: PhantomSpec, dims, spacing=(1.0, 1.0, 1.0)):
     image = np.empty(dims, dtype=np.float32)
     label = np.empty(dims, dtype=np.uint8)
     plane = nx * ny
-    parts = slabs(nz, plane)
-    k = min(thread_count(), len(parts))
 
-    def part(i):
-        # every k-th slab in one loop: a slab's arrays live until the next slab's
-        # replace them, so the allocator reuses their pages instead of freeing them
-        for s in parts[i::k]:
-            z0, z1 = s.start, s.stop
-            lab = np.zeros((nx, ny, z1 - z0), dtype=bool)
-            for ix, iy, near_z, dist_to in pieces:
-                iz = np.flatnonzero(near_z[z0:z1])
-                lab[ix[:, None], iy[:, None], iz] |= dist_to(
-                    xs[ix][:, None], ys[iy][:, None], zs[z0 + iz]) <= spec.radius_mm
-            img = spec.background_intensity + (
-                spec.foreground_intensity - spec.background_intensity) * lab.astype(np.float64)
-            if spec.noise_sigma > 0:
-                counters = np.arange(z0 * plane, z1 * plane, dtype=np.uint64)
-                noise = normal(spec.seed, counters).reshape((nx, ny, z1 - z0), order="F")
-                img = img + spec.noise_sigma * noise
-            image[:, :, z0:z1] = img
-            label[:, :, z0:z1] = lab
+    def part(s):
+        z0, z1 = s.start, s.stop
+        lab = np.zeros((nx, ny, z1 - z0), dtype=bool)
+        for ix, iy, near_z, dist_to in pieces:
+            iz = np.flatnonzero(near_z[z0:z1])
+            lab[ix[:, None], iy[:, None], iz] |= dist_to(
+                xs[ix][:, None], ys[iy][:, None], zs[z0 + iz]) <= spec.radius_mm
+        img = spec.background_intensity + (
+            spec.foreground_intensity - spec.background_intensity) * lab.astype(np.float64)
+        if spec.noise_sigma > 0:
+            counters = np.arange(z0 * plane, z1 * plane, dtype=np.uint64)
+            noise = normal(spec.seed, counters).reshape((nx, ny, z1 - z0), order="F")
+            img = img + spec.noise_sigma * noise
+        image[:, :, z0:z1] = img
+        label[:, :, z0:z1] = lab
 
-    parallel_map(part, list(range(k)))
+    parallel_map(part, slabs(nz, plane))
     return Volume3(dims, spacing, image), Mask3(dims, label, spacing)
 
 
 def save_tvol(obj, path) -> None:
     """Write a Volume3 or Mask3, spacing included, to the .tvol format
-    (bit-exact round trip), in the z-slabs of ``tubekit.workers.slabs``
-    so that no whole-volume copy of the payload is made."""
+    (bit-exact round trip), in the z-slabs of ``tubekit.workers.slabs``,
+    each transposed to x-fastest order and written straight from its
+    array, so that no whole-volume copy of the payload is made."""
     if isinstance(obj, Volume3):
         code, dtype = _DTYPE_VOLUME, np.dtype("<f4")
     elif isinstance(obj, Mask3):
@@ -348,13 +350,14 @@ def _read_header(fh, path):
 
 
 def load_tvol(path):
-    """Read a .tvol file back into a Volume3 or Mask3.
+    """Read a .tvol file back into a Volume3 or Mask3; the one reader.
 
     The header is checked before any payload byte is read: dims, spacing,
     and the payload length the dims imply against the file's size.  The
-    payload is read in the z-slabs of ``tubekit.workers.slabs`` straight
-    into one C-order array, so one payload is held.  The container checks
-    the values; its ParameterError becomes a FileFormatError."""
+    payload is read in the z-slabs of ``tubekit.workers.slabs`` with
+    ``readinto`` straight into one C-order array, so one payload is held;
+    a short read is a FileFormatError.  The container checks the values;
+    its ParameterError becomes a FileFormatError."""
     with open(path, "rb") as fh:
         kind, dims, spacing = _read_header(fh, path)
         if min(dims) < 1:

@@ -1,17 +1,26 @@
 """One thread pool for exact data parallelism, sized by ``TUBEKIT_THREADS``.
 
-Unset or ``0`` uses every core the process may run on; a positive integer
-caps the worker count at that many, never above the available cores; ``1``
-runs the parts in a plain loop with no pool.  Callers keep results exact:
-each part writes a disjoint region, and a float sum whose bits depend on
-order stays on the calling thread (a max may be split, it is order-free).
-A part may also be a whole computation that reads no other part's output,
-such as one loss term or ``metrics.evaluate``'s centerline scores, with
-every sum of it inside the part.  Or it may answer one range of query
-points against a shared kd-tree (``metrics.surface_distances``, the
-nearest-endpoint search of ``skeleton.reconnect``): a point's nearest
-neighbours depend only on the point and the tree, so the ranges, joined
-in part order, are one query's result.
+Unset or ``0`` uses every core the process may run on (its CPU affinity
+set); a positive integer caps the worker count at that many, never above
+the available cores; ``1`` runs the parts in a plain loop with no pool.
+Any other value (``-1``, ``1.5``, ``abc``, the empty string) is a
+``ParameterError``, which ``tubekit.cli`` checks before it reads a file.
+
+The pool's users: the phantom's z-slabs, the smoothing blocks and eigen
+slabs of vesselness, ``tubekit loss``'s growth terms beside its spatial
+term, ``reconnect``'s nearest-endpoint rounds (row ranges of query
+points) and ``metrics.surface_distances`` and ``metrics.evaluate`` (row
+ranges again, plus the centerline scores); every other stage runs on the
+calling thread.  Callers keep results exact: each part writes a disjoint
+region, and a float sum whose bits depend on order stays on the calling
+thread (a max may be split, it is order-free).  A part may also be a
+whole computation that reads no other part's output, such as one loss
+term or ``metrics.evaluate``'s centerline scores, with every sum of it
+inside the part.  Or it may answer one range of query points against a
+shared kd-tree (``metrics.surface_distances``, the nearest-endpoint
+search of ``skeleton.reconnect``): a point's nearest neighbours depend
+only on the point and the tree, so the ranges, joined in part order, are
+one query's result.
 
 The calling thread is one of the workers, beside the pool's
 ``thread_count() - 1`` threads, so a part may call ``parallel_map`` in
@@ -21,7 +30,9 @@ cannot deadlock.
 
 The slab plan: every stage that cuts a volume into slabs takes them from
 ``slabs``, ``SLAB_VOXELS`` voxels a slab or one plane if a plane is
-larger, the same at every worker count.
+larger, the same at every worker count: the smoothing blocks and eigen
+slabs of vesselness, the phantom's z-slabs, the .tvol z-slabs and
+``Mask3``'s check of values that are not uint8.
 """
 
 import contextvars
@@ -58,6 +69,7 @@ def slabs(n: int, plane: int) -> list:
 
 @functools.cache
 def _pool(workers: int) -> ThreadPoolExecutor:
+    """The pool of ``workers - 1`` threads, created on first use."""
     return ThreadPoolExecutor(workers - 1, thread_name_prefix="tubekit")
 
 

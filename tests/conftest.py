@@ -1,3 +1,8 @@
+"""Test set-up: this directory on the import path (for the helper modules
+``memory``, ``oracles``, ``pool``) and a derandomized hypothesis profile.
+``pyproject.toml`` sets ``filterwarnings = ["error"]``, so every warning
+fails the suite."""
+
 import os
 import sys
 

@@ -1,4 +1,7 @@
-"""Acceptance suite: one test per criterion, each printing a PASS line.
+"""Acceptance suite: one test per criterion, each printing a
+`CRITERION nn PASS` line: gradient audits, eigen-solver oracle, skeleton
+fixed points, reconnection geometry, metric brute-force oracles, fusion
+invariants, CLI determinism.
 
 Run `pytest tests/test_acceptance.py -v` for one pass/fail line per
 criterion (add -s to see the printed summaries inline).

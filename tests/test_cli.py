@@ -1,8 +1,10 @@
 import argparse
 import contextlib
+import importlib
 import io
 import json
 import math
+import re
 import shlex
 import shutil
 import struct
@@ -333,28 +335,31 @@ def test_parameter_error_exits_2(tmp_path, capsys):
     assert err["error"] == "ParameterError"
 
 
-@pytest.mark.parametrize("argv", [
-    *(["gradcheck", "--size", str(n)] for n in range(6)),
-    ["fusion-demo", "--channels", "0"],
-    ["fusion-demo", "--channels", "66"],
-    ["fusion-demo", "--dims", "0,4,4"],
-    ["fusion-demo", "--dims", "17,16,16"],
-    ["fusion-demo", "--dims", "32,32,32"],
-    ["phantom", "--noise-sigma", "nan"],
-    ["phantom", "--kind", "helix", "--radius-mm", "inf"],
-    ["phantom", "--spacing", "1e300,1e300,1e300"],
-    ["phantom", "--spacing", "1e-300,1,1"],
+@pytest.mark.parametrize("argv, error", [
+    *((["gradcheck", "--size", str(n)], "ParameterError") for n in range(6)),
+    (["fusion-demo", "--channels", "0"], "ParameterError"),
+    (["fusion-demo", "--channels", "66"], "ParameterError"),
+    (["fusion-demo", "--dims", "0,4,4"], "ParameterError"),
+    (["fusion-demo", "--dims", "17,16,16"], "ParameterError"),
+    (["fusion-demo", "--dims", "32,32,32"], "ParameterError"),
+    (["phantom", "--noise-sigma", "nan"], "ParameterError"),
+    (["phantom", "--kind", "helix", "--radius-mm", "inf"], "ParameterError"),
+    (["phantom", "--spacing", "1e300,1e300,1e300"], "ParameterError"),
+    (["phantom", "--spacing", "1e-300,1,1"], "ParameterError"),
+    # the float64 image overflows when it is cast to the float32 volume
+    (["phantom", "--dims", "16,16,16", "--foreground", "1e39"], "ArithmeticError"),
 ], ids=[*(f"gradcheck-size-{n}" for n in range(6)),
         "fusion-channels-0", "fusion-channels-over-64", "fusion-dims-0", "fusion-dims-over-16^3",
         "fusion-dims-32^3", "phantom-noise-nan", "phantom-radius-inf",
-        "phantom-spacing-over-float32", "phantom-spacing-under-float32"])
-def test_out_of_domain_arguments_exit_2(tmp_path, capsys, argv):
+        "phantom-spacing-over-float32", "phantom-spacing-under-float32",
+        "phantom-foreground-over-float32"])
+def test_out_of_domain_arguments_exit_2(tmp_path, capsys, argv, error):
     # gradcheck below size 6 cannot draw its 20 voxels and 40 interior ones
     if argv[0] == "phantom":
         argv = argv + ["--out-image", str(tmp_path / "i.tvol"),
                        "--out-label", str(tmp_path / "l.tvol")]
     assert _run(*argv) == 2
-    assert _one_line_error(capsys)["error"] == "ParameterError"
+    assert _one_line_error(capsys)["error"] == error
     assert not list(tmp_path.iterdir())
 
 
@@ -669,9 +674,19 @@ def _loss_argv(tmp_path, pred_scale=0.8, empty_label=False, pred_floor=0.1):
       for flag in ("--sigma-l", "--sigma-c") for value in ("1e-300", "1e200")),
     ({}, ["--radius", "9"], 2, "ParameterError",
      "spatial window radius 9 exceeds 8"),
+    # relaxed supervision's float64 sums overflow: a Python float power
+    # raises OverflowError, a numpy sum FloatingPointError
+    *(({}, ["--beta", beta], 2, "ArithmeticError", "(34, 'Numerical result out of range')")
+      for beta in ("1e200", "1e300")),
+    ({}, ["--beta", "1e308"], 2, "ArithmeticError", "overflow encountered in reduce"),
+    # every float32 entry is finite, but their float32 sum of squares is not
+    ({"pred_scale": 1e-30, "pred_floor": 1e-30}, [], 2, "ParameterError",
+     "mix gradient exceeds the float32 range"),
 ], ids=["pred-above-one", "negative-beta", "empty-label-explicit-beta", "skel-iters-0",
         "lambda-nan", "lambda-inf", "sigma-l-underflow", "sigma-l-overflow",
-        "sigma-c-underflow", "sigma-c-overflow", "radius-above-limit"])
+        "sigma-c-underflow", "sigma-c-overflow", "radius-above-limit",
+        "beta-1e200-overflow", "beta-1e300-overflow", "beta-1e308-overflow",
+        "mix-norm-over-float32"])
 def test_loss_error_contract(tmp_path, capsys, inputs, extra, code, error, message):
     argv = _loss_argv(tmp_path, **inputs)
     capsys.readouterr()
@@ -774,6 +789,21 @@ def test_loss_gradient_beyond_float32_exits_2(tmp_path, capsys):
     assert _one_line_error(capsys) == {
         "error": "ParameterError", "message": "r_sup gradient exceeds the float32 range"}
     assert not out.exists()
+
+
+def test_loss_kernel_exponent_overflow_is_a_zero_kernel(tmp_path, capsys):
+    # At sigma_c = 1e-150 an intensity difference above about 2e4 sends the
+    # kernel's exponent to -inf: k is exp(-inf) = 0, as exp would underflow
+    # to anyway, not an overflow error.
+    argv = _loss_argv(tmp_path)
+    img, _ = _phantom_files(tmp_path / "bright", dims="16,16,16", foreground=1e5,
+                            noise_sigma=10)
+    argv[argv.index("--image") + 1] = str(img)
+    capsys.readouterr()
+    out = tmp_path / "loss.json"
+    assert _run(*argv, "--sigma-c", "1e-150", "--json", str(out)) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads(out.read_text())["spatial"] == 0.0
 
 
 def _loss_outcome(argv, threads):
@@ -924,7 +954,9 @@ def test_loss_growth_error_wins_over_a_spatial_error(tmp_path, monkeypatch, thre
 
 
 def _readme_cli_lines():
-    """Each `tubekit ...` command of README's CLI block, continuations joined."""
+    """Each `tubekit ...` command of README's CLI block, continuations
+    joined; the walkthrough test runs them in order, in a temporary
+    directory, so the walkthrough stays runnable."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     return [line for line in block.replace("\\\n", " ").splitlines()
@@ -939,3 +971,21 @@ def test_readme_cli_walkthrough_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for line in lines:
         assert main(shlex.split(line)[1:]) == 0, line
+
+
+def test_readme_library_rows_state_contracts_of_public_names():
+    """Each row of the README's library table states its module's contract
+    in at most 80 words and names only public functions; the module
+    docstring says how the module works."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(tubekit\.\w+)` +\|(.*)\|$", text, re.M)
+    assert [name for name, _ in rows] == [
+        "tubekit.volume", "tubekit.vesselness", "tubekit.workers", "tubekit.skeleton",
+        "tubekit.losses", "tubekit.metrics", "tubekit.fusion", "tubekit.gradcheck",
+        "tubekit.cli"]
+    for name, row in rows:
+        module = importlib.import_module(name)
+        assert len(row.split()) <= 80, (name, len(row.split()))
+        for called in re.findall(r"(\w+)\(", row):
+            assert not called.startswith("_") and hasattr(module, called), (name, called)
+        assert not re.findall(r"`_\w+", row), name

@@ -17,17 +17,27 @@ from tubekit import volume, workers
 from tubekit.volume import PHANTOM_KINDS, PhantomSpec, make_phantom
 
 
+def _assert_splits(dims):
+    """The slab plan cuts a volume of ``dims`` into at least two z-slabs,
+    so make_phantom runs at least two pool parts."""
+    assert len(workers.slabs(dims[2], dims[0] * dims[1])) >= 2, dims
+
+
 @pytest.mark.parametrize("kind", PHANTOM_KINDS)
 @pytest.mark.parametrize("slab", [1, 5000, workers.SLAB_VOXELS])
 def test_slabs_match_whole_volume_oracle(kind, slab, monkeypatch):
-    # the slabs run on the pool: the bytes are the same at 1 and 2 workers
+    # the slabs run on the pool: the bytes are the same at 1 and 2 workers;
+    # each volume is one slab of the default size, which runs at 1 worker only
+    counts = (1,) if slab == workers.SLAB_VOXELS else (1, 2)
     monkeypatch.setattr(workers, "SLAB_VOXELS", slab)
-    for threads, (dims, spacing, spec) in itertools.product((1, 2), (
+    for threads, (dims, spacing, spec) in itertools.product(counts, (
             ((33, 30, 41), (0.5, 0.75, 1.25),
              PhantomSpec(kind, 2.0, noise_sigma=0.3, gap_len_voxels=5, seed=7)),
             ((20, 16, 70), (1.0, 1.0, 1.0),
              PhantomSpec(kind, 3.5, foreground_intensity=2.0, background_intensity=-1.0,
                          gap_len_voxels=9, seed=1)))):
+        if threads == 2:
+            _assert_splits(dims)
         with at_workers(threads):
             image, label = make_phantom(spec, dims, spacing)
         o_image, o_label = phantom_oracle(spec, dims, spacing)
@@ -53,9 +63,14 @@ def test_bytes_match_the_every_voxel_oracle(data):
     spec = PhantomSpec(kind, radius, noise_sigma=data.draw(st.sampled_from([0.0, 0.25])),
                        gap_len_voxels=data.draw(st.integers(0, dims[2] - 1), "gap"),
                        seed=data.draw(st.integers(0, 2 ** 32 - 1), "seed"))
-    slab = data.draw(st.sampled_from([1, 5000, workers.SLAB_VOXELS]), "slab")
     threads = data.draw(st.sampled_from([1, 2]), "threads")
+    # two workers get a slab size that cuts the volume into at least two slabs
+    plane = dims[0] * dims[1]
+    slab = data.draw(st.sampled_from([1, 5000, workers.SLAB_VOXELS]) if threads == 1
+                     else st.integers(1, plane * (dims[2] - 1)), "slab")
     with mock.patch.object(workers, "SLAB_VOXELS", slab), at_workers(threads):
+        if threads == 2:
+            _assert_splits(dims)
         image, label = make_phantom(spec, dims, spacing)
     o_image, o_label = phantom_oracle(spec, dims, spacing)
     assert image.data.tobytes() == o_image.tobytes()
