@@ -209,7 +209,10 @@ def _cmd_loss(args):
     """Lambda is checked before any file is read.  No term reads another's
     output, so the growth terms and the spatial term run as two pool
     parts; listed in the serial term order, they raise the same first
-    error, and give the same report bits, at any worker count."""
+    error, and give the same report bits, at any worker count.  Each
+    input is held once, in the type the terms read: the prediction and
+    guide as float64, their float32 containers released, and the label
+    as uint8, which each term converts where it reads it."""
     lam = losses._checked_lambda(args.lam)
     pred = _load(args.pred, Volume3)
     label = _load(args.label, Mask3)
@@ -223,7 +226,9 @@ def _cmd_loss(args):
     kparams = losses.GatedKernelParams(sigma_l=args.sigma_l, sigma_c=args.sigma_c,
                                        radius=args.radius)
     yhat = np.asarray(pred.data, dtype=np.float64)
-    lab = np.asarray(label.data, dtype=np.float64)
+    guide = np.asarray(image.data, dtype=np.float64)
+    del pred, image
+    lab = label.data
 
     beta = losses.resolve_beta(lab, beta)
 
@@ -233,8 +238,7 @@ def _cmd_loss(args):
         return r_sup, _grad32("con", *losses.loss_con_array(yhat, args.skel_iters))
 
     def suppression():
-        sp_value, sp_grad, n_pairs = losses.loss_spatial_array(
-            yhat, np.asarray(image.data, dtype=np.float64), kparams)
+        sp_value, sp_grad, n_pairs = losses.loss_spatial_array(yhat, guide, kparams)
         return _grad32("spatial", sp_value, sp_grad), n_pairs
 
     (r_sup, con), (spatial, n_pairs) = parallel_map(lambda part: part(),

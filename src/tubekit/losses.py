@@ -81,15 +81,25 @@ def uncertain_prediction_array(y, yhat, roi_mask, beta):
     w = y + beta*y^c*R + y^c*R^c routes the three certainty regimes."""
     y = np.asarray(y, dtype=np.float64)
     r = np.asarray(roi_mask, dtype=np.float64)
-    w = y + (1.0 - y) * (beta * r + (1.0 - r))
+    w = np.multiply(beta, r)  # then in place, in the order of
+    w += np.subtract(1.0, r)  # y + (1 - y) * (beta * r + (1 - r))
+    w *= np.subtract(1.0, y)
+    w += y
     return w * yhat, w
+
+
+_DENOM_MAX = math.sqrt(np.finfo(np.float64).max)  # the largest x whose x ** 2 is finite
 
 
 def loss_r_sup_array(y, yhat, roi_mask, beta):
     """Relaxed Dice + positive-voxel cross entropy, with exact gradient.
 
     The prediction must lie in [0, 1], the label hold a positive and
-    beta be finite and non-negative."""
+    beta be finite and non-negative.  Only beta can lift the Dice
+    denominator sum(y) + sum(yhat') past sqrt(float max) = 1.34e154, where
+    its square overflows; that is a ParameterError naming beta.  Past
+    the weights, each whole-volume step runs in place in the formula's
+    evaluation order, so the result has the formula's bits."""
     y = np.asarray(y, dtype=np.float64)
     yhat = np.asarray(yhat, dtype=np.float64)
     if y.shape != yhat.shape:
@@ -97,18 +107,31 @@ def loss_r_sup_array(y, yhat, roi_mask, beta):
     _check_unit_range(yhat, "prediction")
     if y.sum() < 1:
         raise NumericDomainError("relaxed supervision needs at least one positive voxel")
-    yp, w = uncertain_prediction_array(y, yhat, roi_mask, _checked_beta(beta))
+    beta = _checked_beta(beta)
+    yp, w = uncertain_prediction_array(y, yhat, roi_mask, beta)
 
     eps = DEFAULT_EPSILON
-    s_inter = float((y * yhat).sum())
-    denom = float(y.sum()) + float(yp.sum()) + eps
+    tmp = np.multiply(y, yhat)
+    s_inter = float(tmp.sum())
+    with np.errstate(over="ignore"):  # the check below names the cause
+        denom = float(y.sum()) + float(yp.sum()) + eps
+    if not denom <= _DENOM_MAX:
+        raise ParameterError(f"beta {beta:g} overflows the relaxed Dice denominator: "
+                             f"sum(y) + sum(yhat') exceeds {_DENOM_MAX:.3g}")
     dice = -s_inter / denom
 
     n = y.size
-    ce = -float((y * np.log(yp + eps)).sum()) / n
+    yp += eps  # yp + eps from here on
+    ce = -float(np.multiply(y, np.log(yp, out=tmp), out=tmp).sum()) / n
 
-    grad = (-y / denom + (s_inter / denom ** 2) * w
-            - (y * w) / ((yp + eps) * n))
+    # -y / denom + (s_inter / denom ** 2) * w - (y * w) / ((yp + eps) * n)
+    grad = np.negative(y)
+    grad /= denom
+    grad += np.multiply(s_inter / denom ** 2, w, out=tmp)
+    w *= y
+    yp *= n
+    w /= yp
+    grad -= w
     return dice + ce, grad
 
 

@@ -4,13 +4,17 @@ Every function takes and returns plain ndarrays.  Morphology is built
 from 3x3x3 min/max pooling with zero padding, the differentiable
 erosion/dilation surrogates behind centerline losses.  The forward pass
 can record a tape so a loss can backpropagate through the skeleton
-recurrence.  The tape keeps per stage the incoming skeleton (none at
-stage 0, where it is all zero) and delta, and per pooling one byte per
-voxel coding the winning source of each axis pass.  The backward carries
-the gradient as (flat index, value) pairs, since the connectivity loss's
-is nonzero on under 1% of the voxels: each min/max routes its gradient
-to the unique winning voxel, ties resolved toward the smallest x-fastest
-linear index (pads count as off-volume and absorb nothing).
+recurrence.  The tape keeps per stage only the flat indices and values
+of the delta's nonzeros (about 40% of the voxels at stage 0 and a few
+percent after it), and per pooling one byte per voxel coding the winning
+source of each axis pass; no stage skeleton is kept.  The backward
+carries the gradient as (flat index, value) pairs, since the
+connectivity loss's is nonzero on under 1% of the voxels, and rebuilds
+each stage's delta and incoming skeleton on that support by the
+forward's own elementwise arithmetic, so every bit is kept.  Each
+min/max routes its gradient to the unique winning voxel, ties resolved
+toward the smallest x-fastest linear index (pads count as off-volume and
+absorb nothing).
 
 Pooling passes run per axis in x, y, z order; because each 1D pass
 prefers the lower index on ties, the composed selection is the window
@@ -135,9 +139,9 @@ def _recurrence(img, iterations, tape=None):
     next stage's image.  The loop stops once that erosion is all zero:
     every further stage would add exactly zero to the skeleton and, in
     the adjoint, scatter an all-zero gradient.  Stage 0's skeleton is
-    the scalar 0.  With a ``tape``, each stage's (skeleton in, delta)
-    goes to ``tape.stages`` and the pooling codes to ``tape.pools``
-    (erosion, then dilation, per stage).
+    the scalar 0.  With a ``tape``, each stage's delta goes to
+    ``tape.stages`` as (flat indices, values) of its nonzeros, and the
+    pooling codes to ``tape.pools`` (erosion, then dilation, per stage).
     """
     if iterations < 1:
         raise ParameterError("iterations must be >= 1")
@@ -148,17 +152,24 @@ def _recurrence(img, iterations, tape=None):
     for i in itertools.count():
         delta = _pool3(eroded, "max", pools)  # the opening, then in place:
         np.maximum(np.subtract(img, delta, out=delta), zero, out=delta)
-        t = skel * delta
-        np.maximum(np.subtract(delta, t, out=t), zero, out=t)
         if tape is not None:
-            tape.stages.append((skel, delta))
-        skel = np.add(skel, t, out=t)
-        del delta, t  # not held across the next stage's pooling
+            nz = np.flatnonzero(delta)
+            tape.stages.append((nz, delta.ravel()[nz]))
+        skel = _add_stage(skel, delta)
+        del delta  # not held across the next stage's pooling
         if i >= iterations or not eroded.any():
             break
         img = eroded
         eroded = _pool3(img, "min", pools)
     return skel
+
+
+def _add_stage(skel, delta):
+    """skel + relu(delta - skel * delta), the skeleton leaving a stage, in
+    a new array; the forward and the tape's rebuilds share it."""
+    t = skel * delta
+    np.maximum(np.subtract(delta, t, out=t), skel.dtype.type(0), out=t)
+    return np.add(skel, t, out=t)
 
 
 class SoftSkeletonTape:
@@ -168,41 +179,61 @@ class SoftSkeletonTape:
     requested count, fewer when an erosion leaves an all-zero image,
     after which the recurrence stops (further iterations change neither
     the skeleton nor the gradient).  The tape holds only what the
-    adjoint reads: per stage 0..iterations the skeleton entering it (the
-    scalar 0 at stage 0) and its delta, and the selection codes of the
-    stage's poolings.  ``backward`` forms the relu mask of t again on
-    the gradient's support, by the forward's arithmetic.  ``signature()``
-    digests all discrete choices; two inputs with equal signatures lie in
-    the same smooth region of the piecewise-linear recurrence.  At 128^3,
-    after two erosions, a tape holds 6.75 float64 volumes.
+    adjoint reads: per stage 0..iterations the flat indices and values
+    of its delta's nonzeros, and the selection codes of the stage's
+    poolings.  A stage's incoming skeleton is the sum of the earlier
+    stages' additions, so ``backward`` rebuilds it, with the deltas, on
+    the gradient's support, and ``signature()`` on each delta's support.
+    ``signature()`` digests all discrete choices; two inputs with equal
+    signatures lie in the same smooth region of the piecewise-linear
+    recurrence.  At 128^3, after two erosions, a tape holds 2.7 float64
+    volumes: the skeleton, the delta nonzeros (16 bytes each, most of
+    them at stage 0) and the six poolings' codes.
     """
 
     def __init__(self, img: np.ndarray, iterations: int):
-        self.stages = []  # (skeleton in, delta) per stage
+        self.stages = []  # (flat indices, values) of each stage's delta nonzeros
         self.pools = []   # erosion code, dilation code, per stage
         self.skeleton = _recurrence(np.asarray(img, dtype=np.float64),
                                     iterations, self)
         self.iterations = len(self.stages) - 1
 
+    def _rebuilt(self, idx, stop):
+        """(skeleton in, delta) of stages 0..stop-1 at the ascending flat
+        indices ``idx``, stage 0's skeleton the scalar 0 as in the
+        forward.  Each addition is the forward's, elementwise, so each
+        value has the forward's bits; a delta of -0.0 reads +0.0, which
+        changes no relu mask, no addition and no gradient."""
+        out, skel = [], np.float64(0)
+        for nz, values in self.stages[:stop]:
+            pos = np.searchsorted(nz, idx)
+            hit = pos < len(nz)
+            hit[hit] = nz[pos[hit]] == idx[hit]
+            delta = np.zeros(len(idx))
+            delta[hit] = values[pos[hit]]
+            out.append((skel, delta))
+            skel = _add_stage(skel, delta)
+        return out
+
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         """Gradient of sum(grad_out * skeleton) w.r.t. the input image,
         carried as (flat index, value) pairs from grad_out's nonzeros and
-        routed through each pooling's selections; each stage forms its
-        relu mask again on that support as ``d - s*d > 0``, so only the
-        returned gradient is a whole volume.  Each sum adds the terms a
-        dense adjoint adds, in its order and from +0.0, so the bits are
-        the same.  A grad_out of another shape is a ParameterError."""
+        routed through each pooling's selections; each stage's delta and
+        skeleton, rebuilt on that support, form its relu mask as ``d -
+        s*d > 0``, so only the returned gradient is a whole volume.  Each
+        sum adds the terms a dense adjoint adds, in its order and from
+        +0.0, so the bits are the same.  A grad_out of another shape is a
+        ParameterError."""
         grad_out = np.asarray(grad_out, dtype=np.float64)
         shape = self.skeleton.shape
         if grad_out.shape != shape:
             raise ParameterError(f"gradient shape {grad_out.shape} is not {shape}")
         idx = np.flatnonzero(grad_out)  # the support of d/d skeleton
         g_skel = grad_out.ravel()[idx]
+        stages = self._rebuilt(idx, len(self.stages))
         img_idx, g_img = np.empty(0, dtype=np.intp), np.empty(0)
         for i in range(self.iterations, -1, -1):
-            skel, delta = self.stages[i]
-            d = delta.ravel()[idx]
-            s = skel.ravel()[idx] if i else skel
+            s, d = stages[i]
             on = d - s * d > 0  # the relu mask of t; it implies delta > 0
             g_t, g_din = g_skel[on], (g_skel * (1.0 - s))[on]
             g_skel[on] = g_t - g_t * d[on]
@@ -220,12 +251,19 @@ class SoftSkeletonTape:
     def signature(self) -> bytes:
         """Digest of the iteration count, then every discrete selection
         made in the forward pass.  The count comes first, so a change of
-        the stopping point always changes the signature."""
+        the stopping point always changes the signature.  Each stage's
+        masks delta > 0 and ``d - s*d > 0`` are hashed as whole volumes,
+        set in one scratch volume on that stage's delta nonzeros; off
+        them both masks are False."""
         h = hashlib.sha256()
         h.update(self.iterations.to_bytes(4, "little"))
-        for skel, delta in self.stages:
-            h.update((delta > 0).tobytes())
-            h.update((delta - skel * delta > 0).tobytes())
+        mask = np.zeros(self.skeleton.size, dtype=bool)
+        for i, (nz, _) in enumerate(self.stages):
+            s, d = self._rebuilt(nz, i + 1)[i]
+            for on in (d > 0, d - s * d > 0):
+                mask[nz[on]] = True
+                h.update(mask)
+                mask[nz] = False
         for code in self.pools:
             for axis in range(3):  # each pass's offsets, as int8
                 h.update((code // 3 ** axis % 3).astype(np.int8) - 1)

@@ -38,6 +38,9 @@ _DTYPE_MASK = 1
 
 PHANTOM_KINDS = ("cylinder", "gapped_cylinder", "bifurcation", "helix")
 DEFAULT_ROI_MARGIN = 2  # voxels added around the label's positives
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+# |z| of a Box-Muller deviate with u1 >= 2^-53 is at most sqrt(106 ln 2) = 8.572
+_NOISE_REACH = 8.58
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -143,7 +146,12 @@ class RoiBox:
 
 @dataclass(frozen=True)
 class PhantomSpec:
-    """Parameters of a synthetic tube phantom (bright tube on dark background)."""
+    """Parameters of a synthetic tube phantom (bright tube on dark background).
+
+    Every image value must fit float32: max(|foreground_intensity|,
+    |background_intensity|) + 8.58 * noise_sigma, where 8.58 bounds any
+    deviate ``rng.normal`` draws, may not exceed float32's max
+    (3.4028235e38); beyond it is a ParameterError."""
 
     kind: str
     radius_mm: float
@@ -162,6 +170,12 @@ class PhantomSpec:
             raise ParameterError("foreground_intensity must exceed background_intensity")
         if not self.noise_sigma >= 0:  # NaN fails too
             raise ParameterError("noise_sigma must be non-negative")
+        reach = (max(abs(self.foreground_intensity), abs(self.background_intensity))
+                 + _NOISE_REACH * self.noise_sigma)
+        if not reach <= _FLOAT32_MAX:
+            raise ParameterError(
+                f"max(|foreground_intensity|, |background_intensity|) + {_NOISE_REACH} * "
+                f"noise_sigma = {reach:g} exceeds float32's max {_FLOAT32_MAX:g}")
         if self.gap_len_voxels < 0 or int(self.gap_len_voxels) != self.gap_len_voxels:
             raise ParameterError("gap_len_voxels must be a non-negative integer")
 

@@ -1,9 +1,13 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately naive (loops, brute force) and shares no
-code with the package paths it checks.  The one exception is
-``bresenham_line``, a one-line view of the package's line drawing that
+code with the package paths it checks.  There are two exceptions.
+``bresenham_line`` is a one-line view of the package's line drawing that
 the tests compare with ``bresenham_line_oracle``.
+``dense_stage_tape_oracle`` is the package's former skeleton tape, which
+kept each stage's skeleton and delta as whole volumes; it pools and
+scatters with the package's ``_pool3`` and ``_scatter3``, which other
+oracles here pin, so it checks only how the tape stores the stages.
 """
 
 import hashlib
@@ -12,7 +16,7 @@ import math
 import numpy as np
 from scipy import ndimage
 
-from tubekit.skeleton import _lines
+from tubekit.skeleton import _lines, _pool3, _scatter3
 
 
 def cylinder_voxel_count(dims, spacing, radius_mm):
@@ -504,6 +508,67 @@ class soft_skeleton_tape_oracle:
         for offs in self.pool_erode:
             for o in offs:
                 h.update(o.tobytes())
+        return h.digest()
+
+
+class dense_stage_tape_oracle:
+    """The package's former ``SoftSkeletonTape``: the same recurrence,
+    stopping rule and pooling codes, with each stage's (skeleton in,
+    delta) kept as whole float64 volumes, stage 0's skeleton the scalar 0.
+    Its ``backward`` reads the two on the gradient's support, and its
+    ``signature`` hashes each stage's masks from the whole volumes."""
+
+    def __init__(self, img, iterations):
+        img = np.asarray(img, dtype=np.float64)
+        self.stages, self.pools = [], []
+        skel = np.float64(0)
+        eroded = _pool3(img, "min", self.pools)
+        for i in range(iterations + 1):
+            delta = _pool3(eroded, "max", self.pools)
+            delta = np.maximum(img - delta, 0.0)
+            t = np.maximum(delta - skel * delta, 0.0)
+            self.stages.append((skel, delta))
+            skel = skel + t
+            if i >= iterations or not eroded.any():
+                break
+            img = eroded
+            eroded = _pool3(img, "min", self.pools)
+        self.skeleton = skel
+        self.iterations = len(self.stages) - 1
+
+    def backward(self, grad_out):
+        grad_out = np.asarray(grad_out, dtype=np.float64)
+        shape = self.skeleton.shape
+        idx = np.flatnonzero(grad_out)
+        g_skel = grad_out.ravel()[idx]
+        img_idx, g_img = np.empty(0, dtype=np.intp), np.empty(0)
+        for i in range(self.iterations, -1, -1):
+            skel, delta = self.stages[i]
+            d = delta.ravel()[idx]
+            s = skel.ravel()[idx] if i else skel
+            on = d - s * d > 0
+            g_t, g_din = g_skel[on], (g_skel * (1.0 - s))[on]
+            g_skel[on] = g_t - g_t * d[on]
+            er_idx, g_er = _scatter3(idx[on], -g_din, self.pools[2 * i + 1], shape)
+            op_idx, g_op = _scatter3(er_idx, g_er, self.pools[2 * i], shape)
+            img_idx, inv = np.unique(np.concatenate([img_idx, idx[on], op_idx]),
+                                     return_inverse=True)
+            g_img = np.bincount(inv, np.concatenate([g_img, g_din, g_op]), len(img_idx))
+            if i:
+                img_idx, g_img = _scatter3(img_idx, g_img, self.pools[2 * i - 2], shape)
+        out = np.zeros(grad_out.size)
+        out[img_idx] = g_img
+        return out.reshape(shape)
+
+    def signature(self):
+        h = hashlib.sha256()
+        h.update(self.iterations.to_bytes(4, "little"))
+        for skel, delta in self.stages:
+            h.update((delta > 0).tobytes())
+            h.update((delta - skel * delta > 0).tobytes())
+        for code in self.pools:
+            for axis in range(3):
+                h.update((code // 3 ** axis % 3).astype(np.int8) - 1)
         return h.digest()
 
 

@@ -7,13 +7,15 @@ none of this, so byte-equal results pin the tie rule, the stopping rule
 and the adjoint together.  The pooling primitives are also pinned to
 their former scipy-filter and padded-accumulator versions on inputs
 holding signed zeros and infinities, where only the bits can differ.
+The tape, which keeps only each stage's delta nonzeros, is pinned to the
+former tape that kept each stage's skeleton and delta whole.
 """
 
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oracles import (pool3_scipy_oracle, scatter3_padded_oracle,
+from oracles import (dense_stage_tape_oracle, pool3_scipy_oracle, scatter3_padded_oracle,
                      soft_skeleton_tape_oracle)
 from tubekit.skeleton import (SoftSkeletonTape, _pool3, _scatter3, hard_skeleton,
                               soft_skeleton_array)
@@ -29,7 +31,16 @@ def _field(kind, shape, seed):
         return (rng.random(shape) < 0.6).astype(np.float64)
     if kind == "wide":  # beyond [0, 1] the skeleton passes 1, where t's relu cuts
         return 3.0 * rng.random(shape)
-    return rng.integers(0, 5, shape) / 4.0  # quantised: ties everywhere
+    if kind == "box":  # sides of 3 or more: the opening keeps it, stage 0 adds nothing
+        lo = [int(rng.integers(0, n - 2)) for n in shape]
+        box = tuple(slice(a, int(rng.integers(a + 3, n + 1))) for a, n in zip(lo, shape))
+        x = np.zeros(shape)
+        x[box] = rng.integers(1, 5) / 4.0
+        return x
+    x = rng.integers(0, 5, shape) / 4.0  # quantised: ties everywhere
+    if kind == "signed_zeros":
+        x[rng.random(shape) < 0.5] *= -0.0
+    return x
 
 
 cases = st.tuples(
@@ -98,6 +109,37 @@ def test_tie_free_verdict_matches_oracle(case):
                 same = same and make(xs, k).signature() == sig0
             verdicts.append(same)
         assert verdicts[0] == verdicts[1], v
+
+
+@given(st.tuples(
+    st.sampled_from(["uniform", "mask", "quantised", "wide", "signed_zeros", "box"]),
+    st.tuples(*[st.integers(3, 12)] * 3),
+    st.integers(1, 10),
+    st.integers(0, 2 ** 32 - 1),
+))
+@example(("box", (9, 9, 9), 10, 0))
+@example(("uniform", (7, 6, 8), 1, 0))
+def test_lean_tape_matches_the_dense_stage_tape(case):
+    kind, shape, k, seed = case
+    x = _field(kind, shape, seed)
+    dense = dense_stage_tape_oracle(x, k)
+    tape = SoftSkeletonTape(x, k)
+    assert tape.iterations == dense.iterations
+    assert tape.skeleton.tobytes() == dense.skeleton.tobytes()
+    assert tape.signature() == dense.signature()
+    if kind == "box":
+        assert not dense.stages[0][1].any()
+
+    # Voxels that no stage's delta reaches, like the lines the connectivity
+    # loss draws, in the gradient's support beside other voxels.
+    quiet = np.all([delta == 0 for _, delta in dense.stages], axis=0)
+    rng = np.random.default_rng(seed + 3)
+    g = np.where(rng.random(shape) < 0.5, 0.0, -0.0)
+    support = (rng.random(shape) < 0.2) | (quiet & (rng.random(shape) < 0.5))
+    g[support] = rng.standard_normal(int(support.sum()))
+    assert tape.backward(g).tobytes() == dense.backward(g).tobytes()
+    g = rng.standard_normal(shape)
+    assert tape.backward(g).tobytes() == dense.backward(g).tobytes()
 
 
 def _bits(x):
