@@ -213,7 +213,7 @@ def _cmd_loss(args):
     input is held once, in the type the terms read: the prediction and
     guide as float64, their float32 containers released, and the label
     as uint8, which each term converts where it reads it."""
-    lam = losses._checked_lambda(args.lam)
+    lam = losses._checked_non_negative("lambda", args.lam)
     pred = _load(args.pred, Volume3)
     label = _load(args.label, Mask3)
     image = _load(args.image, Volume3)

@@ -8,10 +8,12 @@ the suppression pair by lambda.
 Each term is one ``*_array`` function on plain ndarrays: it converts its
 inputs to float64, checks them and returns (value, gradient with respect
 to the prediction), the gradient a float64 ndarray.  Callers holding
-``Volume3``/``Mask3`` containers pass their ``.data``.  The connectivity
-term treats the reconnected skeleton as a constant pseudo-label (no
-gradient through the reconnection), and differentiates through the
-pooling recurrence via the recorded selection tape.
+``Volume3``/``Mask3`` containers pass their ``.data``.  Relaxed
+supervision reads its weights, 1 or beta, off a 0/1 label and ROI, and
+the spatial term its value off its gradient.  The connectivity term
+treats the reconnected skeleton as a constant pseudo-label (no gradient
+through the reconnection), and differentiates through the pooling
+recurrence via the recorded selection tape.
 """
 
 import hashlib
@@ -55,17 +57,17 @@ class GatedKernelParams:
 # relaxed supervision
 # ---------------------------------------------------------------------------
 
-def _checked_beta(beta: float) -> float:
-    if not 0.0 <= beta < math.inf:  # NaN fails too
-        raise ParameterError(f"beta must be finite and non-negative, got {beta}")
-    return float(beta)
+def _checked_non_negative(name: str, v: float) -> float:
+    if not 0.0 <= v < math.inf:  # NaN fails too
+        raise ParameterError(f"{name} must be finite and non-negative, got {v}")
+    return float(v) + 0.0  # -0.0 becomes 0.0
 
 
 def resolve_beta(y: np.ndarray, beta: float = None) -> float:
     """An explicit beta, which must be finite and non-negative, or for
     None the auto ratio 1/ln(sum(y^c)/sum(y))."""
     if beta is not None:
-        return _checked_beta(beta)
+        return _checked_non_negative("beta", beta)
     s_pos = float(y.sum())
     s_neg = float(y.size - s_pos)
     if s_pos < 1:
@@ -77,14 +79,13 @@ def resolve_beta(y: np.ndarray, beta: float = None) -> float:
 
 
 def uncertain_prediction_array(y, yhat, roi_mask, beta):
-    """Returns (yhat', w) where yhat' = w * yhat and
-    w = y + beta*y^c*R + y^c*R^c routes the three certainty regimes."""
-    y = np.asarray(y, dtype=np.float64)
-    r = np.asarray(roi_mask, dtype=np.float64)
-    w = np.multiply(beta, r)  # then in place, in the order of
-    w += np.subtract(1.0, r)  # y + (1 - y) * (beta * r + (1 - r))
-    w *= np.subtract(1.0, y)
-    w += y
+    """Returns (yhat', w), yhat' = w * yhat and w = y + beta*y^c*R + y^c*R^c:
+    on a 0/1 label y and ROI R (else a ParameterError), beta on R's negatives, else 1."""
+    y, roi = np.asarray(y), np.asarray(roi_mask)
+    for a, name in ((y, "label"), (roi, "ROI mask")):
+        if not ((a == 0) | (a == 1)).all():  # NaN fails too
+            raise ParameterError(f"{name} must hold only 0 and 1")
+    w = np.where((roi == 1) & (y == 0), beta, 1.0)
     return w * yhat, w
 
 
@@ -94,21 +95,21 @@ _DENOM_MAX = math.sqrt(np.finfo(np.float64).max)  # the largest x whose x ** 2 i
 def loss_r_sup_array(y, yhat, roi_mask, beta):
     """Relaxed Dice + positive-voxel cross entropy, with exact gradient.
 
-    The prediction must lie in [0, 1], the label hold a positive and
-    beta be finite and non-negative.  Only beta can lift the Dice
-    denominator sum(y) + sum(yhat') past sqrt(float max) = 1.34e154, where
-    its square overflows; that is a ParameterError naming beta.  Past
-    the weights, each whole-volume step runs in place in the formula's
-    evaluation order, so the result has the formula's bits."""
+    The prediction must lie in [0, 1], beta be finite and non-negative,
+    and the label (with a 1) and ROI hold only 0 and 1.  Only beta can
+    lift the Dice denominator sum(y) + sum(yhat') past sqrt(float max) =
+    1.34e154, where its square overflows; that is a ParameterError naming
+    beta.  Past the weights, each whole-volume step runs in place in the
+    formula's evaluation order, so the result has the formula's bits."""
     y = np.asarray(y, dtype=np.float64)
     yhat = np.asarray(yhat, dtype=np.float64)
     if y.shape != yhat.shape:
         raise ParameterError("label and prediction shapes differ")
     _check_unit_range(yhat, "prediction")
+    beta = _checked_non_negative("beta", beta)
+    yp, w = uncertain_prediction_array(y, yhat, roi_mask, beta)
     if y.sum() < 1:
         raise NumericDomainError("relaxed supervision needs at least one positive voxel")
-    beta = _checked_beta(beta)
-    yp, w = uncertain_prediction_array(y, yhat, roi_mask, beta)
 
     eps = DEFAULT_EPSILON
     tmp = np.multiply(y, yhat)
@@ -195,8 +196,8 @@ def loss_spatial_array(yhat, guide, params: GatedKernelParams):
     the offsets d whose flat shift s is positive run, over the flat
     indices i < size - max(s, d[0] * plane) in blocks of whole x-planes
     (about ``SPATIAL_BLOCK`` = 2^14 voxels).  A block adds k*y[i+s] to
-    grad[i] and k*y[i] to grad[i+s], and the sum of its k*y[i]*y[i+s] to
-    the value; both are then divided by N/2.  The kernel exponent takes -c1
+    grad[i] and k*y[i] to grad[i+s], and the gradient is divided by N/2;
+    the value is then sum(y * grad) / 2.  The kernel exponent takes -c1
     from a per-plane row that holds -inf where i + s wraps into another
     row or plane, so there k is exactly 0, as it is where the exponent
     overflows to -inf; overflow is not reported in this pass, where a sum
@@ -204,7 +205,8 @@ def loss_spatial_array(yhat, guide, params: GatedKernelParams):
     order than a pass over the whole window, which ``spatial_loss_oracle``
     in ``tests/oracles.py`` keeps: value and gradient stay within 1e-14 of
     the same sums over |y| (3.9e-15 at most, measured), while n_pairs
-    keeps its bits.
+    keeps its bits.  Where products y[i]*grad[i] are subnormal (|y| near
+    its minimum), the value can differ by multiples of 4.9e-324.
     """
     yhat = np.asarray(yhat, dtype=np.float64)
     guide = np.asarray(guide, dtype=np.float64)
@@ -219,7 +221,6 @@ def loss_spatial_array(yhat, guide, params: GatedKernelParams):
         raise ParameterError("spatial loss inputs must be finite, and nonzero "
                              "predictions at least 2^-537 in magnitude")
 
-    total = 0.0
     y, g = yhat.ravel(), guide.ravel()
     grad = np.zeros(y.size)
     inv_2sl2 = 1.0 / (2.0 * params.sigma_l ** 2)
@@ -240,7 +241,6 @@ def loss_spatial_array(yhat, guide, params: GatedKernelParams):
         np.exp(kb, out=kb)
         grad[i0:i1] += np.multiply(kb, y[i0 + s:i1 + s], out=tb)
         grad[i0 + s:i1 + s] += np.multiply(kb, y[i0:i1], out=tb)
-        return float(np.multiply(tb, y[i0 + s:i1 + s], out=tb).sum())
 
     with np.errstate(over="ignore"):  # an exponent of -inf: k = exp(-inf) = 0
         for d in _window_offsets(radius):
@@ -252,11 +252,14 @@ def loss_spatial_array(yhat, guide, params: GatedKernelParams):
             row.reshape((bp,) + yhat.shape[1:])[:, sy, sz] = -(sum(o * o for o in d) * inv_2sl2)
             hi = y.size - max(s, d[0] * plane)
             for i0 in range(0, hi, bp * plane):
-                total += block_pass(s, i0, min(i0 + bp * plane, hi))
+                block_pass(s, i0, min(i0 + bp * plane, hi))
     n_pairs = int(_neighbor_counts(nz, radius)[nz].sum())
     half = max(1, n_pairs) / 2  # exact
     grad /= half
-    return total / half, grad.reshape(yhat.shape), n_pairs
+    # a block at a time: a whole-volume y * grad would raise the peak by a volume
+    value = sum(float(np.multiply(y[i:i + k.size], grad[i:i + k.size], out=k[:y.size - i]).sum())
+                for i in range(0, y.size, max(1, k.size))) / 2
+    return value, grad.reshape(yhat.shape), n_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -283,14 +286,8 @@ def loss_mix_array(yhat, mixed_label):
 # combined objective
 # ---------------------------------------------------------------------------
 
-def _checked_lambda(lam: float) -> float:
-    if not 0.0 <= lam < math.inf:  # NaN fails too
-        raise ParameterError(f"lambda must be finite and non-negative, got {lam}")
-    return float(lam)
-
-
 def loss_gsb(r_sup: float, con: float, spatial: float, mix: float,
              lam: float = DEFAULT_LAMBDA) -> float:
     """The balanced objective r_sup + con + lambda*(spatial + mix) of the
     four term values."""
-    return r_sup + con + _checked_lambda(lam) * (spatial + mix)
+    return r_sup + con + _checked_non_negative("lambda", lam) * (spatial + mix)

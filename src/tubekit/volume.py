@@ -151,7 +151,8 @@ class PhantomSpec:
     Every image value must fit float32: max(|foreground_intensity|,
     |background_intensity|) + 8.58 * noise_sigma, where 8.58 bounds any
     deviate ``rng.normal`` draws, may not exceed float32's max
-    (3.4028235e38); beyond it is a ParameterError."""
+    (3.4028235e38); beyond it is a ParameterError.  The noise seed lies
+    in [0, 2^64), the seeds ``rng.splitmix64`` tells apart."""
 
     kind: str
     radius_mm: float
@@ -178,6 +179,8 @@ class PhantomSpec:
                 f"noise_sigma = {reach:g} exceeds float32's max {_FLOAT32_MAX:g}")
         if self.gap_len_voxels < 0 or int(self.gap_len_voxels) != self.gap_len_voxels:
             raise ParameterError("gap_len_voxels must be a non-negative integer")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ParameterError(f"seed must lie in [0, 2^64), got {self.seed}")
 
 
 def _dist_to_segment(px, py, pz, a, b):

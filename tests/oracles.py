@@ -319,6 +319,20 @@ def spatial_loss_oracle(yhat, guide, sigma_l, sigma_c, radius):
     return total / n, grad / n, n_pairs
 
 
+def uncertain_prediction_oracle(y, yhat, roi_mask, beta):
+    """The package's former ``uncertain_prediction_array``: the weights
+    w = y + beta*y^c*R + y^c*R^c by whole-volume float64 arithmetic, in
+    place in the order of y + (1 - y) * (beta * r + (1 - r)).  Returns
+    (w * yhat, w)."""
+    y = np.asarray(y, dtype=np.float64)
+    r = np.asarray(roi_mask, dtype=np.float64)
+    w = np.multiply(beta, r)
+    w += np.subtract(1.0, r)
+    w *= np.subtract(1.0, y)
+    w += y
+    return w * yhat, w
+
+
 def neighbor_counts_bruteforce(mask):
     """Foreground 26-neighbors of every voxel (self excluded), by loops."""
     fg = np.asarray(mask, dtype=bool)

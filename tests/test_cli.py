@@ -137,17 +137,21 @@ def test_loss_lambda_zero_total(tmp_path):
     prob = 0.1 + 0.8 * label.data.astype(np.float32)
     save_tvol(Volume3(label.dims, (1, 1, 1), prob), pred)
     report = tmp_path / "loss.json"
-    assert _run("loss", "--pred", str(pred), "--label", str(lab),
-                "--image", str(img), "--lambda", "0",
-                "--skel-iters", "4", "--json", str(report)) == 0
-    data = json.loads(report.read_text())
-    assert math.isclose(data["total"], data["r_sup"] + data["con"],
-                        rel_tol=1e-6, abs_tol=1e-9)
-    assert set(data) == {"r_sup", "con", "spatial", "mix", "lambda", "total",
-                         "beta", "spatial_pairs", "grad_norms"}
-    assert data["beta"] > 0
-    assert type(data["spatial_pairs"]) is int and data["spatial_pairs"] > 0
-    assert set(data["grad_norms"]) == {"r_sup", "con", "spatial", "mix"}
+    for zero in ("0", "-0"):  # -0 as lambda and as beta: the report writes both unsigned
+        beta = [] if zero == "0" else ["--beta", zero]
+        assert _run("loss", "--pred", str(pred), "--label", str(lab),
+                    "--image", str(img), "--lambda", zero, *beta,
+                    "--skel-iters", "4", "--json", str(report)) == 0
+        text = report.read_text()
+        data = json.loads(text)
+        assert math.isclose(data["total"], data["r_sup"] + data["con"],
+                            rel_tol=1e-6, abs_tol=1e-9)
+        assert set(data) == {"r_sup", "con", "spatial", "mix", "lambda", "total",
+                             "beta", "spatial_pairs", "grad_norms"}
+        assert '  "lambda": 0.0,\n' in text
+        assert data["beta"] > 0 if zero == "0" else '  "beta": 0.0,\n' in text
+        assert type(data["spatial_pairs"]) is int and data["spatial_pairs"] > 0
+        assert set(data["grad_norms"]) == {"r_sup", "con", "spatial", "mix"}
 
 
 def test_loss_lambda_linearity_via_cli(tmp_path):
@@ -348,11 +352,14 @@ def test_parameter_error_exits_2(tmp_path, capsys):
     (["phantom", "--spacing", "1e-300,1,1"], "ParameterError"),
     # the image would overflow when it is cast to the float32 volume
     (["phantom", "--dims", "16,16,16", "--foreground", "1e39"], "ParameterError"),
+    # splitmix64 reads a seed modulo 2^64, so these would alias 0 and 2^64 - 1
+    *((["phantom", "--noise-sigma", "0.1", "--seed", seed], "ParameterError")
+      for seed in (str(2 ** 64), "-1")),
 ], ids=[*(f"gradcheck-size-{n}" for n in range(6)),
         "fusion-channels-0", "fusion-channels-over-64", "fusion-dims-0", "fusion-dims-over-16^3",
         "fusion-dims-32^3", "phantom-noise-nan", "phantom-radius-inf",
         "phantom-spacing-over-float32", "phantom-spacing-under-float32",
-        "phantom-foreground-over-float32"])
+        "phantom-foreground-over-float32", "phantom-seed-2^64", "phantom-seed-negative"])
 def test_out_of_domain_arguments_exit_2(tmp_path, capsys, argv, error):
     # gradcheck below size 6 cannot draw its 20 voxels and 40 interior ones
     if argv[0] == "phantom":

@@ -19,7 +19,9 @@ hashes in ``golden.json``.  A change that moves a bit of any artifact
 fails here; one that means to change the numerics re-records the file
 and says by how much.
 
-Record the hashes with ``PYTHONPATH=src python tests/test_golden.py``.
+Record the hashes with ``PYTHONPATH=src python tests/test_golden.py``; it
+prints each key whose hash changed, was added or was dropped against the
+file it replaces.
 """
 
 import hashlib
@@ -98,5 +100,10 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         with at_workers(1):
             got = artifacts(Path(tmp))
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    for key in sorted(old.keys() | got.keys()):
+        if old.get(key) != got.get(key):
+            change = "added" if key not in old else "dropped" if key not in got else "changed"
+            sys.stdout.write(f"{change} {key}: {old.get(key, '-')} -> {got.get(key, '-')}\n")
     GOLDEN.write_text(json.dumps(got, indent=2, sort_keys=True) + "\n")
     sys.stdout.write(f"{len(got)} artifacts recorded in {GOLDEN}\n")

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tubekit import NumericDomainError, ParameterError, PhantomSpec, make_phantom
+from tubekit import NumericDomainError, ParameterError, PhantomSpec, losses, make_phantom
 from tubekit.gradcheck import rel_errors, tie_free_rel_errors
 from tubekit.losses import (DEFAULT_EPSILON, GatedKernelParams, loss_con_array,
                             loss_con_signature, loss_gsb,
@@ -14,7 +14,7 @@ from tubekit.losses import (DEFAULT_EPSILON, GatedKernelParams, loss_con_array,
                             uncertain_prediction_array)
 
 from memory import traced
-from oracles import spatial_loss_oracle, spatial_pair_sum_bruteforce
+from oracles import spatial_loss_oracle, spatial_pair_sum_bruteforce, uncertain_prediction_oracle
 
 
 def _rand_setup(seed, n=6):
@@ -68,6 +68,41 @@ def test_uncertain_prediction_outside_roi_passthrough():
     assert np.array_equal(yp[outside_negative], yhat[outside_negative])
 
 
+def _bits(*arrays):
+    return [np.asarray(a, dtype=np.float64).tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("beta", [0.0, 1e-300, 0.3, 1e150])
+@pytest.mark.parametrize("dtype", [np.uint8, np.bool_, np.float64])
+@given(shape=st.tuples(*[st.integers(1, 6)] * 3),
+       label=st.sampled_from(["drawn", "zeros", "ones"]),
+       roi=st.sampled_from(["drawn", "zeros", "ones"]), seed=st.integers(0, 2 ** 32 - 1))
+@example(shape=(3, 4, 5), label="zeros", roi="zeros", seed=0)
+@example(shape=(3, 4, 5), label="ones", roi="ones", seed=0)
+@example(shape=(3, 4, 5), label="drawn", roi="zeros", seed=1)
+@example(shape=(3, 4, 5), label="drawn", roi="ones", seed=2)
+@settings(max_examples=20)
+def test_weights_and_r_sup_keep_the_former_arithmetics_bits(dtype, beta, shape, label, roi,
+                                                            seed):
+    """On a 0/1 label and ROI, the weights from the two masks give the
+    former arithmetic's (yhat', w), and relaxed supervision its value and
+    gradient, bit for bit."""
+    rng = np.random.default_rng(seed)
+    masks = {"drawn": lambda: rng.random(shape) < 0.3, "zeros": lambda: np.zeros(shape, bool),
+             "ones": lambda: np.ones(shape, bool)}
+    y, r = masks[label]().astype(dtype), masks[roi]()
+    yhat = rng.random(shape)
+    yhat[rng.random(shape) < 0.2] = 0.0
+    got = uncertain_prediction_array(y, yhat, r, beta)
+    assert _bits(*got) == _bits(*uncertain_prediction_oracle(y, yhat, r, beta))
+    if y.any():
+        value, grad = loss_r_sup_array(y, yhat, r, beta)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(losses, "uncertain_prediction_array", uncertain_prediction_oracle)
+            want = loss_r_sup_array(y, yhat, r, beta)
+        assert _bits(value, grad) == _bits(*want)
+
+
 @pytest.mark.parametrize("beta", [-5.0, -1e-12, float("nan"), float("inf")])
 def test_r_sup_rejects_beta_outside_domain(beta):
     _, yhat, y, roi = _rand_setup(3)
@@ -101,6 +136,12 @@ def test_r_sup_validates_inputs():
         loss_r_sup_array(y, np.full((4, 4, 5), 0.5), roi, 0.5)
     with pytest.raises(NumericDomainError, match="at least one positive voxel"):
         loss_r_sup_array(np.zeros((4, 4, 4)), np.full((4, 4, 4), 0.5), roi, 0.5)
+    # a label or ROI value other than 0 and 1, even where the label sums below 1
+    for bad in (0.5, 1e-3, math.nan):
+        with pytest.raises(ParameterError, match="label must hold only 0 and 1"):
+            loss_r_sup_array(np.full((4, 4, 4), bad), np.full((4, 4, 4), 0.5), roi, 0.5)
+        with pytest.raises(ParameterError, match="ROI mask must hold only 0 and 1"):
+            loss_r_sup_array(y, np.full((4, 4, 4), 0.5), np.full((4, 4, 4), bad), 0.5)
 
 
 # ---------------------------------------------------------------------------

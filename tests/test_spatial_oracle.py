@@ -85,6 +85,13 @@ def test_axis_shorter_than_the_window():
     _assert_matches_oracle(got, yhat, guide, 1.5, 0.1, 3)
 
 
+@pytest.mark.parametrize("shape", [(0, 4, 4), (4, 0, 4), (4, 4, 0)])
+def test_an_empty_volume_has_no_pairs(shape):
+    value, grad, n_pairs = loss_spatial_array(np.zeros(shape), np.zeros(shape),
+                                              GatedKernelParams())
+    assert (value, grad.shape, n_pairs) == (0.0, shape, 0)
+
+
 def test_window_is_cut_to_the_volume():
     # Every offset beyond max(dims) - 1 = 7 pairs no voxels, so a radius
     # of 10**6 gives the radius-7 bits without walking its huge window.
