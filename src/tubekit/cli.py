@@ -30,6 +30,7 @@ import numpy as np
 
 from . import fusion, gradcheck, losses, metrics, skeleton, vesselness
 from .errors import FileFormatError, NumericDomainError, ParameterError
+from .rng import check_derived_seed
 from .volume import (DEFAULT_ROI_MARGIN, Mask3, PhantomSpec, RoiBox, Volume3,
                      load_tvol, make_phantom, roi_from_label, save_tvol)
 from .workers import parallel_map, thread_count
@@ -275,6 +276,8 @@ def _cmd_metrics(args):
 
 
 def _cmd_fusion_demo(args):
+    # The largest derived seed: FlexConvParams.init(seed * 64 + 6) draws from 16 * that + 15.
+    check_derived_seed(args.seed, 1024, 111)
     dims = _parse_list(args.dims, int, "--dims", 3)
     if min(dims) < 1:
         raise ParameterError(f"--dims must be three counts >= 1, got {args.dims!r}")

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import losses
 from .errors import ParameterError
-from .rng import uniform01, uniform_range
+from .rng import check_derived_seed, uniform01, uniform_range
 from .volume import PhantomSpec, make_phantom
 
 GRADCHECK_H = 1e-3
@@ -98,8 +98,10 @@ def gradcheck_report(seed: int, size: int) -> dict:
     perturbations must leave every pooling/relu/threshold selection
     unchanged at x-h, x, x+h (certified via selection signatures).
     The sample needs ``POINTS`` distinct voxels and ``2 * CON_POINTS``
-    distinct interior ones, which sets the smallest size.
+    distinct interior ones, which sets the smallest size.  The seed is
+    checked first: the largest seed derived from it is 8*seed + 83.
     """
+    check_derived_seed(seed, 8, 83)
     smallest = next(s for s in itertools.count(3)
                     if s ** 3 >= POINTS and (s - 2) ** 3 >= 2 * CON_POINTS)
     if size < smallest:

@@ -11,6 +11,8 @@ with the standard xor-shift/multiply avalanche.
 
 import numpy as np
 
+from .errors import ParameterError
+
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
@@ -53,3 +55,13 @@ def uniform_range(seed: int, n: int, lo: float, hi: float) -> np.ndarray:
     """n uniform doubles in [lo, hi) from counters 0..n-1."""
     u = uniform01(seed, np.arange(n, dtype=np.uint64)) - 2.0 ** -53
     return lo + (hi - lo) * u
+
+
+def check_derived_seed(seed: int, scale: int, offset: int):
+    """A ParameterError unless 0 <= seed and the largest seed derived from
+    it, scale*seed + offset, lies below 2^64: ``splitmix64`` reads a seed
+    modulo 2^64, so a seed beyond would alias another.  The message names
+    ``seed`` and the range of seeds that pass."""
+    limit = -(-(2 ** 64 - offset) // scale)  # the least seed with scale*seed + offset >= 2^64
+    if not 0 <= seed < limit:
+        raise ParameterError(f"seed must lie in [0, {limit}), got {seed}")

@@ -5,27 +5,31 @@ The response of a voxel is driven by the magnitude-ordered eigenvalues
 background produce l2 ~ l3 << 0, so for that polarity l2 and l3 are
 negated before the response is evaluated; the regularized lp replaces l3
 with a volume-level floor tau * max(l3) to keep low-contrast vessels
-from vanishing.  Each scale is smoothed one x-block at a time straight
-into the float32 scale, with no float64 volume field, then
-differentiated on flat runs of one float64 buffer per slab and
-eigen-solved in slabs of planes along axis 0, one slab per pool part;
-blocks and slabs follow the slab plan of ``tubekit.workers`` and are
-parts of its pool, so each worker has one in flight.  A slab runs in
-whole-slab ufunc calls on reused buffers.  A voxel can respond only if
-sign*tr(H) >= |H|_F / sqrt(3), up to the margin ``_cut`` proves, and
-only such voxels are eigen-solved, at most a quarter slab at a time:
-about a third of a noisy volume.  A slab keeps a bit mask of the voxels
-where the signed l2 and l3 are both > 0 and their l2 and l3, its
-candidates' max(l3) and the largest bound |H|_F >= sign*l3 of the voxels
-it ruled out.  A second pass, one plane at a time, differentiates again
-only the slabs whose bound exceeds the candidates' max, and solves there
-the ruled-out voxels above it.  The response is written at the kept
+from vanishing.  Each scale is smoothed, differentiated and eigen-solved
+in one pool phase over runs of consecutive slabs of the slab plan of
+``tubekit.workers`` (slabs of planes along axis 0), one run per worker
+as ``workers.claims`` deals them: a worker that ends its run takes the
+back half of the longest run left.  A run smooths its slabs in order
+into a float32 window of the slab and the plane on each side of it that
+exists; a window's first two planes are the last two of the one before,
+so only a run's two rim planes are smoothed twice and no smoothed scale
+is held whole.  Each window is differentiated on flat runs of one
+float64 buffer and eigen-solved in whole-slab ufunc calls on reused
+buffers.  A voxel can respond only if sign*tr(H) >= |H|_F / sqrt(3), up
+to the margin ``_cut`` proves, and only such voxels are eigen-solved, at
+most a quarter slab at a time: about a third of a noisy volume.  A slab
+keeps a bit mask of the voxels where the signed l2 and l3 are both > 0
+and their l2 and l3, its candidates' max(l3) and the largest bound |H|_F
+>= sign*l3 of the voxels it ruled out.  A second pass deals out the same
+way the slabs whose bound exceeds the candidates' max, smooths their
+windows again and, one plane at a time, solves there the ruled-out
+voxels above it.  A last pool phase writes the response at the kept
 voxels alone: everywhere else it is +0.0, which leaves the running max's
-bits as they are.  The peak memory is about one float64 volume field
-(the smoothed scale and the running max in float32) plus, per worker, a
-slab's work of up to 5.6 float64 per slab voxel (the Hessian's), and
-where every voxel responds, the kept eigenvalues add 2 fields while the
-slabs run.
+bits as they are.  The peak memory is the running max in float32 and the
+kept eigenvalues plus, per worker, a slab's window and its Hessian's
+work of up to 5.6 float64 per slab voxel: 1.22 float64 volumes in all on
+a noisy 128^3 helix at one worker.  Where every voxel responds, the kept
+eigenvalues add 2 fields while the slabs run.
 """
 
 import math
@@ -36,7 +40,7 @@ from scipy.ndimage import correlate1d
 
 from .errors import ParameterError
 from .volume import Volume3
-from .workers import parallel_map, slabs
+from .workers import claims, parallel_map, slabs, thread_count
 
 DEFAULT_TAU = 0.5
 DEFAULT_SCALES = (1.0, 1.5, 2.0, 3.0)
@@ -82,22 +86,31 @@ def _check_kernel_radius(dims, spacing, sigma: float):
             raise ParameterError(f"kernel radius 3*sigma/spacing exceeds dimension {limit}")
 
 
-def gaussian_smooth(data: np.ndarray, spacing, sigma: float) -> np.ndarray:
+def gaussian_smooth(data: np.ndarray, spacing, sigma: float, planes: slice = None,
+                    out: np.ndarray = None) -> np.ndarray:
     """Separable Gaussian smoothing with replicate boundaries, rounded to
-    float32.  Kernel radius is ceil(3*sigma/spacing) per axis, at most the
-    largest dimension; each 1D kernel sums to 1, so constants are
-    preserved exactly.  Per x-block, the x pass sums shifted planes in
-    float64 in correlate1d's symmetric-kernel order (the centre, then each
-    pair j = r..1 apart; only blocks within the kernel radius of an end
-    gather clamped planes), then the y pass into a scratch block and the
-    z pass straight into the float32 result: every line is filtered
-    whole, in x, y, z order.  The blocks are parts of the worker pool."""
+    float32: the planes ``planes`` along axis 0 (every plane if None),
+    written to ``out`` (a new array if None).  Kernel radius is
+    ceil(3*sigma/spacing) per axis, at most the largest dimension; each 1D
+    kernel sums to 1, so constants are preserved exactly.  Per x-block,
+    the x pass sums shifted planes in float64 in correlate1d's
+    symmetric-kernel order (the centre, then each pair j = r..1 apart; only
+    blocks within the kernel radius of an end gather clamped planes), then
+    the y pass into a scratch block and the z pass straight into the
+    float32 result: every line is filtered whole, in x, y, z order, so a
+    plane's bits depend on the data alone, not on the planes asked for.
+    Every plane is smoothed in the slab plan's blocks, parts of the worker
+    pool; given planes are one block on the calling thread."""
     if not sigma > 0:
         raise ParameterError(f"sigma must be positive, got {sigma}")
     _check_kernel_radius(data.shape, spacing, sigma)
     src = np.asarray(data)
     kx, ky, kz = (_gaussian_kernel(sigma, s) for s in spacing)
-    out, (nx, ny, nz), r = np.empty(src.shape, dtype=np.float32), src.shape, len(kx) // 2
+    (nx, ny, nz), r = src.shape, len(kx) // 2
+    whole = planes is None
+    planes = slice(0, nx) if whole else planes
+    if out is None:
+        out = np.empty((planes.stop - planes.start, ny, nz), dtype=np.float32)
 
     def block(s):
         lo, hi = s.start, s.stop
@@ -110,9 +123,13 @@ def gaussian_smooth(data: np.ndarray, spacing, sigma: float) -> np.ndarray:
             np.add(ext[r - j:r - j + hi - lo], ext[r + j:r + j + hi - lo], out=t, dtype=np.float64)
             acc += np.multiply(t, kx[r - j], out=t)
         correlate1d(acc, ky, axis=1, output=t, mode="nearest")
-        correlate1d(t, kz, axis=2, output=out[s], mode="nearest")
+        correlate1d(t, kz, axis=2, output=out[lo - planes.start:hi - planes.start],
+                    mode="nearest")
 
-    parallel_map(block, slabs(nx, ny * nz))
+    if whole:
+        parallel_map(block, slabs(nx, ny * nz))
+    else:
+        block(planes)
     return out
 
 
@@ -130,13 +147,13 @@ def _divide(t: np.ndarray, d: float):
 def hessian_at_scale(smooth: np.ndarray, spacing, sigma: float,
                      planes: slice) -> np.ndarray:
     """sigma^2 times the Hessian of ``smooth`` on ``planes`` along axis 0,
-    edge-replicated only at the volume's ends: float32 components
+    edge-replicated only at the ends of ``smooth``: float32 components
     (..., 6), (xx, xy, xz, yy, yz, zz), mm^-2, a view of six contiguous
-    planes.  Central differences in mm units, each formed in place on
-    flat runs of one float64 buffer: the slab with its edge-replicated rim
+    planes.  ``smooth`` is the smoothed volume, or any run of its planes
+    that holds the plane on each side of ``planes`` where the volume has
+    one.  Central differences in mm units, each formed in place on flat
+    runs of one float64 buffer: the slab with its edge-replicated rim
     between zeroed margins of a row + 1; the rim's results are dropped."""
-    if min(smooth.shape) < 5:
-        raise ParameterError(f"dims {smooth.shape} too small for the second-derivative stencil")
     lo, hi = planes.start, planes.stop
     nx, ny, nz = smooth.shape
     row, plane, n = nz + 2, (ny + 2) * (nz + 2), (hi - lo) * (ny + 2) * (nz + 2)
@@ -307,17 +324,19 @@ def _cut(h: np.ndarray, sign: float):
 
 def vesselness_multiscale(vol: Volume3, params: JermanParams) -> Volume3:
     """Maximum Jerman response over the configured scales, float32 in
-    [0, 1]: the one ``Volume3`` entry point.  The slabs, the cut and the
-    second pass are as the module describes.  The largest scale's kernel
-    is checked before any scale runs."""
+    [0, 1]: the one ``Volume3`` entry point.  The runs, the cut and the
+    second pass are as the module describes.  The dims and the largest
+    scale's kernel are checked before any scale runs."""
     _check_kernel_radius(vol.dims, vol.spacing, params.scales[-1])  # scales increase
+    if min(vol.dims) < 5:
+        raise ParameterError(f"dims {vol.dims} too small for the second-derivative stencil")
     sign = -1.0 if params.polarity == "bright" else 1.0
+    nx, ny, nz = vol.dims
+    plan = slabs(nx, ny * nz)
     best = np.zeros(vol.dims, dtype=np.float32)  # rounding is monotone: max commutes
     for sigma in params.scales:
-        smooth = gaussian_smooth(vol.data, vol.spacing, sigma)
-
-        def planes(s):
-            h = hessian_at_scale(smooth, vol.spacing, sigma, s)
+        def hessian(win, planes):  # the six components' rows
+            h = hessian_at_scale(win, vol.spacing, sigma, planes)
             return np.moveaxis(h, -1, 0).reshape(6, -1)
 
         def signed(c):  # max signed l3 of candidates c; where signed l2, l3 > 0, both
@@ -327,8 +346,7 @@ def vesselness_multiscale(vol: Volume3, params: JermanParams) -> Volume3:
             pos = (l2 > 0.0) & (l3 > 0.0)
             return float(l3.max(initial=0.0)), pos, l2.compress(pos), l3.compress(pos)
 
-        def eigen(s):
-            h = planes(s)
+        def eigen(h, s):
             keep, bound = _cut(h, sign)
             out, bound = float(np.multiply(bound, ~keep, out=bound).max()), None
             h = np.compress(keep, h, axis=1)  # frees the slab's planes
@@ -338,18 +356,41 @@ def vesselness_multiscale(vol: Volume3, params: JermanParams) -> Volume3:
             keep[np.flatnonzero(keep)] = pos
             return max(tops), out, s, np.packbits(keep), e2, e3
 
-        def rest(s, top):  # max(l3) of the ruled-out voxels whose bound exceeds top
-            h = planes(s)
-            keep, bound = _cut(h, sign)
-            _, _, e3 = eig3_symmetric_field(np.compress(~keep & (bound > top), h, axis=1).T)
-            return float(np.multiply(sign, e3, out=e3).max(initial=0.0))
+        def windows(indices):
+            # (window, slab, its first plane) for the slabs plan[i] of
+            # indices: the smoothed planes lo - 1 .. hi that exist; after the
+            # slab before, planes lo - 1 and lo are the last window's last two.
+            win, n, last = np.empty((plan[0].stop + 2, ny, nz), np.float32), 0, -2
+            for i in indices:
+                s = plan[i]
+                a, b = max(s.start - 1, 0), min(s.stop + 1, nx)
+                c = 2 if i == last + 1 else 0
+                win[:c] = win[n - c:n]
+                gaussian_smooth(vol.data, vol.spacing, sigma, slice(a + c, b), win[c:b - a])
+                n, last = b - a, i
+                yield win[:n], s, a
 
-        kept = parallel_map(eigen, slabs(vol.dims[0], vol.dims[1] * vol.dims[2]))
+        def run(indices):
+            return [eigen(hessian(win, slice(s.start - a, s.stop - a)), s)
+                    for win, s, a in windows(indices)]
+
+        def rest(indices):  # max(l3) at the ruled-out voxels whose bound exceeds top
+            out = 0.0
+            for win, s, a in windows(indices):
+                for x in range(s.start - a, s.stop - a):  # one plane at a time
+                    h = hessian(win, slice(x, x + 1))
+                    keep, bound = _cut(h, sign)
+                    _, _, e3 = eig3_symmetric_field(np.compress(~keep & (bound > top), h, axis=1).T)
+                    out = max(out, float(np.multiply(sign, e3, out=e3).max(initial=0.0)))
+            return out
+
+        kept = sorted((k for part in parallel_map(run, claims(len(plan), thread_count()))
+                       for k in part), key=lambda k: k[2].start)  # kept[i] is plan[i]'s
         top = max(k[0] for k in kept)
-        # One plane at a time: every kept eigenvalue is held while it runs.
-        lambda3_max = max([top] + [rest(slice(x, x + 1), top) for k in kept if k[1] > top
-                                   for x in range(k[2].start, k[2].stop)])
-        smooth = None  # free before the responses
+        # A plane at a time: every kept eigenvalue is held while it runs.
+        wide = [i for i, k in enumerate(kept) if k[1] > top]
+        lambda3_max = max([top] + parallel_map(rest, [(wide[j] for j in claim) for claim
+                                                      in claims(len(wide), thread_count())]))
 
         def respond(k):
             # Elsewhere the response is +0.0, which leaves best's bits as they are.

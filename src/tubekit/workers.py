@@ -6,21 +6,24 @@ the available cores; ``1`` runs the parts in a plain loop with no pool.
 Any other value (``-1``, ``1.5``, ``abc``, the empty string) is a
 ``ParameterError``, which ``tubekit.cli`` checks before it reads a file.
 
-The pool's users: the phantom's z-slabs, the smoothing blocks and eigen
-slabs of vesselness, ``tubekit loss``'s growth terms beside its spatial
-term, ``reconnect``'s nearest-endpoint rounds (row ranges of query
-points) and ``metrics.surface_distances`` and ``metrics.evaluate`` (row
-ranges again, plus the centerline scores); every other stage runs on the
-calling thread.  Callers keep results exact: each part writes a disjoint
-region, and a float sum whose bits depend on order stays on the calling
-thread (a max may be split, it is order-free).  A part may also be a
-whole computation that reads no other part's output, such as one loss
-term or ``metrics.evaluate``'s centerline scores, with every sum of it
-inside the part.  Or it may answer one range of query points against a
-shared kd-tree (``metrics.surface_distances``, the nearest-endpoint
-search of ``skeleton.reconnect``): a point's nearest neighbours depend
-only on the point and the tree, so the ranges, joined in part order, are
-one query's result.
+The pool's users: the phantom's z-slabs, the runs of slabs that
+vesselness smooths and eigen-solves, in each of its two passes one run
+per worker dealt by ``claims``, the slabs it writes the response to, the
+blocks of a whole-volume smoothing, ``tubekit loss``'s growth terms
+beside its spatial term, ``reconnect``'s nearest-endpoint rounds (row
+ranges of query points) and ``metrics.surface_distances`` and
+``metrics.evaluate`` (row ranges again, plus the centerline scores);
+every other stage runs on the calling thread.  Callers keep results
+exact: each part writes a disjoint region, and a float sum whose bits
+depend on order stays on the calling thread (a max may be split, it is
+order-free).  A part may also be a whole computation that reads no other
+part's output, such as one loss term or ``metrics.evaluate``'s
+centerline scores, with every sum of it inside the part.  Or it may
+answer one range of query points against a shared kd-tree
+(``metrics.surface_distances``, the nearest-endpoint search of
+``skeleton.reconnect``): a point's nearest neighbours depend only on the
+point and the tree, so the ranges, joined in part order, are one query's
+result.
 
 The calling thread is one of the workers, beside the pool's
 ``thread_count() - 1`` threads, so a part may call ``parallel_map`` in
@@ -30,14 +33,15 @@ cannot deadlock.
 
 The slab plan: every stage that cuts a volume into slabs takes them from
 ``slabs``, ``SLAB_VOXELS`` voxels a slab or one plane if a plane is
-larger, the same at every worker count: the smoothing blocks and eigen
-slabs of vesselness, the phantom's z-slabs, the .tvol z-slabs and
+larger, the same at every worker count: the slabs of vesselness and
+its smoothing, the phantom's z-slabs, the .tvol z-slabs and
 ``Mask3``'s check of values that are not uint8.
 """
 
 import contextvars
 import functools
 import os
+import threading
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 
 from .errors import ParameterError
@@ -101,3 +105,28 @@ def parallel_map(fn, parts) -> list:
     futures = [_run_here(call) if f.cancel() else f for call, f in zip(calls, futures)]
     wait(futures)
     return [f.result() for f in futures]
+
+
+def claims(n: int, workers: int) -> list:
+    """``workers`` iterators over range(n) that together yield each index
+    once, for parts that keep state from one index to the next: each
+    starts on its share of consecutive indices, and one that runs out
+    takes the back half of the largest share left, so a part that ends
+    early takes over work that another has not started."""
+    lock = threading.Lock()
+    shares = [[w * n // workers, (w + 1) * n // workers] for w in range(workers)]
+
+    def claim(own):
+        while True:
+            with lock:
+                if own[0] == own[1]:
+                    most = max(shares, key=lambda share: share[1] - share[0])
+                    if most[0] == most[1]:
+                        return
+                    own[:] = [(most[0] + most[1]) // 2, most[1]]
+                    most[1] = own[0]
+                i = own[0]
+                own[0] += 1
+            yield i
+
+    return [claim(own) for own in shares]

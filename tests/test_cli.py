@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 
 from tubekit import Mask3, ParameterError, load_tvol, losses, metrics, save_tvol, vesselness
 from tubekit.cli import _build_parser, _jsonify, _line_voxels, _reconnect_report, main
-from tubekit.skeleton import DEFAULT_ITERATIONS, SoftSkeletonTape, reconnect
+from tubekit.skeleton import (DEFAULT_ITERATIONS, SoftSkeletonTape, reconnect,
+                              soft_skeleton_array)
 from tubekit.volume import DEFAULT_ROI_MARGIN, PHANTOM_KINDS, PhantomSpec, Volume3, roi_from_label
 
 from memory import traced
@@ -368,6 +369,39 @@ def test_out_of_domain_arguments_exit_2(tmp_path, capsys, argv, error):
     assert _run(*argv) == 2
     assert _one_line_error(capsys)["error"] == error
     assert not list(tmp_path.iterdir())
+
+
+# The largest seeds derived from --seed: 8*seed + 83 (gradcheck) and
+# 1024*seed + 111 (fusion-demo's flex-conv weights).  splitmix64 reads a
+# seed modulo 2^64, so beyond these limits the outputs would alias.
+_GRADCHECK_SEEDS, _FUSION_SEEDS = 2 ** 61 - 10, 2 ** 54
+
+
+@pytest.mark.parametrize("argv, seed, limit", [
+    (["gradcheck", "--size", "3"], -1, _GRADCHECK_SEEDS),
+    (["gradcheck", "--size", "3"], _GRADCHECK_SEEDS, _GRADCHECK_SEEDS),
+    (["fusion-demo", "--channels", "0"], -1, _FUSION_SEEDS),
+    (["fusion-demo", "--channels", "0"], _FUSION_SEEDS, _FUSION_SEEDS),
+    (["fusion-demo", "--channels", "0"], 2 ** 58, _FUSION_SEEDS),
+], ids=["gradcheck-negative", "gradcheck-limit", "fusion-demo-negative", "fusion-demo-limit",
+        "fusion-demo-2^58"])
+def test_derived_seed_out_of_range_exits_2_first(tmp_path, capsys, argv, seed, limit):
+    # --size 3 and --channels 0 are errors of their own: the seed is checked first.
+    out = tmp_path / "report.json"
+    assert _run(*argv, "--seed", str(seed), "--json", str(out)) == 2
+    assert _one_line_error(capsys) == {
+        "error": "ParameterError", "message": f"seed must lie in [0, {limit}), got {seed}"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, seed", [
+    (["gradcheck", "--size", "6"], _GRADCHECK_SEEDS - 1),
+    (["fusion-demo", "--dims", "2,2,2", "--channels", "2"], _FUSION_SEEDS - 1),
+], ids=["gradcheck", "fusion-demo"])
+def test_largest_accepted_derived_seed_runs(tmp_path, argv, seed):
+    out = tmp_path / "report.json"
+    assert _run(*argv, "--seed", str(seed), "--json", str(out)) == 0
+    assert json.loads(out.read_text())["seed"] == seed
 
 
 def test_missing_file_exits_3(tmp_path, capsys):
@@ -971,6 +1005,17 @@ def test_tape_holds_under_three_volumes_after_its_forward_at_128(helix_128):
     tape, size, _ = traced(SoftSkeletonTape, yhat, DEFAULT_ITERATIONS)
     assert tape.iterations == 2
     assert size <= 3 * yhat.nbytes, size / yhat.nbytes
+
+
+@pytest.mark.parametrize("dtype, bound", [(np.float64, 5.5), (np.float32, 6.5)])
+def test_soft_skeleton_peak_memory_at_128(helix_128, dtype, bound):
+    # Measured at 5.01 volumes on a float64 input: the pooling's input,
+    # previous pass and new pass beside the stage's image, its erosion and
+    # the skeleton.  `tubekit skeleton` passes a volume's float32 data,
+    # whose float64 copy adds one more: 6.01.
+    yhat = load_tvol(helix_128[2]).data.astype(dtype)
+    _, _, peak = traced(soft_skeleton_array, yhat, DEFAULT_ITERATIONS)
+    assert peak <= bound * 8 * yhat.size, peak / (8 * yhat.size)
 
 
 def test_loss_runs_the_spatial_term_beside_the_connectivity_term(tmp_path, monkeypatch):

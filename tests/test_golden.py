@@ -17,7 +17,10 @@ draws 114.  It runs at one, two and four workers, each through
 check that ``thread_count()`` is that many), and every run must give the
 hashes in ``golden.json``.  A change that moves a bit of any artifact
 fails here; one that means to change the numerics re-records the file
-and says by how much.
+and says by how much.  numpy's float loops dispatch on CPU features, so
+one more run, at one worker in a subprocess, turns off every dispatch
+target above numpy's baseline (``NPY_DISABLE_CPU_FEATURES``) and must
+give the same hashes; it skips where numpy dispatches to none.
 
 Record the hashes with ``PYTHONPATH=src python tests/test_golden.py``; it
 prints each key whose hash changed, was added or was dropped against the
@@ -26,11 +29,14 @@ file it replaces.
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from pool import at_workers
 from tubekit import Mask3, load_tvol, save_tvol
@@ -38,6 +44,7 @@ from tubekit.cli import main
 from tubekit.volume import PHANTOM_KINDS
 
 GOLDEN = Path(__file__).with_name("golden.json")
+TESTS = Path(__file__).resolve().parent
 DIMS, SPACING = "33,30,28", "0.5,0.75,1.25"
 
 
@@ -94,6 +101,44 @@ def test_artifacts_match_golden_at_one_two_and_four_workers(tmp_path):
         (tmp_path / str(n)).mkdir()
         with at_workers(n):
             assert artifacts(tmp_path / str(n)) == want, n
+
+
+def dispatch_above_baseline() -> list:
+    """The SIMD targets above its baseline that numpy dispatches to here."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return [target for target in __cpu_dispatch__ if __cpu_features__.get(target)]
+
+
+_BASELINE_RUN = """
+import json, sys
+from pathlib import Path
+from pool import at_workers
+from test_golden import artifacts, dispatch_above_baseline
+with at_workers(1):
+    hashes = artifacts(Path(sys.argv[1]))
+print(json.dumps([dispatch_above_baseline(), hashes]))
+"""
+
+
+def test_artifacts_match_golden_with_only_the_baseline_simd(tmp_path):
+    # numpy's exp, log, cos, sin, arccos and arctan2 loops dispatch on CPU
+    # features: one run at one worker with every target above numpy's
+    # baseline disabled must give the same hashes.
+    targets = dispatch_above_baseline()
+    if not targets:
+        pytest.skip("numpy dispatches to no target above its baseline here")
+    path = os.pathsep.join(filter(None, [str(TESTS.parent / "src"), str(TESTS),
+                                         os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets), PYTHONPATH=path)
+    run = subprocess.run([sys.executable, "-c", _BASELINE_RUN, str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr
+    still_dispatched, hashes = json.loads(run.stdout.splitlines()[-1])
+    assert still_dispatched == []
+    assert hashes == json.loads(GOLDEN.read_text())
 
 
 if __name__ == "__main__":

@@ -77,6 +77,20 @@ def test_matches_former_loop_to_tolerance(case):
         _assert_matches_oracle(got, yhat, guide, sigma_l, sigma_c, radius)
 
 
+def test_value_at_the_smallest_magnitudes_is_within_a_few_subnormals():
+    # Every product y[i]*grad[i] is subnormal here and rounds on its own, so
+    # the value (0.0) parts from the oracle's per-pair sum (4.9e-324) by one
+    # subnormal, where TOL times a value of a few subnormals underflows to 0.
+    # Over 300 drawn shapes up to 12^3 the value moved by one at most.
+    yhat, guide = _inputs("smallest", (1, 1, 8), 0)
+    value, grad, n_pairs = loss_spatial_array(yhat, guide, GatedKernelParams(0.8, 2.0, 1))
+    o_value, o_grad, o_pairs = spatial_loss_oracle(yhat, guide, 0.8, 2.0, 1)
+    _, a_grad, _ = spatial_loss_oracle(np.abs(yhat), guide, 0.8, 2.0, 1)
+    assert n_pairs == o_pairs == 14
+    assert abs(value - o_value) <= 4 * 5e-324
+    assert (np.abs(grad - o_grad) <= TOL * a_grad).all()
+
+
 def test_axis_shorter_than_the_window():
     # an offset of 3 on an axis of 2 once sliced one cell against none
     yhat, guide = _inputs("dense", (2, 4, 1), 4)

@@ -1,18 +1,20 @@
 """Slab-by-slab vesselness against the whole-volume oracle.
 
-The package smooths each scale in blocks, differentiates and eigen-solves
-it in slabs of planes along axis 0, keeps the signed l2/l3 of the voxels
-that can respond and a running max(l3), and forms the response slab by
-slab; the oracle materialises every field over the whole volume.
-Bit-equal float32 responses (compared as uint32) pin the halo, the edge
-replication at the volume's ends, the running maximum and the slab and
-block bounds, including 1-plane slabs, a short last slab and a single slab.
+The package smooths each scale in windows of a slab of planes along axis 0
+and its rim planes, differentiates and eigen-solves each slab, keeps the
+signed l2/l3 of the voxels that can respond and a running max(l3), and
+forms the response slab by slab; the oracle materialises every field over
+the whole volume.  Bit-equal float32 responses (compared as uint32) pin
+the halo, the edge replication at the volume's ends, the running maximum
+and the slab and block bounds, including 1-plane slabs, a short last slab
+and a single slab.
 The same bits come out at 1, 2 and 3 pool workers, and the package's
 response, which forms the middle branch everywhere and then selects,
 equals the oracle's at every voxel, tiny and signed-zero eigenvalues too.
-The smoothing's x-blocks and the Hessian's slabs, each against the
-oracle's whole-volume passes, and the Hessian's divisions by a power of
-two, against true division, are pinned on their own as well.
+The smoothing's x-blocks and given planes and the Hessian's slabs, of
+the whole volume or of a window of planes, each against the oracle's
+whole-volume passes, and the Hessian's divisions by a power of two,
+against true division, are pinned on their own as well.
 """
 
 from unittest import mock
@@ -25,7 +27,7 @@ from hypothesis import strategies as st
 from oracles import (_hessian_whole_volume_oracle, _jerman_oracle, gaussian_kernel_1d,
                      gaussian_smooth_oracle, vesselness_multiscale_oracle)
 from pool import at_workers
-from tubekit import ParameterError, PhantomSpec, Volume3, make_phantom, workers
+from tubekit import ParameterError, PhantomSpec, Volume3, make_phantom, vesselness, workers
 from tubekit.vesselness import (JermanParams, _divide, _jerman_response, gaussian_smooth,
                                 hessian_at_scale, vesselness_multiscale)
 
@@ -85,6 +87,20 @@ def test_slab_bounds_match_whole_volume_oracle(slab_planes):
     for polarity in ("bright", "dark"):
         params = JermanParams(tau=0.5, scales=(1.0, 2.0), polarity=polarity)
         _assert_bit_equal(vol, params, slab_planes * 9 * 11)
+
+
+@pytest.mark.parametrize("deal", [
+    [[3, 4, 0, 1, 7], [5, 6, 2]],  # runs broken as a part that takes over would
+    [[7, 6, 5, 4, 3, 2, 1, 0]],  # no slab after the one before: a window each
+])
+def test_dealt_runs_match_whole_volume_oracle(monkeypatch, deal):
+    # 3-plane slabs of 23 planes, the last of 2: however ``claims`` deals
+    # them, a window carries planes over only from the slab before.  The
+    # second pass deals its n slabs by the same order.
+    monkeypatch.setattr(vesselness, "claims",
+                        lambda n, parts: [iter([i for i in d if i < n]) for d in deal])
+    vol = _volume("noise", (23, 9, 11), (0.6, 0.9, 1.3), seed=5)
+    _assert_bit_equal(vol, JermanParams(scales=(1.0, 2.0)), 3 * 9 * 11)
 
 
 def test_default_slabs_match_whole_volume_oracle():
@@ -173,6 +189,28 @@ def test_hessian_slabs_match_whole_volume_oracle(spacing):
         got = hessian_at_scale(smooth, spacing, 1.3, slice(lo, hi))
         assert got.dtype == np.float32 and got.shape == want[lo:hi].shape
         assert _bits(got) == _bits(want[lo:hi]), (lo, hi)
+
+
+def test_windows_match_whole_volume_oracle():
+    # A smoothed plane's bits depend on the data alone, so given planes,
+    # written to a new array or into ``out``, are the whole volume's; and
+    # the Hessian of a slab read from a window of it and the plane on each
+    # side that exists is the whole volume's too.  Both ends, single planes
+    # and no plane at all are among the runs.
+    spacing = (0.6, 0.9, 1.7)
+    vol = _volume("noise", (9, 7, 8), spacing, seed=3)
+    smooth = gaussian_smooth_oracle(vol.data, spacing, 1.3)
+    want = _hessian_whole_volume_oracle(vol.data, spacing, 1.3)
+    for lo, hi in [(0, 9), (0, 1), (8, 9), (3, 7), (4, 4), (1, 8)]:
+        got = gaussian_smooth(vol.data, spacing, 1.3, slice(lo, hi))
+        assert got.dtype == np.float32 and _bits(got) == _bits(smooth[lo:hi]), (lo, hi)
+        out = np.full((hi - lo + 2, 7, 8), np.nan, dtype=np.float32)
+        assert gaussian_smooth(vol.data, spacing, 1.3, slice(lo, hi), out[1:-1]).base is out
+        assert _bits(out[1:-1]) == _bits(smooth[lo:hi]) and np.isnan(out[[0, -1]]).all()
+        if lo < hi:
+            a, b = max(lo - 1, 0), min(hi + 1, 9)
+            got = hessian_at_scale(smooth[a:b], spacing, 1.3, slice(lo - a, hi - a))
+            assert _bits(got) == _bits(want[lo:hi]), (lo, hi)
 
 
 _DIVIDEND = st.one_of(st.floats(allow_nan=False),

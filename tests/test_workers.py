@@ -1,5 +1,5 @@
-"""The ``TUBEKIT_THREADS`` pool: the environment contract, ``parallel_map``
-and the slab plan.
+"""The ``TUBEKIT_THREADS`` pool: the environment contract, ``parallel_map``,
+``claims`` and the slab plan.
 
 The core count is patched wherever a test needs more workers than the
 host has, and a huge value is only ever passed to ``thread_count``, so no
@@ -209,6 +209,52 @@ def test_every_part_runs_once_while_the_caller_races_the_pool(cores):
     keys = [(p, q) for p in range(6) for q in range(5)]
     assert results == [[keys[5 * p:5 * p + 5] for p in range(6)]] * 40
     assert runs == collections.Counter({key: 40 for key in keys})
+
+
+@pytest.mark.parametrize("n, parts", [(0, 1), (0, 3), (1, 3), (5, 1), (32, 2), (7, 3)])
+def test_claims_yield_each_index_once(n, parts):
+    # Consumed one after the other, the first part takes every index.
+    got = [list(claim) for claim in workers.claims(n, parts)]
+    assert sorted(got[0]) == list(range(n))
+    assert all(part == [] for part in got[1:])
+
+
+def test_a_part_that_runs_out_takes_the_back_half_of_the_longest_share():
+    # Shares [0, 2), [2, 4) and [4, 7): the first part's own, then [5, 7)
+    # of the third, [3, 4) of the second, and the single indices left,
+    # the first longest share first.
+    assert list(workers.claims(7, 3)[0]) == [0, 1, 5, 6, 3, 2, 4]
+
+
+def test_claims_deal_each_index_once_while_parts_race():
+    # More parts than cores and a short switch interval, over many short
+    # ranges, so parts often take over the last indices of others: an
+    # index that two parts claimed, or that no part claimed, changes the
+    # sorted list of a round.
+    n, parts, rounds = 64, 8, 100
+    got = []
+
+    def consume(claim, out):
+        for i in claim:
+            out.append(i)
+            time.sleep(1e-4 if out is outs[0] else 0)  # the others take from the first
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(rounds):
+            outs = [[] for _ in range(parts)]
+            threads = [threading.Thread(target=consume, args=(claim, out))
+                       for claim, out in zip(workers.claims(n, parts), outs)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+            assert not any(t.is_alive() for t in threads)
+            got.append(sorted(i for out in outs for i in out))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [list(range(n))] * rounds
 
 
 @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
