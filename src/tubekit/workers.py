@@ -34,8 +34,10 @@ cannot deadlock.
 The slab plan: every stage that cuts a volume into slabs takes them from
 ``slabs``, ``SLAB_VOXELS`` voxels a slab or one plane if a plane is
 larger, the same at every worker count: the slabs of vesselness and
-its smoothing, the phantom's z-slabs, the .tvol z-slabs and
-``Mask3``'s check of values that are not uint8.
+its smoothing, the phantom's z-slabs, the .tvol z-slabs,
+``Mask3``'s check of values that are not uint8, and the skeleton's
+poolings and stage sums, which run on the calling thread and size a
+slab by bytes, ``SLAB_VOXELS`` float64 voxels' worth.
 """
 
 import contextvars

@@ -973,10 +973,10 @@ def _assert_loss_peaks(argv, n, bounds):
 
 
 def test_loss_peak_memory_at_64(tmp_path):
-    # Measured at 9.09 volumes at 1 worker and 10.40 at 2: the
+    # Measured at 7.95 volumes at 1 worker and 9.27 at 2: the
     # connectivity tape's forward sets the peak, and at 2 workers the
     # spatial term's gradient and buffers are held beside it.
-    _assert_loss_peaks(_train_loss_argv(tmp_path), 64, ((1, 10.0), (2, 11.5)))
+    _assert_loss_peaks(_train_loss_argv(tmp_path), 64, ((1, 8.5), (2, 10.0)))
 
 
 @pytest.fixture(scope="module")
@@ -990,29 +990,38 @@ def helix_128(tmp_path_factory):
 
 
 def test_loss_peak_memory_at_128(helix_128, tmp_path):
-    # Measured at 9.05 volumes at 1 worker and 10.20 at 2.
+    # Measured at 7.61 volumes at 1 worker and 8.76 at 2.
     img, lab, pred = helix_128
     argv = ["loss", "--pred", str(pred), "--label", str(lab), "--image", str(img),
             "--json", str(tmp_path / "loss.json")]
-    _assert_loss_peaks(argv, 128, ((1, 10.0), (2, 11.2)))
+    _assert_loss_peaks(argv, 128, ((1, 8.0), (2, 9.5)))
 
 
 def test_tape_holds_under_three_volumes_after_its_forward_at_128(helix_128):
-    # Two erosions run: the skeleton, the index and value of each nonzero
-    # of the three stages' deltas, and one selection byte per voxel and
-    # pooling make 2.67 float64 volumes.
+    # Two erosions run: the skeleton, the int32 index and float64 value of
+    # each nonzero of the three stages' deltas, and one selection byte per
+    # voxel and pooling make 2.44 float64 volumes.
     yhat = np.asarray(load_tvol(helix_128[2]).data, dtype=np.float64)
     tape, size, _ = traced(SoftSkeletonTape, yhat, DEFAULT_ITERATIONS)
     assert tape.iterations == 2
-    assert size <= 3 * yhat.nbytes, size / yhat.nbytes
+    assert size <= 2.75 * yhat.nbytes, size / yhat.nbytes
 
 
-@pytest.mark.parametrize("dtype, bound", [(np.float64, 5.5), (np.float32, 6.5)])
+def test_tape_forward_peak_memory_at_128(helix_128):
+    # Measured at 5.48 volumes: the last dilation's input and output beside
+    # the stage's image, the skeleton, stage 0's delta nonzeros and the six
+    # poolings' codes.
+    yhat = np.asarray(load_tvol(helix_128[2]).data, dtype=np.float64)
+    _, _, peak = traced(SoftSkeletonTape, yhat, DEFAULT_ITERATIONS)
+    assert peak <= 5.5 * yhat.nbytes, peak / yhat.nbytes
+
+
+@pytest.mark.parametrize("dtype, bound", [(np.float64, 4.5), (np.float32, 5.5)])
 def test_soft_skeleton_peak_memory_at_128(helix_128, dtype, bound):
-    # Measured at 5.01 volumes on a float64 input: the pooling's input,
-    # previous pass and new pass beside the stage's image, its erosion and
-    # the skeleton.  `tubekit skeleton` passes a volume's float32 data,
-    # whose float64 copy adds one more: 6.01.
+    # Measured at 4.04 volumes on a float64 input: the pooling's input and
+    # output beside the stage's image and the skeleton, with one slab's
+    # scratch.  `tubekit skeleton` passes a volume's float32 data, whose
+    # float64 copy adds one more: 5.04.
     yhat = load_tvol(helix_128[2]).data.astype(dtype)
     _, _, peak = traced(soft_skeleton_array, yhat, DEFAULT_ITERATIONS)
     assert peak <= bound * 8 * yhat.size, peak / (8 * yhat.size)

@@ -10,7 +10,10 @@ the bifurcation and helix phantoms at 64x64x40 (three z-slabs), runs
 skeleton, reconnect with its report and metrics against the label on
 both, and the helix's bright and dark vesselness (three slabs, of 25, 25
 and 14 planes, at any worker count; the oracle tests in
-test_vesselness_oracle.py cover other splits).  The bifurcation label is
+test_vesselness_oracle.py cover other splits).  The soft skeleton and
+the loss run on the helix's bright vesselness, so the skeleton's
+poolings and its tape split into slabs too (three, of 25, 25 and 14
+planes).  The bifurcation label is
 its own hard skeleton, so its reconnect draws no segment; the helix's
 draws 114.  It runs at one, two and four workers, each through
 ``pool.at_workers`` (a host that appears to have that many cores, and a
@@ -89,6 +92,10 @@ def artifacts(out: Path) -> dict:
     for polarity in ("bright", "dark"):
         _run("vesselness", "--in", out / "helix-slabs-img.tvol", "--polarity", polarity,
              "--out", out / f"helix-slabs-vess-{polarity}.tvol")
+    pred = out / "helix-slabs-vess-bright.tvol"
+    _run("skeleton", "--in", pred, "--out", out / "helix-slabs-soft.tvol")
+    _run("loss", "--pred", pred, "--label", out / "helix-slabs-lab.tvol",
+         "--image", out / "helix-slabs-img.tvol", "--json", out / "helix-slabs-loss.json")
     _run("fusion-demo", "--json", out / "fusion.json")
     _run("gradcheck", "--json", out / "gradcheck.json")
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,23 @@ def test_tape_backward_rejects_a_gradient_of_another_shape(shape):
     tape = SoftSkeletonTape(np.random.default_rng(5).random((4, 4, 4)), 3)
     with pytest.raises(ParameterError, match="shape"):
         tape.backward(np.ones(shape))
+
+
+MALFORMED = [(0, 3, 3), (3, 0, 3), (3, 3, 0), (3, 3), (2, 3, 3, 3)]
+ENTRY_POINTS = {
+    "soft_skeleton_array": lambda shape: soft_skeleton_array(np.zeros(shape), 2),
+    "SoftSkeletonTape": lambda shape: SoftSkeletonTape(np.zeros(shape), 2),
+    "hard_skeleton": lambda shape: hard_skeleton(np.zeros(shape, dtype=bool), 2),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("shape", MALFORMED)
+def test_skeleton_rejects_a_malformed_array_naming_its_shape(entry, shape):
+    # An empty axis used to raise IndexError, a 2-D array numpy's
+    # AxisError, and a 4-D one pooled only its first three axes.
+    with pytest.raises(ParameterError, match=re.escape(str(shape))):
+        ENTRY_POINTS[entry](shape)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,13 @@ and the adjoint together.  The pooling primitives are also pinned to
 their former scipy-filter and padded-accumulator versions on inputs
 holding signed zeros and infinities, where only the bits can differ.
 The tape, which keeps only each stage's delta nonzeros, is pinned to the
-former tape that kept each stage's skeleton and delta whole.
+former tape that kept each stage's skeleton and delta whole.  The pooling
+and the recurrence run slab by slab of the slab plan; with
+``SLAB_VOXELS`` patched small the inputs here split into one-plane slabs
+and ragged last slabs, and every bit must stay the same.
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given
@@ -17,10 +22,12 @@ from hypothesis import strategies as st
 
 from oracles import (dense_stage_tape_oracle, pool3_scipy_oracle, scatter3_padded_oracle,
                      soft_skeleton_tape_oracle)
+from tubekit import workers
 from tubekit.skeleton import (SoftSkeletonTape, _pool3, _scatter3, hard_skeleton,
                               soft_skeleton_array)
 
 H = 1e-3
+SMALL_SLABS = [1, 7, 40]  # voxels a slab: one-plane slabs, ragged last slabs
 
 
 def _field(kind, shape, seed):
@@ -147,16 +154,23 @@ def _bits(x):
 
 
 @given(st.tuples(*[st.integers(1, 9)] * 3), st.sampled_from(["min", "max"]),
-       st.integers(0, 2 ** 32 - 1))
-def test_pool_and_scatter_match_former_code_bitwise(shape, mode, seed):
+       st.integers(0, 2 ** 32 - 1), st.sampled_from(SMALL_SLABS + [workers.SLAB_VOXELS]))
+def test_pool_and_scatter_match_former_code_bitwise(shape, mode, seed, slab):
     rng = np.random.default_rng(seed)
     x = rng.integers(-2, 3, shape) / 2.0  # ties everywhere, signs both ways
     x[rng.random(shape) < 0.3] = -0.0
+    # Signed zeros as the pool's extreme, so the sign of a pooled zero
+    # shows which operand each min or max returned.
+    zeros = np.where(rng.random(shape) < 0.5, 0.0, -0.0)
+    zeros[rng.random(shape) < 0.2] = 0.5 if mode == "min" else -0.5
     rec, old = [], []
-    assert _bits(_pool3(x, mode, rec)) == _bits(pool3_scipy_oracle(x, mode, old))
-    offs = [(rec[0] // 3 ** axis % 3).astype(np.int8) - 1 for axis in range(3)]
-    assert [o.tobytes() for o in offs] == [o.tobytes() for o in old[0]]
-    assert _bits(_pool3(x, mode)) == _bits(pool3_scipy_oracle(x, mode))
+    with mock.patch.object(workers, "SLAB_VOXELS", slab):
+        for a in (zeros, x):
+            rec[:], old[:] = [], []
+            assert _bits(_pool3(a, mode, rec)) == _bits(pool3_scipy_oracle(a, mode, old))
+            assert _bits(_pool3(a, mode)) == _bits(pool3_scipy_oracle(a, mode))
+            offs = [(rec[0] // 3 ** axis % 3).astype(np.int8) - 1 for axis in range(3)]
+            assert [o.tobytes() for o in offs] == [o.tobytes() for o in old[0]]
 
     g = rng.standard_normal(shape)
     g[rng.random(shape) < 0.3] = -0.0
@@ -169,6 +183,25 @@ def test_pool_and_scatter_match_former_code_bitwise(shape, mode, seed):
         routed_idx, routed = _scatter3(idx, g.ravel()[idx], rec[0], shape)
         out[routed_idx] = routed
         assert _bits(out.reshape(shape)) == _bits(scatter3_padded_oracle(g, old[0]))
+
+
+@given(cases, st.sampled_from(SMALL_SLABS))
+@example(("quantised", (12, 12, 12), 10, 0), 40)
+def test_recurrence_keeps_its_bits_across_slab_plans(case, slab):
+    # At the real slab size every drawn shape fits in one slab.
+    kind, shape, k, seed = case
+    x = _field(kind, shape, seed)
+    g = np.random.default_rng(seed + 4).standard_normal(shape)
+
+    def run():
+        tape = SoftSkeletonTape(x, k)
+        soft = b"" if kind == "wide" else soft_skeleton_array(x, k).tobytes()
+        return (tape.skeleton.tobytes(), tape.signature(), tape.backward(g).tobytes(),
+                soft, hard_skeleton(x >= 0.5, k).tobytes())
+
+    whole = run()
+    with mock.patch.object(workers, "SLAB_VOXELS", slab):
+        assert run() == whole
 
 
 def test_stops_once_the_erosion_is_empty():
