@@ -22,7 +22,6 @@ scores as two parts, the nested calls joining the same pool.
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import NumericDomainError, ParameterError
 from .skeleton import DEFAULT_ITERATIONS, _voxels, _window_offsets, hard_skeleton
@@ -102,6 +101,7 @@ def _nearest_distances(pts, other):
     range a pool part.  A point's nearest neighbour depends only on the
     point and the tree, so the ranges, joined in order, hold the bits of
     one query of all the points."""
+    from scipy.spatial import cKDTree  # on first use, as in skeleton._nearest_other
     tree = cKDTree(other)
     return np.concatenate(parallel_map(lambda rows: tree.query(rows)[0],
                                        np.array_split(pts, thread_count())))

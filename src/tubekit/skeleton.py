@@ -40,6 +40,9 @@ so every value stays 0 or 1, as it would in float64.
 Neighbour counts and pooling are numpy operations on shifted views; scipy
 serves only the component labelling (``ndimage.label``, once per
 ``reconnect``) and the nearest-endpoint queries (``cKDTree``).
+``scipy.spatial`` is imported where those queries run, so a process that
+never reconnects never loads it, nor the ``scipy.sparse`` and
+``scipy.linalg`` it brings.
 """
 
 import hashlib
@@ -48,7 +51,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import ndimage
-from scipy.spatial import cKDTree
 
 from .errors import NumericDomainError, ParameterError
 from .workers import parallel_map, slabs, thread_count
@@ -418,6 +420,10 @@ def _nearest_other(src, src_lab, tgt, tgt_lab):
     source's answer depends only on it and the tree: each part writes
     its own rows of ``key`` and returns the rows left for the next
     round, in order."""
+    # imported on first use: scipy.spatial loads scipy.sparse and
+    # scipy.linalg, about 12 MB resident that phantom, vesselness and
+    # skeleton need not pay
+    from scipy.spatial import cKDTree
     n = len(tgt)
     tree = cKDTree(tgt)
     none = np.iinfo(np.int64).max

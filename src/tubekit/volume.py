@@ -25,7 +25,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import FileFormatError, NumericDomainError, ParameterError
 from .rng import normal
@@ -197,6 +196,66 @@ def _dist_to_segment(px, py, pz, a, b):
     return np.sqrt(dx ** 2 + dy ** 2 + dz ** 2)
 
 
+_SEARCH_VOXELS = 1 << 12  # voxels the helix's dist hands one search
+_SEARCH_PAIRS = 1 << 14  # (voxel, sample) pairs a search measures at once
+
+
+def _helix_search(curve, at, climb, laps, radius):
+    """Distances (mm) from voxels to the helix samples ``curve`` (x, y, z
+    arrays, z ascending), for the voxels ``at`` = (x, y, z, angle about
+    the axis, spread, reach) that ``_centerline_distance``'s helix
+    ``dist`` keeps.  Each distance is cKDTree's, sqrt((dx*dx + dy*dy) +
+    dz*dz) with d = voxel - sample, bit for bit.
+
+    Only ``dist <= radius`` is read.  So a voxel is first measured to one
+    witness, the sample at its own angle about the axis nearest its
+    height, and is settled if that lies within ``radius``.  Every other
+    voxel gets the distance to its nearest candidate, exact up to the
+    bound its reach and spread come from (radius * (1 + 1e-6)), inf if it
+    has none.  Its candidates are the samples
+    within ``reach`` of it in z whose angle (climb * z) lies within its
+    spread (+ 1e-9) of its own: for each lap m, the z range (angle + 2 pi
+    m -+ spread) / climb, found by ``searchsorted``.  The (voxel,
+    candidate) pairs are formed and measured ``_SEARCH_PAIRS`` at a time,
+    so the working memory stays small, whatever the radius."""
+    hx, hy, hz = curve
+    x, y, z, angle, spread, reach = at
+
+    def between(x, y, z, k):
+        dx, dy, dz = x - hx[k], y - hy[k], z - hz[k]
+        return np.sqrt((dx * dx + dy * dy) + dz * dz)
+
+    lap = np.rint((climb * z - angle) / (2.0 * np.pi))
+    witness = np.rint((angle + 2.0 * np.pi * lap) / climb * ((len(hz) - 1) / hz[-1]))
+    d = between(x, y, z, np.clip(witness, 0, len(hz) - 1).astype(np.intp))
+    v = np.flatnonzero(d > radius)
+    if not v.size:
+        return d
+    x, y, z, reach = x[v], y[v], z[v], reach[v, None]
+    spread = np.minimum(spread[v] + 1e-9, np.pi)[:, None]
+    centre = angle[v][:, None] + 2.0 * np.pi * laps
+    start = np.searchsorted(hz, np.maximum((centre - spread) / climb, z[:, None] - reach))
+    stop = np.searchsorted(hz, np.minimum((centre + spread) / climb, z[:, None] + reach),
+                           "right")
+    count = (stop - start).ravel()  # per (voxel, lap), voxel-major
+    keep = count > 0
+    w, start, count = np.flatnonzero(keep) // len(laps), start.ravel()[keep], count[keep]
+    ends = np.cumsum(count)
+    begin = ends - count
+    shift, total = start - begin, int(count.sum())  # shift: sample row minus pair number
+    best = np.full(len(v), np.inf)
+    for p0 in range(0, total, _SEARCH_PAIRS):
+        p1 = min(p0 + _SEARCH_PAIRS, total)
+        a, b = np.searchsorted(ends, [p0, p1 - 1], "right")
+        runs = slice(a, b + 1)  # the (voxel, lap) runs that meet pairs p0 .. p1 - 1
+        c = np.minimum(ends[runs], p1) - np.maximum(begin[runs], p0)
+        u = np.repeat(w[runs], c)
+        k = np.arange(p0, p1) + np.repeat(shift[runs], c)
+        np.minimum.at(best, u, between(x[u], y[u], z[u], k))
+    d[v] = best
+    return d
+
+
 def _centerline_distance(spec: PhantomSpec, dims, spacing, axes):
     """The phantom's centerline as pieces ``(cols, near_z, dist)``, given
     the voxel-centre coordinates (mm) ``axes`` along x, y and z.
@@ -210,9 +269,10 @@ def _centerline_distance(spec: PhantomSpec, dims, spacing, axes):
     |rho - amp| for the helix, whose samples all lie on the cylinder of
     radius amp (rho: a voxel's xy distance from the axis); a bifurcation
     segment's bounding box.  Only distances up to radius_mm matter: the
-    helix's nearest-point query stops just past it and reports inf
-    beyond; it skips, as inf, voxels whose angle about the axis cannot be
-    near a sample's at their height (see its ``dist``).
+    helix's ``dist`` is exact only up to just past it, skips, as inf,
+    voxels that no sample can reach (see its docstring), and gives a
+    voxel that one sample already settles that sample's distance (see
+    ``_helix_search``).
 
     gapped_cylinder is handled by the caller via a z-index mask, so here
     it shares the cylinder geometry.
@@ -249,26 +309,38 @@ def _centerline_distance(spec: PhantomSpec, dims, spacing, axes):
         amp = min((nx - 1) * sx, (ny - 1) * sy) / 4.0
         t = np.linspace(0.0, 1.0, 8 * nz)
         theta = 2.0 * np.pi * turns * t
-        tree = cKDTree(np.column_stack([cx + amp * np.cos(theta),
-                                        cy + amp * np.sin(theta),
-                                        t * (nz - 1) * sz]))
+        curve = (cx + amp * np.cos(theta), cy + amp * np.sin(theta), t * (nz - 1) * sz)
         bound = spec.radius_mm * (1.0 + 1e-6)
+        slack = 1e-9 * (cx + cy + amp)  # mm: rounding of rho and of the samples
         climb = 2.0 * np.pi * turns / ((nz - 1) * sz)  # helix angle per mm of z
+        # angles: a voxel's in [-pi, pi], spread <= pi, the samples' in [0, 2 pi turns]
+        laps = np.arange(-1, int(turns) + 2)
 
         def dist(px, py, pz):
-            """Only voxels near the helix's angle at their height are queried.
-            A sample within ``bound`` of a voxel is within it in z too, so its
-            angle is within climb * bound (2 pi turns bound / z_top) of the
-            helix's at the voxel's height; and in xy, so seen from the axis it
-            is within arcsin(bound / r) of the voxel's angle (r: the voxel's
-            rho), any angle if r <= bound.  1e-9 covers rounding."""
+            """Only voxels a sample can lie within ``bound`` of are searched.
+            Every sample lies on the cylinder of radius amp, at least gap =
+            |r - amp| from a voxel in xy (r: the voxel's rho), so one within
+            bound of it is within reach = sqrt(bound^2 - gap^2) of it in z,
+            and seen from the axis within spread = 2 arcsin(reach / (2
+            sqrt(r amp))) of its angle, any angle once that ratio reaches 1;
+            so the helix's angle at the voxel's height is within spread +
+            climb * reach of the voxel's.  ``slack`` and 1e-9 cover rounding."""
             r = np.hypot(px - cx, py - cy)
-            spread = np.where(r > bound, np.arcsin(bound / np.maximum(r, bound)), np.pi)
-            turn = np.arctan2(py - cy, px - cx) - climb * pz
-            near = np.abs((turn + np.pi) % (2.0 * np.pi) - np.pi) <= spread + climb * bound + 1e-9
+            gap = np.maximum(np.abs(r - amp) - slack, 0.0)
+            reach = np.sqrt(np.maximum(bound - gap, 0.0)) * np.sqrt(bound + gap)
+            two = 2.0 * np.sqrt(r * amp)
+            spread = 2.0 * np.arcsin(np.divide(reach, two, out=np.ones_like(r), where=two > reach))
+            angle = np.arctan2(py - cy, px - cx)
+            turn = angle - climb * pz
+            near = (gap <= bound) & (np.abs((turn + np.pi) % (2.0 * np.pi) - np.pi)
+                                     <= spread + climb * reach + 1e-9)
             d = np.full(near.shape, np.inf)
-            at = np.column_stack([a[near] for a in np.broadcast_arrays(px, py, pz)])
-            d[near] = tree.query(at, distance_upper_bound=bound)[0]
+            step = max(1, _SEARCH_VOXELS // len(pz))  # columns a block
+            for c0 in range(0, len(near), step):
+                c, p = np.nonzero(near[c0:c0 + step])
+                c += c0
+                at = (px[c, 0], py[c, 0], pz[p], angle[c, 0], spread[c, 0], reach[c, 0])
+                d[c, p] = _helix_search(curve, at, climb, laps, spec.radius_mm)
             return d
 
         return [(np.abs(rho - amp) <= margin, every_z, dist)]
@@ -289,10 +361,10 @@ def make_phantom(spec: PhantomSpec, dims, spacing=(1.0, 1.0, 1.0)):
     other slab's output, and its noise counters, x-fastest, are one
     contiguous range, so the worker count changes no bit.  Distances are
     computed only in each centerline piece's region and, for the helix,
-    near its angle at each height (see ``_centerline_distance``); every
+    only where a sample can reach (see ``_centerline_distance``); every
     other voxel is at +inf, beyond any radius, and a computed voxel keeps
-    its coordinates and ufuncs, so the bytes are those of an exact
-    distance at every voxel.
+    its coordinates and ufuncs (the helix's, those of a kd-tree query),
+    so the bytes are those of an exact distance at every voxel.
     """
     dims = tuple(int(d) for d in dims)
     if len(dims) != 3 or any(d < 16 for d in dims):

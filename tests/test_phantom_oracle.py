@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial import cKDTree
 
 from memory import traced
 from oracles import _oracle_centerline_distance, phantom_oracle
@@ -78,20 +77,21 @@ def test_bytes_match_the_every_voxel_oracle(data):
 
 
 def test_helix_queries_only_voxels_near_its_cylinder(monkeypatch):
-    # a ring of columns about the axis, every height, queried 50688 voxels
-    # (19% of the volume); bounding each height by angle leaves 8506
-    queried = []
+    # a ring of columns about the axis, every height, held 50688 voxels
+    # (19% of the volume); bounding each height by angle left 8506, and
+    # bounding it by each voxel's reach in z and spread in angle leaves 3298
+    searched = []
 
-    class CountingTree(cKDTree):
-        def query(self, x, *args, **kwargs):
-            queried.append(len(x))
-            return super().query(x, *args, **kwargs)
+    def counting(curve, at, *args):
+        searched.append(len(at[0]))
+        return search(curve, at, *args)
 
-    monkeypatch.setattr(volume, "cKDTree", CountingTree)
+    search = volume._helix_search
+    monkeypatch.setattr(volume, "_helix_search", counting)
     dims = (64, 64, 64)
     label = make_phantom(PhantomSpec("helix", 2.0, seed=4), dims)[1]
     assert label.count() > 0
-    assert 0 < sum(queried) <= 0.05 * np.prod(dims), sum(queried)
+    assert 0 < sum(searched) <= 0.05 * np.prod(dims), sum(searched)
 
 
 def test_helix_wider_than_its_amplitude_keeps_the_axis_voxels():
@@ -121,11 +121,35 @@ def test_helix_voxel_exactly_at_the_radius_is_inside():
     assert label[dist == radius].all()
 
 
-@pytest.mark.parametrize("kind", ["bifurcation", "helix"])
-def test_peak_memory_is_bounded_in_volumes(kind):
+# amp = 63 / 4 mm at 64^3 in unit spacing: a radius of amp reaches the
+# axis, one of 2 amp every sample from it; 1e300 holds every voxel
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("dims, spacing, radius", [
+    ((64, 64, 64), (1.0, 1.0, 1.0), 15.75),
+    ((64, 64, 64), (1.0, 1.0, 1.0), 31.5),
+    ((64, 64, 64), (1.0, 1.0, 1.0), 1e300),
+    ((48, 40, 72), (0.4, 1.7, 0.9), 2.5),
+    ((48, 40, 72), (0.4, 1.7, 0.9), 4.7),  # amp
+], ids=["amp", "2amp", "1e300", "anisotropic", "anisotropic-amp"])
+def test_helix_edge_radii_match_the_oracle(dims, spacing, radius, threads):
+    spec = PhantomSpec("helix", radius, noise_sigma=0.2, seed=5)
+    if threads == 2:
+        _assert_splits(dims)
+    with at_workers(threads):
+        image, label = make_phantom(spec, dims, spacing)
+    o_image, o_label = phantom_oracle(spec, dims, spacing)
+    assert image.data.tobytes() == o_image.tobytes()
+    assert label.data.tobytes() == o_label.tobytes()
+    assert 0 < label.count() <= np.prod(dims)
+
+
+@pytest.mark.parametrize("kind, radius", [("bifurcation", 2.0), ("helix", 2.0),
+                                          ("helix", 10.0), ("helix", 1e300)],
+                         ids=["bifurcation", "helix", "helix-10mm", "helix-1e300"])
+def test_peak_memory_is_bounded_in_volumes(kind, radius):
     # the whole-volume code peaked at 14 float64 volumes (bifurcation);
     # tracemalloc counts every thread, so at 2 workers both slabs in flight count
-    dims, spec = (128, 128, 128), PhantomSpec(kind, 2.0, noise_sigma=0.3, seed=3)
+    dims, spec = (128, 128, 128), PhantomSpec(kind, radius, noise_sigma=0.3, seed=3)
     for threads in (1, 2):
         with at_workers(threads):
             _, _, peak = traced(make_phantom, spec, dims)

@@ -11,7 +11,9 @@ bit, at 1, 2 and 4 workers: the surface distances against the all-pairs
 oracle, the reconnection against the one-component-at-a-time oracle.
 Lattices of isolated voxels tie 6, 8 or 12 targets at the nearest
 distance, so the search doubles k up to 16; a budget of 64 pairs cuts a
-round into a few rows a part, and one of 5 into single rows.
+round into a few rows a part, and one of 5 into single rows.  Both
+modules import ``cKDTree`` from ``scipy.spatial`` when they query, so the
+recording tree is patched in there.
 """
 
 import numpy as np
@@ -63,7 +65,7 @@ def test_surface_distances_match_the_oracle_bit_for_bit(monkeypatch, case, spaci
     sp = np.asarray(spacing)
     pairs = [(surf_p * sp, surf_g * sp), (surf_g * sp, surf_p * sp)]
     one_call = [cKDTree(b).query(a)[0] for a, b in pairs]
-    monkeypatch.setattr(metrics, "cKDTree", _RecordingTree)
+    monkeypatch.setattr("scipy.spatial.cKDTree", _RecordingTree)
     monkeypatch.setattr(_RecordingTree, "queries", [])
     with at_workers(threads):
         got = surface_distances(surf_p, surf_g, spacing)
@@ -133,7 +135,7 @@ def test_reconnect_matches_the_oracle_at_every_worker_count(monkeypatch, name, p
     fg = _fields()[name]
     want, want_segments = reconnect_oracle(fg)
     monkeypatch.setattr(skeleton, "_QUERY_PAIRS", pairs)
-    monkeypatch.setattr(skeleton, "cKDTree", _RecordingTree)
+    monkeypatch.setattr("scipy.spatial.cKDTree", _RecordingTree)
     monkeypatch.setattr(_RecordingTree, "queries", [])
     with at_workers(threads):
         got, segments = reconnect(fg)
